@@ -50,7 +50,6 @@ from .mining import (
     MinerConfig,
     ToolSequence,
     build_composite_tool,
-    count_support,
     cross_phase_tools,
     extract_tool_sequence,
     mine_composites,
@@ -79,10 +78,9 @@ from .policies import (
 from .retrieval import (
     EmbeddingProvider,
     HashingEmbedder,
-    SimilarityIndex,
     cosine_similarity,
     filter_by_database,
-    reference_embed,
+    rank,
     select_from_entries,
     select_trajectory,
 )

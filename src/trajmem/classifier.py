@@ -27,18 +27,7 @@ class ClassifierRule:
     priority: int
 
     def compiled(self) -> re.Pattern[str]:
-        return _compile(self.pattern)
-
-
-_COMPILED: dict[str, re.Pattern[str]] = {}
-
-
-def _compile(pattern: str) -> re.Pattern[str]:
-    cached = _COMPILED.get(pattern)
-    if cached is None:
-        cached = re.compile(pattern)
-        _COMPILED[pattern] = cached
-    return cached
+        return re.compile(self.pattern)
 
 
 @dataclass(frozen=True)

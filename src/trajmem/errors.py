@@ -38,4 +38,4 @@ class ToolError(TrajmemError):
 
 
 class EndpointError(TrajmemError):
-    """An HTTP endpoint call failed after the configured retries."""
+    """An HTTP endpoint call failed, or kept failing through its retries."""

@@ -25,8 +25,8 @@ from .metrics import RunRecord, execution_accuracy
 from .mining import MinedComposite, build_composite_tool, load_manifest
 from .model import Phase, Question, Step, ToolParam, ToolSpec, Trajectory, append_step
 from .policies import Policy, QuestionScript, ScriptedPolicy, Transcript
-from .retrieval import EmbeddingProvider, HashingEmbedder, cosine_similarity, select_trajectory
-from .store import MemoryStore
+from .retrieval import EmbeddingProvider, HashingEmbedder, rank, select_trajectory
+from .store import ID_PATTERN, MemoryStore
 from .tools import (
     EpisodeContext,
     Tool,
@@ -114,17 +114,12 @@ def vector_search(
     k: int = 5,
 ) -> list[tuple[str, str, float]]:
     """Top-k schema elements by similarity; ties break by (table, column)."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if not index.entries:
-        return []
-    vector = provider.embed(query)
-    scored = [
-        (entry.table, entry.column, cosine_similarity(vector, entry.embedding))
-        for entry in index.entries
-    ]
-    scored.sort(key=lambda item: (-item[2], item[0], item[1]))
-    return scored[:k]
+    ranked = rank(
+        provider.embed(query),
+        (((entry.table, entry.column), entry.embedding) for entry in index.entries),
+        k,
+    )
+    return [(table, column, score) for (table, column), score in ranked]
 
 
 # -- registries --------------------------------------------------------------------
@@ -420,15 +415,25 @@ class QuestionRecord:
 
 
 def load_questions_file(path: str | Path) -> list[QuestionRecord]:
-    """Parse a JSONL questions file (id, text, database_id, gold_csv, script)."""
+    """Parse a JSONL questions file (id, text, database_id, gold_csv, script).
+
+    Ids name the run's output files: each must be unique and match ID_PATTERN.
+    """
     records: list[QuestionRecord] = []
+    seen: set[str] = set()
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if not line:
             continue
         data = json.loads(line)
+        qid = data["id"]
+        if not isinstance(qid, str) or not ID_PATTERN.fullmatch(qid):
+            raise ConfigurationError(f"unsafe question id in {path}: {qid!r}")
+        if qid in seen:
+            raise ConfigurationError(f"duplicate question id {qid!r} in {path}")
+        seen.add(qid)
         question = Question(
-            id=data["id"],
+            id=qid,
             text=data["text"],
             database_id=data["database_id"],
             synthetic=bool(data.get("synthetic", False)),

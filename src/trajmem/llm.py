@@ -1,4 +1,4 @@
-"""Minimal JSON chat-endpoint client used by the optional HTTP-backed ports."""
+"""Minimal JSON chat-endpoint client behind ``HttpPolicy`` (``--policy http:``)."""
 
 from __future__ import annotations
 
@@ -52,15 +52,26 @@ class ChatEndpoint:
                 )
                 response.raise_for_status()
                 return _extract_text(response.json())
-            except Exception as exc:  # noqa: BLE001 - retried, re-raised below
+            except Exception as exc:  # noqa: BLE001 - only transient failures retried
+                if not _transient(exc):
+                    raise EndpointError(f"chat endpoint {self.url} failed: {exc}") from exc
                 last_error = exc
         raise EndpointError(f"chat endpoint {self.url} failed: {last_error}")
+
+
+def _transient(exc: Exception) -> bool:
+    """Connection failures, timeouts and 5xx responses; a retry may succeed."""
+    if isinstance(exc, requests.HTTPError):
+        return exc.response is not None and exc.response.status_code >= 500
+    if isinstance(exc, requests.RequestException):
+        return isinstance(exc, (requests.ConnectionError, requests.Timeout))
+    return isinstance(exc, OSError)
 
 
 def _extract_text(data: Any) -> str:
     if isinstance(data, dict):
         choices = data.get("choices")
-        if isinstance(choices, list) and choices:
+        if isinstance(choices, list) and choices and isinstance(choices[0], dict):
             message = choices[0].get("message", {})
             if isinstance(message, dict) and isinstance(message.get("content"), str):
                 return message["content"]

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .errors import ConfigurationError, StateError, ToolError
-from .llm import ChatEndpoint
 from .model import Phase, ToolParam, ToolSpec, Trajectory
 from .tools import EpisodeContext, Tool, ToolRegistry
 
@@ -70,26 +69,6 @@ def extract_tool_sequence(trajectory: Trajectory) -> list[tuple[str, Phase]]:
     return sequence
 
 
-def _contains_phase_run(
-    sequence: Sequence[tuple[str, Phase]], tools: Sequence[str], phase: Phase
-) -> bool:
-    size = len(tools)
-    for start in range(len(sequence) - size + 1):
-        window = sequence[start : start + size]
-        if all(w_tool == tool and w_phase == phase for (w_tool, w_phase), tool in zip(window, tools)):
-            return True
-    return False
-
-
-def count_support(corpus: Sequence[Trajectory], sequence: ToolSequence) -> int:
-    """Trajectories containing the run in-phase; each counts at most once."""
-    return sum(
-        1
-        for trajectory in corpus
-        if _contains_phase_run(extract_tool_sequence(trajectory), sequence.tools, sequence.phase)
-    )
-
-
 def cross_phase_tools(corpus: Iterable[Trajectory]) -> set[str]:
     """Tools observed under two or more distinct phases anywhere in the corpus."""
     phases_by_tool: dict[str, set[Phase]] = defaultdict(set)
@@ -124,25 +103,6 @@ class FallbackNamer(Namer):
             f"Composite tool: runs {', then '.join(sequence.tools)} as one "
             f"{sequence.phase.value} action."
         )
-        return name, description
-
-
-class HttpNamer(Namer):
-    def __init__(self, endpoint: ChatEndpoint) -> None:
-        self.endpoint = endpoint
-
-    def name(self, sequence: ToolSequence) -> tuple[str, str]:
-        prompt = (
-            "Name a composite tool that runs these tools in order: "
-            f"{', '.join(sequence.tools)}. Reply as two lines:\n"
-            "name: <snake_case identifier>\ndescription: <one sentence>"
-        )
-        reply = self.endpoint.complete(prompt)
-        name_match = re.search(r"name\s*:\s*(.+)", reply, re.IGNORECASE)
-        desc_match = re.search(r"description\s*:\s*(.+)", reply, re.IGNORECASE)
-        fallback_name, fallback_desc = FallbackNamer().name(sequence)
-        name = name_match.group(1).strip() if name_match else fallback_name
-        description = desc_match.group(1).strip() if desc_match else fallback_desc
         return name, description
 
 

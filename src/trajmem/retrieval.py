@@ -3,25 +3,25 @@
 Retrieval first restricts candidates to entries on the question's database,
 then picks the single entry whose stored question embedding has the highest
 cosine similarity to the query embedding, breaking exact ties by the
-lexicographically smallest question id.
+lexicographically smallest question id. The same ``rank`` also orders
+schema elements for the linking sub-agent's vector search.
 """
 
 from __future__ import annotations
 
 import abc
-import itertools
+import heapq
 import math
 import zlib
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
-import requests
-
-from .errors import ConfigurationError, EndpointError
+from .errors import ConfigurationError
 from .model import Question
 from .store import MemoryEntry, MemoryStore
 
 DEFAULT_DIMENSION = 256
+
+K = TypeVar("K")
 
 
 class EmbeddingProvider(abc.ABC):
@@ -77,11 +77,6 @@ class HashingEmbedder(EmbeddingProvider):
         return list(vector)
 
 
-def reference_embed(text: str, dimension: int = DEFAULT_DIMENSION) -> list[float]:
-    """Convenience wrapper over the reference hashing embedder."""
-    return HashingEmbedder(dimension).embed(text)
-
-
 def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
     """Cosine of the angle between two vectors, clamped to [-1, 1]."""
     if len(a) != len(b):
@@ -99,6 +94,18 @@ def filter_by_database(
     return [entry for entry in entries if entry.database_id == question.database_id]
 
 
+def rank(
+    query: Sequence[float],
+    keyed_vectors: Iterable[tuple[K, Sequence[float]]],
+    k: int,
+) -> list[tuple[K, float]]:
+    """Top-k ``(key, cosine similarity)`` pairs, sorted by (-score, key)."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    scored = [(key, cosine_similarity(query, vector)) for key, vector in keyed_vectors]
+    return heapq.nsmallest(k, scored, key=lambda item: (-item[1], item[0]))
+
+
 def select_from_entries(
     question: Question,
     entries: Iterable[MemoryEntry],
@@ -108,20 +115,19 @@ def select_from_entries(
     candidates = filter_by_database(question, entries)
     if not candidates:
         return None
-    query = provider.embed(question.text)
-    best: MemoryEntry | None = None
-    best_score = -math.inf
-    for entry in sorted(candidates, key=lambda e: e.question.id):
+    for entry in candidates:
         if len(entry.embedding) != provider.dimension():
             raise ConfigurationError(
                 f"entry {entry.question.id!r} has dimension {len(entry.embedding)}, "
                 f"provider expects {provider.dimension()}"
             )
-        score = cosine_similarity(query, entry.embedding)
-        if score > best_score:
-            best = entry
-            best_score = score
-    return best
+    # The position only separates entries that share a question id.
+    (_, position), _ = rank(
+        provider.embed(question.text),
+        (((entry.question.id, i), entry.embedding) for i, entry in enumerate(candidates)),
+        k=1,
+    )[0]
+    return candidates[position]
 
 
 def select_trajectory(
@@ -134,91 +140,3 @@ def select_trajectory(
             f"dimension {store.dimension}"
         )
     return select_from_entries(question, store.load_entries(question.database_id), provider)
-
-
-_snapshot_counter = itertools.count(1)
-
-
-@dataclass(frozen=True)
-class SimilarityIndex:
-    """Immutable similarity snapshot over one database's entries."""
-
-    database_id: str
-    entries: tuple[tuple[str, tuple[float, ...]], ...]
-    snapshot_version: int
-
-    @classmethod
-    def build(cls, store: MemoryStore, database_id: str) -> "SimilarityIndex":
-        rows = tuple(
-            (entry.question.id, tuple(entry.embedding))
-            for entry in store.load_entries(database_id)
-        )
-        dims = {len(embedding) for _, embedding in rows}
-        if len(dims) > 1:
-            raise ConfigurationError(f"mixed embedding dimensions in index: {sorted(dims)}")
-        return cls(
-            database_id=database_id,
-            entries=rows,
-            snapshot_version=next(_snapshot_counter),
-        )
-
-    def query(self, vector: Sequence[float], k: int = 1) -> list[tuple[str, float]]:
-        """Top-k (question_id, similarity), ties broken by question id."""
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        scored = [
-            (question_id, cosine_similarity(vector, embedding))
-            for question_id, embedding in self.entries
-        ]
-        scored.sort(key=lambda item: (-item[1], item[0]))
-        return scored[:k]
-
-
-class HttpEmbeddingProvider(EmbeddingProvider):
-    """Embedding through an HTTP endpoint taking {"texts": [...]}.
-
-    The response may be either a bare list of vectors or an object with an
-    "embeddings" key. Outputs are normalized before use.
-    """
-
-    def __init__(
-        self,
-        url: str,
-        dimension: int = DEFAULT_DIMENSION,
-        timeout: float = 30.0,
-        retries: int = 2,
-        post: Callable[..., Any] | None = None,
-    ) -> None:
-        self.url = url
-        self._dimension = dimension
-        self.timeout = timeout
-        self.retries = retries
-        self._post = post or requests.post
-
-    def dimension(self) -> int:
-        return self._dimension
-
-    def embed(self, text: str) -> list[float]:
-        return self.embed_batch([text])[0]
-
-    def embed_batch(self, texts: Sequence[str]) -> list[list[float]]:
-        payload = {"texts": list(texts)}
-        last_error: Exception | None = None
-        for _ in range(self.retries + 1):
-            try:
-                response = self._post(self.url, json=payload, timeout=self.timeout)
-                response.raise_for_status()
-                data = response.json()
-                vectors = data["embeddings"] if isinstance(data, dict) else data
-                return [self._validated(vector) for vector in vectors]
-            except Exception as exc:  # noqa: BLE001 - retried, re-raised below
-                last_error = exc
-        raise EndpointError(f"embedding endpoint {self.url} failed: {last_error}")
-
-    def _validated(self, vector: Sequence[float]) -> list[float]:
-        values = [float(v) for v in vector]
-        if len(values) != self._dimension:
-            raise ConfigurationError(
-                f"endpoint returned dimension {len(values)}, expected {self._dimension}"
-            )
-        return l2_normalize(values)

@@ -21,14 +21,14 @@ from typing import Any
 
 from .classifier import Segment, segment_trajectory
 from .errors import ConfigurationError, StateError, StorageError
-from .llm import ChatEndpoint
 from .model import Phase, Question, Step, Trajectory
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_OBSERVATION_LIMIT = 2000
 _HEADER_MAX_CHARS = 120
-_ID_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
+# Ids that are safe as one path component: they name store and run files.
+ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 _PHASE_FILES = {
     Phase.EXPLORATION: "exploration.md",
@@ -68,20 +68,6 @@ class HeuristicSummarizer(Summarizer):
             if text:
                 return _clean_header(text)
         return ""
-
-
-class HttpSummarizer(Summarizer):
-    """Header generation through a chat endpoint."""
-
-    def __init__(self, endpoint: ChatEndpoint) -> None:
-        self.endpoint = endpoint
-
-    def summarize(self, body: str) -> str:
-        prompt = (
-            "Write one short title (at most 10 words, one line) for this section "
-            "of an agent work log:\n\n" + body
-        )
-        return _clean_header(self.endpoint.complete(prompt))
 
 
 def _clean_header(text: str) -> str:
@@ -240,7 +226,7 @@ class MemoryStore:
                 f"store dimension {self.dimension}"
             )
         for label, value in (("database", entry.database_id), ("question", entry.question.id)):
-            if not _ID_PATTERN.match(value):
+            if not ID_PATTERN.fullmatch(value):
                 raise StorageError(f"unsafe {label} id for storage: {value!r}")
         final = self.entry_dir(entry.database_id, entry.question.id)
         tmp = final.parent / f".tmp-{entry.question.id}-{uuid.uuid4().hex[:8]}"

@@ -20,7 +20,6 @@ from typing import Iterable, Mapping, Sequence
 from .classifier import DEFAULT_RULE_TABLE, RuleTable
 from .errors import BudgetError, SynthesisError
 from .harness import EpisodeConfig, build_explorer_registry, run_episode
-from .llm import ChatEndpoint
 from .model import Question
 from .policies import ExplorerPolicy, Policy
 from .retrieval import EmbeddingProvider, HashingEmbedder
@@ -157,26 +156,6 @@ class TemplateGenerator(QuestionGenerator):
         if candidates:
             return candidates[0]
         raise SynthesisError("schema contains no tables to generate questions from")
-
-
-class HttpGenerator(QuestionGenerator):
-    """Question generation through a chat endpoint."""
-
-    def __init__(self, endpoint: ChatEndpoint) -> None:
-        self.endpoint = endpoint
-
-    def generate(self, schema: str, knowledge: str, existing: Sequence[str]) -> str:
-        listed = "\n".join(f"- {question}" for question in existing) or "(none)"
-        prompt = (
-            "Write one new analytical question over this database, different "
-            "from the existing ones, exercising varied operators, tables, and "
-            f"columns. Reply with the question only.\n\nSchema:\n{schema}\n\n"
-            f"Knowledge:\n{knowledge}\n\nExisting questions:\n{listed}"
-        )
-        text = self.endpoint.complete(prompt).strip()
-        if not text:
-            raise SynthesisError("generator returned empty text")
-        return text
 
 
 _GENERATION_ATTEMPTS = 3

@@ -8,6 +8,7 @@ retrieval.
 
 from __future__ import annotations
 
+from trajmem.mining import ToolSequence
 from trajmem.model import Phase, Question, Trajectory
 from trajmem.retrieval import EmbeddingProvider, cosine_similarity
 from trajmem.store import MemoryEntry
@@ -32,6 +33,11 @@ def _contains(
         if [t for t, _ in window] == list(tools) and all(p == phase for _, p in window):
             return True
     return False
+
+
+def count_support(corpus: list[Trajectory], sequence: ToolSequence) -> int:
+    """Trajectories containing the run in-phase; each counts at most once."""
+    return sum(1 for t in corpus if _contains(_flat(t), sequence.tools, sequence.phase))
 
 
 def brute_force_mine(

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 
 import pytest
 
+from trajmem.errors import ConfigurationError
 from trajmem.fixtures import build_fixture_workspace
 from trajmem.harness import (
     EpisodeConfig,
@@ -459,3 +461,46 @@ def test_run_suite_refinement_question_succeeds(workspace, tmp_path):
         if inv.tool_name == "sql_execute" and "attempt 2" in inv.output
     ]
     assert main_steps, "refinement trail missing from invocation output"
+
+
+# -- questions files ----------------------------------------------------------------
+
+
+def _questions_file(tmp_path, ids):
+    path = tmp_path / "questions.jsonl"
+    path.write_text(
+        "".join(
+            json.dumps({"id": qid, "text": f"question {qid}", "database_id": "flights"}) + "\n"
+            for qid in ids
+        ),
+        encoding="utf-8",
+    )
+    return path
+
+
+@pytest.mark.parametrize("bad_id", ["../../escaped", "a/b", "", ".hidden", "-x", "f1\n"])
+def test_questions_file_rejects_unsafe_ids(tmp_path, bad_id):
+    with pytest.raises(ConfigurationError, match="question id"):
+        load_questions_file(_questions_file(tmp_path, ["f1", bad_id]))
+
+
+def test_questions_file_rejects_duplicate_ids(tmp_path):
+    with pytest.raises(ConfigurationError, match="duplicate question id 'f1'"):
+        load_questions_file(_questions_file(tmp_path, ["f1", "f2", "f1"]))
+
+
+def test_questions_file_accepts_store_safe_ids(tmp_path):
+    ids = ["f1", "syn-flights-001", "Q.2_b"]
+    records = load_questions_file(_questions_file(tmp_path, ids))
+    assert [r.question.id for r in records] == ids
+
+
+def test_escaping_question_id_writes_nothing_outside_run_dir(workspace, tmp_path):
+    line = json.loads((workspace.root / "questions.jsonl").read_text().splitlines()[0])
+    line["id"] = "../../escaped"
+    path = tmp_path / "questions.jsonl"
+    path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    out = tmp_path / "deep" / "runs"
+    with pytest.raises(ConfigurationError):
+        run_suite(load_questions_file(path), workspace, out, _config())
+    assert not list(tmp_path.rglob("escaped*"))

@@ -1,13 +1,10 @@
 from __future__ import annotations
 
 import pytest
+import requests
 
 from trajmem.errors import EndpointError
 from trajmem.llm import ChatEndpoint
-from trajmem.mining import HttpNamer, ToolSequence
-from trajmem.model import Phase
-from trajmem.store import HttpSummarizer
-from trajmem.synthesis import HttpGenerator
 
 
 class _FakeResponse:
@@ -72,21 +69,70 @@ def test_chat_endpoint_rejects_unparseable_payload():
         endpoint.complete("x")
 
 
-def test_http_summarizer_cleans_header():
-    endpoint = _endpoint({"content": "  A very\nlong multi line title  "})
-    assert HttpSummarizer(endpoint).summarize("body") == "A very"
+def _http_response(status, body=b'{"content": "ok"}'):
+    response = requests.Response()
+    response.status_code = status
+    response._content = body
+    response.url = "http://fake"
+    return response
 
 
-def test_http_namer_parses_name_and_description():
-    endpoint = _endpoint({"content": "name: quick_look\ndescription: peeks at data"})
-    name, description = HttpNamer(endpoint).name(
-        ToolSequence(("a", "b"), Phase.EXPLORATION)
-    )
-    assert name == "quick_look"
-    assert description == "peeks at data"
+def _counting_endpoint(outcomes, retries=2):
+    """An endpoint whose post returns or raises the next outcome in turn."""
+    attempts = []
+
+    def post(url, json=None, headers=None, timeout=None):
+        outcome = outcomes[min(len(attempts), len(outcomes) - 1)]
+        attempts.append(1)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    return ChatEndpoint("http://fake", retries=retries, post=post), attempts
 
 
-def test_http_generator_returns_question_text():
-    endpoint = _endpoint({"content": "How many widgets were sold per region?"})
-    question = HttpGenerator(endpoint).generate("CREATE TABLE t (a INT)", "", [])
-    assert question.endswith("?")
+@pytest.mark.parametrize(
+    "failure",
+    [
+        requests.ConnectionError("refused"),
+        requests.Timeout("slow"),
+        TimeoutError("slow"),
+        _http_response(503),
+    ],
+    ids=["connection", "timeout", "socket-timeout", "http-503"],
+)
+def test_chat_endpoint_retries_transient_failures(failure):
+    endpoint, attempts = _counting_endpoint([failure])
+    with pytest.raises(EndpointError):
+        endpoint.complete("x")
+    assert len(attempts) == 3
+
+
+def test_chat_endpoint_recovers_after_server_error():
+    endpoint, attempts = _counting_endpoint([_http_response(500), _http_response(200)])
+    assert endpoint.complete("x") == "ok"
+    assert len(attempts) == 2
+
+
+@pytest.mark.parametrize(
+    "outcome",
+    [
+        _http_response(400),
+        _http_response(401),
+        _http_response(404),
+        _http_response(200, b'{"weird": true}'),
+        _http_response(200, b'{"choices": ["not an object"]}'),
+        _http_response(200, b"<html>not json</html>"),
+        requests.exceptions.InvalidURL("bad url"),
+        RuntimeError("bug in transport"),
+    ],
+    ids=[
+        "http-400", "http-401", "http-404", "no-text", "bad-choice", "not-json",
+        "invalid-url", "other",
+    ],
+)
+def test_chat_endpoint_does_not_retry_permanent_failures(outcome):
+    endpoint, attempts = _counting_endpoint([outcome])
+    with pytest.raises(EndpointError):
+        endpoint.complete("x")
+    assert len(attempts) == 1

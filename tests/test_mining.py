@@ -12,7 +12,6 @@ from trajmem.mining import (
     Namer,
     ToolSequence,
     build_composite_tool,
-    count_support,
     cross_phase_tools,
     export_manifest,
     extract_tool_sequence,
@@ -25,7 +24,7 @@ from trajmem.model import Phase, Step, ToolParam, ToolSpec
 from trajmem.tools import Tool, ToolRegistry
 
 from helpers import invocation, step, tool_trajectory, trajectory
-from oracles import brute_force_mine
+from oracles import brute_force_mine, count_support
 
 E, X, V = Phase.EXPLORATION, Phase.EXECUTION, Phase.VALIDATION
 

@@ -5,15 +5,13 @@ import random
 
 import pytest
 
-from trajmem.errors import ConfigurationError, EndpointError
+from trajmem.errors import ConfigurationError
 from trajmem.model import Question
 from trajmem.retrieval import (
     HashingEmbedder,
-    HttpEmbeddingProvider,
-    SimilarityIndex,
     cosine_similarity,
     filter_by_database,
-    reference_embed,
+    rank,
     select_from_entries,
     select_trajectory,
 )
@@ -187,71 +185,39 @@ def test_select_trajectory_checks_store_dimension(tmp_path):
         select_trajectory(question, store, PROVIDER)
 
 
-def test_similarity_index_matches_brute_force(tmp_path):
-    store = MemoryStore(tmp_path / "store")
-    entries = [
-        memory_entry(f"q{i}", "db1", text, PROVIDER)
-        for i, text in enumerate(["alpha beta", "beta gamma", "gamma delta"])
+def test_rank_orders_by_score_then_key():
+    query = [1.0, 0.0]
+    keyed = [("b", [1.0, 0.0]), ("c", [0.0, 1.0]), ("a", [1.0, 0.0]), ("d", [0.6, 0.8])]
+    assert rank(query, keyed, k=3) == [
+        ("a", 1.0),
+        ("b", 1.0),
+        ("d", cosine_similarity(query, [0.6, 0.8])),
     ]
-    for entry in entries:
-        store.persist(entry)
-    index = SimilarityIndex.build(store, "db1")
-    assert index.database_id == "db1"
-    query = PROVIDER.embed("beta gamma")
-    ranked = index.query(query, k=3)
+
+
+def test_rank_matches_sorted_cosine_on_random_vectors():
+    rng = random.Random(5)
+    query = PROVIDER.embed("average delay per carrier")
+    keyed = [
+        (f"q{rng.randrange(40):02d}", PROVIDER.embed(f"text {rng.randrange(15)}"))
+        for _ in range(60)
+    ]
     expected = sorted(
-        ((e.question.id, cosine_similarity(query, e.embedding)) for e in entries),
+        ((key, cosine_similarity(query, vector)) for key, vector in keyed),
         key=lambda item: (-item[1], item[0]),
     )
-    assert ranked == expected
+    for k in (1, 5, 60, 100):
+        assert rank(query, keyed, k) == expected[:k]
 
 
-def test_similarity_index_versions_increase(tmp_path):
-    store = MemoryStore(tmp_path / "store")
-    first = SimilarityIndex.build(store, "db1")
-    second = SimilarityIndex.build(store, "db1")
-    assert second.snapshot_version > first.snapshot_version
+def test_rank_empty_and_invalid_k():
+    assert rank([1.0], [], k=3) == []
+    with pytest.raises(ValueError):
+        rank([1.0], [("a", [1.0])], k=0)
 
 
-def test_reference_embed_matches_provider():
-    assert reference_embed("same text") == PROVIDER.embed("same text")
-
-
-class _FakeResponse:
-    def __init__(self, payload):
-        self._payload = payload
-
-    def raise_for_status(self):
-        return None
-
-    def json(self):
-        return self._payload
-
-
-def test_http_provider_normalizes_and_parses_both_shapes():
-    raw = [3.0, 4.0] + [0.0] * 14
-
-    def post(url, json=None, timeout=None):
-        return _FakeResponse({"embeddings": [raw]})
-
-    provider = HttpEmbeddingProvider("http://fake", dimension=16, post=post)
-    vector = provider.embed("anything")
-    assert math.isclose(sum(v * v for v in vector), 1.0, abs_tol=1e-12)
-
-    bare = HttpEmbeddingProvider(
-        "http://fake", dimension=16, post=lambda url, json=None, timeout=None: _FakeResponse([raw])
-    )
-    assert bare.embed("anything") == vector
-
-
-def test_http_provider_retries_then_fails():
-    calls = []
-
-    def post(url, json=None, timeout=None):
-        calls.append(1)
-        raise OSError("connection refused")
-
-    provider = HttpEmbeddingProvider("http://fake", dimension=4, retries=2, post=post)
-    with pytest.raises(EndpointError):
-        provider.embed("x")
-    assert len(calls) == 3
+def test_select_duplicate_ids_keep_first_of_equal_scores():
+    first = memory_entry("q1", "A", "same words", PROVIDER)
+    second = memory_entry("q1", "A", "same words", PROVIDER)
+    question = Question(id="x", text="same words", database_id="A")
+    assert select_from_entries(question, [first, second], PROVIDER) is first

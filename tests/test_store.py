@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import logging
 
 import pytest
 
 from trajmem.classifier import classify_trajectory
-from trajmem.errors import ConfigurationError, StateError
+from trajmem.errors import ConfigurationError, StateError, StorageError
 from trajmem.model import Phase, Question
 from trajmem.retrieval import HashingEmbedder
 from trajmem.store import (
@@ -263,6 +264,16 @@ def test_persist_rejects_wrong_dimension(tmp_path):
     entry = _entry(MemoryStore(tmp_path / "other", dimension=16))
     with pytest.raises(ConfigurationError):
         store.persist(entry)
+
+
+@pytest.mark.parametrize("bad_id", ["../escaped", "a/b", ".hidden", "q001\n"])
+def test_persist_rejects_unsafe_question_id(tmp_path, bad_id):
+    store = MemoryStore(tmp_path / "store")
+    entry = _entry(store)
+    entry.question = dataclasses.replace(entry.question, id=bad_id)
+    with pytest.raises(StorageError):
+        store.persist(entry)
+    assert not list(tmp_path.rglob("*escaped*"))
 
 
 def test_store_config_dimension_mismatch(tmp_path):
