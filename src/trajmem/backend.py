@@ -11,6 +11,7 @@ import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
+from urllib.parse import quote
 
 from .errors import ConfigurationError
 
@@ -23,6 +24,10 @@ class QueryResult:
     rows: list[tuple]
 
 
+def _deny_attach(action: int, *_: object) -> int:
+    return sqlite3.SQLITE_DENY if action == sqlite3.SQLITE_ATTACH else sqlite3.SQLITE_OK
+
+
 class SqliteBackend:
     """Thin wrapper over one SQLite database file."""
 
@@ -30,7 +35,11 @@ class SqliteBackend:
         self.path = Path(path)
         if not self.path.is_file():
             raise ConfigurationError(f"database file not found: {self.path}")
-        self._conn = sqlite3.connect(str(self.path))
+        # Read-only, and no ATTACH (which also covers VACUUM INTO): agent SQL
+        # can neither change the database nor create a file.
+        uri = f"file:{quote(str(self.path))}?mode=ro"
+        self._conn = sqlite3.connect(uri, uri=True)
+        self._conn.set_authorizer(_deny_attach)
 
     def execute(self, query: str) -> QueryResult:
         cursor = self._conn.execute(query)

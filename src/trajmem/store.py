@@ -2,8 +2,9 @@
 
 Each stored entry renders a classified trajectory into phase-segmented
 markdown with generated section headers, and is persisted atomically under
-``store_root/<database_id>/<question_id>/`` as five files: ``meta.json``
-plus one markdown document per phase and the full document.
+``store_root/<database_id>/<question_id>/`` as two files: ``meta.json``,
+which holds everything the code reads back, and ``full.md``, the whole
+markdown document for people to read.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import uuid
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 from .classifier import Segment, segment_trajectory
-from .errors import ConfigurationError, StateError, StorageError
+from .errors import ConfigurationError, StateError, StorageError, TrajmemError
 from .model import Phase, Question, Step, Trajectory
 
 logger = logging.getLogger(__name__)
@@ -30,12 +31,12 @@ _HEADER_MAX_CHARS = 120
 # Ids that are safe as one path component: they name store and run files.
 ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
-_PHASE_FILES = {
-    Phase.EXPLORATION: "exploration.md",
-    Phase.EXECUTION: "execution.md",
-    Phase.VALIDATION: "validation.md",
-}
 _FULL_FILE = "full.md"
+# What an unreadable, damaged or hand-edited entry raises while it is parsed.
+_CORRUPT_ENTRY_ERRORS = (
+    OSError, ValueError, LookupError, TypeError, AttributeError, TrajmemError
+)
+_T = TypeVar("_T")
 
 
 def truncate_observation(text: str, limit: int = DEFAULT_OBSERVATION_LIMIT) -> str:
@@ -88,9 +89,11 @@ class StructuredSegment:
 class StructuredTrajectory:
     """Phase-segmented markdown rendering of a trajectory."""
 
-    question: Question
     segments: list[StructuredSegment]
-    full_document: str
+
+    @property
+    def full_document(self) -> str:
+        return "".join(segment_text(seg) for seg in self.segments)
 
     def phase_document(self, phase: Phase) -> str:
         return "".join(
@@ -117,7 +120,6 @@ def fallback_header(phase: Phase, segment: Segment) -> str:
 
 def structure_trajectory(
     trajectory: Trajectory,
-    question: Question,
     summarizer: Summarizer | None = None,
     observation_limit: int = DEFAULT_OBSERVATION_LIMIT,
 ) -> StructuredTrajectory:
@@ -139,10 +141,7 @@ def structure_trajectory(
         if not header:
             header = fallback_header(raw.phase, raw)
         segments.append(StructuredSegment(phase=raw.phase, header=header, body=body))
-    full_document = "".join(segment_text(seg) for seg in segments)
-    return StructuredTrajectory(
-        question=question, segments=segments, full_document=full_document
-    )
+    return StructuredTrajectory(segments=segments)
 
 
 @dataclass
@@ -154,7 +153,6 @@ class MemoryEntry:
     structured: StructuredTrajectory
     embedding: list[float]
     created_at: str = ""
-    step_count: int = 0
     path: Path | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
@@ -255,7 +253,6 @@ class MemoryStore:
             "database_id": entry.database_id,
             "embedding": list(entry.embedding),
             "created_at": entry.created_at,
-            "step_count": entry.step_count,
             "segments": [
                 {"phase": seg.phase.value, "header": seg.header, "body": seg.body}
                 for seg in entry.structured.segments
@@ -266,45 +263,51 @@ class MemoryStore:
         (target / "meta.json").write_text(
             json.dumps(meta, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
         )
-        for phase, filename in _PHASE_FILES.items():
-            (target / filename).write_text(
-                entry.structured.phase_document(phase), encoding="utf-8"
-            )
         (target / _FULL_FILE).write_text(entry.structured.full_document, encoding="utf-8")
 
     # -- loading ------------------------------------------------------------
 
-    def load_entries(self, database_id: str) -> list[MemoryEntry]:
-        """All entries for a database in question-id order; corrupt ones skipped."""
+    def _read_entries(
+        self, database_id: str, parse: Callable[[Path, dict[str, Any]], _T | None]
+    ) -> list[_T]:
+        """Parse every entry's ``meta.json`` in question-id order.
+
+        An entry whose ``meta.json`` is unreadable, is not a JSON object, or
+        fails ``parse`` is skipped with a warning; ``parse`` returning None
+        skips it silently.
+        """
         db_dir = self.root / database_id
         if not db_dir.is_dir():
             return []
-        entries: list[MemoryEntry] = []
+        parsed: list[_T] = []
         for entry_path in sorted(db_dir.iterdir(), key=lambda p: p.name):
             if not entry_path.is_dir() or entry_path.name.startswith("."):
                 continue
-            entry = self._load_entry(entry_path)
-            if entry is not None:
-                entries.append(entry)
-        return entries
+            try:
+                meta = json.loads((entry_path / "meta.json").read_text(encoding="utf-8"))
+                if not isinstance(meta, dict):
+                    raise ValueError("meta.json does not hold a JSON object")
+                item = parse(entry_path, meta)
+            except _CORRUPT_ENTRY_ERRORS as exc:
+                logger.warning("skipping corrupt memory entry at %s: %s", entry_path, exc)
+                continue
+            if item is not None:
+                parsed.append(item)
+        return parsed
 
-    def _load_entry(self, entry_path: Path) -> MemoryEntry | None:
-        meta_path = entry_path / "meta.json"
-        try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-            question = Question.from_dict(meta["question"])
-            embedding = [float(v) for v in meta["embedding"]]
-            segments = [
-                StructuredSegment(
-                    phase=Phase.parse(seg["phase"]),
-                    header=seg["header"],
-                    body=seg["body"],
-                )
-                for seg in meta["segments"]
-            ]
-        except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-            logger.warning("skipping corrupt memory entry at %s: %s", entry_path, exc)
-            return None
+    def load_entries(self, database_id: str) -> list[MemoryEntry]:
+        """All entries for a database in question-id order; corrupt ones skipped."""
+        return self._read_entries(database_id, self._parse_entry)
+
+    def _parse_entry(self, entry_path: Path, meta: dict[str, Any]) -> MemoryEntry | None:
+        question = Question.from_dict(meta["question"])
+        embedding = [float(v) for v in meta["embedding"]]
+        segments = [
+            StructuredSegment(
+                phase=Phase.parse(seg["phase"]), header=seg["header"], body=seg["body"]
+            )
+            for seg in meta["segments"]
+        ]
         if len(embedding) != self.dimension:
             logger.warning(
                 "skipping entry at %s: embedding dimension %d does not match store %d",
@@ -313,45 +316,26 @@ class MemoryStore:
                 self.dimension,
             )
             return None
-        structured = StructuredTrajectory(
-            question=question,
-            segments=segments,
-            full_document="".join(segment_text(seg) for seg in segments),
-        )
         return MemoryEntry(
             question=question,
             database_id=meta["database_id"],
-            structured=structured,
+            structured=StructuredTrajectory(segments=segments),
             embedding=embedding,
             created_at=meta.get("created_at", ""),
-            step_count=int(meta.get("step_count", 0)),
             path=entry_path,
         )
 
     def load_trajectories(self, database_id: str) -> list[Trajectory]:
         """Raw classified trajectories stored alongside entries (for mining)."""
-        trajectories: list[Trajectory] = []
-        db_dir = self.root / database_id
-        if not db_dir.is_dir():
-            return []
-        for entry_path in sorted(db_dir.iterdir(), key=lambda p: p.name):
-            if not entry_path.is_dir() or entry_path.name.startswith("."):
-                continue
-            try:
-                meta = json.loads((entry_path / "meta.json").read_text(encoding="utf-8"))
-                raw = meta.get("trajectory")
-                if raw is not None:
-                    trajectories.append(Trajectory.from_dict(raw))
-            except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-                logger.warning("skipping trajectory at %s: %s", entry_path, exc)
-        return trajectories
+        return self._read_entries(database_id, _stored_trajectory)
 
     def load_phase_segment(self, entry: MemoryEntry, phase: Phase | None = None) -> str:
-        """Contents of one phase's document (or the full document for None)."""
-        if entry.path is None:
-            raise StateError("entry has not been persisted")
-        filename = _PHASE_FILES[phase] if phase is not None else _FULL_FILE
-        target = entry.path / filename
-        if not target.is_file():
-            return ""
-        return target.read_text(encoding="utf-8")
+        """One phase's markdown (or the full document for None); reads no file."""
+        if phase is None:
+            return entry.structured.full_document
+        return entry.structured.phase_document(phase)
+
+
+def _stored_trajectory(entry_path: Path, meta: dict[str, Any]) -> Trajectory | None:
+    raw = meta.get("trajectory")
+    return None if raw is None else Trajectory.from_dict(raw)

@@ -252,15 +252,11 @@ def synthesize_memory(
                 rule_table=rule_table or DEFAULT_RULE_TABLE,
                 registry_factory=lambda ctx: build_explorer_registry(config, policy),
             )
-            structured = structure_trajectory(
-                result.trajectory, question, summarizer=summarizer
-            )
             entry = MemoryEntry(
                 question=question,
                 database_id=question.database_id,
-                structured=structured,
+                structured=structure_trajectory(result.trajectory, summarizer=summarizer),
                 embedding=provider.embed(question.text),
-                step_count=len(result.trajectory.steps),
             )
             store.persist(entry, trajectory=result.trajectory)
             entries.append(entry)

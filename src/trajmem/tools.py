@@ -252,12 +252,10 @@ def _validate_result(ctx: EpisodeContext) -> str:
     return f"validation passed: {len(ctx.last_rows)} rows, row count stable on re-execution"
 
 
-def _save_result(ctx: EpisodeContext, path: str = "") -> str:
+def _save_result(ctx: EpisodeContext) -> str:
     if ctx.last_rows is None or ctx.last_columns is None:
         raise ToolError("nothing to save: no query has produced a result yet")
-    if path:
-        target = ctx.workspace.resolve(path)
-    elif ctx.answer_dir is not None:
+    if ctx.answer_dir is not None:
         ctx.answer_dir.mkdir(parents=True, exist_ok=True)
         target = ctx.answer_dir / f"{ctx.question.id}.csv"
     else:
@@ -287,7 +285,6 @@ def validation_tools() -> list[Tool]:
             ToolSpec(
                 "save_result",
                 "Write the last result rows as an RFC-4180 CSV file.",
-                (ToolParam("path", "optional output path relative to the workspace"),),
             ),
             _save_result,
         ),

@@ -67,11 +67,10 @@ def memory_entry(
     question = Question(
         id=question_id, text=text, database_id=database_id, synthetic=True
     )
-    structured = StructuredTrajectory(question=question, segments=[], full_document="")
     return MemoryEntry(
         question=question,
         database_id=database_id,
-        structured=structured,
+        structured=StructuredTrajectory(segments=[]),
         embedding=provider.embed(text),
         created_at="2026-01-01T00:00:00+00:00",
     )

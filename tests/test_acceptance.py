@@ -457,11 +457,7 @@ def test_acceptance_store_round_trip_and_atomicity(tmp_path, monkeypatch):
 
     crash_entry = store.load_entries("flights")[0]
     crash_entry.question = dataclasses.replace(crash_entry.question, id="crashy")
-    crash_entry.structured = StructuredTrajectory(
-        question=crash_entry.question,
-        segments=crash_entry.structured.segments,
-        full_document=crash_entry.structured.full_document,
-    )
+    crash_entry.structured = StructuredTrajectory(segments=crash_entry.structured.segments)
 
     original = MemoryStore._materialize
 

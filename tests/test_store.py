@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import logging
+import shutil
 
 import pytest
 
@@ -65,7 +67,7 @@ def _question():
 
 
 def test_structure_produces_one_segment_per_phase_run():
-    structured = structure_trajectory(_classified_fixture(), _question())
+    structured = structure_trajectory(_classified_fixture())
     assert [seg.phase for seg in structured.segments] == [
         Phase.EXPLORATION,
         Phase.EXECUTION,
@@ -77,7 +79,7 @@ def test_structure_produces_one_segment_per_phase_run():
 
 
 def test_segment_headers_carry_phase_tag():
-    structured = structure_trajectory(_classified_fixture(), _question())
+    structured = structure_trajectory(_classified_fixture())
     for seg in structured.segments:
         assert structured.full_document.count(f"## [{seg.phase.value}] {seg.header}") >= 1
         assert seg.header
@@ -97,13 +99,13 @@ class _CrashingSummarizer(Summarizer):
 
 @pytest.mark.parametrize("summarizer", [_EmptySummarizer(), _CrashingSummarizer()])
 def test_summarizer_failure_uses_fallback_header(summarizer):
-    structured = structure_trajectory(_classified_fixture(), _question(), summarizer)
+    structured = structure_trajectory(_classified_fixture(), summarizer)
     assert structured.segments[0].header == "Phase exploration, steps 0-1"
 
 
 def test_structure_is_byte_stable_across_runs():
-    first = structure_trajectory(_classified_fixture(), _question())
-    second = structure_trajectory(_classified_fixture(), _question())
+    first = structure_trajectory(_classified_fixture())
+    second = structure_trajectory(_classified_fixture())
     assert first.full_document.encode() == second.full_document.encode()
 
 
@@ -114,48 +116,28 @@ def test_heuristic_summarizer_uses_lead_thought():
 
 def _entry(store: MemoryStore):
     question = _question()
-    structured = structure_trajectory(_classified_fixture(), question)
+    structured = structure_trajectory(_classified_fixture())
     return MemoryEntry(
         question=question,
         database_id=question.database_id,
         structured=structured,
         embedding=HashingEmbedder(store.dimension).embed(question.text),
-        step_count=4,
     )
 
 
-def test_persist_writes_five_files(tmp_path):
+def test_persist_writes_two_files(tmp_path):
     store = MemoryStore(tmp_path / "store")
     path = store.persist(_entry(store), trajectory=_classified_fixture())
     assert path == tmp_path / "store" / "sqlite_fixture" / "q001"
-    assert sorted(p.name for p in path.iterdir()) == [
-        "execution.md",
-        "exploration.md",
-        "full.md",
-        "meta.json",
-        "validation.md",
+    assert sorted(p.name for p in path.iterdir()) == ["full.md", "meta.json"]
+    assert sorted(json.loads((path / "meta.json").read_text())) == [
+        "created_at",
+        "database_id",
+        "embedding",
+        "question",
+        "segments",
+        "trajectory",
     ]
-
-
-def test_absent_phase_file_exists_and_is_empty(tmp_path):
-    store = MemoryStore(tmp_path / "store")
-    t = classify_trajectory(
-        trajectory(
-            [step(0, tools=("get_ext",), action="get_ext()")],
-            question_id="q001",
-            database_id="sqlite_fixture",
-        )
-    )
-    question = _question()
-    entry = MemoryEntry(
-        question=question,
-        database_id=question.database_id,
-        structured=structure_trajectory(t, question),
-        embedding=HashingEmbedder(store.dimension).embed(question.text),
-    )
-    path = store.persist(entry)
-    assert (path / "validation.md").read_text() == ""
-    assert (path / "execution.md").read_text() == ""
 
 
 def test_persist_load_round_trip_is_byte_identical(tmp_path):
@@ -178,12 +160,40 @@ def test_persist_load_round_trip_is_byte_identical(tmp_path):
 def test_full_document_is_ordered_concatenation_of_phase_segments(tmp_path):
     store = MemoryStore(tmp_path / "store")
     path = store.persist(_entry(store))
+    entry = store.load_entries("sqlite_fixture")[0]
     full = (path / "full.md").read_text()
-    exploration = (path / "exploration.md").read_text()
-    execution = (path / "execution.md").read_text()
-    validation = (path / "validation.md").read_text()
+    exploration, execution, validation = (
+        store.load_phase_segment(entry, phase)
+        for phase in (Phase.EXPLORATION, Phase.EXECUTION, Phase.VALIDATION)
+    )
+    assert all((exploration, execution, validation))
     assert full == exploration + execution + validation  # E run, X run, V run
-    assert len(full) == len(exploration) + len(execution) + len(validation)
+    assert full == store.load_phase_segment(entry)
+
+
+def test_load_phase_segment_round_trips_through_persist(tmp_path):
+    store = MemoryStore(tmp_path / "store")
+    entry = _entry(store)
+    phases = [*Phase, None]
+    before = {phase: store.load_phase_segment(entry, phase) for phase in phases}
+    path = store.persist(entry, trajectory=_classified_fixture())
+    loaded = store.load_entries("sqlite_fixture")[0]
+    shutil.rmtree(path)  # the segments come from the parsed meta.json, not from files
+    assert {phase: store.load_phase_segment(loaded, phase) for phase in phases} == before
+
+
+def test_older_layout_loads_and_is_rewritten_as_two_files(tmp_path):
+    store = MemoryStore(tmp_path / "store")
+    path = store.persist(_entry(store), trajectory=_classified_fixture())
+    meta = json.loads((path / "meta.json").read_text())
+    meta["step_count"] = 4
+    (path / "meta.json").write_text(json.dumps(meta))
+    for name in ("exploration.md", "execution.md", "validation.md"):
+        (path / name).write_text("stale copy")
+    loaded = store.load_entries("sqlite_fixture")[0]
+    assert store.load_phase_segment(loaded, Phase.EXPLORATION).startswith("## [exploration]")
+    store.persist(loaded, trajectory=store.load_trajectories("sqlite_fixture")[0])
+    assert sorted(p.name for p in path.iterdir()) == ["full.md", "meta.json"]
 
 
 def test_load_entries_empty_store(tmp_path):
@@ -198,7 +208,7 @@ def test_load_entries_sorted_and_skips_corrupt(tmp_path, caplog):
         entry = MemoryEntry(
             question=question,
             database_id="db1",
-            structured=StructuredTrajectory(question=question, segments=[], full_document=""),
+            structured=StructuredTrajectory(segments=[]),
             embedding=HashingEmbedder(store.dimension).embed(question.text),
         )
         store.persist(entry)
@@ -207,6 +217,41 @@ def test_load_entries_sorted_and_skips_corrupt(tmp_path, caplog):
         entries = store.load_entries("db1")
     assert [e.question.id for e in entries] == ["q001", "q003"]
     assert any("corrupt" in record.message for record in caplog.records)
+
+
+@pytest.mark.parametrize(
+    "bad_meta",
+    [
+        "{broken",
+        "[]",
+        '{"trajectory": 5}',
+        '{"trajectory": {"question_id": "q002", "database_id": "sqlite_fixture",'
+        ' "steps": [{"index": 3}]}}',
+    ],
+)
+def test_loaders_skip_and_log_corrupt_entry(tmp_path, caplog, bad_meta):
+    store = MemoryStore(tmp_path / "store")
+    store.persist(_entry(store), trajectory=_classified_fixture())
+    corrupt = tmp_path / "store" / "sqlite_fixture" / "q002"
+    corrupt.mkdir()
+    (corrupt / "meta.json").write_text(bad_meta)
+    with caplog.at_level(logging.WARNING):
+        entries = store.load_entries("sqlite_fixture")
+        trajectories = store.load_trajectories("sqlite_fixture")
+    assert [e.question.id for e in entries] == ["q001"]
+    assert [t.question_id for t in trajectories] == ["q001"]
+    assert sum(str(corrupt) in record.getMessage() for record in caplog.records) == 2
+
+
+def test_load_entries_skips_entry_whose_database_does_not_match(tmp_path, caplog):
+    store = MemoryStore(tmp_path / "store")
+    path = store.persist(_entry(store))
+    meta = json.loads((path / "meta.json").read_text())
+    meta["database_id"] = "other_db"
+    (path / "meta.json").write_text(json.dumps(meta))
+    with caplog.at_level(logging.WARNING):
+        assert store.load_entries("sqlite_fixture") == []
+    assert any("corrupt" in record.getMessage() for record in caplog.records)
 
 
 def test_duplicate_question_id_overwrites(tmp_path):
@@ -226,9 +271,10 @@ def test_load_phase_segment_contents(tmp_path):
     store = MemoryStore(tmp_path / "store")
     entry = _entry(store)
     path = store.persist(entry)
-    assert store.load_phase_segment(entry, Phase.EXPLORATION) == (
-        path / "exploration.md"
-    ).read_text()
+    exploration = [seg for seg in entry.structured.segments if seg.phase == Phase.EXPLORATION]
+    assert store.load_phase_segment(entry, Phase.EXPLORATION) == "".join(
+        segment_text(seg) for seg in exploration
+    )
     assert store.load_phase_segment(entry) == (path / "full.md").read_text()
 
 
@@ -245,18 +291,11 @@ def test_load_phase_segment_absent_phase_is_empty(tmp_path):
     entry = MemoryEntry(
         question=question,
         database_id=question.database_id,
-        structured=structure_trajectory(t, question),
+        structured=structure_trajectory(t),
         embedding=HashingEmbedder(store.dimension).embed(question.text),
     )
     store.persist(entry)
     assert store.load_phase_segment(entry, Phase.VALIDATION) == ""
-
-
-def test_load_phase_segment_requires_persisted_entry(tmp_path):
-    store = MemoryStore(tmp_path / "store")
-    entry = _entry(store)
-    with pytest.raises(StateError):
-        store.load_phase_segment(entry, Phase.EXPLORATION)
 
 
 def test_persist_rejects_wrong_dimension(tmp_path):
@@ -282,11 +321,7 @@ def test_store_config_dimension_mismatch(tmp_path):
         MemoryEntry(
             question=Question(id="q1", text="t", database_id="db"),
             database_id="db",
-            structured=StructuredTrajectory(
-                question=Question(id="q1", text="t", database_id="db"),
-                segments=[],
-                full_document="",
-            ),
+            structured=StructuredTrajectory(segments=[]),
             embedding=HashingEmbedder(32).embed("t"),
         )
     )
@@ -300,7 +335,7 @@ def test_entry_database_must_match_question():
         MemoryEntry(
             question=question,
             database_id="some_other_db",
-            structured=StructuredTrajectory(question=question, segments=[], full_document=""),
+            structured=StructuredTrajectory(segments=[]),
             embedding=[1.0],
         )
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from trajmem.backend import SqliteBackend, execute_sql_with_refinement
@@ -178,6 +180,58 @@ def test_validate_and_save_flow(ctx, tmp_path):
     assert saved.splitlines()[0] == "n"
     assert saved.splitlines()[1] == "36"
     assert ctx.saved_rows == [(36,)]
+
+
+def test_save_result_cannot_overwrite_workspace_files(ctx, workspace, tmp_path):
+    registry = _registry()
+    ctx.answer_dir = tmp_path / "answers"
+    targets = [workspace.root / "gold" / "f1.csv", workspace.db_path("flights")]
+    before = [target.read_bytes() for target in targets]
+    execute_action(registry, ctx, 'sql_execute(query="SELECT COUNT(*) AS n FROM flights")')
+    invocations, _ = execute_action(
+        registry,
+        ctx,
+        'save_result(path="gold/f1.csv")\n'
+        'save_result(path="dbs/flights/flights.sqlite")',
+    )
+    assert [inv.succeeded for inv in invocations] == [False, False]
+    assert [target.read_bytes() for target in targets] == before
+    assert ctx.saved_path is None
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "DROP TABLE carriers",
+        "DELETE FROM carriers",
+        "CREATE TABLE extra (a INT)",
+        "ATTACH DATABASE '{outside}' AS outside",
+        "VACUUM INTO '{outside}'",
+    ],
+)
+def test_sql_execute_cannot_change_the_workspace(ctx, workspace, tmp_path, statement):
+    registry = _registry()
+    outside = tmp_path / "outside" / "x.sqlite"
+    outside.parent.mkdir()
+    db_before = workspace.db_path("flights").read_bytes()
+    invocations, _ = execute_action(
+        registry, ctx, f"sql_execute(query={statement.format(outside=outside)!r})"
+    )
+    assert invocations[0].succeeded is False
+    assert not outside.exists()
+    assert workspace.db_path("flights").read_bytes() == db_before
+    with sqlite3.connect(str(workspace.db_path("flights"))) as conn:
+        assert conn.execute("SELECT COUNT(*) FROM carriers").fetchone()[0] > 0
+
+
+def test_backend_opens_a_path_with_uri_characters(tmp_path):
+    path = tmp_path / "a?b #%20" / "x.sqlite"
+    path.parent.mkdir()
+    with sqlite3.connect(str(path)) as conn:
+        conn.execute("CREATE TABLE t (a INT)")
+        conn.execute("INSERT INTO t VALUES (1)")
+    with SqliteBackend(path) as backend:
+        assert backend.execute("SELECT a FROM t").rows == [(1,)]
 
 
 # -- SQL self-refinement --------------------------------------------------------------
