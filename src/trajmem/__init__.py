@@ -31,12 +31,8 @@ from .errors import (
 from .harness import (
     EpisodeConfig,
     EpisodeResult,
-    SchemaIndex,
-    build_schema_index,
     run_episode,
     run_suite,
-    schema_link,
-    vector_search,
 )
 from .metrics import (
     RunRecord,

@@ -193,7 +193,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     records = load_questions_file(args.questions)
     config = EpisodeConfig(
         max_planner_steps=int(_config_value(args, "max_planner_steps", args.max_steps)),
-        schema_link_budget=int(_config_value(args, "schema_link_budget", 5)),
         sql_retry_limit=int(_config_value(args, "sql_retry_limit", 1)),
         memory_enabled=not args.no_memory,
         composites_enabled=not args.no_composites,

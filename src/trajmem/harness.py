@@ -1,11 +1,10 @@
-"""The episode loop: a planner agent with a budgeted schema-linking sub-agent.
+"""The episode loop: a planner agent over the workspace tools.
 
 Planner episodes run observe/reason/act cycles over the workspace tools
 until the policy answers or the step budget runs out. With memory enabled,
 the exploration segment of the most similar stored trajectory is injected
 as step-0 context; with composites enabled, mined composite tools join the
-registry. The schema-linking sub-agent owns vector search and reports back
-a summary, never its transcript.
+registry.
 """
 
 from __future__ import annotations
@@ -16,17 +15,17 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .backend import SqliteBackend
-from .classifier import DEFAULT_RULE_TABLE, RuleTable, classify_trajectory
+from .classifier import classify_trajectory
 from .errors import ConfigurationError
 from .metrics import RunRecord, execution_accuracy
 from .mining import MinedComposite, build_composite_tool, load_manifest
-from .model import Phase, Question, Step, ToolParam, ToolSpec, Trajectory, append_step
+from .model import ID_PATTERN, Phase, Question, Step, ToolParam, ToolSpec, Trajectory, append_step
 from .policies import Policy, QuestionScript, ScriptedPolicy, Transcript
-from .retrieval import EmbeddingProvider, HashingEmbedder, rank, select_trajectory
-from .store import ID_PATTERN, MemoryStore
+from .retrieval import EmbeddingProvider, HashingEmbedder, select_trajectory
+from .store import MemoryStore
 from .tools import (
     EpisodeContext,
     Tool,
@@ -45,7 +44,6 @@ class EpisodeConfig:
     """Budgets and feature switches for one episode."""
 
     max_planner_steps: int = 30
-    schema_link_budget: int = 5
     sql_retry_limit: int = 1
     memory_enabled: bool = True
     composites_enabled: bool = True
@@ -53,73 +51,8 @@ class EpisodeConfig:
     def __post_init__(self) -> None:
         if self.max_planner_steps < 1:
             raise ValueError("max_planner_steps must be positive")
-        if self.schema_link_budget < 1:
-            raise ValueError("schema_link_budget must be positive")
         if self.sql_retry_limit < 0:
             raise ValueError("sql_retry_limit must be nonnegative")
-
-
-# -- schema index and vector search ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class SchemaIndexEntry:
-    table: str
-    column: str
-    description: str
-    embedding: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class SchemaIndex:
-    entries: tuple[SchemaIndexEntry, ...]
-
-
-def build_schema_index(
-    workspace: Workspace, database_id: str, provider: EmbeddingProvider
-) -> SchemaIndex:
-    """Embed one description per column of every table in the database."""
-    backend = SqliteBackend(workspace.db_path(database_id))
-    try:
-        tables = [
-            name
-            for (name,) in backend.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'table' "
-                "AND name NOT LIKE 'sqlite_%' ORDER BY name"
-            ).rows
-        ]
-        entries: list[SchemaIndexEntry] = []
-        for table in tables:
-            for _, column, col_type, *_ in backend.execute(
-                f"PRAGMA table_info({table})"
-            ).rows:
-                description = f"{table} {column} {col_type}".strip()
-                entries.append(
-                    SchemaIndexEntry(
-                        table=table,
-                        column=column,
-                        description=description,
-                        embedding=tuple(provider.embed(description)),
-                    )
-                )
-    finally:
-        backend.close()
-    return SchemaIndex(entries=tuple(entries))
-
-
-def vector_search(
-    query: str,
-    index: SchemaIndex,
-    provider: EmbeddingProvider,
-    k: int = 5,
-) -> list[tuple[str, str, float]]:
-    """Top-k schema elements by similarity; ties break by (table, column)."""
-    ranked = rank(
-        provider.embed(query),
-        (((entry.table, entry.column), entry.embedding) for entry in index.entries),
-        k,
-    )
-    return [(table, column, score) for (table, column), score in ranked]
 
 
 # -- registries --------------------------------------------------------------------
@@ -151,67 +84,6 @@ def _memory_tool(store: MemoryStore, provider: EmbeddingProvider) -> Tool:
     )
 
 
-def _schema_link_tool(
-    config: EpisodeConfig,
-    linker_policy: Policy,
-    schema_index: SchemaIndex,
-    provider: EmbeddingProvider,
-) -> Tool:
-    def _link(ctx: EpisodeContext, question: str = "") -> str:
-        probe = Question(
-            id=f"{ctx.question.id}-link",
-            text=question or ctx.question.text,
-            database_id=ctx.database_id,
-        )
-        return schema_link(
-            probe,
-            ctx.workspace,
-            config.schema_link_budget,
-            linker_policy,
-            schema_index,
-            provider=provider,
-        )
-
-    return Tool(
-        ToolSpec(
-            "schema_link",
-            "Delegate fine-grained schema exploration to the linking sub-agent.",
-            (ToolParam("question", "query text; defaults to the episode question"),),
-        ),
-        _link,
-    )
-
-
-def build_planner_registry(
-    config: EpisodeConfig,
-    policy: Policy,
-    memory_store: MemoryStore | None = None,
-    provider: EmbeddingProvider | None = None,
-    composites: Sequence[MinedComposite] | None = None,
-    linker_policy: Policy | None = None,
-    schema_index: SchemaIndex | None = None,
-) -> ToolRegistry:
-    """Planner tool set: files, database, SQL, validation, memory. No vector search."""
-    registry = ToolRegistry()
-    for tool in file_tools() + database_tools():
-        registry.register(tool)
-    registry.register(sql_tool(policy.refine_sql, config.sql_retry_limit))
-    for tool in validation_tools():
-        registry.register(tool)
-    if config.memory_enabled and memory_store is not None:
-        registry.register(_memory_tool(memory_store, provider or HashingEmbedder(memory_store.dimension)))
-    if linker_policy is not None and schema_index is not None:
-        registry.register(
-            _schema_link_tool(
-                config, linker_policy, schema_index, provider or HashingEmbedder()
-            )
-        )
-    if config.composites_enabled and composites:
-        for mined in composites:
-            build_composite_tool(mined, registry)
-    return registry
-
-
 def build_explorer_registry(config: EpisodeConfig, policy: Policy) -> ToolRegistry:
     """Restricted offline registry: SQL execution and file/schema reading only."""
     registry = ToolRegistry()
@@ -221,31 +93,22 @@ def build_explorer_registry(config: EpisodeConfig, policy: Policy) -> ToolRegist
     return registry
 
 
-def build_linker_registry(
-    schema_index: SchemaIndex, provider: EmbeddingProvider
+def build_planner_registry(
+    config: EpisodeConfig,
+    policy: Policy,
+    memory_store: MemoryStore | None = None,
+    provider: EmbeddingProvider | None = None,
+    composites: Sequence[MinedComposite] | None = None,
 ) -> ToolRegistry:
-    """Sub-agent tool set: vector search plus probe SQL and file reads."""
-    registry = ToolRegistry()
-
-    def _search(ctx: EpisodeContext, query: str = "", k: int = 5) -> str:
-        matches = vector_search(query or ctx.question.text, schema_index, provider, k=int(k))
-        if not matches:
-            return "(no schema index entries)"
-        return "\n".join(f"{table}.{column}\t{score:.4f}" for table, column, score in matches)
-
-    registry.register(
-        Tool(
-            ToolSpec(
-                "vector_search",
-                "Rank schema elements by similarity to a query.",
-                (ToolParam("query", "search text"), ToolParam("k", "result count")),
-            ),
-            _search,
-        )
-    )
-    for tool in file_tools():
+    """Planner tool set: the explorer's tools plus validation and memory."""
+    registry = build_explorer_registry(config, policy)
+    for tool in validation_tools():
         registry.register(tool)
-    registry.register(sql_tool(None, 0))
+    if config.memory_enabled and memory_store is not None:
+        registry.register(_memory_tool(memory_store, provider or HashingEmbedder(memory_store.dimension)))
+    if config.composites_enabled and composites:
+        for mined in composites:
+            build_composite_tool(mined, registry)
     return registry
 
 
@@ -272,13 +135,13 @@ def run_episode(
     memory_store: MemoryStore | None = None,
     provider: EmbeddingProvider | None = None,
     composites: Sequence[MinedComposite] | None = None,
-    linker_policy: Policy | None = None,
-    schema_index: SchemaIndex | None = None,
-    rule_table: RuleTable | None = None,
     answer_dir: Path | None = None,
-    registry_factory: Callable[[EpisodeContext], ToolRegistry] | None = None,
+    registry: ToolRegistry | None = None,
 ) -> EpisodeResult:
-    """Run one planner episode and return the classified, timed trajectory."""
+    """Run one planner episode and return the classified, timed trajectory.
+
+    A given ``registry`` replaces the planner's; tool state lives on the context.
+    """
     start = time.monotonic()
     backend = SqliteBackend(workspace.db_path(question.database_id))
     try:
@@ -295,17 +158,13 @@ def run_episode(
             entry = select_trajectory(question, memory_store, emb)
             if entry is not None:
                 prefix = memory_store.load_phase_segment(entry, Phase.EXPLORATION)
-        if registry_factory is not None:
-            registry = registry_factory(ctx)
-        else:
+        if registry is None:
             registry = build_planner_registry(
                 config,
                 policy,
                 memory_store=memory_store,
                 provider=provider,
                 composites=composites,
-                linker_policy=linker_policy,
-                schema_index=schema_index,
             )
         trajectory = Trajectory(question_id=question.id, database_id=question.database_id)
         transcript = Transcript(
@@ -338,7 +197,7 @@ def run_episode(
                 ),
             )
         trajectory.final_answer = answer
-        classified = classify_trajectory(trajectory, rule_table or DEFAULT_RULE_TABLE)
+        classified = classify_trajectory(trajectory)
         classified.wall_time_ms = int((time.monotonic() - start) * 1000)
         return EpisodeResult(
             trajectory=classified,
@@ -347,56 +206,6 @@ def run_episode(
                 ctx.saved_columns if ctx.saved_columns is not None else ctx.last_columns
             ),
             answer_rows=ctx.saved_rows if ctx.saved_rows is not None else ctx.last_rows,
-        )
-    finally:
-        backend.close()
-
-
-def schema_link(
-    question: Question,
-    workspace: Workspace,
-    budget: int,
-    policy: Policy,
-    schema_index: SchemaIndex,
-    provider: EmbeddingProvider | None = None,
-) -> str:
-    """Run the budgeted linking sub-episode and return only its report."""
-    if budget < 1:
-        raise ValueError("schema link budget must be at least 1")
-    provider = provider or HashingEmbedder()
-    backend = SqliteBackend(workspace.db_path(question.database_id))
-    try:
-        ctx = EpisodeContext(
-            workspace=workspace,
-            database_id=question.database_id,
-            backend=backend,
-            question=question,
-        )
-        registry = build_linker_registry(schema_index, provider)
-        steps: list[Step] = []
-        transcript = Transcript(question=question, context_prefix="", steps=steps)
-        observations: list[str] = []
-        specs = registry.specs()
-        for _ in range(budget):
-            decision = policy.next_action(transcript, specs)
-            if decision.final_answer is not None:
-                return decision.final_answer
-            invocations, observation = execute_action(registry, ctx, decision.action_code)
-            steps.append(
-                Step(
-                    index=len(steps),
-                    thought=decision.thought,
-                    action_code=decision.action_code,
-                    invocations=invocations,
-                    observation=observation,
-                )
-            )
-            if observation:
-                observations.append(observation)
-        gathered = "\n\n".join(observations) if observations else "(no observations gathered)"
-        return (
-            f"schema linking budget exhausted after {budget} step(s); "
-            f"gathered observations:\n{gathered}"
         )
     finally:
         backend.close()
@@ -417,20 +226,30 @@ class QuestionRecord:
 def load_questions_file(path: str | Path) -> list[QuestionRecord]:
     """Parse a JSONL questions file (id, text, database_id, gold_csv, script).
 
-    Ids name the run's output files: each must be unique and match ID_PATTERN.
+    Every line is an object with at least id, text and database_id. Question
+    ids name the run's output files and database ids name workspace
+    directories: both must match ID_PATTERN, and question ids must be unique.
     """
     records: list[QuestionRecord] = []
     seen: set[str] = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
-        data = json.loads(line)
+        where = f"{path} line {lineno}"
+        try:
+            data = json.loads(line)
+        except ValueError as exc:
+            raise ConfigurationError(f"{where}: not JSON: {exc}") from None
+        if not isinstance(data, dict) or not {"id", "text", "database_id"} <= data.keys():
+            raise ConfigurationError(f"{where}: not an object with id, text and database_id")
         qid = data["id"]
-        if not isinstance(qid, str) or not ID_PATTERN.fullmatch(qid):
-            raise ConfigurationError(f"unsafe question id in {path}: {qid!r}")
+        for label, value in (("question", qid), ("database", data["database_id"])):
+            if not isinstance(value, str) or not ID_PATTERN.fullmatch(value):
+                raise ConfigurationError(f"{where}: unsafe {label} id {value!r}")
         if qid in seen:
-            raise ConfigurationError(f"duplicate question id {qid!r} in {path}")
+            raise ConfigurationError(f"{where}: duplicate question id {qid!r}")
         seen.add(qid)
         question = Question(
             id=qid,

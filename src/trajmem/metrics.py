@@ -123,15 +123,50 @@ def _rows_equal(a: Sequence[Any], b: Sequence[Any]) -> bool:
 
 
 def _multiset_match(predicted: list[list[Any]], gold: list[list[Any]]) -> bool:
-    used = [False] * len(gold)
-    for row in predicted:
-        for index, gold_row in enumerate(gold):
-            if not used[index] and _rows_equal(row, gold_row):
-                used[index] = True
-                break
-        else:
-            return False
-    return True
+    """True iff the rows pair off one to one under tolerant row equality.
+
+    Tolerant equality is not transitive, so giving each predicted row the
+    first free equal gold row can miss a pairing that exists. Each row
+    instead searches for an augmenting path (Kuhn's algorithm), which finds
+    a pairing whenever one exists.
+    """
+    owner: list[int | None] = [None] * len(gold)  # gold index -> predicted row
+    return all(_augment(row, predicted, gold, owner) for row in range(len(predicted)))
+
+
+def _augment(
+    start: int, predicted: list[list[Any]], gold: list[list[Any]], owner: list[int | None]
+) -> bool:
+    """Breadth-first search for a path from ``start`` to a free gold row
+    that alternates unpaired and paired edges; flip it if found.
+
+    Each row looks at the free gold rows first and compares a paired gold
+    row only when no free one is equal, so an answer already in gold order
+    costs one comparison per row instead of one per earlier row.
+    """
+    reached_from: dict[int, int] = {}  # gold index -> predicted row
+    queue = [start]
+    for row in queue:
+        index = next(
+            (i for i, taken in enumerate(owner)
+             if taken is None and _rows_equal(predicted[row], gold[i])),
+            None,
+        )
+        if index is not None:
+            reached_from[index] = row
+            while index is not None:  # each row on the path takes the next gold row
+                row = reached_from[index]
+                previous = None if row == start else owner.index(row)
+                owner[index] = row
+                index = previous
+            return True
+        for index, taken in enumerate(owner):
+            if taken is not None and index not in reached_from and _rows_equal(
+                predicted[row], gold[index]
+            ):
+                reached_from[index] = row
+                queue.append(taken)
+    return False
 
 
 def execution_accuracy(

@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
 from .errors import StructuralError
+
+# Ids that are safe as one path component: they name database directories
+# and store and run files.
+ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 
 class Phase(Enum):

@@ -3,8 +3,7 @@
 Retrieval first restricts candidates to entries on the question's database,
 then picks the single entry whose stored question embedding has the highest
 cosine similarity to the query embedding, breaking exact ties by the
-lexicographically smallest question id. The same ``rank`` also orders
-schema elements for the linking sub-agent's vector search.
+lexicographically smallest question id.
 """
 
 from __future__ import annotations

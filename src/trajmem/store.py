@@ -22,14 +22,12 @@ from typing import Any, Callable, TypeVar
 
 from .classifier import Segment, segment_trajectory
 from .errors import ConfigurationError, StateError, StorageError, TrajmemError
-from .model import Phase, Question, Step, Trajectory
+from .model import ID_PATTERN, Phase, Question, Step, Trajectory
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_OBSERVATION_LIMIT = 2000
 _HEADER_MAX_CHARS = 120
-# Ids that are safe as one path component: they name store and run files.
-ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 _FULL_FILE = "full.md"
 # What an unreadable, damaged or hand-edited entry raises while it is parsed.

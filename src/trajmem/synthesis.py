@@ -17,13 +17,12 @@ from math import floor
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .classifier import DEFAULT_RULE_TABLE, RuleTable
 from .errors import BudgetError, SynthesisError
 from .harness import EpisodeConfig, build_explorer_registry, run_episode
 from .model import Question
 from .policies import ExplorerPolicy, Policy
 from .retrieval import EmbeddingProvider, HashingEmbedder
-from .store import MemoryEntry, MemoryStore, Summarizer, structure_trajectory
+from .store import MemoryEntry, MemoryStore, structure_trajectory
 from .tools import Workspace
 
 logger = logging.getLogger(__name__)
@@ -229,33 +228,25 @@ def synthesize_memory(
     policy: Policy | None = None,
     provider: EmbeddingProvider | None = None,
     config: EpisodeConfig | None = None,
-    summarizer: Summarizer | None = None,
-    rule_table: RuleTable | None = None,
 ) -> list[MemoryEntry]:
     """Explore each question offline and persist the structured trajectory.
 
     Episodes use the restricted registry (SQL plus file and schema reading;
-    no vector search or validation tools); answers are never checked.
+    no validation or memory tools); answers are never checked.
     Crashed episodes are logged and skipped.
     """
     policy = policy or ExplorerPolicy()
     provider = provider or HashingEmbedder(store.dimension)
     config = config or EpisodeConfig(memory_enabled=False, composites_enabled=False)
+    registry = build_explorer_registry(config, policy)
     entries: list[MemoryEntry] = []
     for question in questions:
         try:
-            result = run_episode(
-                question,
-                workspace,
-                config,
-                policy,
-                rule_table=rule_table or DEFAULT_RULE_TABLE,
-                registry_factory=lambda ctx: build_explorer_registry(config, policy),
-            )
+            result = run_episode(question, workspace, config, policy, registry=registry)
             entry = MemoryEntry(
                 question=question,
                 database_id=question.database_id,
-                structured=structure_trajectory(result.trajectory, summarizer=summarizer),
+                structured=structure_trajectory(result.trajectory),
                 embedding=provider.embed(question.text),
             )
             store.persist(entry, trajectory=result.trajectory)

@@ -16,14 +16,14 @@ from typing import Any, Callable, Sequence
 
 from .backend import SqliteBackend, execute_sql_with_refinement, render_result
 from .errors import ConfigurationError, ToolError, WorkspaceSecurityError
-from .model import Question, ToolInvocation, ToolParam, ToolSpec
+from .model import ID_PATTERN, Question, ToolInvocation, ToolParam, ToolSpec
 
 
 class Workspace:
     """Rooted file-system view: databases, knowledge files, and outputs.
 
-    All relative paths resolve under the root; escapes raise
-    WorkspaceSecurityError.
+    All relative paths resolve under the root, and database ids must match
+    ID_PATTERN; escapes raise WorkspaceSecurityError.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -38,6 +38,8 @@ class Workspace:
         return candidate
 
     def db_dir(self, database_id: str) -> Path:
+        if not ID_PATTERN.fullmatch(database_id):
+            raise WorkspaceSecurityError(f"not a workspace database id: {database_id!r}")
         return self.root / "dbs" / database_id
 
     def db_path(self, database_id: str) -> Path:

@@ -99,16 +99,3 @@ def brute_force_select(
     best_score = max(score for score, _ in scored)
     tied = [e for score, e in scored if score == best_score]
     return min(tied, key=lambda e: e.question.id)
-
-
-def brute_force_schema_rank(
-    query_vector: list[float],
-    entries: list[tuple[str, str, tuple[float, ...]]],
-    k: int,
-) -> list[tuple[str, str, float]]:
-    scored = [
-        (table, column, cosine_similarity(query_vector, embedding))
-        for table, column, embedding in entries
-    ]
-    scored.sort(key=lambda item: (-item[2], item[0], item[1]))
-    return scored[:k]

@@ -252,3 +252,47 @@ def test_run_json_output(pipeline_dirs, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["questions"] == 12
     assert payload["correct"] == 11
+
+
+def _run_fixture_questions(ws, questions, out, *global_flags):
+    return main(
+        [
+            *global_flags,
+            "run",
+            "--questions",
+            str(questions),
+            "--workspace",
+            str(ws),
+            "--out",
+            str(out),
+            "--no-memory",
+            "--no-composites",
+        ]
+    )
+
+
+def test_run_malformed_questions_file_exits_nonzero(tmp_path, capsys):
+    ws = tmp_path / "ws"
+    assert main(["fixtures", "--out", str(ws)]) == 0
+    questions = tmp_path / "questions.jsonl"
+    questions.write_text('{"id": "f1", "database_id": "flights"}\n', encoding="utf-8")
+    assert _run_fixture_questions(ws, questions, tmp_path / "runs") == 2
+    assert "questions.jsonl line 1" in capsys.readouterr().err
+
+
+def test_config_naming_schema_link_budget_still_runs(tmp_path):
+    ws = tmp_path / "ws"
+    assert main(["fixtures", "--out", str(ws)]) == 0
+    config = tmp_path / "conf"
+    config.write_text("schema_link_budget=5\n", encoding="utf-8")
+    questions = ws / "questions.jsonl"
+    assert _run_fixture_questions(ws, questions, tmp_path / "plain") == 0
+    assert (
+        _run_fixture_questions(ws, questions, tmp_path / "old", "--config", str(config)) == 0
+    )
+    for path in sorted((tmp_path / "plain" / "records").glob("*.json")):
+        plain = json.loads(path.read_text())
+        old = json.loads((tmp_path / "old" / "records" / path.name).read_text())
+        plain.pop("wall_time_ms")
+        old.pop("wall_time_ms")
+        assert plain == old

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import random
 
 import pytest
 
@@ -10,16 +9,10 @@ from trajmem.errors import ConfigurationError
 from trajmem.fixtures import build_fixture_workspace
 from trajmem.harness import (
     EpisodeConfig,
-    SchemaIndex,
-    SchemaIndexEntry,
-    build_linker_registry,
     build_planner_registry,
-    build_schema_index,
     load_questions_file,
     run_episode,
     run_suite,
-    schema_link,
-    vector_search,
 )
 from trajmem.mining import MinedComposite, ToolSequence
 from trajmem.model import Phase, Question
@@ -28,8 +21,6 @@ from trajmem.retrieval import HashingEmbedder
 from trajmem.store import MemoryStore
 from trajmem.synthesis import synthesize_memory
 from trajmem.tools import Workspace
-
-from oracles import brute_force_schema_rank
 
 PROVIDER = HashingEmbedder(256)
 
@@ -181,13 +172,6 @@ def test_planner_registry_hygiene():
         assert name in registry
 
 
-def test_linker_registry_has_vector_search():
-    index = SchemaIndex(entries=())
-    registry = build_linker_registry(index, PROVIDER)
-    assert "vector_search" in registry
-    assert "validate_result" not in registry
-
-
 def test_vector_search_never_invoked_at_planner_level(workspace):
     class TryVectorSearch(Policy):
         def next_action(self, transcript, tools):
@@ -228,10 +212,7 @@ def test_episode_config_validation():
     with pytest.raises(ValueError):
         EpisodeConfig(max_planner_steps=0)
     with pytest.raises(ValueError):
-        EpisodeConfig(schema_link_budget=0)
-    with pytest.raises(ValueError):
         EpisodeConfig(sql_retry_limit=-1)
-    assert EpisodeConfig().schema_link_budget == 5
     assert EpisodeConfig().max_planner_steps == 30
 
 
@@ -281,131 +262,6 @@ def test_no_composites_flag_keeps_tool_names_primitive(workspace):
         inv.tool_name for step in result.trajectory.steps for inv in step.invocations
     }
     assert "get_ext_then_get_ddl" not in used
-
-
-# -- schema linking --------------------------------------------------------------------
-
-
-class LinkerPolicy(Policy):
-    """Searches the index once, then reports the top hit."""
-
-    def next_action(self, transcript, tools):
-        if not transcript.steps:
-            return PolicyDecision(
-                thought="search the schema index",
-                action_code=f"vector_search(query={transcript.question.text!r}, k=3)",
-            )
-        top = transcript.steps[0].observation.splitlines()[1].split("\t")[0]
-        return PolicyDecision(thought="", final_answer=f"relevant schema element: {top}")
-
-
-def test_schema_link_reports_matching_column(workspace):
-    index = build_schema_index(workspace, "flights", PROVIDER)
-    question = Question(
-        id="q", text="flights departure_delay_minutes REAL", database_id="flights"
-    )
-    report = schema_link(question, workspace, 5, LinkerPolicy(), index, provider=PROVIDER)
-    assert "flights.departure_delay_minutes" in report
-
-
-def test_schema_link_budget_one_takes_one_step(workspace):
-    index = build_schema_index(workspace, "flights", PROVIDER)
-    steps_taken = []
-
-    class Probing(Policy):
-        def next_action(self, transcript, tools):
-            steps_taken.append(len(transcript.steps))
-            return PolicyDecision(
-                thought="probe", action_code="vector_search(query='x', k=1)"
-            )
-
-    question = Question(id="q", text="anything", database_id="flights")
-    report = schema_link(question, workspace, 1, Probing(), index, provider=PROVIDER)
-    assert steps_taken == [0]
-    assert "budget exhausted after 1 step" in report
-
-
-def test_schema_link_empty_index_reports_no_candidates(workspace):
-    class SearchOnce(Policy):
-        def next_action(self, transcript, tools):
-            if not transcript.steps:
-                return PolicyDecision(thought="", action_code="vector_search(query='x')")
-            return PolicyDecision(
-                thought="", final_answer=f"no candidates: {transcript.steps[0].observation}"
-            )
-
-    question = Question(id="q", text="anything", database_id="flights")
-    report = schema_link(
-        question, workspace, 5, SearchOnce(), SchemaIndex(entries=()), provider=PROVIDER
-    )
-    assert "no schema index entries" in report
-
-
-def test_planner_schema_link_tool_returns_report_only(workspace):
-    index = build_schema_index(workspace, "flights", PROVIDER)
-
-    class UseLinker(Policy):
-        def next_action(self, transcript, tools):
-            if not transcript.steps:
-                return PolicyDecision(thought="", action_code="schema_link()")
-            return PolicyDecision(thought="", final_answer="done")
-
-    result = run_episode(
-        Question(id="q", text="flights carrier TEXT", database_id="flights"),
-        workspace,
-        _config(),
-        UseLinker(),
-        linker_policy=LinkerPolicy(),
-        schema_index=index,
-    )
-    observation = result.trajectory.steps[0].observation
-    assert "relevant schema element" in observation
-    assert "vector_search" not in observation  # sub-transcript stays hidden
-
-
-# -- vector search ------------------------------------------------------------------
-
-
-def test_vector_search_k_larger_than_index(workspace):
-    index = build_schema_index(workspace, "retail", PROVIDER)
-    results = vector_search("anything at all", index, PROVIDER, k=500)
-    assert len(results) == len(index.entries)
-
-
-def test_vector_search_exact_description_ranks_first(workspace):
-    index = build_schema_index(workspace, "retail", PROVIDER)
-    entry = index.entries[0]
-    results = vector_search(entry.description, index, PROVIDER, k=1)
-    assert results[0][:2] == (entry.table, entry.column)
-    assert results[0][2] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_vector_search_matches_brute_force_ranking():
-    rng = random.Random(41)
-    words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
-    entries = []
-    for i in range(20):
-        description = " ".join(rng.choice(words) for _ in range(3))
-        entries.append(
-            SchemaIndexEntry(
-                table=f"t{i % 4}",
-                column=f"c{i}",
-                description=description,
-                embedding=tuple(PROVIDER.embed(description)),
-            )
-        )
-    index = SchemaIndex(entries=tuple(entries))
-    query = "beta gamma delta"
-    expected = brute_force_schema_rank(
-        PROVIDER.embed(query),
-        [(e.table, e.column, e.embedding) for e in entries],
-        7,
-    )
-    assert vector_search(query, index, PROVIDER, k=7) == expected
-
-
-def test_vector_search_empty_index():
-    assert vector_search("x", SchemaIndex(entries=()), PROVIDER) == []
 
 
 # -- run_suite ------------------------------------------------------------------------
@@ -482,6 +338,34 @@ def _questions_file(tmp_path, ids):
 def test_questions_file_rejects_unsafe_ids(tmp_path, bad_id):
     with pytest.raises(ConfigurationError, match="question id"):
         load_questions_file(_questions_file(tmp_path, ["f1", bad_id]))
+
+
+@pytest.mark.parametrize("bad_db", ["../../sec", "/tmp/sec", "..", "", 5])
+def test_questions_file_rejects_unsafe_database_ids(tmp_path, bad_db):
+    path = tmp_path / "questions.jsonl"
+    line = {"id": "f1", "text": "question", "database_id": bad_db}
+    path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError, match="database id"):
+        load_questions_file(path)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "[1, 2]",
+        '"just text"',
+        '{"id": "f2", "database_id": "flights"}',
+        '{"text": "question", "database_id": "flights"}',
+        '{"id": "f2", "text": "question"}',
+        '{"id": "f2", ',
+    ],
+)
+def test_questions_file_rejects_malformed_lines(tmp_path, line):
+    path = _questions_file(tmp_path, ["f1"])
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write(line + "\n")
+    with pytest.raises(ConfigurationError, match=r"questions\.jsonl line 2"):
+        load_questions_file(path)
 
 
 def test_questions_file_rejects_duplicate_ids(tmp_path):

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajmem.classifier import classify_trajectory
 from trajmem.errors import StructuralError
@@ -65,6 +69,46 @@ def test_duplicate_rows_respect_multiset_counts():
 
 def test_empty_result_sets_match():
     assert execution_accuracy([], []) is True
+
+
+def test_tolerant_match_does_not_depend_on_row_order():
+    # 1.0000008 is within tolerance of both gold values; 1.0 only of the first.
+    gold = [[1.0], [1.0000015]]
+    assert execution_accuracy([[1.0000008], [1.0]], gold) is True
+    assert execution_accuracy([[1.0], [1.0000008]], gold) is True
+
+
+# Values whose tolerant equality is not transitive, plus text and numeric text.
+_CELLS = st.sampled_from([1.0, 1.0000008, 1.0000015, 2, "2", " a", "a"])
+
+
+@st.composite
+def _gold_and_prediction(draw, max_width):
+    """A gold table and a prediction of the same shape."""
+    width = draw(st.integers(1, max_width))
+    rows = draw(st.integers(0, 4))
+    cells = st.lists(_CELLS, min_size=width, max_size=width)
+    gold = draw(st.lists(cells, min_size=rows, max_size=rows))
+    predicted = draw(st.lists(cells, min_size=rows, max_size=rows))
+    return gold, predicted
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gold_and_prediction(max_width=2))
+def test_ex_is_the_same_for_every_row_order_of_the_prediction(tables):
+    gold, predicted = tables
+    answers = {execution_accuracy(list(order), gold) for order in permutations(predicted)}
+    assert len(answers) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gold_and_prediction(max_width=4), st.data())
+def test_ex_is_unchanged_by_permuting_prediction_columns(tables, data):
+    gold, predicted = tables
+    width = len(gold[0]) if gold else 1
+    order = data.draw(st.permutations(range(width)))
+    permuted = [[row[i] for i in order] for row in predicted]
+    assert execution_accuracy(permuted, gold) == execution_accuracy(predicted, gold)
 
 
 def _record(qid, phases, steps=None, **kwargs):

@@ -94,6 +94,9 @@ def test_path_escape_raises_security_error(workspace):
         workspace.read_file("../outside.txt")
     with pytest.raises(WorkspaceSecurityError):
         workspace.resolve("/etc/passwd/../passwd")
+    for database_id in ("../../sec", "..", "/etc", "a/b", ""):
+        with pytest.raises(WorkspaceSecurityError):
+            workspace.db_dir(database_id)
 
 
 def test_get_ddl_contains_every_table(workspace):
@@ -109,6 +112,46 @@ def test_get_ext_missing_knowledge_gives_notice(tmp_path):
     (root / "dbs" / "flights" / "knowledge.md").unlink()
     workspace = Workspace(root)
     assert "no external knowledge file" in workspace.knowledge("flights")
+
+
+@pytest.fixture()
+def nested_ctx(tmp_path):
+    """An episode context whose workspace is two levels below ``tmp_path``,
+    with knowledge files and a database where escaping ids resolve to."""
+    workspace = Workspace(build_fixture_workspace(tmp_path / "x" / "ws"))
+    for folder in (tmp_path / "x", tmp_path / "x" / "sec", tmp_path / "sec"):
+        folder.mkdir(exist_ok=True)
+        (folder / "knowledge.md").write_text("outside knowledge", encoding="utf-8")
+    # db_path('../../sec') and db_path(<tmp_path>/sec) both name this file.
+    conn = sqlite3.connect(tmp_path / "sec.sqlite")
+    conn.execute("CREATE TABLE outside_secrets (v TEXT)")
+    conn.close()
+    backend = SqliteBackend(workspace.db_path("flights"))
+    yield EpisodeContext(
+        workspace=workspace,
+        database_id="flights",
+        backend=backend,
+        question=Question(id="q1", text="how many flights?", database_id="flights"),
+    )
+    backend.close()
+
+
+@pytest.mark.parametrize(
+    "action",
+    [
+        "get_ext(database='../..')",
+        "get_ext(database='../../sec')",
+        "get_ddl(database='../../sec')",
+        "get_ext(database={absolute!r})",
+        "get_ddl(database={absolute!r})",
+    ],
+)
+def test_database_tools_cannot_read_outside_the_workspace(nested_ctx, tmp_path, action):
+    code = action.format(absolute=str(tmp_path / "sec"))
+    invocations, observation = execute_action(_registry(), nested_ctx, code)
+    assert invocations[0].succeeded is False
+    assert "outside knowledge" not in observation
+    assert "outside_secrets" not in observation
 
 
 def test_workspace_requires_existing_root(tmp_path):
