@@ -72,7 +72,6 @@ from .policies import (
     Transcript,
 )
 from .retrieval import (
-    EmbeddingProvider,
     HashingEmbedder,
     cosine_similarity,
     filter_by_database,
@@ -84,14 +83,11 @@ from .store import (
     MemoryEntry,
     MemoryStore,
     StructuredTrajectory,
-    Summarizer,
     structure_trajectory,
     truncate_observation,
 )
 from .synthesis import (
     QueryDistribution,
-    QuestionGenerator,
-    TemplateGenerator,
     allocate,
     generate_questions,
     synthesize_memory,

@@ -17,6 +17,8 @@ from .errors import ConfigurationError
 
 Refiner = Callable[[str, str], "str | None"]
 
+_RENDERED_ROWS = 50
+
 
 @dataclass
 class QueryResult:
@@ -57,15 +59,15 @@ class SqliteBackend:
         self.close()
 
 
-def render_result(result: QueryResult, max_rows: int = 50) -> str:
+def render_result(result: QueryResult) -> str:
     """Deterministic plain-text table for observations."""
     if not result.columns and not result.rows:
         return "(no result set)"
     lines = [" | ".join(result.columns)]
-    for row in result.rows[:max_rows]:
+    for row in result.rows[:_RENDERED_ROWS]:
         lines.append(" | ".join(_render_cell(cell) for cell in row))
-    if len(result.rows) > max_rows:
-        lines.append(f"... ({len(result.rows) - max_rows} more rows)")
+    if len(result.rows) > _RENDERED_ROWS:
+        lines.append(f"... ({len(result.rows) - _RENDERED_ROWS} more rows)")
     lines.append(f"({len(result.rows)} rows)")
     return "\n".join(lines)
 

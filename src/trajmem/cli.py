@@ -22,15 +22,9 @@ from .metrics import load_run_records, report, report_dict
 from .policies import HttpPolicy, Policy, RecordingPolicy, ReplayPolicy
 from .mining import MinerConfig, export_manifest, mine_composites
 from .model import Question, Trajectory
-from .retrieval import HashingEmbedder, select_trajectory
+from .retrieval import select_trajectory
 from .store import MemoryStore
-from .synthesis import (
-    QueryDistribution,
-    TemplateGenerator,
-    allocate,
-    generate_questions,
-    synthesize_memory,
-)
+from .synthesis import QueryDistribution, allocate, generate_questions, synthesize_memory
 from .tools import Workspace
 
 logger = logging.getLogger(__name__)
@@ -84,7 +78,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     workspace = Workspace(args.workspace)
     dimension = int(_config_value(args, "embedding_dimension", 256))
     store = MemoryStore(args.store, dimension=dimension)
-    provider = HashingEmbedder(dimension)
 
     if args.workload:
         distribution = QueryDistribution.from_workload_file(args.workload)
@@ -93,7 +86,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         databases = workspace.database_ids()
         distribution = QueryDistribution.uniform(databases)
     counts = allocate(databases, distribution, args.budget)
-    generator = TemplateGenerator()
     total_entries = 0
     per_db: dict[str, int] = {}
     for database_id in databases:
@@ -104,15 +96,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
             else workspace.ddl(database_id)
         )
         existing = [entry.question for entry in store.load_entries(database_id)]
-        questions = generate_questions(
-            database_id,
-            schema,
-            workspace.knowledge(database_id),
-            existing,
-            counts[database_id],
-            generator,
-        )
-        entries = synthesize_memory(questions, workspace, store, provider=provider)
+        questions = generate_questions(database_id, schema, existing, counts[database_id])
+        entries = synthesize_memory(questions, workspace, store)
         per_db[database_id] = len(entries)
         total_entries += len(entries)
     payload = {"allocation": counts, "persisted": per_db, "total": total_entries}
@@ -252,9 +237,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
     store = MemoryStore(args.store)
-    provider = HashingEmbedder(store.dimension)
     question = Question(id="query", text=args.question, database_id=args.db)
-    entry = select_trajectory(question, store, provider)
+    entry = select_trajectory(question, store)
     if entry is None:
         _emit(args, {"entry": None}, "(no stored entry for this database)")
         return 0

@@ -24,7 +24,7 @@ from .metrics import RunRecord, execution_accuracy
 from .mining import MinedComposite, build_composite_tool, load_manifest
 from .model import ID_PATTERN, Phase, Question, Step, ToolParam, ToolSpec, Trajectory, append_step
 from .policies import Policy, QuestionScript, ScriptedPolicy, Transcript
-from .retrieval import EmbeddingProvider, HashingEmbedder, select_trajectory
+from .retrieval import select_trajectory
 from .store import MemoryStore
 from .tools import (
     EpisodeContext,
@@ -58,13 +58,13 @@ class EpisodeConfig:
 # -- registries --------------------------------------------------------------------
 
 
-def _memory_tool(store: MemoryStore, provider: EmbeddingProvider) -> Tool:
+def _memory_tool(store: MemoryStore) -> Tool:
     def _retrieve(ctx: EpisodeContext, question: str = "", phase: str = "exploration") -> str:
         text = question or ctx.question.text
         probe = Question(
             id=f"{ctx.question.id}-retrieve", text=text, database_id=ctx.database_id
         )
-        entry = select_trajectory(probe, store, provider)
+        entry = select_trajectory(probe, store)
         if entry is None:
             return "(no stored trajectory for this database)"
         wanted = None if phase == "full" else Phase.parse(phase)
@@ -97,7 +97,6 @@ def build_planner_registry(
     config: EpisodeConfig,
     policy: Policy,
     memory_store: MemoryStore | None = None,
-    provider: EmbeddingProvider | None = None,
     composites: Sequence[MinedComposite] | None = None,
 ) -> ToolRegistry:
     """Planner tool set: the explorer's tools plus validation and memory."""
@@ -105,7 +104,7 @@ def build_planner_registry(
     for tool in validation_tools():
         registry.register(tool)
     if config.memory_enabled and memory_store is not None:
-        registry.register(_memory_tool(memory_store, provider or HashingEmbedder(memory_store.dimension)))
+        registry.register(_memory_tool(memory_store))
     if config.composites_enabled and composites:
         for mined in composites:
             build_composite_tool(mined, registry)
@@ -119,7 +118,6 @@ def build_planner_registry(
 class EpisodeResult:
     trajectory: Trajectory
     answer: str | None
-    answer_columns: list[str] | None = None
     answer_rows: list[tuple] | None = None
 
 
@@ -133,7 +131,6 @@ def run_episode(
     config: EpisodeConfig,
     policy: Policy,
     memory_store: MemoryStore | None = None,
-    provider: EmbeddingProvider | None = None,
     composites: Sequence[MinedComposite] | None = None,
     answer_dir: Path | None = None,
     registry: ToolRegistry | None = None,
@@ -154,17 +151,12 @@ def run_episode(
         )
         prefix = ""
         if config.memory_enabled and memory_store is not None:
-            emb = provider or HashingEmbedder(memory_store.dimension)
-            entry = select_trajectory(question, memory_store, emb)
+            entry = select_trajectory(question, memory_store)
             if entry is not None:
                 prefix = memory_store.load_phase_segment(entry, Phase.EXPLORATION)
         if registry is None:
             registry = build_planner_registry(
-                config,
-                policy,
-                memory_store=memory_store,
-                provider=provider,
-                composites=composites,
+                config, policy, memory_store=memory_store, composites=composites
             )
         trajectory = Trajectory(question_id=question.id, database_id=question.database_id)
         transcript = Transcript(
@@ -202,9 +194,6 @@ def run_episode(
         return EpisodeResult(
             trajectory=classified,
             answer=answer,
-            answer_columns=(
-                ctx.saved_columns if ctx.saved_columns is not None else ctx.last_columns
-            ),
             answer_rows=ctx.saved_rows if ctx.saved_rows is not None else ctx.last_rows,
         )
     finally:
@@ -229,6 +218,7 @@ def load_questions_file(path: str | Path) -> list[QuestionRecord]:
     Every line is an object with at least id, text and database_id. Question
     ids name the run's output files and database ids name workspace
     directories: both must match ID_PATTERN, and question ids must be unique.
+    text and a given gold_csv are strings; a given script is an object.
     """
     records: list[QuestionRecord] = []
     seen: set[str] = set()
@@ -251,17 +241,25 @@ def load_questions_file(path: str | Path) -> list[QuestionRecord]:
         if qid in seen:
             raise ConfigurationError(f"{where}: duplicate question id {qid!r}")
         seen.add(qid)
+        text, gold_csv, script = data["text"], data.get("gold_csv"), data.get("script")
+        if not isinstance(text, str):
+            raise ConfigurationError(f"{where}: text is not a string: {text!r}")
+        if gold_csv is not None and not isinstance(gold_csv, str):
+            raise ConfigurationError(f"{where}: gold_csv is not a string: {gold_csv!r}")
+        if script is not None and not isinstance(script, dict):
+            raise ConfigurationError(f"{where}: script is not an object: {script!r}")
         question = Question(
             id=qid,
-            text=data["text"],
+            text=text,
             database_id=data["database_id"],
             synthetic=bool(data.get("synthetic", False)),
         )
-        script = (
-            QuestionScript.from_dict(data["script"]) if data.get("script") else None
-        )
         records.append(
-            QuestionRecord(question=question, script=script, gold_csv=data.get("gold_csv"))
+            QuestionRecord(
+                question=question,
+                script=QuestionScript.from_dict(script) if script else None,
+                gold_csv=gold_csv,
+            )
         )
     return records
 
@@ -302,7 +300,6 @@ def run_suite(
     store_root: str | Path | None = None,
     manifest_path: str | Path | None = None,
     policy: Policy | None = None,
-    provider: EmbeddingProvider | None = None,
     workers: int = 1,
 ) -> SuiteResult:
     """Run every question and write one RunRecord and trajectory JSON each."""
@@ -330,7 +327,6 @@ def run_suite(
             config,
             policy,
             memory_store=memory_store,
-            provider=provider,
             composites=composites,
             answer_dir=answer_dir,
         )

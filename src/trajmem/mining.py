@@ -9,7 +9,6 @@ threshold; qualifying runs subsumed by a longer qualifying run are dropped.
 
 from __future__ import annotations
 
-import abc
 import json
 import re
 from collections import defaultdict
@@ -47,15 +46,12 @@ class MinedComposite:
 class MinerConfig:
     tau: float = 0.5
     max_size: int = 4
-    min_size: int = 2
 
     def __post_init__(self) -> None:
         if not (0.0 < self.tau <= 1.0):
             raise ValueError("tau must lie in (0, 1]")
-        if self.min_size != 2:
-            raise ValueError("min_size is fixed at 2")
-        if self.max_size < self.min_size:
-            raise ValueError("max_size must be at least min_size")
+        if self.max_size < 2:
+            raise ValueError("max_size must be at least 2")
 
 
 def extract_tool_sequence(trajectory: Trajectory) -> list[tuple[str, Phase]]:
@@ -87,25 +83,6 @@ def _is_subrun(small: tuple[str, ...], big: tuple[str, ...]) -> bool:
     )
 
 
-class Namer(abc.ABC):
-    """Port that labels a mined sequence with a name and summary."""
-
-    @abc.abstractmethod
-    def name(self, sequence: ToolSequence) -> tuple[str, str]: ...
-
-
-class FallbackNamer(Namer):
-    """Deterministic naming: tools joined with ``_then_`` plus a step list."""
-
-    def name(self, sequence: ToolSequence) -> tuple[str, str]:
-        name = "_then_".join(sequence.tools)
-        description = (
-            f"Composite tool: runs {', then '.join(sequence.tools)} as one "
-            f"{sequence.phase.value} action."
-        )
-        return name, description
-
-
 def sanitize_identifier(text: str) -> str:
     cleaned = re.sub(r"[^0-9a-zA-Z]+", "_", text.strip().lower()).strip("_")
     if not cleaned:
@@ -116,21 +93,15 @@ def sanitize_identifier(text: str) -> str:
 
 
 def name_composite(
-    sequence: ToolSequence,
-    namer: Namer | None = None,
-    taken: Iterable[str] = (),
+    sequence: ToolSequence, taken: Iterable[str] = ()
 ) -> tuple[str, str]:
-    """Identifier-safe unique (name, description); namer failures fall back."""
-    fallback_name, fallback_desc = FallbackNamer().name(sequence)
-    name, description = fallback_name, fallback_desc
-    if namer is not None:
-        try:
-            name, description = namer.name(sequence)
-        except Exception:  # noqa: BLE001 - naming is best effort
-            name, description = fallback_name, fallback_desc
-    name = sanitize_identifier(name)
-    if not description.strip():
-        description = fallback_desc
+    """Identifier-safe (name, description): the tools joined with ``_then_``,
+    with a numeric suffix when the name is already taken."""
+    name = sanitize_identifier("_then_".join(sequence.tools))
+    description = (
+        f"Composite tool: runs {', then '.join(sequence.tools)} as one "
+        f"{sequence.phase.value} action."
+    )
     taken_set = set(taken)
     if name in taken_set:
         suffix = 2
@@ -143,7 +114,6 @@ def name_composite(
 def mine_composites(
     corpus: Sequence[Trajectory],
     config: MinerConfig = MinerConfig(),
-    namer: Namer | None = None,
 ) -> list[MinedComposite]:
     """All maximal in-phase runs whose support ratio meets the threshold."""
     if not corpus:
@@ -162,8 +132,7 @@ def mine_composites(
                 if tool_phase != phase or tool in excluded:
                     break
                 tools.append(tool)
-                if len(tools) >= config.min_size:
-                    support[(tuple(tools), phase)].add(index)
+                support[(tuple(tools), phase)].add(index)
     total = len(corpus)
     qualifying = [
         (tools, phase, len(trajectory_ids))
@@ -182,7 +151,7 @@ def mine_composites(
     mined: list[MinedComposite] = []
     for tools, phase, count in kept:
         sequence = ToolSequence(tools=tools, phase=phase)
-        name, description = name_composite(sequence, namer=namer, taken=taken)
+        name, description = name_composite(sequence, taken)
         taken.add(name)
         mined.append(
             MinedComposite(
@@ -309,7 +278,6 @@ def build_composite_tool(mined: MinedComposite, registry: ToolRegistry) -> Tool:
         name=mined.name,
         description=mined.description,
         params=tuple(exposed),
-        phase_affinity=mined.sequence.phase,
     )
     tool = Tool(spec=spec, fn=_run)
     registry.register(tool)

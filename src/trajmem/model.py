@@ -57,7 +57,6 @@ class ToolSpec:
     name: str
     description: str = ""
     params: tuple[ToolParam, ...] = ()
-    phase_affinity: Phase | None = None
 
     def __post_init__(self) -> None:
         names = [p.name for p in self.params]

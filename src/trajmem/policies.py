@@ -307,6 +307,7 @@ class ScriptedPolicy(Policy):
 
 _CREATE_TABLE = re.compile(r"CREATE TABLE (\w+)", re.IGNORECASE)
 _FIRST_COLUMN = re.compile(r"CREATE TABLE \w+\s*\(\s*(\w+)", re.IGNORECASE)
+_PROBED_TABLES = 2
 
 
 class ExplorerPolicy(Policy):
@@ -316,9 +317,6 @@ class ExplorerPolicy(Policy):
     observation, attempts one analytical query, then stops. Answers are
     never graded; the value is the exploration trace.
     """
-
-    def __init__(self, max_probe_tables: int = 2) -> None:
-        self.max_probe_tables = max_probe_tables
 
     def next_action(
         self, transcript: Transcript, tools: Sequence[ToolSpec]
@@ -336,7 +334,7 @@ class ExplorerPolicy(Policy):
                 action_code=f"get_ddl(database={db!r})",
             )
         ddl = transcript.steps[1].observation
-        tables = _CREATE_TABLE.findall(ddl)[: self.max_probe_tables]
+        tables = _CREATE_TABLE.findall(ddl)[:_PROBED_TABLES]
         probe_index = position - 2
         if probe_index < len(tables):
             table = tables[probe_index]
@@ -364,6 +362,7 @@ class ExplorerPolicy(Policy):
 
 _FINAL_ANSWER = re.compile(r"^\s*final answer\s*:\s*(.*)$", re.IGNORECASE | re.DOTALL)
 _THOUGHT = re.compile(r"^\s*thought\s*:\s*(.*?)(?:\n\s*action\s*:|\Z)", re.IGNORECASE | re.DOTALL)
+_PROMPT_OBSERVATION_LIMIT = 1500
 
 
 class HttpPolicy(Policy):
@@ -377,9 +376,8 @@ class HttpPolicy(Policy):
         "or, when done,\nFinal Answer: <text>."
     )
 
-    def __init__(self, endpoint: ChatEndpoint, observation_limit: int = 1500) -> None:
+    def __init__(self, endpoint: ChatEndpoint) -> None:
         self.endpoint = endpoint
-        self.observation_limit = observation_limit
 
     def _render(self, transcript: Transcript, tools: Sequence[ToolSpec]) -> str:
         lines = [f"Question ({transcript.question.database_id}): {transcript.question.text}"]
@@ -395,8 +393,8 @@ class HttpPolicy(Policy):
             if step.action_code:
                 lines.append(f"Action:\n{step.action_code}")
             observation = step.observation
-            if len(observation) > self.observation_limit:
-                observation = observation[: self.observation_limit] + "\n[truncated]"
+            if len(observation) > _PROMPT_OBSERVATION_LIMIT:
+                observation = observation[:_PROMPT_OBSERVATION_LIMIT] + "\n[truncated]"
             lines.append(f"Observation:\n{observation}")
         lines.append("Next step?")
         return "\n\n".join(lines)

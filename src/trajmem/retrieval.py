@@ -3,12 +3,12 @@
 Retrieval first restricts candidates to entries on the question's database,
 then picks the single entry whose stored question embedding has the highest
 cosine similarity to the query embedding, breaking exact ties by the
-lexicographically smallest question id.
+lexicographically smallest question id. Questions are always embedded by
+``HashingEmbedder``, the one deterministic embedder.
 """
 
 from __future__ import annotations
 
-import abc
 import heapq
 import math
 import zlib
@@ -23,16 +23,6 @@ DEFAULT_DIMENSION = 256
 K = TypeVar("K")
 
 
-class EmbeddingProvider(abc.ABC):
-    """Port for question embedding; outputs must be L2-normalized."""
-
-    @abc.abstractmethod
-    def embed(self, text: str) -> list[float]: ...
-
-    @abc.abstractmethod
-    def dimension(self) -> int: ...
-
-
 def l2_normalize(vector: Sequence[float]) -> list[float]:
     norm = math.sqrt(sum(v * v for v in vector))
     if norm == 0.0:
@@ -40,8 +30,8 @@ def l2_normalize(vector: Sequence[float]) -> list[float]:
     return [v / norm for v in vector]
 
 
-class HashingEmbedder(EmbeddingProvider):
-    """Deterministic reference embedder: hashed character trigrams.
+class HashingEmbedder:
+    """The one question embedder: hashed character trigrams.
 
     Lowercased character trigrams are counted into ``dimension`` buckets via
     CRC32 and the bucket vector is L2-normalized. Texts too short to yield a
@@ -53,15 +43,11 @@ class HashingEmbedder(EmbeddingProvider):
         if dimension < 1:
             raise ValueError("embedding dimension must be positive")
         self._dimension = dimension
-        self._cache: dict[str, list[float]] = {}
 
     def dimension(self) -> int:
         return self._dimension
 
     def embed(self, text: str) -> list[float]:
-        cached = self._cache.get(text)
-        if cached is not None:
-            return list(cached)
         buckets = [0.0] * self._dimension
         lowered = text.lower()
         if len(lowered) < 3:
@@ -71,9 +57,7 @@ class HashingEmbedder(EmbeddingProvider):
                 trigram = lowered[start : start + 3]
                 index = zlib.crc32(trigram.encode("utf-8")) % self._dimension
                 buckets[index] += 1.0
-        vector = l2_normalize(buckets)
-        self._cache[text] = vector
-        return list(vector)
+        return l2_normalize(buckets)
 
 
 def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
@@ -108,7 +92,7 @@ def rank(
 def select_from_entries(
     question: Question,
     entries: Iterable[MemoryEntry],
-    provider: EmbeddingProvider,
+    provider: HashingEmbedder,
 ) -> MemoryEntry | None:
     """Argmax-by-similarity over same-database entries; None when none match."""
     candidates = filter_by_database(question, entries)
@@ -129,13 +113,8 @@ def select_from_entries(
     return candidates[position]
 
 
-def select_trajectory(
-    question: Question, store: MemoryStore, provider: EmbeddingProvider
-) -> MemoryEntry | None:
+def select_trajectory(question: Question, store: MemoryStore) -> MemoryEntry | None:
     """Select the stored entry to reuse for a question (Eq. filter + argmax)."""
-    if provider.dimension() != store.dimension:
-        raise ConfigurationError(
-            f"provider dimension {provider.dimension()} does not match store "
-            f"dimension {store.dimension}"
-        )
-    return select_from_entries(question, store.load_entries(question.database_id), provider)
+    return select_from_entries(
+        question, store.load_entries(question.database_id), HashingEmbedder(store.dimension)
+    )

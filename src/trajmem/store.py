@@ -1,7 +1,8 @@
 """On-disk semantic memory: structured markdown trajectories per database.
 
 Each stored entry renders a classified trajectory into phase-segmented
-markdown with generated section headers, and is persisted atomically under
+markdown, each segment headed by its first line of text (usually the lead
+thought), and is persisted atomically under
 ``store_root/<database_id>/<question_id>/`` as two files: ``meta.json``,
 which holds everything the code reads back, and ``full.md``, the whole
 markdown document for people to read.
@@ -9,7 +10,6 @@ markdown document for people to read.
 
 from __future__ import annotations
 
-import abc
 import json
 import logging
 import re
@@ -47,26 +47,19 @@ def truncate_observation(text: str, limit: int = DEFAULT_OBSERVATION_LIMIT) -> s
     return text[:limit] + f"\n[truncated {omitted} characters]"
 
 
-class Summarizer(abc.ABC):
-    """Port producing a short single-line header for a segment body."""
-
-    @abc.abstractmethod
-    def summarize(self, body: str) -> str:
-        """Return header text; empty output triggers the deterministic fallback."""
-
-
-class HeuristicSummarizer(Summarizer):
-    """Deterministic header extraction: lead thought text, capped length."""
-
-    def summarize(self, body: str) -> str:
-        for line in body.splitlines():
-            text = line.strip()
-            if not text or text.startswith("```") or text.startswith("[truncated"):
-                continue
-            text = re.sub(r"\*\*Step \d+\.\*\*\s*", "", text).strip()
-            if text:
-                return _clean_header(text)
-        return ""
+def summarize(body: str) -> str:
+    """Header text for a segment body: its first line of text outside step
+    labels and fence lines (usually the lead thought), capped in length.
+    Empty when there is no such line.
+    """
+    for line in body.splitlines():
+        text = line.strip()
+        if not text or text.startswith("```") or text.startswith("[truncated"):
+            continue
+        text = re.sub(r"\*\*Step \d+\.\*\*\s*", "", text).strip()
+        if text:
+            return _clean_header(text)
+    return ""
 
 
 def _clean_header(text: str) -> str:
@@ -103,12 +96,12 @@ def segment_text(segment: StructuredSegment) -> str:
     return f"## [{segment.phase.value}] {segment.header}\n\n{segment.body}\n\n"
 
 
-def _render_step(step: Step, limit: int) -> str:
+def _render_step(step: Step) -> str:
     parts = [f"**Step {step.index}.** {step.thought}".rstrip()]
     if step.action_code.strip():
         parts.append(f"```\n{step.action_code.strip()}\n```")
     if step.observation:
-        parts.append(truncate_observation(step.observation, limit))
+        parts.append(truncate_observation(step.observation))
     return "\n\n".join(parts)
 
 
@@ -116,28 +109,18 @@ def fallback_header(phase: Phase, segment: Segment) -> str:
     return f"Phase {phase.value}, steps {segment.start}-{segment.end}"
 
 
-def structure_trajectory(
-    trajectory: Trajectory,
-    summarizer: Summarizer | None = None,
-    observation_limit: int = DEFAULT_OBSERVATION_LIMIT,
-) -> StructuredTrajectory:
+def structure_trajectory(trajectory: Trajectory) -> StructuredTrajectory:
     """Render a classified trajectory into headed markdown segments.
 
     Every segment body lists its steps as thought, fenced action code, and
-    truncated observation. Header generation failures (exceptions or empty
-    output) fall back to a deterministic "Phase <name>, steps i-j" header.
+    truncated observation. A segment without header text gets the
+    deterministic "Phase <name>, steps i-j" header.
     """
-    summarizer = summarizer or HeuristicSummarizer()
     segments: list[StructuredSegment] = []
     for raw in segment_trajectory(trajectory):
         steps = trajectory.steps[raw.start : raw.end + 1]
-        body = "\n\n".join(_render_step(step, observation_limit) for step in steps)
-        try:
-            header = _clean_header(summarizer.summarize(body))
-        except Exception:  # noqa: BLE001 - any summarizer failure falls back
-            header = ""
-        if not header:
-            header = fallback_header(raw.phase, raw)
+        body = "\n\n".join(_render_step(step) for step in steps)
+        header = summarize(body) or fallback_header(raw.phase, raw)
         segments.append(StructuredSegment(phase=raw.phase, header=header, body=body))
     return StructuredTrajectory(segments=segments)
 

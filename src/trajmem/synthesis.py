@@ -2,14 +2,14 @@
 
 A global question budget is spread over databases coverage-first (one per
 database), with the remainder allocated by largest-remainder rounding over
-the workload distribution. Each question is then explored by a restricted
-offline agent and the resulting trajectory is classified, structured,
-embedded, and persisted.
+the workload distribution. Question texts come from fixed templates filled
+with the schema's tables and first columns. Each question is then explored
+by a restricted offline agent and the resulting trajectory is classified,
+structured, embedded, and persisted.
 """
 
 from __future__ import annotations
 
-import abc
 import logging
 import re
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ from .errors import BudgetError, SynthesisError
 from .harness import EpisodeConfig, build_explorer_registry, run_episode
 from .model import Question
 from .policies import ExplorerPolicy, Policy
-from .retrieval import EmbeddingProvider, HashingEmbedder
+from .retrieval import HashingEmbedder
 from .store import MemoryEntry, MemoryStore, structure_trajectory
 from .tools import Workspace
 
@@ -44,16 +44,19 @@ class QueryDistribution:
             raise ValueError(f"weights must sum to 1, got {total}")
 
     @classmethod
+    def _from_counts(cls, counts: Mapping[str, int]) -> "QueryDistribution":
+        total = sum(counts.values())
+        weights = {db: count / total for db, count in counts.items()}
+        # Absorb rounding drift into the lexicographically last database.
+        last = max(weights)
+        weights[last] = 1.0 - sum(w for db, w in weights.items() if db != last)
+        return cls(weights=weights)
+
+    @classmethod
     def uniform(cls, databases: Sequence[str]) -> "QueryDistribution":
         if not databases:
             raise ValueError("at least one database is required")
-        count = len(set(databases))
-        weight = 1.0 / count
-        weights = {db: weight for db in set(databases)}
-        # Absorb rounding drift into the lexicographically last database.
-        last = sorted(weights)[-1]
-        weights[last] = 1.0 - sum(w for db, w in weights.items() if db != last)
-        return cls(weights=weights)
+        return cls._from_counts({db: 1 for db in databases})
 
     @classmethod
     def from_workload_lines(cls, lines: Iterable[str]) -> "QueryDistribution":
@@ -70,11 +73,7 @@ class QueryDistribution:
             counts[database_id] = counts.get(database_id, 0) + 1
         if not counts:
             raise ValueError("workload contains no entries")
-        total = sum(counts.values())
-        weights = {db: count / total for db, count in counts.items()}
-        last = sorted(weights)[-1]
-        weights[last] = 1.0 - sum(w for db, w in weights.items() if db != last)
-        return cls(weights=weights)
+        return cls._from_counts(counts)
 
     @classmethod
     def from_workload_file(cls, path: str | Path) -> "QueryDistribution":
@@ -117,66 +116,47 @@ def allocate(
     return counts
 
 
-class QuestionGenerator(abc.ABC):
-    """Port producing one new question text per call."""
-
-    @abc.abstractmethod
-    def generate(self, schema: str, knowledge: str, existing: Sequence[str]) -> str: ...
-
-
-class TemplateGenerator(QuestionGenerator):
-    """Deterministic generator filling operator/table/column slots in fixed order."""
-
-    TEMPLATES = (
-        "How many rows are in {table}?",
-        "What is the count of each distinct {column} in {table}?",
-        "List the first rows of {table} ordered by {column}.",
-        "What are the distinct values of {column} in {table}?",
-        "Which {column} appears most often in {table}?",
-    )
-
-    _TABLE = re.compile(r"CREATE TABLE (\w+)\s*\(([^;]*?)\)", re.IGNORECASE | re.DOTALL)
-
-    def generate(self, schema: str, knowledge: str, existing: Sequence[str]) -> str:
-        taken = set(existing)
-        candidates: list[str] = []
-        tables = self._TABLE.findall(schema)
-        for template in self.TEMPLATES:
-            for table, body in tables:
-                columns = [
-                    match.group(1)
-                    for match in re.finditer(r"^\s*(\w+)\s+\w+", body, re.MULTILINE)
-                ]
-                column = columns[0] if columns else "rowid"
-                candidates.append(template.format(table=table, column=column))
-        for candidate in candidates:
-            if candidate not in taken:
-                return candidate
-        if candidates:
-            return candidates[0]
-        raise SynthesisError("schema contains no tables to generate questions from")
+_TEMPLATES = (
+    "How many rows are in {table}?",
+    "What is the count of each distinct {column} in {table}?",
+    "List the first rows of {table} ordered by {column}.",
+    "What are the distinct values of {column} in {table}?",
+    "Which {column} appears most often in {table}?",
+)
+_TABLE = re.compile(r"CREATE TABLE (\w+)\s*\(([^;]*?)\)", re.IGNORECASE | re.DOTALL)
+_COLUMN = re.compile(r"^\s*(\w+)\s+\w+", re.MULTILINE)
 
 
-_GENERATION_ATTEMPTS = 3
+def _template_questions(schema: str) -> list[str]:
+    """Every template filled with every table and its first column, in order."""
+    slots = []
+    for table, body in _TABLE.findall(schema):
+        match = _COLUMN.search(body)
+        slots.append((table, match.group(1) if match else "rowid"))
+    return [
+        template.format(table=table, column=column)
+        for template in _TEMPLATES
+        for table, column in slots
+    ]
 
 
 def generate_questions(
-    database_id: str,
-    schema: str,
-    knowledge: str,
-    existing: Sequence[Question],
-    k: int,
-    generator: QuestionGenerator,
+    database_id: str, schema: str, existing: Sequence[Question], k: int
 ) -> list[Question]:
-    """Produce k distinct questions, feeding the growing set back for diversity.
+    """Produce k distinct template questions that continue the existing set.
 
-    Exact duplicate texts are regenerated up to three attempts and then
-    accepted with a numeric uniqueness suffix. Generator exceptions exhaust
-    the same attempt budget before raising SynthesisError.
+    Each question takes the first template text not yet in use; when all are
+    in use, the first one is reused with a numeric uniqueness suffix.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    texts = [question.text for question in existing]
+    candidates = _template_questions(schema)
+    if k and not candidates:
+        raise SynthesisError(
+            f"question generation failed for database {database_id!r}: "
+            "schema contains no tables to generate questions from"
+        )
+    taken = {question.text for question in existing}
     prefix = f"syn-{database_id}-"
     next_number = (
         max(
@@ -188,25 +168,10 @@ def generate_questions(
     )
     generated: list[Question] = []
     for _ in range(k):
-        text: str | None = None
-        failure: Exception | None = None
-        for _ in range(_GENERATION_ATTEMPTS):
-            try:
-                candidate = generator.generate(schema, knowledge, texts)
-            except Exception as exc:  # noqa: BLE001 - retried, reported below
-                failure = exc
-                continue
-            failure = None
-            text = candidate
-            if candidate not in texts:
-                break
-        if text is None:
-            raise SynthesisError(
-                f"question generation failed for database {database_id!r}: {failure}"
-            )
-        if text in texts:
+        text = next((c for c in candidates if c not in taken), candidates[0])
+        if text in taken:
             suffix = 2
-            while f"{text} ({suffix})" in texts:
+            while f"{text} ({suffix})" in taken:
                 suffix += 1
             text = f"{text} ({suffix})"
         question = Question(
@@ -216,7 +181,7 @@ def generate_questions(
             synthetic=True,
         )
         next_number += 1
-        texts.append(text)
+        taken.add(text)
         generated.append(question)
     return generated
 
@@ -226,7 +191,7 @@ def synthesize_memory(
     workspace: Workspace,
     store: MemoryStore,
     policy: Policy | None = None,
-    provider: EmbeddingProvider | None = None,
+    provider: HashingEmbedder | None = None,
     config: EpisodeConfig | None = None,
 ) -> list[MemoryEntry]:
     """Explore each question offline and persist the structured trajectory.

@@ -97,9 +97,7 @@ class EpisodeContext:
     last_sql: str | None = None
     last_columns: list[str] | None = None
     last_rows: list[tuple] | None = None
-    saved_columns: list[str] | None = None
     saved_rows: list[tuple] | None = None
-    saved_path: Path | None = None
 
 
 ToolFn = Callable[..., str]
@@ -268,9 +266,7 @@ def _save_result(ctx: EpisodeContext) -> str:
         writer = csv.writer(handle)
         writer.writerow(ctx.last_columns)
         writer.writerows(ctx.last_rows)
-    ctx.saved_columns = list(ctx.last_columns)
     ctx.saved_rows = list(ctx.last_rows)
-    ctx.saved_path = target
     return f"saved {len(ctx.last_rows)} rows to {target.name}"
 
 

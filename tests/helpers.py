@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from trajmem.model import Phase, Question, Step, ToolInvocation, Trajectory, append_step
-from trajmem.retrieval import EmbeddingProvider
+from trajmem.retrieval import HashingEmbedder
 from trajmem.store import MemoryEntry, StructuredTrajectory
 
 
@@ -62,7 +62,7 @@ def tool_trajectory(
 
 
 def memory_entry(
-    question_id: str, database_id: str, text: str, provider: EmbeddingProvider
+    question_id: str, database_id: str, text: str, provider: HashingEmbedder
 ) -> MemoryEntry:
     question = Question(
         id=question_id, text=text, database_id=database_id, synthetic=True

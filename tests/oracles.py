@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from trajmem.mining import ToolSequence
 from trajmem.model import Phase, Question, Trajectory
-from trajmem.retrieval import EmbeddingProvider, cosine_similarity
+from trajmem.retrieval import HashingEmbedder, cosine_similarity
 from trajmem.store import MemoryEntry
 
 
@@ -88,7 +88,7 @@ def brute_force_mine(
 
 
 def brute_force_select(
-    question: Question, entries: list[MemoryEntry], provider: EmbeddingProvider
+    question: Question, entries: list[MemoryEntry], provider: HashingEmbedder
 ) -> MemoryEntry | None:
     """Exhaustive scan: same-database filter, then argmax with id tie-break."""
     matching = [e for e in entries if e.database_id == question.database_id]

@@ -33,7 +33,6 @@ from trajmem.retrieval import (
 from trajmem.store import MemoryStore, StructuredTrajectory
 from trajmem.synthesis import (
     QueryDistribution,
-    TemplateGenerator,
     allocate,
     generate_questions,
     synthesize_memory,
@@ -148,7 +147,7 @@ def test_acceptance_retrieval_oracle_equivalence(tmp_path):
     for i, text in enumerate(_VOCABULARY[:6]):
         store.persist(memory_entry(f"q{i:02d}", "A", text, PROVIDER))
     question = Question(id="probe", text=_VOCABULARY[2], database_id="A")
-    selected = select_trajectory(question, store, PROVIDER)
+    selected = select_trajectory(question, store)
     expected = brute_force_select(question, store.load_entries("A"), PROVIDER)
     assert selected.question.id == expected.question.id
 
@@ -295,17 +294,14 @@ def _run_pipeline(base: Path) -> dict:
     distribution = QueryDistribution.from_workload_file(ws_root / "workload.txt")
     databases = sorted(distribution.weights)
     counts = allocate(databases, distribution, 4)
-    generator = TemplateGenerator()
     for database_id in databases:
         questions = generate_questions(
             database_id,
             workspace.ddl(database_id),
-            workspace.knowledge(database_id),
             [entry.question for entry in store.load_entries(database_id)],
             counts[database_id],
-            generator,
         )
-        synthesize_memory(questions, workspace, store, provider=PROVIDER)
+        synthesize_memory(questions, workspace, store)
 
     corpus = [
         t for db in store.database_ids() for t in store.load_trajectories(db)
@@ -329,7 +325,6 @@ def _run_pipeline(base: Path) -> dict:
             config,
             store_root=base / "store" if config.memory_enabled else None,
             manifest_path=manifest if config.composites_enabled else None,
-            provider=PROVIDER,
         )
         runs[label] = suite.records
     return {
@@ -441,7 +436,7 @@ def test_acceptance_store_round_trip_and_atomicity(tmp_path, monkeypatch):
         database_id="flights",
         synthetic=True,
     )
-    synthesize_memory([question], ws, store, provider=PROVIDER)
+    synthesize_memory([question], ws, store)
     entry_dir = store_root / "flights" / "syn-flights-001"
     baseline = {p.name: p.read_bytes() for p in entry_dir.iterdir()}
 

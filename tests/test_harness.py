@@ -17,12 +17,9 @@ from trajmem.harness import (
 from trajmem.mining import MinedComposite, ToolSequence
 from trajmem.model import Phase, Question
 from trajmem.policies import Policy, PolicyDecision, QuestionScript, ScriptedPolicy
-from trajmem.retrieval import HashingEmbedder
 from trajmem.store import MemoryStore
 from trajmem.synthesis import synthesize_memory
 from trajmem.tools import Workspace
-
-PROVIDER = HashingEmbedder(256)
 
 
 @pytest.fixture()
@@ -39,7 +36,7 @@ def memory(tmp_path, workspace):
         database_id="flights",
         synthetic=True,
     )
-    synthesize_memory([question], workspace, store, provider=PROVIDER)
+    synthesize_memory([question], workspace, store)
     return store
 
 
@@ -77,7 +74,6 @@ def test_memory_prefix_skips_three_exploration_steps(workspace, memory):
         _config(memory_enabled=True),
         policy,
         memory_store=memory,
-        provider=PROVIDER,
     )
     assert len(result.trajectory.steps) == 5  # 8 minus ext, ddl, probe
     assert result.answer == "36 flights in total"
@@ -99,7 +95,6 @@ def test_memory_prefix_is_the_exploration_segment(workspace, memory):
         _config(memory_enabled=True),
         Spy(),
         memory_store=memory,
-        provider=PROVIDER,
     )
     assert seen["prefix"] == expected
     assert expected.startswith("## [exploration]")
@@ -201,7 +196,6 @@ def test_retrieve_trajectory_tool_pulls_phase_segments(workspace, memory):
         _config(memory_enabled=True),
         PullValidation(),
         memory_store=memory,
-        provider=PROVIDER,
     )
     invocation = result.trajectory.steps[0].invocations[0]
     assert invocation.succeeded
@@ -365,6 +359,26 @@ def test_questions_file_rejects_malformed_lines(tmp_path, line):
     with path.open("a", encoding="utf-8") as handle:
         handle.write(line + "\n")
     with pytest.raises(ConfigurationError, match=r"questions\.jsonl line 2"):
+        load_questions_file(path)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"text": None},
+        {"text": 5},
+        {"gold_csv": 5},
+        {"gold_csv": ["gold/f2.csv"]},
+        {"script": [1]},
+        {"script": "main_sql"},
+    ],
+)
+def test_questions_file_rejects_mistyped_fields(tmp_path, fields):
+    path = _questions_file(tmp_path, ["f1"])
+    line = {"id": "f2", "text": "question", "database_id": "flights", **fields}
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write(json.dumps(line) + "\n")
+    with pytest.raises(ConfigurationError, match=r"questions\.jsonl line 2: " + next(iter(fields))):
         load_questions_file(path)
 
 

@@ -6,10 +6,8 @@ import pytest
 
 from trajmem.errors import ConfigurationError, StateError, ToolError
 from trajmem.mining import (
-    FallbackNamer,
     MinedComposite,
     MinerConfig,
-    Namer,
     ToolSequence,
     build_composite_tool,
     cross_phase_tools,
@@ -266,30 +264,9 @@ def test_fallback_name_joins_with_then():
     assert "get_ext" in description and "get_ddl" in description
 
 
-class _SillyNamer(Namer):
-    def name(self, sequence):
-        return "local exploration!", "grabs local context"
-
-
-def test_namer_output_is_sanitized():
-    name, _ = name_composite(ToolSequence(("a", "b"), E), namer=_SillyNamer())
-    assert name == "local_exploration"
-
-
 def test_name_collision_appends_suffix():
-    taken = {"local_exploration"}
-    name, _ = name_composite(ToolSequence(("a", "b"), E), namer=_SillyNamer(), taken=taken)
-    assert name == "local_exploration_2"
-
-
-class _CrashingNamer(Namer):
-    def name(self, sequence):
-        raise RuntimeError("endpoint down")
-
-
-def test_namer_failure_falls_back():
-    name, _ = name_composite(ToolSequence(("a", "b"), E), namer=_CrashingNamer())
-    assert name == "a_then_b"
+    name, _ = name_composite(ToolSequence(("a", "b"), E), taken={"a_then_b"})
+    assert name == "a_then_b_2"
 
 
 def test_sanitize_identifier_edge_cases():
@@ -318,7 +295,7 @@ def _registry_with(*tools: Tool) -> ToolRegistry:
 
 def _mined(tools: tuple[str, ...], name: str = "") -> MinedComposite:
     sequence = ToolSequence(tools=tools, phase=E)
-    auto_name, description = FallbackNamer().name(sequence)
+    auto_name, description = name_composite(sequence)
     return MinedComposite(
         sequence=sequence,
         support_count=2,
@@ -380,13 +357,3 @@ def test_composite_requires_registered_constituents():
     registry = _registry_with(Tool(ToolSpec("only"), lambda ctx: "x"))
     with pytest.raises(ConfigurationError):
         build_composite_tool(_mined(("only", "missing")), registry)
-
-
-def test_composite_spec_carries_phase_affinity():
-    registry = _registry_with(
-        Tool(ToolSpec("a"), lambda ctx: "a"),
-        Tool(ToolSpec("b"), lambda ctx: "b"),
-    )
-    composite = build_composite_tool(_mined(("a", "b")), registry)
-    assert composite.spec.phase_affinity is E
-    assert "a_then_b" in registry

@@ -13,9 +13,7 @@ from trajmem.retrieval import (
     filter_by_database,
     rank,
     select_from_entries,
-    select_trajectory,
 )
-from trajmem.store import MemoryStore
 
 from helpers import memory_entry
 from oracles import brute_force_select
@@ -176,13 +174,6 @@ def test_select_rejects_dimension_mismatch():
     question = Question(id="x", text="text", database_id="A")
     with pytest.raises(ConfigurationError):
         select_from_entries(question, entries, PROVIDER)
-
-
-def test_select_trajectory_checks_store_dimension(tmp_path):
-    store = MemoryStore(tmp_path / "store", dimension=64)
-    question = Question(id="x", text="text", database_id="A")
-    with pytest.raises(ConfigurationError):
-        select_trajectory(question, store, PROVIDER)
 
 
 def test_rank_orders_by_score_then_key():

@@ -15,10 +15,9 @@ from trajmem.store import (
     MemoryEntry,
     MemoryStore,
     StructuredTrajectory,
-    Summarizer,
-    HeuristicSummarizer,
     segment_text,
     structure_trajectory,
+    summarize,
     truncate_observation,
 )
 
@@ -87,20 +86,32 @@ def test_segment_headers_carry_phase_tag():
         assert len(seg.header) <= 120
 
 
-class _EmptySummarizer(Summarizer):
-    def summarize(self, body: str) -> str:
-        return ""
+def _blank_summary(body: str) -> str:
+    return ""
 
 
-class _CrashingSummarizer(Summarizer):
-    def summarize(self, body: str) -> str:
-        raise RuntimeError("no summarizer available")
-
-
-@pytest.mark.parametrize("summarizer", [_EmptySummarizer(), _CrashingSummarizer()])
-def test_summarizer_failure_uses_fallback_header(summarizer):
-    structured = structure_trajectory(_classified_fixture(), summarizer)
-    assert structured.segments[0].header == "Phase exploration, steps 0-1"
+@pytest.mark.parametrize(
+    "summarizer, last_header",
+    [(_blank_summary, "Phase execution, steps 2-2"), (summarize, "read schema")],
+    ids=["summarizer0", "summarizer1"],
+)
+def test_summarizer_failure_uses_fallback_header(summarizer, last_header, monkeypatch):
+    # An empty summary falls back to "Phase <name>, steps i-j": whether the
+    # summarizer yields nothing, or the steps have no thought, action or
+    # observation to summarize.
+    monkeypatch.setattr("trajmem.store.summarize", summarizer)
+    t = trajectory(
+        [
+            step(0, action="", phase=Phase.EXPLORATION),
+            step(1, action="", phase=Phase.EXPLORATION),
+            step(2, action="get_ddl()", thought="read schema", phase=Phase.EXECUTION),
+        ]
+    )
+    structured = structure_trajectory(t)
+    assert [seg.header for seg in structured.segments] == [
+        "Phase exploration, steps 0-1",
+        last_header,
+    ]
 
 
 def test_structure_is_byte_stable_across_runs():
@@ -110,7 +121,7 @@ def test_structure_is_byte_stable_across_runs():
 
 
 def test_heuristic_summarizer_uses_lead_thought():
-    header = HeuristicSummarizer().summarize("**Step 0.** read the schema\n\n```\nget_ddl()\n```")
+    header = summarize("**Step 0.** read the schema\n\n```\nget_ddl()\n```")
     assert header == "read the schema"
 
 

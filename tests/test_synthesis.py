@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -7,13 +8,12 @@ import pytest
 from trajmem.errors import BudgetError, SynthesisError
 from trajmem.fixtures import build_fixture_workspace
 from trajmem.harness import EpisodeConfig
+from trajmem.mining import MinerConfig, mine_composites
 from trajmem.model import Phase, Question
 from trajmem.policies import ExplorerPolicy, Policy, PolicyDecision
 from trajmem.store import MemoryStore
 from trajmem.synthesis import (
     QueryDistribution,
-    QuestionGenerator,
-    TemplateGenerator,
     allocate,
     generate_questions,
     synthesize_memory,
@@ -40,6 +40,13 @@ def test_distribution_from_workload_lines():
     )
     assert dist.weights["flights"] == pytest.approx(2 / 3)
     assert dist.weights["retail"] == pytest.approx(1 / 3)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 6, 7])
+def test_distribution_uniform_equals_one_workload_line_per_database(count):
+    databases = [f"db{i}" for i in range(count)]
+    lines = [f"q{i} {db}" for i, db in enumerate(databases)]
+    assert QueryDistribution.uniform(databases) == QueryDistribution.from_workload_lines(lines)
 
 
 def test_allocate_floor_only():
@@ -117,58 +124,37 @@ SCHEMA = "CREATE TABLE flights (\n  id INTEGER,\n  carrier TEXT\n);"
 
 
 def test_generate_questions_zero():
-    assert generate_questions("db", SCHEMA, "", [], 0, TemplateGenerator()) == []
+    assert generate_questions("db", SCHEMA, [], 0) == []
 
 
 def test_template_generator_produces_distinct_texts():
-    questions = generate_questions("db", SCHEMA, "", [], 3, TemplateGenerator())
+    questions = generate_questions("db", SCHEMA, [], 3)
     texts = [q.text for q in questions]
     assert len(set(texts)) == 3
     assert all(q.synthetic for q in questions)
     assert [q.id for q in questions] == ["syn-db-001", "syn-db-002", "syn-db-003"]
 
 
-class _ConstantGenerator(QuestionGenerator):
-    def generate(self, schema, knowledge, existing):
-        return "always the same question"
-
-
 def test_constant_generator_gets_uniqueness_suffixes():
-    questions = generate_questions("db", SCHEMA, "", [], 3, _ConstantGenerator())
-    texts = [q.text for q in questions]
-    assert texts[0] == "always the same question"
-    assert texts[1] == "always the same question (2)"
-    assert texts[2] == "always the same question (3)"
-
-
-class _FailingGenerator(QuestionGenerator):
-    def generate(self, schema, knowledge, existing):
-        raise RuntimeError("model offline")
+    # One table fills the five templates once; later questions reuse the first.
+    texts = [q.text for q in generate_questions("db", SCHEMA, [], 7)]
+    assert len(set(texts)) == 7
+    assert texts[0] == "How many rows are in flights?"
+    assert texts[5] == "How many rows are in flights? (2)"
+    assert texts[6] == "How many rows are in flights? (3)"
 
 
 def test_failing_generator_raises_synthesis_error_naming_database():
     with pytest.raises(SynthesisError) as excinfo:
-        generate_questions("flights", SCHEMA, "", [], 1, _FailingGenerator())
+        generate_questions("flights", "", [], 1)
     assert "flights" in str(excinfo.value)
-
-
-def test_generator_sees_running_question_set():
-    seen: list[int] = []
-
-    class Spy(QuestionGenerator):
-        def generate(self, schema, knowledge, existing):
-            seen.append(len(existing))
-            return f"question number {len(existing)}"
-
-    generate_questions("db", SCHEMA, "", [], 3, Spy())
-    assert seen == [0, 1, 2]
 
 
 def test_question_ids_continue_after_existing(tmp_path):
     existing = [
         Question(id="syn-db-004", text="earlier", database_id="db", synthetic=True)
     ]
-    questions = generate_questions("db", SCHEMA, "", existing, 1, TemplateGenerator())
+    questions = generate_questions("db", SCHEMA, existing, 1)
     assert questions[0].id == "syn-db-005"
 
 
@@ -242,3 +228,49 @@ def test_synthetic_corpus_uses_restricted_registry(tmp_path, fixture_workspace):
     used = {inv.tool_name for step in trajectory.steps for inv in step.invocations}
     assert used <= {"sql_execute", "list_directory", "read_file", "get_ddl", "get_ext"}
     assert "vector_search" not in used and "validate_result" not in used
+
+
+FIXTURE_QUESTIONS_AT_7 = {
+    "flights": [
+        "How many rows are in airports?",
+        "How many rows are in carriers?",
+        "How many rows are in flights?",
+        "What is the count of each distinct code in airports?",
+        "What is the count of each distinct code in carriers?",
+        "What is the count of each distinct id in flights?",
+        "List the first rows of airports ordered by code.",
+    ],
+    "retail": [
+        "How many rows are in products?",
+        "How many rows are in orders?",
+        "What is the count of each distinct sku in products?",
+        "What is the count of each distinct order_id in orders?",
+        "List the first rows of products ordered by sku.",
+        "List the first rows of orders ordered by order_id.",
+        "What are the distinct values of sku in products?",
+    ],
+}
+FIXTURE_FULL_MD_SHA256 = {
+    "flights": "534a884bd7a1dec639ef0976e0fc3bcd8d90fdacaa220e6ead2b0377a10368f0",
+    "retail": "e656811cbed82fe5d5d3b503a7fecd64290aa7e4b4f2f73bcdd4a9c9d8705e23",
+}
+
+
+def test_synthesized_fixture_memory_is_pinned(tmp_path, fixture_workspace):
+    """Questions, headers, full.md and composite names of the fixture synthesis."""
+    store = MemoryStore(tmp_path / "store")
+    for database_id, expected_texts in FIXTURE_QUESTIONS_AT_7.items():
+        schema = (fixture_workspace.db_dir(database_id) / "schema.sql").read_text(encoding="utf-8")
+        questions = generate_questions(database_id, schema, [], 7)
+        assert [q.text for q in questions] == expected_texts
+        entries = synthesize_memory(questions, fixture_workspace, store)
+        assert len(entries) == 7
+        first = entries[0]
+        assert [(seg.phase, seg.header) for seg in first.structured.segments] == [
+            (Phase.EXPLORATION, "Read the external knowledge file."),
+            (Phase.EXECUTION, "Attempt an aggregate query for the question."),
+        ]
+        digest = hashlib.sha256((first.path / "full.md").read_bytes()).hexdigest()
+        assert digest == FIXTURE_FULL_MD_SHA256[database_id]
+    corpus = [t for db in store.database_ids() for t in store.load_trajectories(db)]
+    assert [c.name for c in mine_composites(corpus, MinerConfig())] == ["get_ext_then_get_ddl"]

@@ -239,7 +239,7 @@ def test_save_result_cannot_overwrite_workspace_files(ctx, workspace, tmp_path):
     )
     assert [inv.succeeded for inv in invocations] == [False, False]
     assert [target.read_bytes() for target in targets] == before
-    assert ctx.saved_path is None
+    assert ctx.saved_rows is None
 
 
 @pytest.mark.parametrize(
