@@ -73,11 +73,11 @@ from .policies import (
 )
 from .retrieval import (
     HashingEmbedder,
-    cosine_similarity,
     filter_by_database,
     rank,
     select_from_entries,
     select_trajectory,
+    unit_cosine,
 )
 from .store import (
     MemoryEntry,

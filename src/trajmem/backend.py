@@ -2,12 +2,16 @@
 
 A failed or empty-result query is fed back to a refiner callback for one or
 more corrected attempts; every attempt is recorded so the invocation output
-can show the full trail.
+can show the full trail. Each query is bounded in time and in rows: one that
+runs past its time limit is interrupted, and one that returns more rows than
+the cap raises rather than being cut, so a runaway query fails like any
+other broken one.
 """
 
 from __future__ import annotations
 
 import sqlite3
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -18,6 +22,10 @@ from .errors import ConfigurationError
 Refiner = Callable[[str, str], "str | None"]
 
 _RENDERED_ROWS = 50
+QUERY_TIME_LIMIT_S = 10.0
+QUERY_MAX_ROWS = 100_000
+# SQLite virtual-machine instructions between two checks of the time limit.
+_PROGRESS_INTERVAL = 10_000
 
 
 @dataclass
@@ -37,16 +45,30 @@ class SqliteBackend:
         self.path = Path(path)
         if not self.path.is_file():
             raise ConfigurationError(f"database file not found: {self.path}")
+        self._deadline = 0.0
         # Read-only, and no ATTACH (which also covers VACUUM INTO): agent SQL
         # can neither change the database nor create a file.
         uri = f"file:{quote(str(self.path))}?mode=ro"
         self._conn = sqlite3.connect(uri, uri=True)
         self._conn.set_authorizer(_deny_attach)
+        # A true return interrupts the running statement, which then raises
+        # sqlite3.OperationalError("interrupted").
+        self._conn.set_progress_handler(
+            lambda: time.monotonic() > self._deadline, _PROGRESS_INTERVAL
+        )
 
     def execute(self, query: str) -> QueryResult:
+        """Rows of one query; raises ``sqlite3.OperationalError`` when the query
+        runs past ``QUERY_TIME_LIMIT_S`` or returns over ``QUERY_MAX_ROWS`` rows."""
+        self._deadline = time.monotonic() + QUERY_TIME_LIMIT_S
         cursor = self._conn.execute(query)
-        columns = [d[0] for d in cursor.description] if cursor.description else []
-        rows = [tuple(row) for row in cursor.fetchall()]
+        try:
+            columns = [d[0] for d in cursor.description] if cursor.description else []
+            rows = [tuple(row) for row in cursor.fetchmany(QUERY_MAX_ROWS + 1)]
+        finally:
+            cursor.close()
+        if len(rows) > QUERY_MAX_ROWS:
+            raise sqlite3.OperationalError(f"result has more than {QUERY_MAX_ROWS} rows")
         return QueryResult(columns=columns, rows=rows)
 
     def close(self) -> None:

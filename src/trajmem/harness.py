@@ -218,7 +218,8 @@ def load_questions_file(path: str | Path) -> list[QuestionRecord]:
     Every line is an object with at least id, text and database_id. Question
     ids name the run's output files and database ids name workspace
     directories: both must match ID_PATTERN, and question ids must be unique.
-    text and a given gold_csv are strings; a given script is an object.
+    text and a given gold_csv are strings, a given synthetic is a bool, and a
+    given script is an object whose fields ``QuestionScript.from_dict`` checks.
     """
     records: list[QuestionRecord] = []
     seen: set[str] = set()
@@ -248,19 +249,17 @@ def load_questions_file(path: str | Path) -> list[QuestionRecord]:
             raise ConfigurationError(f"{where}: gold_csv is not a string: {gold_csv!r}")
         if script is not None and not isinstance(script, dict):
             raise ConfigurationError(f"{where}: script is not an object: {script!r}")
+        synthetic = data.get("synthetic", False)
+        if not isinstance(synthetic, bool):
+            raise ConfigurationError(f"{where}: synthetic is not a bool: {synthetic!r}")
+        try:
+            parsed_script = QuestionScript.from_dict(script) if script else None
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{where}: {exc}") from None
         question = Question(
-            id=qid,
-            text=text,
-            database_id=data["database_id"],
-            synthetic=bool(data.get("synthetic", False)),
+            id=qid, text=text, database_id=data["database_id"], synthetic=synthetic
         )
-        records.append(
-            QuestionRecord(
-                question=question,
-                script=QuestionScript.from_dict(script) if script else None,
-                gold_csv=gold_csv,
-            )
-        )
+        records.append(QuestionRecord(question=question, script=parsed_script, gold_csv=gold_csv))
     return records
 
 

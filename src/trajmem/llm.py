@@ -3,19 +3,25 @@
 from __future__ import annotations
 
 import os
+import time
 from typing import Any, Callable
 
 import requests
 
 from .errors import EndpointError
 
+# Delay before retry n (n = 1, 2, ...): base * 2 ** (n - 1) seconds, capped.
+_BACKOFF_BASE_S = 0.5
+_BACKOFF_CAP_S = 8.0
+
 
 class ChatEndpoint:
     """POSTs chat messages to a JSON endpoint and extracts the reply text.
 
     The auth token is read from the environment variable named by
-    ``auth_env`` and sent as a bearer header when present. ``post`` is
-    injectable for tests.
+    ``auth_env`` and sent as a bearer header when present. A transient
+    failure is retried up to ``retries`` times after a capped exponential
+    backoff. ``post`` and ``sleep`` are injectable for tests.
     """
 
     def __init__(
@@ -26,6 +32,7 @@ class ChatEndpoint:
         timeout: float = 30.0,
         retries: int = 2,
         post: Callable[..., Any] | None = None,
+        sleep: Callable[[float], None] | None = None,
     ) -> None:
         self.url = url
         self.model = model
@@ -33,6 +40,7 @@ class ChatEndpoint:
         self.timeout = timeout
         self.retries = retries
         self._post = post or requests.post
+        self._sleep = sleep or time.sleep
 
     def complete(self, prompt: str, system: str | None = None) -> str:
         messages = []
@@ -45,7 +53,9 @@ class ChatEndpoint:
         if token:
             headers["Authorization"] = f"Bearer {token}"
         last_error: Exception | None = None
-        for _ in range(self.retries + 1):
+        for attempt in range(self.retries + 1):
+            if attempt:
+                self._sleep(min(_BACKOFF_CAP_S, _BACKOFF_BASE_S * 2 ** (attempt - 1)))
             try:
                 response = self._post(
                     self.url, json=payload, headers=headers, timeout=self.timeout

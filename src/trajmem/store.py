@@ -5,15 +5,26 @@ markdown, each segment headed by its first line of text (usually the lead
 thought), and is persisted atomically under
 ``store_root/<database_id>/<question_id>/`` as two files: ``meta.json``,
 which holds everything the code reads back, and ``full.md``, the whole
-markdown document for people to read.
+markdown document for people to read. No embedding is stored: retrieval
+computes it from the question text, and an ``embedding`` key that older
+stores wrote is ignored.
+
+A ``MemoryStore`` parses each entry once. It keeps the entries it has read,
+per database, stamped with the inode, modification time, status-change time
+and size of their ``meta.json``; each ``load_entries`` call lists the
+database directory, stats every ``meta.json`` and parses only what is new or
+changed.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
+import os
 import re
 import shutil
+import threading
 import uuid
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -35,6 +46,10 @@ _CORRUPT_ENTRY_ERRORS = (
     OSError, ValueError, LookupError, TypeError, AttributeError, TrajmemError
 )
 _T = TypeVar("_T")
+# (st_ino, st_mtime_ns, st_ctime_ns, st_size) of an entry's meta.json. An inode
+# alone would not do: persist frees the entry it replaces, so the inode can be
+# handed out again. The status-change time also moves on an in-place edit.
+_Stamp = tuple[int, int, int, int]
 
 
 def truncate_observation(text: str, limit: int = DEFAULT_OBSERVATION_LIMIT) -> str:
@@ -132,9 +147,14 @@ class MemoryEntry:
     question: Question
     database_id: str
     structured: StructuredTrajectory
-    embedding: list[float]
     created_at: str = ""
     path: Path | None = field(default=None, compare=False)
+    # Retrieval's vectors of the question text by (text, dimension). Shallow
+    # copies share it, which is safe because each value depends only on its
+    # key. It is never written to disk.
+    vector_memo: dict[tuple[str, int], dict[int, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.database_id != self.question.database_id:
@@ -161,6 +181,11 @@ class MemoryStore:
             )
         else:
             self.dimension = dimension
+        # database id -> entry directory name -> (stamp, entry, or None when
+        # the entry is corrupt). A stamp of None means meta.json is missing.
+        self._entries: dict[str, dict[str, tuple[_Stamp | None, MemoryEntry | None]]] = {}
+        # run_suite(workers > 1) shares one store between threads.
+        self._entries_lock = threading.Lock()
 
     # -- layout helpers -----------------------------------------------------
 
@@ -199,11 +224,6 @@ class MemoryStore:
 
     def persist(self, entry: MemoryEntry, trajectory: Trajectory | None = None) -> Path:
         """Atomically write an entry; a duplicate question id is overwritten."""
-        if len(entry.embedding) != self.dimension:
-            raise ConfigurationError(
-                f"embedding dimension {len(entry.embedding)} does not match "
-                f"store dimension {self.dimension}"
-            )
         for label, value in (("database", entry.database_id), ("question", entry.question.id)):
             if not ID_PATTERN.fullmatch(value):
                 raise StorageError(f"unsafe {label} id for storage: {value!r}")
@@ -232,7 +252,6 @@ class MemoryStore:
         meta: dict[str, Any] = {
             "question": entry.question.to_dict(),
             "database_id": entry.database_id,
-            "embedding": list(entry.embedding),
             "created_at": entry.created_at,
             "segments": [
                 {"phase": seg.phase.value, "header": seg.header, "body": seg.body}
@@ -248,67 +267,46 @@ class MemoryStore:
 
     # -- loading ------------------------------------------------------------
 
-    def _read_entries(
-        self, database_id: str, parse: Callable[[Path, dict[str, Any]], _T | None]
-    ) -> list[_T]:
-        """Parse every entry's ``meta.json`` in question-id order.
-
-        An entry whose ``meta.json`` is unreadable, is not a JSON object, or
-        fails ``parse`` is skipped with a warning; ``parse`` returning None
-        skips it silently.
-        """
-        db_dir = self.root / database_id
-        if not db_dir.is_dir():
+    def _entry_dirs(self, database_id: str) -> list[os.DirEntry]:
+        """The database's entry directories, sorted by name; hidden ones skipped."""
+        try:
+            with os.scandir(self.root / database_id) as listing:
+                found = [d for d in listing if not d.name.startswith(".") and d.is_dir()]
+        except (FileNotFoundError, NotADirectoryError):
             return []
-        parsed: list[_T] = []
-        for entry_path in sorted(db_dir.iterdir(), key=lambda p: p.name):
-            if not entry_path.is_dir() or entry_path.name.startswith("."):
-                continue
-            try:
-                meta = json.loads((entry_path / "meta.json").read_text(encoding="utf-8"))
-                if not isinstance(meta, dict):
-                    raise ValueError("meta.json does not hold a JSON object")
-                item = parse(entry_path, meta)
-            except _CORRUPT_ENTRY_ERRORS as exc:
-                logger.warning("skipping corrupt memory entry at %s: %s", entry_path, exc)
-                continue
-            if item is not None:
-                parsed.append(item)
-        return parsed
+        return sorted(found, key=lambda d: d.name)
 
     def load_entries(self, database_id: str) -> list[MemoryEntry]:
-        """All entries for a database in question-id order; corrupt ones skipped."""
-        return self._read_entries(database_id, self._parse_entry)
+        """All entries for a database in question-id order; corrupt ones skipped.
 
-    def _parse_entry(self, entry_path: Path, meta: dict[str, Any]) -> MemoryEntry | None:
-        question = Question.from_dict(meta["question"])
-        embedding = [float(v) for v in meta["embedding"]]
-        segments = [
-            StructuredSegment(
-                phase=Phase.parse(seg["phase"]), header=seg["header"], body=seg["body"]
-            )
-            for seg in meta["segments"]
-        ]
-        if len(embedding) != self.dimension:
-            logger.warning(
-                "skipping entry at %s: embedding dimension %d does not match store %d",
-                entry_path,
-                len(embedding),
-                self.dimension,
-            )
-            return None
-        return MemoryEntry(
-            question=question,
-            database_id=meta["database_id"],
-            structured=StructuredTrajectory(segments=segments),
-            embedding=embedding,
-            created_at=meta.get("created_at", ""),
-            path=entry_path,
-        )
+        Only entries whose ``meta.json`` is new or changed since the last
+        call are parsed. Each call returns shallow copies of the parsed
+        entries, so a caller that rebinds an entry's fields leaves the store's
+        copy as it was. A corrupt entry is logged once and parsed again only
+        when its ``meta.json`` changes. Entries that vanished are dropped.
+        """
+        with self._entries_lock:
+            known = self._entries.get(database_id, {})
+            current: dict[str, tuple[_Stamp | None, MemoryEntry | None]] = {}
+            for entry_dir in self._entry_dirs(database_id):
+                # Stat before reading, so a stamp is never newer than the
+                # content kept with it.
+                stamp = _stamp(os.path.join(entry_dir.path, "meta.json"))
+                cached = known.get(entry_dir.name)
+                if cached is None or cached[0] != stamp:
+                    cached = (stamp, _parse(entry_dir.path, _parse_entry))
+                current[entry_dir.name] = cached
+            self._entries[database_id] = current
+        return [copy.copy(entry) for _, entry in current.values() if entry is not None]
 
     def load_trajectories(self, database_id: str) -> list[Trajectory]:
-        """Raw classified trajectories stored alongside entries (for mining)."""
-        return self._read_entries(database_id, _stored_trajectory)
+        """Raw classified trajectories stored alongside entries (for mining),
+        read afresh on every call, in question-id order; corrupt ones skipped."""
+        parsed = (
+            _parse(entry_dir.path, _stored_trajectory)
+            for entry_dir in self._entry_dirs(database_id)
+        )
+        return [trajectory for trajectory in parsed if trajectory is not None]
 
     def load_phase_segment(self, entry: MemoryEntry, phase: Phase | None = None) -> str:
         """One phase's markdown (or the full document for None); reads no file."""
@@ -317,6 +315,46 @@ class MemoryStore:
         return entry.structured.phase_document(phase)
 
 
-def _stored_trajectory(entry_path: Path, meta: dict[str, Any]) -> Trajectory | None:
+def _parse(entry_dir: str, parse: Callable[[str, dict[str, Any]], _T | None]) -> _T | None:
+    """``parse`` applied to the entry's ``meta.json``.
+
+    An entry whose ``meta.json`` is unreadable, is not a JSON object, or
+    fails ``parse`` gives None and a warning; ``parse`` returning None skips
+    an entry silently.
+    """
+    try:
+        with open(os.path.join(entry_dir, "meta.json"), encoding="utf-8") as handle:
+            meta = json.load(handle)
+        if not isinstance(meta, dict):
+            raise ValueError("meta.json does not hold a JSON object")
+        return parse(entry_dir, meta)
+    except _CORRUPT_ENTRY_ERRORS as exc:
+        logger.warning("skipping corrupt memory entry at %s: %s", entry_dir, exc)
+        return None
+
+
+def _stamp(meta_path: str) -> _Stamp | None:
+    try:
+        stat = os.stat(meta_path)
+    except OSError:
+        return None
+    return (stat.st_ino, stat.st_mtime_ns, stat.st_ctime_ns, stat.st_size)
+
+
+def _parse_entry(entry_dir: str, meta: dict[str, Any]) -> MemoryEntry:
+    segments = [
+        StructuredSegment(phase=Phase.parse(seg["phase"]), header=seg["header"], body=seg["body"])
+        for seg in meta["segments"]
+    ]
+    return MemoryEntry(
+        question=Question.from_dict(meta["question"]),
+        database_id=meta["database_id"],
+        structured=StructuredTrajectory(segments=segments),
+        created_at=meta.get("created_at", ""),
+        path=Path(entry_dir),
+    )
+
+
+def _stored_trajectory(entry_dir: str, meta: dict[str, Any]) -> Trajectory | None:
     raw = meta.get("trajectory")
     return None if raw is None else Trajectory.from_dict(raw)

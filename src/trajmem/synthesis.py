@@ -5,7 +5,7 @@ database), with the remainder allocated by largest-remainder rounding over
 the workload distribution. Question texts come from fixed templates filled
 with the schema's tables and first columns. Each question is then explored
 by a restricted offline agent and the resulting trajectory is classified,
-structured, embedded, and persisted.
+structured and persisted.
 """
 
 from __future__ import annotations
@@ -198,10 +198,10 @@ def synthesize_memory(
 
     Episodes use the restricted registry (SQL plus file and schema reading;
     no validation or memory tools); answers are never checked.
-    Crashed episodes are logged and skipped.
+    Crashed episodes are logged and skipped. ``provider`` is not used:
+    entries store no embedding.
     """
     policy = policy or ExplorerPolicy()
-    provider = provider or HashingEmbedder(store.dimension)
     config = config or EpisodeConfig(memory_enabled=False, composites_enabled=False)
     registry = build_explorer_registry(config, policy)
     entries: list[MemoryEntry] = []
@@ -212,7 +212,6 @@ def synthesize_memory(
                 question=question,
                 database_id=question.database_id,
                 structured=structure_trajectory(result.trajectory),
-                embedding=provider.embed(question.text),
             )
             store.persist(entry, trajectory=result.trajectory)
             entries.append(entry)

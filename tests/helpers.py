@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from trajmem.model import Phase, Question, Step, ToolInvocation, Trajectory, append_step
-from trajmem.retrieval import HashingEmbedder
 from trajmem.store import MemoryEntry, StructuredTrajectory
 
 
@@ -61,9 +60,7 @@ def tool_trajectory(
     return trajectory(steps, question_id, database_id)
 
 
-def memory_entry(
-    question_id: str, database_id: str, text: str, provider: HashingEmbedder
-) -> MemoryEntry:
+def memory_entry(question_id: str, database_id: str, text: str) -> MemoryEntry:
     question = Question(
         id=question_id, text=text, database_id=database_id, synthetic=True
     )
@@ -71,6 +68,5 @@ def memory_entry(
         question=question,
         database_id=database_id,
         structured=StructuredTrajectory(segments=[]),
-        embedding=provider.embed(text),
         created_at="2026-01-01T00:00:00+00:00",
     )

@@ -2,15 +2,19 @@
 
 These deliberately restate the definitions with different code paths than
 the modules they verify: explicit window enumeration and per-candidate
-containment scans for mining, and an explicit filter-then-scan argmax for
-retrieval.
+containment scans for mining, and an explicit filter-then-scan argmax over
+dense cosine similarities for retrieval.
 """
 
 from __future__ import annotations
 
+import math
+import zlib
+from typing import Sequence
+
 from trajmem.mining import ToolSequence
 from trajmem.model import Phase, Question, Trajectory
-from trajmem.retrieval import HashingEmbedder, cosine_similarity
+from trajmem.retrieval import HashingEmbedder
 from trajmem.store import MemoryEntry
 
 
@@ -87,15 +91,46 @@ def brute_force_mine(
     }
 
 
+def reference_embed(text: str, dimension: int) -> list[float]:
+    """Hashed character trigrams, counted densely and L2-normalized."""
+    buckets = [0.0] * dimension
+    lowered = text.lower()
+    if len(lowered) < 3:
+        buckets[0] = 1.0
+    else:
+        for start in range(len(lowered) - 2):
+            trigram = lowered[start : start + 3]
+            buckets[zlib.crc32(trigram.encode("utf-8")) % dimension] += 1.0
+    return _dense_l2_normalize(buckets)
+
+
+def _dense_l2_normalize(vector: Sequence[float]) -> list[float]:
+    norm = math.sqrt(sum(v * v for v in vector))
+    if norm == 0.0:
+        return list(vector)
+    return [v / norm for v in vector]
+
+
+def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
+    """Cosine of the angle between two dense vectors, clamped to [-1, 1]."""
+    if len(a) != len(b):
+        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
+    na = _dense_l2_normalize(a)
+    nb = _dense_l2_normalize(b)
+    dot = sum(x * y for x, y in zip(na, nb))
+    return max(-1.0, min(1.0, dot))
+
+
 def brute_force_select(
     question: Question, entries: list[MemoryEntry], provider: HashingEmbedder
 ) -> MemoryEntry | None:
-    """Exhaustive scan: same-database filter, then argmax with id tie-break."""
+    """Exhaustive scan: same-database filter, then argmax of the dense cosine
+    between the query's and each entry's embedding, with id tie-break."""
     matching = [e for e in entries if e.database_id == question.database_id]
     if not matching:
         return None
     query = provider.embed(question.text)
-    scored = [(cosine_similarity(query, e.embedding), e) for e in matching]
+    scored = [(cosine_similarity(query, provider.embed(e.question.text)), e) for e in matching]
     best_score = max(score for score, _ in scored)
     tied = [e for score, e in scored if score == best_score]
     return min(tied, key=lambda e: e.question.id)

@@ -26,9 +26,10 @@ from trajmem.mining import MinerConfig, export_manifest, mine_composites
 from trajmem.model import Phase, Question
 from trajmem.retrieval import (
     HashingEmbedder,
-    cosine_similarity,
+    l2_normalize,
     select_from_entries,
     select_trajectory,
+    unit_cosine,
 )
 from trajmem.store import MemoryStore, StructuredTrajectory
 from trajmem.synthesis import (
@@ -120,7 +121,7 @@ def test_acceptance_retrieval_oracle_equivalence(tmp_path):
     for _ in range(1000):
         entries = [
             memory_entry(
-                f"q{i:02d}", rng.choice("ABC"), rng.choice(_VOCABULARY), PROVIDER
+                f"q{i:02d}", rng.choice("ABC"), rng.choice(_VOCABULARY)
             )
             for i in range(rng.randint(0, 20))
         ]
@@ -138,14 +139,14 @@ def test_acceptance_retrieval_oracle_equivalence(tmp_path):
     # Self-retrieval: similarity of a stored question with itself is 1.
     max_error = 0.0
     for text in _VOCABULARY:
-        vector = PROVIDER.embed(text)
-        max_error = max(max_error, abs(cosine_similarity(vector, vector) - 1.0))
+        vector = l2_normalize(PROVIDER.embed_sparse(text))
+        max_error = max(max_error, abs(unit_cosine(vector, vector) - 1.0))
     assert max_error <= 1e-9
 
     # Bind the on-disk path: select_trajectory over a persisted store.
     store = MemoryStore(tmp_path / "store")
     for i, text in enumerate(_VOCABULARY[:6]):
-        store.persist(memory_entry(f"q{i:02d}", "A", text, PROVIDER))
+        store.persist(memory_entry(f"q{i:02d}", "A", text))
     question = Question(id="probe", text=_VOCABULARY[2], database_id="A")
     selected = select_trajectory(question, store)
     expected = brute_force_select(question, store.load_entries("A"), PROVIDER)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -17,6 +18,7 @@ from trajmem.harness import (
 from trajmem.mining import MinedComposite, ToolSequence
 from trajmem.model import Phase, Question
 from trajmem.policies import Policy, PolicyDecision, QuestionScript, ScriptedPolicy
+import trajmem.store as store_module
 from trajmem.store import MemoryStore
 from trajmem.synthesis import synthesize_memory
 from trajmem.tools import Workspace
@@ -288,6 +290,41 @@ def test_run_suite_parallel_matches_serial(workspace, tmp_path):
     assert strip(serial.records) == strip(parallel.records)
 
 
+def test_run_suite_parallel_matches_serial_with_memory(workspace, tmp_path, monkeypatch):
+    store = MemoryStore(tmp_path / "store")
+    questions = [
+        Question(id=f"syn-{db}-{i:03d}", text=text, database_id=db, synthetic=True)
+        for db, texts in (
+            ("flights", ["How many rows are in flights?", "List the airports by country."]),
+            ("retail", ["What is the total quantity of orders?", "Which products cost most?"]),
+        )
+        for i, text in enumerate(texts, start=1)
+    ]
+    synthesize_memory(questions, workspace, store)
+    parsed = []
+    original = store_module._parse_entry
+    monkeypatch.setattr(
+        store_module,
+        "_parse_entry",
+        lambda entry_dir, meta: parsed.append(os.path.basename(entry_dir))
+        or original(entry_dir, meta),
+    )
+    records = load_questions_file(workspace.root / "questions.jsonl")
+    config = _config(memory_enabled=True)
+    serial = run_suite(records, workspace, tmp_path / "serial", config, store_root=store.root)
+    assert sorted(parsed) == sorted(q.id for q in questions)
+    parsed.clear()
+    parallel = run_suite(
+        records, workspace, tmp_path / "parallel", config, store_root=store.root, workers=4
+    )
+    # Four threads share one store, which parses each entry once.
+    assert sorted(parsed) == sorted(q.id for q in questions)
+    strip = lambda rs: [{**r.to_dict(), "wall_time_ms": 0} for r in rs]
+    assert strip(serial.records) == strip(parallel.records)
+    memory_off = run_suite(records, workspace, tmp_path / "off", _config())
+    assert sum(r.steps for r in serial.records) < sum(r.steps for r in memory_off.records)
+
+
 def test_run_suite_scores_wrong_answer_false(workspace, tmp_path):
     records = [
         r for r in load_questions_file(workspace.root / "questions.jsonl")
@@ -371,6 +408,20 @@ def test_questions_file_rejects_malformed_lines(tmp_path, line):
         {"gold_csv": ["gold/f2.csv"]},
         {"script": [1]},
         {"script": "main_sql"},
+        {"synthetic": "false"},
+        {"synthetic": 0},
+        {"synthetic": None},
+        {"script": {"probes": 5}},
+        {"script": {"probes": "SELECT 1"}},
+        {"script": {"probes": ["SELECT 1", 2]}},
+        {"script": {"main_sql": 5}},
+        {"script": {"answer": None}},
+        {"script": {"memory_mode": ["condensed"]}},
+        {"script": {"check": "false"}},
+        {"script": {"check": 1}},
+        {"script": {"refine": []}},
+        {"script": {"refine": "SELECT 1"}},
+        {"script": {"refine": {"SELECT 1": 5}}},
     ],
 )
 def test_questions_file_rejects_mistyped_fields(tmp_path, fields):
@@ -380,6 +431,17 @@ def test_questions_file_rejects_mistyped_fields(tmp_path, fields):
         handle.write(json.dumps(line) + "\n")
     with pytest.raises(ConfigurationError, match=r"questions\.jsonl line 2: " + next(iter(fields))):
         load_questions_file(path)
+
+
+def test_questions_file_reads_synthetic_as_a_json_bool(tmp_path):
+    path = tmp_path / "questions.jsonl"
+    lines = [
+        {"id": "a", "text": "t", "database_id": "flights"},
+        {"id": "b", "text": "t", "database_id": "flights", "synthetic": False},
+        {"id": "c", "text": "t", "database_id": "flights", "synthetic": True},
+    ]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    assert [r.question.synthetic for r in load_questions_file(path)] == [False, False, True]
 
 
 def test_questions_file_rejects_duplicate_ids(tmp_path):

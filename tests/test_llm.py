@@ -57,7 +57,7 @@ def test_chat_endpoint_retries_then_raises():
         attempts.append(1)
         raise OSError("refused")
 
-    endpoint = ChatEndpoint("http://fake", retries=2, post=post)
+    endpoint = ChatEndpoint("http://fake", retries=2, post=post, sleep=lambda _: None)
     with pytest.raises(EndpointError):
         endpoint.complete("x")
     assert len(attempts) == 3
@@ -77,9 +77,11 @@ def _http_response(status, body=b'{"content": "ok"}'):
     return response
 
 
-def _counting_endpoint(outcomes, retries=2):
-    """An endpoint whose post returns or raises the next outcome in turn."""
+def _counting_endpoint(outcomes, retries=2, delays=None):
+    """An endpoint whose post returns or raises the next outcome in turn;
+    its backoff delays are appended to ``delays`` instead of slept."""
     attempts = []
+    delays = [] if delays is None else delays
 
     def post(url, json=None, headers=None, timeout=None):
         outcome = outcomes[min(len(attempts), len(outcomes) - 1)]
@@ -88,7 +90,8 @@ def _counting_endpoint(outcomes, retries=2):
             raise outcome
         return outcome
 
-    return ChatEndpoint("http://fake", retries=retries, post=post), attempts
+    endpoint = ChatEndpoint("http://fake", retries=retries, post=post, sleep=delays.append)
+    return endpoint, attempts
 
 
 @pytest.mark.parametrize(
@@ -136,3 +139,28 @@ def test_chat_endpoint_does_not_retry_permanent_failures(outcome):
     with pytest.raises(EndpointError):
         endpoint.complete("x")
     assert len(attempts) == 1
+
+
+def test_chat_endpoint_backs_off_exponentially_up_to_a_cap():
+    delays = []
+    endpoint, attempts = _counting_endpoint(
+        [requests.ConnectionError("refused")], retries=7, delays=delays
+    )
+    with pytest.raises(EndpointError):
+        endpoint.complete("x")
+    assert len(attempts) == 8
+    assert delays == [0.5, 1.0, 2.0, 4.0, 8.0, 8.0, 8.0]
+
+
+def test_chat_endpoint_sleeps_only_between_attempts():
+    delays = []
+    endpoint, _ = _counting_endpoint(
+        [_http_response(500), _http_response(200)], retries=5, delays=delays
+    )
+    assert endpoint.complete("x") == "ok"
+    assert delays == [0.5]
+    delays.clear()
+    endpoint, _ = _counting_endpoint([_http_response(404)], retries=5, delays=delays)
+    with pytest.raises(EndpointError):
+        endpoint.complete("x")
+    assert delays == []

@@ -3,14 +3,19 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import os
 import shutil
+import sys
+import threading
+import time
 
 import pytest
 
+import trajmem.store as store_module
 from trajmem.classifier import classify_trajectory
 from trajmem.errors import ConfigurationError, StateError, StorageError
 from trajmem.model import Phase, Question
-from trajmem.retrieval import HashingEmbedder
+from trajmem.retrieval import HashingEmbedder, select_trajectory
 from trajmem.store import (
     MemoryEntry,
     MemoryStore,
@@ -21,7 +26,7 @@ from trajmem.store import (
     truncate_observation,
 )
 
-from helpers import step, trajectory
+from helpers import memory_entry, step, trajectory
 
 
 def test_truncate_under_limit_unchanged():
@@ -125,26 +130,24 @@ def test_heuristic_summarizer_uses_lead_thought():
     assert header == "read the schema"
 
 
-def _entry(store: MemoryStore):
+def _entry():
     question = _question()
     structured = structure_trajectory(_classified_fixture())
     return MemoryEntry(
         question=question,
         database_id=question.database_id,
         structured=structured,
-        embedding=HashingEmbedder(store.dimension).embed(question.text),
     )
 
 
 def test_persist_writes_two_files(tmp_path):
     store = MemoryStore(tmp_path / "store")
-    path = store.persist(_entry(store), trajectory=_classified_fixture())
+    path = store.persist(_entry(), trajectory=_classified_fixture())
     assert path == tmp_path / "store" / "sqlite_fixture" / "q001"
     assert sorted(p.name for p in path.iterdir()) == ["full.md", "meta.json"]
     assert sorted(json.loads((path / "meta.json").read_text())) == [
         "created_at",
         "database_id",
-        "embedding",
         "question",
         "segments",
         "trajectory",
@@ -153,13 +156,12 @@ def test_persist_writes_two_files(tmp_path):
 
 def test_persist_load_round_trip_is_byte_identical(tmp_path):
     store = MemoryStore(tmp_path / "store")
-    entry = _entry(store)
+    entry = _entry()
     path = store.persist(entry, trajectory=_classified_fixture())
     original = {p.name: p.read_bytes() for p in path.iterdir()}
 
     loaded = store.load_entries("sqlite_fixture")[0]
     assert loaded.question.text == entry.question.text
-    assert loaded.embedding == entry.embedding  # bitwise float equality
     assert loaded.created_at == entry.created_at
 
     second = MemoryStore(tmp_path / "second", dimension=store.dimension)
@@ -170,7 +172,7 @@ def test_persist_load_round_trip_is_byte_identical(tmp_path):
 
 def test_full_document_is_ordered_concatenation_of_phase_segments(tmp_path):
     store = MemoryStore(tmp_path / "store")
-    path = store.persist(_entry(store))
+    path = store.persist(_entry())
     entry = store.load_entries("sqlite_fixture")[0]
     full = (path / "full.md").read_text()
     exploration, execution, validation = (
@@ -184,7 +186,7 @@ def test_full_document_is_ordered_concatenation_of_phase_segments(tmp_path):
 
 def test_load_phase_segment_round_trips_through_persist(tmp_path):
     store = MemoryStore(tmp_path / "store")
-    entry = _entry(store)
+    entry = _entry()
     phases = [*Phase, None]
     before = {phase: store.load_phase_segment(entry, phase) for phase in phases}
     path = store.persist(entry, trajectory=_classified_fixture())
@@ -195,7 +197,7 @@ def test_load_phase_segment_round_trips_through_persist(tmp_path):
 
 def test_older_layout_loads_and_is_rewritten_as_two_files(tmp_path):
     store = MemoryStore(tmp_path / "store")
-    path = store.persist(_entry(store), trajectory=_classified_fixture())
+    path = store.persist(_entry(), trajectory=_classified_fixture())
     meta = json.loads((path / "meta.json").read_text())
     meta["step_count"] = 4
     (path / "meta.json").write_text(json.dumps(meta))
@@ -220,7 +222,6 @@ def test_load_entries_sorted_and_skips_corrupt(tmp_path, caplog):
             question=question,
             database_id="db1",
             structured=StructuredTrajectory(segments=[]),
-            embedding=HashingEmbedder(store.dimension).embed(question.text),
         )
         store.persist(entry)
     (tmp_path / "store" / "db1" / "q002" / "meta.json").write_text("{broken")
@@ -242,7 +243,7 @@ def test_load_entries_sorted_and_skips_corrupt(tmp_path, caplog):
 )
 def test_loaders_skip_and_log_corrupt_entry(tmp_path, caplog, bad_meta):
     store = MemoryStore(tmp_path / "store")
-    store.persist(_entry(store), trajectory=_classified_fixture())
+    store.persist(_entry(), trajectory=_classified_fixture())
     corrupt = tmp_path / "store" / "sqlite_fixture" / "q002"
     corrupt.mkdir()
     (corrupt / "meta.json").write_text(bad_meta)
@@ -256,7 +257,7 @@ def test_loaders_skip_and_log_corrupt_entry(tmp_path, caplog, bad_meta):
 
 def test_load_entries_skips_entry_whose_database_does_not_match(tmp_path, caplog):
     store = MemoryStore(tmp_path / "store")
-    path = store.persist(_entry(store))
+    path = store.persist(_entry())
     meta = json.loads((path / "meta.json").read_text())
     meta["database_id"] = "other_db"
     (path / "meta.json").write_text(json.dumps(meta))
@@ -267,10 +268,10 @@ def test_load_entries_skips_entry_whose_database_does_not_match(tmp_path, caplog
 
 def test_duplicate_question_id_overwrites(tmp_path):
     store = MemoryStore(tmp_path / "store")
-    first = _entry(store)
+    first = _entry()
     first.created_at = "2026-01-01T00:00:00+00:00"
     store.persist(first)
-    second = _entry(store)
+    second = _entry()
     second.created_at = "2026-02-02T00:00:00+00:00"
     store.persist(second)
     entries = store.load_entries("sqlite_fixture")
@@ -280,7 +281,7 @@ def test_duplicate_question_id_overwrites(tmp_path):
 
 def test_load_phase_segment_contents(tmp_path):
     store = MemoryStore(tmp_path / "store")
-    entry = _entry(store)
+    entry = _entry()
     path = store.persist(entry)
     exploration = [seg for seg in entry.structured.segments if seg.phase == Phase.EXPLORATION]
     assert store.load_phase_segment(entry, Phase.EXPLORATION) == "".join(
@@ -303,23 +304,15 @@ def test_load_phase_segment_absent_phase_is_empty(tmp_path):
         question=question,
         database_id=question.database_id,
         structured=structure_trajectory(t),
-        embedding=HashingEmbedder(store.dimension).embed(question.text),
     )
     store.persist(entry)
     assert store.load_phase_segment(entry, Phase.VALIDATION) == ""
 
 
-def test_persist_rejects_wrong_dimension(tmp_path):
-    store = MemoryStore(tmp_path / "store", dimension=8)
-    entry = _entry(MemoryStore(tmp_path / "other", dimension=16))
-    with pytest.raises(ConfigurationError):
-        store.persist(entry)
-
-
 @pytest.mark.parametrize("bad_id", ["../escaped", "a/b", ".hidden", "q001\n"])
 def test_persist_rejects_unsafe_question_id(tmp_path, bad_id):
     store = MemoryStore(tmp_path / "store")
-    entry = _entry(store)
+    entry = _entry()
     entry.question = dataclasses.replace(entry.question, id=bad_id)
     with pytest.raises(StorageError):
         store.persist(entry)
@@ -333,7 +326,6 @@ def test_store_config_dimension_mismatch(tmp_path):
             question=Question(id="q1", text="t", database_id="db"),
             database_id="db",
             structured=StructuredTrajectory(segments=[]),
-            embedding=HashingEmbedder(32).embed("t"),
         )
     )
     with pytest.raises(ConfigurationError):
@@ -347,13 +339,12 @@ def test_entry_database_must_match_question():
             question=question,
             database_id="some_other_db",
             structured=StructuredTrajectory(segments=[]),
-            embedding=[1.0],
         )
 
 
 def test_crash_before_rename_leaves_no_visible_entry(tmp_path, monkeypatch):
     store = MemoryStore(tmp_path / "store")
-    entry = _entry(store)
+    entry = _entry()
 
     def exploding(self, target, entry, trajectory):
         target.mkdir(parents=True, exist_ok=False)
@@ -365,3 +356,169 @@ def test_crash_before_rename_leaves_no_visible_entry(tmp_path, monkeypatch):
         store.persist(entry)
     assert not (tmp_path / "store" / "sqlite_fixture" / "q001").exists()
     assert store.load_entries("sqlite_fixture") == []
+
+
+# -- the per-store entry cache ---------------------------------------------------------
+
+
+def _persist_text(store: MemoryStore, question_id: str, text: str, database_id: str = "db1"):
+    return store.persist(memory_entry(question_id, database_id, text))
+
+
+def _selected(store: MemoryStore, text: str) -> str | None:
+    entry = select_trajectory(Question(id="probe", text=text, database_id="db1"), store)
+    return None if entry is None else entry.question.id
+
+
+def test_writes_through_a_second_store_are_seen_by_the_first(tmp_path):
+    reader = MemoryStore(tmp_path / "store")
+    writer = MemoryStore(tmp_path / "store")
+    query = "average departure delay per carrier"
+    _persist_text(writer, "q001", "list the airports by country")
+    assert _selected(reader, query) == "q001"
+
+    _persist_text(writer, "q002", "average departure delay per carrier")
+    assert _selected(reader, query) == "q002"
+
+    _persist_text(writer, "q002", "count the distinct products")
+    assert [e.question.text for e in reader.load_entries("db1")] == [
+        "list the airports by country",
+        "count the distinct products",
+    ]
+    assert _selected(reader, "list the airports") == "q001"
+    assert _selected(reader, "count the products") == "q002"
+
+    shutil.rmtree(tmp_path / "store" / "db1" / "q001")
+    assert [e.question.id for e in reader.load_entries("db1")] == ["q002"]
+    assert _selected(reader, "list the airports") == "q002"
+
+    shutil.rmtree(tmp_path / "store" / "db1")
+    assert reader.load_entries("db1") == []
+    assert _selected(reader, query) is None
+
+
+def test_in_place_edit_of_the_same_size_and_mtime_is_seen(tmp_path):
+    store = MemoryStore(tmp_path / "store")
+    meta_path = _persist_text(store, "q001", "list the airports by country") / "meta.json"
+    assert [e.question.text for e in store.load_entries("db1")] == ["list the airports by country"]
+    before = os.stat(meta_path)
+    # Past one tick of a coarse filesystem clock, so the status-change time moves.
+    time.sleep(0.05)
+    meta_path.write_text(meta_path.read_text().replace("airports", "carriers"))
+    os.utime(meta_path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(meta_path)
+    assert (after.st_ino, after.st_mtime_ns, after.st_size) == (
+        before.st_ino, before.st_mtime_ns, before.st_size
+    )
+    assert [e.question.text for e in store.load_entries("db1")] == ["list the carriers by country"]
+
+
+def test_corrupt_entry_is_logged_once_and_loads_once_repaired(tmp_path, caplog):
+    store = MemoryStore(tmp_path / "store")
+    good = _persist_text(store, "q001", "first question")
+    corrupt = tmp_path / "store" / "db1" / "q002"
+    corrupt.mkdir()
+    missing = tmp_path / "store" / "db1" / "q003"
+    missing.mkdir()
+    (corrupt / "meta.json").write_text("{broken")
+    with caplog.at_level(logging.WARNING):
+        for _ in range(10):
+            assert [e.question.id for e in store.load_entries("db1")] == ["q001"]
+    assert sum(str(corrupt) in r.getMessage() for r in caplog.records) == 1
+    assert sum(str(missing) in r.getMessage() for r in caplog.records) == 1
+
+    meta = json.loads((good / "meta.json").read_text())
+    for repaired in (corrupt, missing):
+        meta["question"]["id"] = repaired.name
+        (repaired / "meta.json").write_text(json.dumps(meta))
+    assert [e.question.id for e in store.load_entries("db1")] == ["q001", "q002", "q003"]
+
+
+def test_each_meta_json_is_parsed_once_per_store(tmp_path, monkeypatch):
+    writer = MemoryStore(tmp_path / "store")
+    for i in range(6):
+        _persist_text(writer, f"q{i:03d}", f"question number {i} about flights")
+    parsed = []
+    original = store_module._parse_entry
+
+    def counting(entry_dir, meta):
+        parsed.append(os.path.basename(entry_dir))
+        return original(entry_dir, meta)
+
+    monkeypatch.setattr(store_module, "_parse_entry", counting)
+    store = MemoryStore(tmp_path / "store")
+    for i in range(20):
+        _selected(store, f"question {i % 6} about flights")
+    assert sorted(parsed) == [f"q{i:03d}" for i in range(6)]
+
+    _persist_text(writer, "q003", "a rewritten question")
+    _persist_text(writer, "q006", "a new question")
+    for _ in range(5):
+        store.load_entries("db1")
+    assert sorted(parsed[6:]) == ["q003", "q006"]
+
+
+def test_threads_sharing_a_store_parse_each_entry_once(tmp_path, monkeypatch):
+    writer = MemoryStore(tmp_path / "store")
+    for i in range(100):
+        _persist_text(writer, f"q{i:03d}", f"question number {i}")
+    parsed = []
+    original = store_module._parse_entry
+    monkeypatch.setattr(
+        store_module,
+        "_parse_entry",
+        lambda entry_dir, meta: parsed.append(entry_dir) or original(entry_dir, meta),
+    )
+    store = MemoryStore(tmp_path / "store")
+    results = []
+    start = threading.Barrier(8, timeout=60)
+
+    def load():
+        start.wait()
+        results.append(store.load_entries("db1"))
+
+    threads = [threading.Thread(target=load) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(parsed) == len(set(parsed)) == 100
+    assert len(results) == 8
+    assert all([e.question.id for e in r] == [f"q{i:03d}" for i in range(100)] for r in results)
+
+
+def test_loaded_entries_are_copies_the_caller_may_change(tmp_path):
+    store = MemoryStore(tmp_path / "store")
+    _persist_text(store, "q001", "first question")
+    loaded = store.load_entries("db1")[0]
+    loaded.question = dataclasses.replace(loaded.question, id="changed")
+    assert [e.question.id for e in store.load_entries("db1")] == ["q001"]
+
+
+def test_older_embedding_key_is_ignored(tmp_path):
+    texts = ["list the airports by country", "average delay per carrier",
+             "count of distinct products", "orders per month in the north"]
+    plain = MemoryStore(tmp_path / "plain")
+    older = MemoryStore(tmp_path / "older")
+    for i, text in enumerate(texts):
+        _persist_text(plain, f"q{i:03d}", text)
+        path = _persist_text(older, f"q{i:03d}", text)
+        meta = json.loads((path / "meta.json").read_text())
+        assert "embedding" not in meta
+        # As older stores wrote it: the dense embedding between database_id and created_at.
+        meta = {
+            "question": meta["question"],
+            "database_id": meta["database_id"],
+            "embedding": HashingEmbedder(256).embed(text),
+            **{key: meta[key] for key in ("created_at", "segments")},
+        }
+        (path / "meta.json").write_text(json.dumps(meta, indent=2))
+    for query in texts + ["airports per country", "products", "delay", "north orders"]:
+        assert _selected(older, query) == _selected(plain, query)
+    assert older.load_entries("db1") == plain.load_entries("db1")

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import sqlite3
+import time
 
 import pytest
 
+import trajmem.backend as backend_module
 from trajmem.backend import SqliteBackend, execute_sql_with_refinement
 from trajmem.errors import ConfigurationError, WorkspaceSecurityError
 from trajmem.fixtures import build_fixture_workspace
@@ -275,6 +277,50 @@ def test_backend_opens_a_path_with_uri_characters(tmp_path):
         conn.execute("INSERT INTO t VALUES (1)")
     with SqliteBackend(path) as backend:
         assert backend.execute("SELECT a FROM t").rows == [(1,)]
+
+
+_COUNT_TO = "WITH RECURSIVE c(n) AS (SELECT 1 UNION ALL SELECT n + 1 FROM c WHERE n < {}) "
+
+
+def test_backend_interrupts_a_query_past_its_time_limit(workspace, monkeypatch):
+    monkeypatch.setattr(backend_module, "QUERY_TIME_LIMIT_S", 0.2)
+    runaway = _COUNT_TO.format(10**10) + "SELECT MAX(n) FROM c"
+    with SqliteBackend(workspace.db_path("flights")) as backend:
+        started = time.monotonic()
+        with pytest.raises(sqlite3.OperationalError, match="interrupted"):
+            backend.execute(runaway)
+        assert time.monotonic() - started < 5.0
+        assert backend.execute("SELECT COUNT(*) FROM flights").rows == [(36,)]
+
+
+def test_interrupted_query_goes_through_refinement(workspace, monkeypatch):
+    monkeypatch.setattr(backend_module, "QUERY_TIME_LIMIT_S", 0.2)
+    runaway = _COUNT_TO.format(10**10) + "SELECT MAX(n) FROM c"
+    with SqliteBackend(workspace.db_path("flights")) as backend:
+        outcome = execute_sql_with_refinement(
+            runaway, backend, refine=lambda query, feedback: "SELECT COUNT(*) FROM flights"
+        )
+    assert outcome.succeeded and outcome.result.rows == [(36,)]
+    assert "interrupted" in outcome.attempts[0].error
+
+
+def test_backend_raises_instead_of_truncating_a_large_result(workspace):
+    with SqliteBackend(workspace.db_path("flights")) as backend:
+        with pytest.raises(sqlite3.OperationalError, match="more than 100000 rows"):
+            backend.execute(_COUNT_TO.format(300_000) + "SELECT n FROM c")
+        assert len(backend.execute(_COUNT_TO.format(100_000) + "SELECT n FROM c").rows) == 100_000
+
+
+def test_backend_row_cap_is_exact(workspace, monkeypatch):
+    monkeypatch.setattr(backend_module, "QUERY_MAX_ROWS", 5)
+    with SqliteBackend(workspace.db_path("flights")) as backend:
+        assert backend.execute(_COUNT_TO.format(5) + "SELECT n FROM c").rows == [
+            (1,), (2,), (3,), (4,), (5,)
+        ]
+        outcome = execute_sql_with_refinement(
+            _COUNT_TO.format(6) + "SELECT n FROM c", backend, retry_limit=0
+        )
+    assert not outcome.succeeded and "more than 5 rows" in outcome.error
 
 
 # -- SQL self-refinement --------------------------------------------------------------
