@@ -6,6 +6,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .classifier import DEFAULT_RULE_TABLE, classify_trajectory, load_rule_table, segment_trajectory
@@ -239,12 +240,14 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     store = MemoryStore(args.store)
     question = Question(id="query", text=args.question, database_id=args.db)
     entry = select_trajectory(question, store)
+    # Entries taken from the index, meta.json files parsed, entries skipped as corrupt.
+    counts = asdict(store.counts)
     if entry is None:
-        _emit(args, {"entry": None}, "(no stored entry for this database)")
+        _emit(args, {"entry": None, "entries": counts}, "(no stored entry for this database)")
         return 0
     _emit(
         args,
-        {"entry": str(entry.path), "question_id": entry.question.id},
+        {"entry": str(entry.path), "question_id": entry.question.id, "entries": counts},
         f"{entry.path}",
     )
     return 0

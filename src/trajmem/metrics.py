@@ -6,9 +6,8 @@ import json
 import math
 import statistics
 from dataclasses import dataclass, field
-from itertools import permutations
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .errors import StructuralError
 from .model import Phase, Trajectory
@@ -188,11 +187,35 @@ def execution_accuracy(
         return False
     if width > _MAX_PERMUTED_COLUMNS:
         return _multiset_match(predicted, gold)
-    for order in permutations(range(width)):
-        permuted = [[row[i] for i in order] for row in predicted]
-        if _multiset_match(permuted, gold):
-            return True
-    return False
+    # A column order can match only if each predicted column it puts under a
+    # gold column matches that column on its own, so only orders built from
+    # such pairs are tried (the pruning of test-suite-sql-eval's result_eq).
+    return any(
+        _multiset_match([[row[i] for i in order] for row in predicted], gold)
+        for order in _column_orders(predicted, gold, {})
+    )
+
+
+def _column_orders(
+    predicted: list[list[Any]],
+    gold: list[list[Any]],
+    fits: dict[tuple[int, int], bool],
+    chosen: tuple[int, ...] = (),
+) -> Iterator[tuple[int, ...]]:
+    """Every order of distinct predicted columns whose j-th column matches
+    gold column j on its own. ``fits`` keeps each (predicted, gold) column
+    pair's match, so no pair is compared twice."""
+    width, j = len(gold[0]), len(chosen)
+    if j == width:
+        yield chosen
+        return
+    for i in range(width):
+        if i in chosen:
+            continue
+        if (i, j) not in fits:
+            fits[i, j] = _multiset_match([[row[i]] for row in predicted], [[row[j]] for row in gold])
+        if fits[i, j]:
+            yield from _column_orders(predicted, gold, fits, chosen + (i,))
 
 
 # -- stage composition -----------------------------------------------------------

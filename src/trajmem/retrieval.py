@@ -6,75 +6,29 @@ similarity to the query embedding, breaking exact ties by the
 lexicographically smallest question id. Questions are always embedded by
 ``HashingEmbedder``, the one deterministic embedder.
 
-Embeddings are not stored. An entry's vector is computed from its question
-text the first time the entry is scored and memoized on the entry, sparse:
-only its nonzero buckets (about 45 of 256 for a fixture question), in
-ascending bucket order. Scoring is the arithmetic of a dense cosine: both
-vectors are L2-normalized once more, as the dense cosine normalizes its
-inputs, and the products of the buckets they share are summed in ascending
-bucket order. The buckets they do not share would add only ``+0.0`` to a
-non-negative sum, so every score equals the dense cosine to the last bit.
+Embeddings are not stored. An entry's vector is memoized on the entry,
+sparse: only its nonzero buckets (about 45 of 256 for a fixture question),
+in ascending bucket order. The store fills the memo from the trigram counts
+in its index; otherwise the question text is embedded the first time the
+entry is scored. Either way the vector is ``l2_normalize`` of the unit
+vector of the same integer counts. Scoring is the arithmetic of a dense
+cosine: both vectors are L2-normalized once more, as the dense cosine
+normalizes its inputs, and the products of the buckets they share are
+summed in ascending bucket order. The buckets they do not share would add
+only ``+0.0`` to a non-negative sum, so every score equals the dense cosine
+to the last bit.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
-import zlib
-from collections import Counter
 from typing import Iterable, Mapping, TypeVar
 
+from .embedding import HashingEmbedder, l2_normalize
 from .model import Question
 from .store import MemoryEntry, MemoryStore
 
-DEFAULT_DIMENSION = 256
-
 K = TypeVar("K")
-
-
-def l2_normalize(vector: Mapping[int, float]) -> dict[int, float]:
-    """Scale a sparse vector (bucket -> value) to unit length, buckets kept in order."""
-    norm = math.sqrt(sum(v * v for v in vector.values()))
-    if norm == 0.0:
-        return dict(vector)
-    return {bucket: v / norm for bucket, v in vector.items()}
-
-
-class HashingEmbedder:
-    """The one question embedder: hashed character trigrams.
-
-    Lowercased character trigrams are counted into ``dimension`` buckets via
-    CRC32 and the bucket vector is L2-normalized. Texts too short to yield a
-    trigram map to the zero-information convention vector (all mass in
-    bucket 0).
-    """
-
-    def __init__(self, dimension: int = DEFAULT_DIMENSION) -> None:
-        if dimension < 1:
-            raise ValueError("embedding dimension must be positive")
-        self._dimension = dimension
-
-    def dimension(self) -> int:
-        return self._dimension
-
-    def embed_sparse(self, text: str) -> dict[int, float]:
-        """The embedding's nonzero buckets, in ascending bucket order."""
-        lowered = text.lower()
-        counts = Counter(
-            zlib.crc32(lowered[i : i + 3].encode("utf-8")) % self._dimension
-            for i in range(len(lowered) - 2)
-        ) or Counter({0: 1})
-        # The counts are integers, so the sum of their squares is exact and
-        # equals the float sum over the dense vector in any order.
-        norm = math.sqrt(sum(count * count for count in counts.values()))
-        return {bucket: counts[bucket] / norm for bucket in sorted(counts)}
-
-    def embed(self, text: str) -> list[float]:
-        """The embedding as ``dimension`` floats."""
-        dense = [0.0] * self._dimension
-        for bucket, value in self.embed_sparse(text).items():
-            dense[bucket] = value
-        return dense
 
 
 def unit_cosine(a: Mapping[int, float], b: Mapping[int, float]) -> float:
@@ -136,7 +90,14 @@ def select_from_entries(
 
 
 def select_trajectory(question: Question, store: MemoryStore) -> MemoryEntry | None:
-    """Select the stored entry to reuse for a question (Eq. filter + argmax)."""
-    return select_from_entries(
-        question, store.load_entries(question.database_id), HashingEmbedder(store.dimension)
-    )
+    """Select the stored entry to reuse for a question (Eq. filter + argmax).
+
+    The winner's segments are read before it is returned. A winner taken
+    from the store's index whose ``meta.json`` changed since, or does not
+    parse, is dropped and the selection redone over the entries that parse.
+    """
+    provider = HashingEmbedder(store.dimension)
+    while True:
+        entry = select_from_entries(question, store.load_entries(question.database_id), provider)
+        if entry is None or store.read_segments(entry):
+            return entry

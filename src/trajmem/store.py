@@ -5,15 +5,22 @@ markdown, each segment headed by its first line of text (usually the lead
 thought), and is persisted atomically under
 ``store_root/<database_id>/<question_id>/`` as two files: ``meta.json``,
 which holds everything the code reads back, and ``full.md``, the whole
-markdown document for people to read. No embedding is stored: retrieval
-computes it from the question text, and an ``embedding`` key that older
-stores wrote is ignored.
+markdown document for people to read. No embedding is stored in
+``meta.json``, and an ``embedding`` key that older stores wrote is ignored.
 
-A ``MemoryStore`` parses each entry once. It keeps the entries it has read,
-per database, stamped with the inode, modification time, status-change time
-and size of their ``meta.json``; each ``load_entries`` call lists the
-database directory, stats every ``meta.json`` and parses only what is new or
-changed.
+Every write also appends a line to the database's index,
+``store_root/<database_id>/.index.jsonl``: the question, ``created_at``,
+the stamp (inode, modification time, status-change time, size) of the
+``meta.json`` just written and the question's hashed-trigram counts. The
+index is a derived cache; deleting it only costs full parses.
+
+A ``MemoryStore`` reads each database's index once, on its first load of
+that database. An entry whose ``meta.json`` still has its line's stamp is
+taken from the line, with its retrieval vector rebuilt from the counts, and
+its segments are read from ``meta.json`` only when first needed. Every other
+entry is parsed from ``meta.json`` in full. The store keeps what it read,
+per database, stamped; each later ``load_entries`` call lists the database
+directory, stats every ``meta.json`` and parses only what is new or changed.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from pathlib import Path
 from typing import Any, Callable, TypeVar
 
 from .classifier import Segment, segment_trajectory
+from .embedding import HashingEmbedder, l2_normalize, unit_vector
 from .errors import ConfigurationError, StateError, StorageError, TrajmemError
 from .model import ID_PATTERN, Phase, Question, Step, Trajectory
 
@@ -41,6 +49,9 @@ DEFAULT_OBSERVATION_LIMIT = 2000
 _HEADER_MAX_CHARS = 120
 
 _FULL_FILE = "full.md"
+_INDEX_FILE = ".index.jsonl"
+# The index is first checked for dead lines once it reaches this size.
+_COMPACT_FROM = 4096
 # What an unreadable, damaged or hand-edited entry raises while it is parsed.
 _CORRUPT_ENTRY_ERRORS = (
     OSError, ValueError, LookupError, TypeError, AttributeError, TrajmemError
@@ -91,11 +102,43 @@ class StructuredSegment:
     body: str
 
 
-@dataclass
 class StructuredTrajectory:
-    """Phase-segmented markdown rendering of a trajectory."""
+    """Phase-segmented markdown rendering of a trajectory.
 
-    segments: list[StructuredSegment]
+    An entry that a store took from its index gets one built with ``read``
+    in place of ``segments``: the segments are read from the entry's
+    ``meta.json`` the first time they are asked for. Shallow copies of the
+    entry share this object, and so share the read.
+    """
+
+    def __init__(
+        self,
+        segments: list[StructuredSegment] | None = None,
+        read: Callable[[], list[StructuredSegment]] | None = None,
+    ) -> None:
+        if (segments is None) == (read is None):
+            raise ValueError("give either segments or a reader of them")
+        self._segments = segments
+        self._read = read
+
+    @property
+    def segments(self) -> list[StructuredSegment]:
+        if self._segments is None:
+            self._segments = self._read()
+        return self._segments
+
+    @property
+    def loaded(self) -> bool:
+        return self._segments is not None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StructuredTrajectory):
+            return NotImplemented
+        return self.segments == other.segments
+
+    def __repr__(self) -> str:
+        shown = self._segments if self.loaded else "<unread>"
+        return f"StructuredTrajectory(segments={shown!r})"
 
     @property
     def full_document(self) -> str:
@@ -166,6 +209,17 @@ class MemoryEntry:
             self.created_at = datetime.now(timezone.utc).isoformat()
 
 
+@dataclass
+class LoadCounts:
+    """What a store's loads did with the entries they met: took them from
+    the index, parsed a ``meta.json`` (a winner's segments included), or
+    skipped them as corrupt."""
+
+    indexed: int = 0
+    parsed: int = 0
+    corrupt: int = 0
+
+
 class MemoryStore:
     """Per-database on-disk layout of memory entries with atomic writes."""
 
@@ -183,9 +237,16 @@ class MemoryStore:
             self.dimension = dimension
         # database id -> entry directory name -> (stamp, entry, or None when
         # the entry is corrupt). A stamp of None means meta.json is missing.
+        # A database gets its dict, from its index, on its first load.
         self._entries: dict[str, dict[str, tuple[_Stamp | None, MemoryEntry | None]]] = {}
+        # database id -> entries this store wrote there before its first
+        # load. It keeps no copy of them, so a writer that never reads holds
+        # nothing; the first load parses them in full instead of taking
+        # them from the index, so they come back with their segments.
+        self._written: dict[str, set[str]] = {}
         # run_suite(workers > 1) shares one store between threads.
         self._entries_lock = threading.Lock()
+        self.counts = LoadCounts()
 
     # -- layout helpers -----------------------------------------------------
 
@@ -223,7 +284,11 @@ class MemoryStore:
     # -- persistence --------------------------------------------------------
 
     def persist(self, entry: MemoryEntry, trajectory: Trajectory | None = None) -> Path:
-        """Atomically write an entry; a duplicate question id is overwritten."""
+        """Atomically write an entry; a duplicate question id is overwritten.
+
+        When the new version cannot be moved into place, the old one is put
+        back. The entry is then indexed and kept in this store's cache.
+        """
         for label, value in (("database", entry.database_id), ("question", entry.question.id)):
             if not ID_PATTERN.fullmatch(value):
                 raise StorageError(f"unsafe {label} id for storage: {value!r}")
@@ -233,21 +298,34 @@ class MemoryStore:
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             self._write_store_config()
-            self._materialize(tmp, entry, trajectory)
+            stamp = self._materialize(tmp, entry, trajectory)
             if final.exists():
                 final.replace(old)
-            tmp.replace(final)
+            try:
+                tmp.replace(final)
+            except OSError:
+                if old.exists():
+                    old.replace(final)
+                raise
         except OSError as exc:
             raise StorageError(f"persist failed for {entry.question.id!r}: {exc}") from exc
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
-            shutil.rmtree(old, ignore_errors=True)
+            if final.exists():  # a failed put-back leaves the old version under .old-*
+                shutil.rmtree(old, ignore_errors=True)
         entry.path = final
+        self._append_index(entry, stamp)
+        with self._entries_lock:
+            if entry.database_id in self._entries:
+                self._entries[entry.database_id][final.name] = (stamp, copy.copy(entry))
+            else:
+                self._written.setdefault(entry.database_id, set()).add(final.name)
         return final
 
     def _materialize(
         self, target: Path, entry: MemoryEntry, trajectory: Trajectory | None
-    ) -> None:
+    ) -> _Stamp:
+        """Write the entry's two files into ``target``; the stamp of its meta.json."""
         target.mkdir(parents=True, exist_ok=False)
         meta: dict[str, Any] = {
             "question": entry.question.to_dict(),
@@ -260,10 +338,80 @@ class MemoryStore:
         }
         if trajectory is not None:
             meta["trajectory"] = trajectory.to_dict()
-        (target / "meta.json").write_text(
-            json.dumps(meta, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-        )
+        meta_path = target / "meta.json"
+        meta_path.write_text(json.dumps(meta, ensure_ascii=False) + "\n", encoding="utf-8")
         (target / _FULL_FILE).write_text(entry.structured.full_document, encoding="utf-8")
+        return _stamp_of(os.stat(meta_path))
+
+    # -- the index ------------------------------------------------------------
+
+    def _append_index(self, entry: MemoryEntry, stamp: _Stamp) -> None:
+        """Add the entry's line to its database's index. A line that cannot be
+        written only costs a full parse of the entry later."""
+        counts = HashingEmbedder(self.dimension).trigram_counts(entry.question.text)
+        line = json.dumps(
+            {
+                "question": entry.question.to_dict(),
+                "database_id": entry.database_id,
+                "created_at": entry.created_at,
+                "stamp": list(stamp),
+                "dimension": self.dimension,
+                # Bucket, count, bucket, count, ... in ascending bucket order.
+                "counts": [number for pair in sorted(counts.items()) for number in pair],
+            },
+            ensure_ascii=False,
+            separators=(",", ":"),
+        ).encode("utf-8") + b"\n"
+        index = self.root / entry.database_id / _INDEX_FILE
+        try:
+            with open(index, "ab") as handle:
+                handle.write(line)
+                size = handle.tell()
+        except OSError as exc:
+            logger.warning("could not index memory entry %s: %s", entry.path, exc)
+            return
+        # Each time the file grows past a power of two, see whether most of
+        # it is dead lines; that keeps the cost per append constant.
+        if size >= _COMPACT_FROM and (size - len(line)).bit_length() < size.bit_length():
+            self._compact_index(entry.database_id, size)
+
+    def _read_index(self, database_id: str) -> dict[str, tuple[dict[str, Any], bytes]]:
+        """Entry directory name -> (line, its bytes) for the last well-formed
+        line of that entry in the database's index; torn or garbage lines are
+        skipped."""
+        lines: dict[str, tuple[dict[str, Any], bytes]] = {}
+        try:
+            with open(self.root / database_id / _INDEX_FILE, "rb") as handle:
+                for raw in handle:
+                    try:
+                        line = json.loads(raw)
+                        lines[line["question"]["id"]] = (line, raw)
+                    except (ValueError, LookupError, TypeError):
+                        continue
+        except OSError:
+            pass
+        return lines
+
+    def _compact_index(self, database_id: str, size: int) -> None:
+        """Rewrite the index with only the lines that still match their entry's
+        ``meta.json``, when those take at most half of its ``size`` bytes. A
+        line another writer appends meanwhile is lost, which only costs a
+        full parse."""
+        database_dir = self.root / database_id
+        live = b"".join(
+            raw.rstrip(b"\n") + b"\n"
+            for name, (line, raw) in self._read_index(database_id).items()
+            if line.get("stamp") == list(_stamp(database_dir / name / "meta.json") or ())
+        )
+        if 2 * len(live) > size:
+            return
+        tmp = database_dir / f".tmp-index-{uuid.uuid4().hex[:8]}"
+        try:
+            tmp.write_bytes(live)
+            tmp.replace(database_dir / _INDEX_FILE)
+        except OSError as exc:
+            tmp.unlink(missing_ok=True)
+            logger.warning("could not compact memory index of %s: %s", database_dir, exc)
 
     # -- loading ------------------------------------------------------------
 
@@ -279,14 +427,25 @@ class MemoryStore:
     def load_entries(self, database_id: str) -> list[MemoryEntry]:
         """All entries for a database in question-id order; corrupt ones skipped.
 
-        Only entries whose ``meta.json`` is new or changed since the last
-        call are parsed. Each call returns shallow copies of the parsed
-        entries, so a caller that rebinds an entry's fields leaves the store's
-        copy as it was. A corrupt entry is logged once and parsed again only
-        when its ``meta.json`` changes. Entries that vanished are dropped.
+        The first call reads the database's index: an entry whose
+        ``meta.json`` still has the stamp of its index line is taken from
+        the line, and its segments are read only when asked for. Later calls
+        parse only entries whose ``meta.json`` is new or changed since the
+        store last saw it. Each call returns shallow copies of the cached
+        entries, so a caller that rebinds an entry's fields leaves the
+        store's copy as it was. A corrupt entry is logged once and parsed
+        again only when its ``meta.json`` changes. Entries that vanished are
+        dropped.
         """
+        database_dir = self.root / database_id
         with self._entries_lock:
-            known = self._entries.get(database_id, {})
+            known = self._entries.get(database_id)
+            indexed = {}
+            if known is None:
+                known = {}
+                indexed = self._read_index(database_id)
+                for name in self._written.pop(database_id, ()):
+                    indexed.pop(name, None)
             current: dict[str, tuple[_Stamp | None, MemoryEntry | None]] = {}
             for entry_dir in self._entry_dirs(database_id):
                 # Stat before reading, so a stamp is never newer than the
@@ -294,67 +453,149 @@ class MemoryStore:
                 stamp = _stamp(os.path.join(entry_dir.path, "meta.json"))
                 cached = known.get(entry_dir.name)
                 if cached is None or cached[0] != stamp:
-                    cached = (stamp, _parse(entry_dir.path, _parse_entry))
+                    path = database_dir / entry_dir.name
+                    line, _ = indexed.get(entry_dir.name, (None, b""))
+                    entry = None
+                    if line is not None and stamp is not None and line.get("stamp") == list(stamp):
+                        entry = self._from_index(path, line)
+                    cached = (stamp, entry or self._parse(path, _parse_entry))
                 current[entry_dir.name] = cached
             self._entries[database_id] = current
         return [copy.copy(entry) for _, entry in current.values() if entry is not None]
+
+    def _from_index(self, entry_dir: Path, line: dict[str, Any]) -> MemoryEntry | None:
+        """The entry an index line describes, its vector rebuilt from the
+        line's counts; None when the line is damaged."""
+        try:
+            entry = _parse_entry(entry_dir, line)
+            numbers = iter(line["counts"])
+            # The arithmetic of retrieval's l2_normalize(embed_sparse(text)).
+            vector = l2_normalize(unit_vector(dict(zip(numbers, numbers))))
+            entry.vector_memo[(entry.question.text, line["dimension"])] = vector
+        except _CORRUPT_ENTRY_ERRORS:
+            return None
+        self.counts.indexed += 1
+        return entry
+
+    def read_segments(self, entry: MemoryEntry) -> bool:
+        """Make sure an entry's segments are in memory, reading them from its
+        ``meta.json`` if the entry came from the index.
+
+        False when the file changed since it was indexed or does not parse.
+        The entry is then dropped from the cache, so the next
+        ``load_entries`` parses it in full.
+        """
+        if entry.structured.loaded:
+            return True
+        with self._entries_lock:
+            self.counts.parsed += 1
+        try:
+            entry.structured.segments
+            return True
+        except StorageError as exc:
+            logger.warning("%s", exc)
+        with self._entries_lock:
+            self._entries.get(entry.database_id, {}).pop(entry.path.name, None)
+        return False
 
     def load_trajectories(self, database_id: str) -> list[Trajectory]:
         """Raw classified trajectories stored alongside entries (for mining),
         read afresh on every call, in question-id order; corrupt ones skipped."""
         parsed = (
-            _parse(entry_dir.path, _stored_trajectory)
+            self._parse(entry_dir.path, _stored_trajectory)
             for entry_dir in self._entry_dirs(database_id)
         )
         return [trajectory for trajectory in parsed if trajectory is not None]
 
     def load_phase_segment(self, entry: MemoryEntry, phase: Phase | None = None) -> str:
-        """One phase's markdown (or the full document for None); reads no file."""
+        """One phase's markdown (or the full document for None); reads no
+        file unless the entry's segments were never read."""
         if phase is None:
             return entry.structured.full_document
         return entry.structured.phase_document(phase)
 
+    def _parse(
+        self, entry_dir: str | Path, parse: Callable[[Any, dict[str, Any]], _T | None]
+    ) -> _T | None:
+        """``parse`` applied to the entry's ``meta.json``.
 
-def _parse(entry_dir: str, parse: Callable[[str, dict[str, Any]], _T | None]) -> _T | None:
-    """``parse`` applied to the entry's ``meta.json``.
+        An entry whose ``meta.json`` is unreadable, is not a JSON object, or
+        fails ``parse`` gives None and a warning; ``parse`` returning None
+        skips an entry silently.
+        """
+        self.counts.parsed += 1
+        try:
+            with open(os.path.join(entry_dir, "meta.json"), encoding="utf-8") as handle:
+                meta = json.load(handle)
+            if not isinstance(meta, dict):
+                raise ValueError("meta.json does not hold a JSON object")
+            return parse(entry_dir, meta)
+        except _CORRUPT_ENTRY_ERRORS as exc:
+            self.counts.corrupt += 1
+            logger.warning("skipping corrupt memory entry at %s: %s", entry_dir, exc)
+            return None
 
-    An entry whose ``meta.json`` is unreadable, is not a JSON object, or
-    fails ``parse`` gives None and a warning; ``parse`` returning None skips
-    an entry silently.
-    """
-    try:
-        with open(os.path.join(entry_dir, "meta.json"), encoding="utf-8") as handle:
-            meta = json.load(handle)
-        if not isinstance(meta, dict):
-            raise ValueError("meta.json does not hold a JSON object")
-        return parse(entry_dir, meta)
-    except _CORRUPT_ENTRY_ERRORS as exc:
-        logger.warning("skipping corrupt memory entry at %s: %s", entry_dir, exc)
-        return None
 
-
-def _stamp(meta_path: str) -> _Stamp | None:
-    try:
-        stat = os.stat(meta_path)
-    except OSError:
-        return None
+def _stamp_of(stat: os.stat_result) -> _Stamp:
     return (stat.st_ino, stat.st_mtime_ns, stat.st_ctime_ns, stat.st_size)
 
 
-def _parse_entry(entry_dir: str, meta: dict[str, Any]) -> MemoryEntry:
-    segments = [
-        StructuredSegment(phase=Phase.parse(seg["phase"]), header=seg["header"], body=seg["body"])
-        for seg in meta["segments"]
-    ]
+def _stamp(meta_path: str | Path) -> _Stamp | None:
+    try:
+        return _stamp_of(os.stat(meta_path))
+    except OSError:
+        return None
+
+
+def _parse_entry(entry_dir: Path, meta: dict[str, Any]) -> MemoryEntry:
+    """The entry that a ``meta.json`` or an index line describes.
+
+    An index line holds no segments. The entry gets a reader of them that
+    takes them from ``meta.json`` only while the file keeps the line's stamp.
+    """
+    question = Question.from_dict(meta["question"])
+    if "segments" in meta:
+        structured = StructuredTrajectory(segments=_segments(meta))
+    else:
+        stamp = tuple(meta["stamp"])
+        structured = StructuredTrajectory(
+            read=lambda: _read_segments(entry_dir, stamp, question)
+        )
     return MemoryEntry(
-        question=Question.from_dict(meta["question"]),
+        question=question,
         database_id=meta["database_id"],
-        structured=StructuredTrajectory(segments=segments),
+        structured=structured,
         created_at=meta.get("created_at", ""),
-        path=Path(entry_dir),
+        path=entry_dir,
     )
 
 
-def _stored_trajectory(entry_dir: str, meta: dict[str, Any]) -> Trajectory | None:
+def _segments(meta: dict[str, Any]) -> list[StructuredSegment]:
+    return [
+        StructuredSegment(phase=Phase.parse(seg["phase"]), header=seg["header"], body=seg["body"])
+        for seg in meta["segments"]
+    ]
+
+
+def _read_segments(entry_dir: Path, stamp: tuple, question: Question) -> list[StructuredSegment]:
+    """The segments of an indexed entry, from a ``meta.json`` that still has
+    the index line's stamp and holds the line's question."""
+    try:
+        with open(os.path.join(entry_dir, "meta.json"), encoding="utf-8") as handle:
+            if _stamp_of(os.fstat(handle.fileno())) != stamp:
+                raise ValueError("meta.json changed since it was indexed")
+            meta = json.load(handle)
+        if not isinstance(meta, dict):
+            raise ValueError("meta.json does not hold a JSON object")
+        if Question.from_dict(meta["question"]) != question or (
+            meta["database_id"] != question.database_id
+        ):
+            raise ValueError("meta.json does not match its index line")
+        return _segments(meta)
+    except _CORRUPT_ENTRY_ERRORS as exc:
+        raise StorageError(f"cannot read memory entry at {entry_dir}: {exc}") from exc
+
+
+def _stored_trajectory(entry_dir: str | Path, meta: dict[str, Any]) -> Trajectory | None:
     raw = meta.get("trajectory")
     return None if raw is None else Trajectory.from_dict(raw)

@@ -8,14 +8,18 @@ dense cosine similarities for retrieval.
 
 from __future__ import annotations
 
+import json
 import math
 import zlib
+from itertools import permutations
+from pathlib import Path
 from typing import Sequence
 
+from trajmem.metrics import _cells_equal
 from trajmem.mining import ToolSequence
 from trajmem.model import Phase, Question, Trajectory
 from trajmem.retrieval import HashingEmbedder
-from trajmem.store import MemoryEntry
+from trajmem.store import MemoryEntry, StructuredSegment, StructuredTrajectory
 
 
 def _flat(trajectory: Trajectory) -> list[tuple[str, Phase]]:
@@ -134,3 +138,47 @@ def brute_force_select(
     best_score = max(score for score, _ in scored)
     tied = [e for score, e in scored if score == best_score]
     return min(tied, key=lambda e: e.question.id)
+
+
+def entries_on_disk(database_dir: Path) -> list[MemoryEntry]:
+    """Every entry under a database directory whose meta.json parses, read
+    with ``json`` alone: no store, no cache and no index."""
+    entries = []
+    for entry_dir in sorted(database_dir.iterdir() if database_dir.is_dir() else []):
+        if entry_dir.name.startswith(".") or not entry_dir.is_dir():
+            continue
+        try:
+            meta = json.loads((entry_dir / "meta.json").read_text(encoding="utf-8"))
+            question = Question(**meta["question"])
+            segments = [
+                StructuredSegment(Phase(seg["phase"]), seg["header"], seg["body"])
+                for seg in meta["segments"]
+            ]
+            if meta["database_id"] == question.database_id:
+                entries.append(
+                    MemoryEntry(question, meta["database_id"], StructuredTrajectory(segments),
+                                meta["created_at"], entry_dir)
+                )
+        except (OSError, ValueError, LookupError, TypeError):
+            continue
+    return entries
+
+
+def brute_force_execution_accuracy(
+    predicted: list[list[object]], gold: list[list[object]]
+) -> bool:
+    """Some column order and some row pairing make every cell equal."""
+    if len(predicted) != len(gold):
+        return False
+    if not gold:
+        return True
+    width = len(gold[0])
+    return any(
+        all(
+            _cells_equal(row[column], gold_row[j])
+            for row, gold_row in zip(paired, gold)
+            for j, column in enumerate(columns)
+        )
+        for columns in permutations(range(width))
+        for paired in permutations(predicted)
+    )

@@ -296,3 +296,48 @@ def test_config_naming_schema_link_budget_still_runs(tmp_path):
         plain.pop("wall_time_ms")
         old.pop("wall_time_ms")
         assert plain == old
+
+
+def test_retrieve_json_reports_what_the_load_did(pipeline_dirs, capsys):
+    ws, store, _ = pipeline_dirs
+    capsys.readouterr()
+    assert main(
+        ["--json", "retrieve", "--question", "How many rows are in flights?",
+         "--db", "flights", "--store", str(store)]
+    ) == 0
+    payload = json.loads(capsys.readouterr().out)
+    entries = len([p for p in (store / "flights").iterdir() if not p.name.startswith(".")])
+    # Every entry comes from the index; only the winner's meta.json is parsed.
+    assert payload["entries"] == {"indexed": entries, "parsed": 1, "corrupt": 0}
+
+    (store / "flights" / "broken").mkdir()
+    (store / "flights" / "broken" / "meta.json").write_text("{broken")
+    assert main(
+        ["--json", "retrieve", "--question", "anything",
+         "--db", "flights", "--store", str(store)]
+    ) == 0
+    assert json.loads(capsys.readouterr().out)["entries"] == {
+        "indexed": entries, "parsed": 2, "corrupt": 1
+    }
+
+
+def test_synth_on_an_existing_store_parses_no_indexed_entry(pipeline_dirs, monkeypatch):
+    import trajmem.cli as cli_module
+
+    ws, store, _ = pipeline_dirs
+    stores = []
+    original = cli_module.MemoryStore
+
+    def recording(*args, **kwargs):
+        stores.append(original(*args, **kwargs))
+        return stores[-1]
+
+    monkeypatch.setattr(cli_module, "MemoryStore", recording)
+    before = len([p for db in store.iterdir() if db.is_dir() for p in db.iterdir()
+                  if not p.name.startswith(".")])
+    assert main(
+        ["synth", "--workspace", str(ws), "--budget", "4", "--store", str(store)]
+    ) == 0
+    (synth_store,) = stores
+    assert synth_store.counts.parsed == 0
+    assert synth_store.counts.indexed == before

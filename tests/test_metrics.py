@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trajmem.metrics as metrics_module
 from trajmem.classifier import classify_trajectory
 from trajmem.errors import StructuralError
 from trajmem.metrics import (
@@ -17,6 +18,7 @@ from trajmem.metrics import (
 )
 
 from helpers import step, trajectory
+from oracles import brute_force_execution_accuracy
 
 
 def test_identical_tables_match():
@@ -109,6 +111,39 @@ def test_ex_is_unchanged_by_permuting_prediction_columns(tables, data):
     order = data.draw(st.permutations(range(width)))
     permuted = [[row[i] for i in order] for row in predicted]
     assert execution_accuracy(permuted, gold) == execution_accuracy(predicted, gold)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gold_and_prediction(max_width=5), st.data())
+def test_ex_agrees_with_brute_force(tables, data):
+    gold, predicted = tables
+    # Half the time, a column order of the gold rows with one cell nudged.
+    if gold and data.draw(st.booleans()):
+        order = data.draw(st.permutations(range(len(gold[0]))))
+        predicted = [[row[i] for i in order] for row in reversed(gold)]
+        row = data.draw(st.integers(0, len(gold) - 1))
+        predicted[row][data.draw(st.integers(0, len(order) - 1))] = data.draw(_CELLS)
+    assert execution_accuracy(predicted, gold) == brute_force_execution_accuracy(predicted, gold)
+
+
+def test_near_miss_tries_only_column_orders_built_from_matching_columns(monkeypatch):
+    # 8 columns x 20 rows, the prediction's columns in another order and one
+    # cell off: no column order matches, and all 8! of them used to be tried.
+    gold = [[f"{column}-{row}" for column in range(8)] for row in range(20)]
+    predicted = [list(reversed(row)) for row in gold]
+    predicted[7][3] = "off"
+    calls = []
+    original = metrics_module._multiset_match
+    monkeypatch.setattr(
+        metrics_module, "_multiset_match",
+        lambda predicted, gold: calls.append(len(gold[0])) or original(predicted, gold),
+    )
+    assert execution_accuracy(predicted, gold) is False
+    assert len(calls) <= 8 * 8 + 1
+    predicted[7][3] = gold[7][4]
+    calls.clear()
+    assert execution_accuracy(predicted, gold) is True
+    assert calls.count(8) == 1 and len(calls) <= 8 * 8 + 1
 
 
 def _record(qid, phases, steps=None, **kwargs):

@@ -1,21 +1,26 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import logging
 import os
 import shutil
 import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trajmem.store as store_module
 from trajmem.classifier import classify_trajectory
 from trajmem.errors import ConfigurationError, StateError, StorageError
 from trajmem.model import Phase, Question
-from trajmem.retrieval import HashingEmbedder, select_trajectory
+from trajmem.retrieval import HashingEmbedder, l2_normalize, select_trajectory
 from trajmem.store import (
     MemoryEntry,
     MemoryStore,
@@ -27,6 +32,7 @@ from trajmem.store import (
 )
 
 from helpers import memory_entry, step, trajectory
+from oracles import brute_force_select, entries_on_disk
 
 
 def test_truncate_under_limit_unchanged():
@@ -522,3 +528,241 @@ def test_older_embedding_key_is_ignored(tmp_path):
     for query in texts + ["airports per country", "products", "delay", "north orders"]:
         assert _selected(older, query) == _selected(plain, query)
     assert older.load_entries("db1") == plain.load_entries("db1")
+
+
+def test_failed_overwrite_keeps_the_stored_entry(tmp_path, monkeypatch):
+    store = MemoryStore(tmp_path / "store")
+    _persist_text(store, "q001", "list the airports by country")
+    original = Path.replace
+
+    def replace(self, target):
+        if self.name.startswith(".tmp-q001-"):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return original(self, target)
+
+    monkeypatch.setattr(Path, "replace", replace)
+    with pytest.raises(StorageError):
+        _persist_text(store, "q001", "count the distinct products")
+    monkeypatch.undo()
+    assert sorted(p.name for p in (tmp_path / "store" / "db1").iterdir()
+                  if not p.name.startswith(".index")) == ["q001"]
+    assert [e.question.text for e in MemoryStore(tmp_path / "store").load_entries("db1")] == [
+        "list the airports by country"
+    ]
+
+
+# -- the per-database index ------------------------------------------------------------
+
+
+def _index(tmp_path, database_id="db1"):
+    return tmp_path / "store" / database_id / ".index.jsonl"
+
+
+def _cold_selection(tmp_path, text: str) -> tuple[str | None, MemoryStore]:
+    store = MemoryStore(tmp_path / "store")
+    return _selected(store, text), store
+
+
+def _expected(tmp_path, text: str) -> str | None:
+    question = Question(id="probe", text=text, database_id="db1")
+    entry = brute_force_select(question, entries_on_disk(tmp_path / "store" / "db1"),
+                               HashingEmbedder(256))
+    return None if entry is None else entry.question.id
+
+
+_TEXTS = ["list the airports by country", "average departure delay per carrier",
+          "count the distinct products", "total revenue per region"]
+
+
+def _persist_all(tmp_path):
+    writer = MemoryStore(tmp_path / "store")
+    for i, text in enumerate(_TEXTS):
+        _persist_text(writer, f"q{i:03d}", text)
+    return writer
+
+
+def test_persist_appends_one_index_line_per_write(tmp_path):
+    path = _persist_all(tmp_path).entry_dir("db1", "q001")
+    lines = [json.loads(line) for line in _index(tmp_path).read_text().splitlines()]
+    assert [line["question"]["id"] for line in lines] == ["q000", "q001", "q002", "q003"]
+    meta = os.stat(path / "meta.json")
+    assert lines[1]["stamp"] == [meta.st_ino, meta.st_mtime_ns, meta.st_ctime_ns, meta.st_size]
+    counts = HashingEmbedder(256).trigram_counts(_TEXTS[1])
+    assert lines[1]["counts"] == [n for pair in sorted(counts.items()) for n in pair]
+    # meta.json is written compact, on one line.
+    assert (path / "meta.json").read_text().count("\n") == 1
+
+
+def test_cold_selection_parses_only_the_winner(tmp_path, monkeypatch):
+    _persist_all(tmp_path)
+    opened = []
+    original = store_module.json.load
+    monkeypatch.setattr(store_module.json, "load",
+                        lambda handle: opened.append(handle.name) or original(handle))
+    selected, store = _cold_selection(tmp_path, "departure delay per carrier")
+    assert selected == "q001"
+    assert opened == [str(tmp_path / "store" / "db1" / "q001" / "meta.json")]
+    assert store.counts == store_module.LoadCounts(indexed=4, parsed=1, corrupt=0)
+    entry = store.load_entries("db1")[1]
+    assert entry.structured.loaded and entry.path == tmp_path / "store" / "db1" / "q001"
+
+
+def test_indexed_vectors_equal_the_embedded_ones_bit_for_bit(tmp_path):
+    _persist_all(tmp_path)
+    for entry in MemoryStore(tmp_path / "store").load_entries("db1"):
+        ((key, vector),) = entry.vector_memo.items()
+        assert key == (entry.question.text, 256)
+        assert list(vector.items()) == list(
+            l2_normalize(HashingEmbedder(256).embed_sparse(entry.question.text)).items()
+        )
+
+
+def test_crash_between_rename_and_index_append_still_selects_the_entry(tmp_path, monkeypatch):
+    _persist_all(tmp_path)
+
+    def crash(self, entry, stamp):
+        raise KeyboardInterrupt  # the process dies before the line is written
+
+    monkeypatch.setattr(MemoryStore, "_append_index", crash)
+    with pytest.raises(KeyboardInterrupt):
+        _persist_text(MemoryStore(tmp_path / "store"), "q004", "orders per month in the north")
+    monkeypatch.undo()
+    selected, store = _cold_selection(tmp_path, "orders per month")
+    assert selected == "q004"
+    assert store.counts == store_module.LoadCounts(indexed=4, parsed=1, corrupt=0)
+
+
+@pytest.mark.parametrize("tail", [b'{"question":{"id":"q0', b"\x00\xffgarbage\n", b"[1, 2]\n"])
+def test_torn_or_garbage_last_line_is_skipped(tmp_path, tail):
+    _persist_all(tmp_path)
+    index = _index(tmp_path)
+    lines = index.read_bytes().splitlines(keepends=True)
+    index.write_bytes(b"".join(lines[:-1]) + lines[-1][:40] + b"\n" + tail)
+    for text in _TEXTS:
+        selected, store = _cold_selection(tmp_path, text)
+        assert selected == _expected(tmp_path, text)
+    # Only the entry whose line was torn is parsed in full.
+    assert store.counts.indexed == 3
+
+
+def test_deleted_index_falls_back_to_full_parses(tmp_path):
+    _persist_all(tmp_path)
+    _index(tmp_path).unlink()
+    for text in _TEXTS:
+        selected, store = _cold_selection(tmp_path, text)
+        assert selected == _expected(tmp_path, text)
+        assert store.counts == store_module.LoadCounts(indexed=0, parsed=4, corrupt=0)
+
+
+def test_same_size_edit_with_mtime_set_back_ignores_the_stale_line(tmp_path):
+    _persist_all(tmp_path)
+    meta_path = tmp_path / "store" / "db1" / "q000" / "meta.json"
+    before = os.stat(meta_path)
+    time.sleep(0.05)
+    meta_path.write_text(meta_path.read_text().replace("airports", "carriers"))
+    os.utime(meta_path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert os.stat(meta_path).st_size == before.st_size
+    store = MemoryStore(tmp_path / "store")
+    assert store.load_entries("db1")[0].question.text == "list the carriers by country"
+    assert store.counts == store_module.LoadCounts(indexed=3, parsed=1, corrupt=0)
+
+
+def test_winner_changed_after_load_is_dropped_and_the_selection_redone(tmp_path):
+    _persist_all(tmp_path)
+    store = MemoryStore(tmp_path / "store")
+    store.load_entries("db1")
+    (tmp_path / "store" / "db1" / "q001" / "meta.json").write_text("{broken")
+    assert _selected(store, "departure delay per carrier") == _expected(
+        tmp_path, "departure delay per carrier"
+    )
+    assert [e.question.id for e in store.load_entries("db1")] == ["q000", "q002", "q003"]
+
+
+def test_a_second_store_persisting_while_the_first_is_warm(tmp_path):
+    first = _persist_all(tmp_path)
+    reader = MemoryStore(tmp_path / "store")
+    assert _selected(reader, "count the products") == "q002"
+    second = MemoryStore(tmp_path / "store")
+    _persist_text(second, "q002", "orders per month in the north")
+    _persist_text(second, "q004", "count the distinct products")
+    parsed = reader.counts.parsed
+    for text in _TEXTS + ["orders per month"]:
+        assert _selected(reader, text) == _expected(tmp_path, text)
+    # The two new versions are parsed in full, once each, and the segments of
+    # the three indexed winners not read before are read once each.
+    assert reader.counts.parsed - parsed == 5
+    assert reader.counts.indexed == 4
+    assert _selected(first, "orders per month") == "q002"
+
+
+def test_overwrites_keep_the_index_bounded(tmp_path):
+    writer = _persist_all(tmp_path)
+    for i in range(100):
+        _persist_text(writer, "q001", f"average departure delay per carrier {i % 7}")
+    assert _index(tmp_path).stat().st_size < 2 * store_module._COMPACT_FROM
+    selected, store = _cold_selection(tmp_path, "departure delay per carrier 5")
+    assert selected == "q001"
+    assert store.counts == store_module.LoadCounts(indexed=4, parsed=1, corrupt=0)
+
+
+_OPERATION = st.one_of(
+    st.tuples(st.just("persist"), st.integers(0, 5), st.sampled_from(
+        _TEXTS + ["orders per month in the north", "group by region", "group by region totals"]
+    )),
+    st.tuples(st.just("corrupt"), st.integers(0, 5), st.just("")),
+    st.tuples(st.just("delete"), st.integers(0, 5), st.just("")),
+    st.tuples(st.just("drop index"), st.just(0), st.just("")),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_OPERATION, max_size=12), st.sampled_from(_TEXTS))
+def test_index_equivalence_under_writes_damage_and_deletion(operations, query):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        writer = MemoryStore(root / "store")
+        warm = MemoryStore(root / "store")
+        for name, number, text in operations:
+            entry_dir = root / "store" / "db1" / f"q{number:03d}"
+            if name == "persist":
+                entry = memory_entry(f"q{number:03d}", "db1", text)
+                entry.structured = StructuredTrajectory(
+                    segments=[store_module.StructuredSegment(Phase.EXPLORATION, text, text)]
+                )
+                writer.persist(entry)
+            elif name == "corrupt" and entry_dir.is_dir():
+                (entry_dir / "meta.json").write_text('{"question": 5}')
+            elif name == "delete":
+                shutil.rmtree(entry_dir, ignore_errors=True)
+            elif name == "drop index":
+                (root / "store" / "db1" / ".index.jsonl").unlink(missing_ok=True)
+            question = Question(id="probe", text=query, database_id="db1")
+            expected = brute_force_select(
+                question, entries_on_disk(root / "store" / "db1"), HashingEmbedder(256)
+            )
+            for store in (warm, MemoryStore(root / "store")):
+                got = select_trajectory(question, store)
+                if expected is None:
+                    assert got is None
+                else:
+                    assert (got.question, got.path) == (expected.question, expected.path)
+                    assert got.structured == expected.structured
+
+
+def test_segments_of_an_entry_rewritten_since_its_load_are_not_read(tmp_path):
+    _persist_all(tmp_path)
+    reader = MemoryStore(tmp_path / "store")
+    stale = reader.load_entries("db1")[1]
+    rewritten = memory_entry("q001", "db1", _TEXTS[1])
+    rewritten.created_at = "2026-02-02T00:00:00+00:00"
+    rewritten.structured = StructuredTrajectory(
+        segments=[store_module.StructuredSegment(Phase.EXPLORATION, "new", "new body")]
+    )
+    MemoryStore(tmp_path / "store").persist(rewritten)
+    # Same question, so only the stamp tells the versions apart: the stale
+    # entry's created_at must not be joined to the new version's segments.
+    with pytest.raises(StorageError):
+        stale.structured.segments
+    assert not reader.read_segments(stale)
+    winner = select_trajectory(Question(id="probe", text=_TEXTS[1], database_id="db1"), reader)
+    assert (winner.created_at, winner.structured) == (rewritten.created_at, rewritten.structured)
