@@ -74,7 +74,6 @@ from .policies import (
 from .retrieval import (
     HashingEmbedder,
     filter_by_database,
-    rank,
     select_from_entries,
     select_trajectory,
     unit_cosine,

@@ -77,8 +77,7 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     workspace = Workspace(args.workspace)
-    dimension = int(_config_value(args, "embedding_dimension", 256))
-    store = MemoryStore(args.store, dimension=dimension)
+    store = MemoryStore(args.store)
 
     if args.workload:
         distribution = QueryDistribution.from_workload_file(args.workload)
@@ -177,8 +176,13 @@ def _build_policy(args: argparse.Namespace, records) -> Policy | None:
 def cmd_run(args: argparse.Namespace) -> int:
     workspace = Workspace(args.workspace)
     records = load_questions_file(args.questions)
+    max_steps = (
+        args.max_steps
+        if args.max_steps is not None
+        else int(_config_value(args, "max_planner_steps", 30))
+    )
     config = EpisodeConfig(
-        max_planner_steps=int(_config_value(args, "max_planner_steps", args.max_steps)),
+        max_planner_steps=max_steps,
         sql_retry_limit=int(_config_value(args, "sql_retry_limit", 1)),
         memory_enabled=not args.no_memory,
         composites_enabled=not args.no_composites,
@@ -314,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--no-memory", action="store_true")
     p.add_argument("--no-composites", action="store_true")
-    p.add_argument("--max-steps", type=int, default=30)
+    p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument(
         "--policy",

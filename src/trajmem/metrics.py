@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import statistics
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .errors import StructuralError
 from .model import Phase, Trajectory
 
 _REL_TOL = 1e-6
 _ABS_TOL = 1e-9
-_MAX_PERMUTED_COLUMNS = 8
+_MAX_COLUMN_ORDERS = 40_320  # 8!: whole column orders tried before EX scores False
 
 
 @dataclass
@@ -130,40 +132,39 @@ def _multiset_match(predicted: list[list[Any]], gold: list[list[Any]]) -> bool:
     a pairing whenever one exists.
     """
     owner: list[int | None] = [None] * len(gold)  # gold index -> predicted row
-    return all(_augment(row, predicted, gold, owner) for row in range(len(predicted)))
+
+    def equal(row: int, index: int) -> bool:
+        return _rows_equal(predicted[row], gold[index])
+
+    return all(_augment(row, equal, owner) for row in range(len(predicted)))
 
 
 def _augment(
-    start: int, predicted: list[list[Any]], gold: list[list[Any]], owner: list[int | None]
+    start: int, equal: Callable[[int, int], bool], owner: list[int | None]
 ) -> bool:
-    """Breadth-first search for a path from ``start`` to a free gold row
-    that alternates unpaired and paired edges; flip it if found.
-
-    Each row looks at the free gold rows first and compares a paired gold
-    row only when no free one is equal, so an answer already in gold order
-    costs one comparison per row instead of one per earlier row.
+    """Breadth-first search for a path from predicted item ``start`` to a free
+    gold item that alternates unpaired and paired ``equal`` edges; flip it if
+    found. Each item looks at the free gold items first, so an answer already
+    in gold order costs one comparison per item instead of one per earlier one.
     """
-    reached_from: dict[int, int] = {}  # gold index -> predicted row
+    reached_from: dict[int, int] = {}  # gold index -> predicted item
     queue = [start]
-    for row in queue:
+    for item in queue:
         index = next(
-            (i for i, taken in enumerate(owner)
-             if taken is None and _rows_equal(predicted[row], gold[i])),
+            (i for i, taken in enumerate(owner) if taken is None and equal(item, i)),
             None,
         )
         if index is not None:
-            reached_from[index] = row
-            while index is not None:  # each row on the path takes the next gold row
-                row = reached_from[index]
-                previous = None if row == start else owner.index(row)
-                owner[index] = row
+            reached_from[index] = item
+            while index is not None:  # each item on the path takes the next gold item
+                item = reached_from[index]
+                previous = None if item == start else owner.index(item)
+                owner[index] = item
                 index = previous
             return True
         for index, taken in enumerate(owner):
-            if taken is not None and index not in reached_from and _rows_equal(
-                predicted[row], gold[index]
-            ):
-                reached_from[index] = row
+            if taken is not None and index not in reached_from and equal(item, index):
+                reached_from[index] = item
                 queue.append(taken)
     return False
 
@@ -173,7 +174,8 @@ def execution_accuracy(
     gold_rows: Sequence[Sequence[Any]],
 ) -> bool:
     """True iff some column permutation of the prediction matches the gold rows
-    as multisets, with 1e-6 relative tolerance on numerics and trimmed text."""
+    as multisets, with 1e-6 relative tolerance on numerics and trimmed text.
+    At most 8! column orders are compared row by row."""
     if predicted_rows is None:
         return False
     predicted = [list(row) for row in predicted_rows]
@@ -185,37 +187,43 @@ def execution_accuracy(
     width = len(gold[0])
     if any(len(row) != width for row in gold) or any(len(row) != width for row in predicted):
         return False
-    if width > _MAX_PERMUTED_COLUMNS:
-        return _multiset_match(predicted, gold)
     # A column order can match only if each predicted column it puts under a
     # gold column matches that column on its own, so only orders built from
     # such pairs are tried (the pruning of test-suite-sql-eval's result_eq).
+    @functools.cache
+    def fit(column: int, index: int) -> bool:
+        return _multiset_match([[row[column]] for row in predicted], [[row[index]] for row in gold])
+
+    # Without one whole order of fitting columns, no column order matches.
+    order: list[int | None] = [None] * width  # gold column -> predicted column
+    if not all(_augment(column, fit, order) for column in range(width)):
+        return False
     return any(
-        _multiset_match([[row[i] for i in order] for row in predicted], gold)
-        for order in _column_orders(predicted, gold, {})
+        _multiset_match([[row[i] for i in found] for row in predicted], gold)
+        for found in islice(_column_orders(fit, order), _MAX_COLUMN_ORDERS)
     )
 
 
 def _column_orders(
-    predicted: list[list[Any]],
-    gold: list[list[Any]],
-    fits: dict[tuple[int, int], bool],
-    chosen: tuple[int, ...] = (),
-) -> Iterator[tuple[int, ...]]:
-    """Every order of distinct predicted columns whose j-th column matches
-    gold column j on its own. ``fits`` keeps each (predicted, gold) column
-    pair's match, so no pair is compared twice."""
-    width, j = len(gold[0]), len(chosen)
-    if j == width:
-        yield chosen
+    fit: Callable[[int, int], bool], order: list[int | None], j: int = 0
+) -> Iterator[list[int | None]]:
+    """Every order of distinct predicted columns, each fitting its gold
+    column, that keeps the first ``j`` columns of ``order``, itself one such
+    order. A column put under gold column j is first made part of a whole
+    order by an augmenting path for the gold column it leaves, so every
+    branch entered ends in an order: the work grows with the orders yielded.
+    """
+    if j == len(order):
+        yield order
         return
-    for i in range(width):
-        if i in chosen:
-            continue
-        if (i, j) not in fits:
-            fits[i, j] = _multiset_match([[row[i]] for row in predicted], [[row[j]] for row in gold])
-        if fits[i, j]:
-            yield from _column_orders(predicted, gold, fits, chosen + (i,))
+    for column in order[j:]:
+        if column == order[j]:
+            yield from _column_orders(fit, order, j + 1)
+        elif fit(column, j):
+            placed = list(order)
+            placed[placed.index(column)], placed[j] = None, column
+            if _augment(order[j], lambda item, index: index > j and fit(item, index), placed):
+                yield from _column_orders(fit, placed, j + 1)
 
 
 # -- stage composition -----------------------------------------------------------

@@ -196,7 +196,10 @@ class QuestionScript:
             refine=dict(
                 _script_field(data, "refine", {}, "an object of strings", _is_str_object)
             ),
-            memory_mode=_script_field(data, "memory_mode", "condensed", "a string", _is_str),
+            memory_mode=_script_field(
+                data, "memory_mode", "condensed", "condensed or skip_exploration",
+                lambda v: v in ("condensed", "skip_exploration"),
+            ),
         )
 
 

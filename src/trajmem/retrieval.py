@@ -21,14 +21,11 @@ to the last bit.
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterable, Mapping, TypeVar
+from typing import Iterable, Mapping
 
 from .embedding import HashingEmbedder, l2_normalize
 from .model import Question
 from .store import MemoryEntry, MemoryStore
-
-K = TypeVar("K")
 
 
 def unit_cosine(a: Mapping[int, float], b: Mapping[int, float]) -> float:
@@ -41,19 +38,6 @@ def filter_by_database(
 ) -> list[MemoryEntry]:
     """Exactly the entries recorded for the question's database, order kept."""
     return [entry for entry in entries if entry.database_id == question.database_id]
-
-
-def rank(
-    query: Mapping[int, float],
-    keyed_vectors: Iterable[tuple[K, Mapping[int, float]]],
-    k: int,
-) -> list[tuple[K, float]]:
-    """Top-k ``(key, cosine similarity)`` pairs of sparse unit vectors,
-    sorted by (-score, key)."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    scored = [(key, unit_cosine(query, vector)) for key, vector in keyed_vectors]
-    return heapq.nsmallest(k, scored, key=lambda item: (-item[1], item[0]))
 
 
 def _entry_vector(entry: MemoryEntry, provider: HashingEmbedder) -> dict[int, float]:
@@ -77,15 +61,12 @@ def select_from_entries(
     # The dense embed is the one perfbench times as retrieval.embed.
     embedding = provider.embed(question.text)
     query = l2_normalize({bucket: v for bucket, v in enumerate(embedding) if v})
-    # The position only separates entries that share a question id.
-    (_, position), _ = rank(
-        query,
-        (
-            ((entry.question.id, i), _entry_vector(entry, provider))
-            for i, entry in enumerate(candidates)
-        ),
-        k=1,
-    )[0]
+    # The highest score wins, then the smallest question id; the position
+    # only separates entries that share a question id.
+    _, _, position = min(
+        (-unit_cosine(query, _entry_vector(entry, provider)), entry.question.id, i)
+        for i, entry in enumerate(candidates)
+    )
     return candidates[position]
 
 

@@ -5,14 +5,17 @@ markdown, each segment headed by its first line of text (usually the lead
 thought), and is persisted atomically under
 ``store_root/<database_id>/<question_id>/`` as two files: ``meta.json``,
 which holds everything the code reads back, and ``full.md``, the whole
-markdown document for people to read. No embedding is stored in
-``meta.json``, and an ``embedding`` key that older stores wrote is ignored.
+markdown document for people to read. The database id is the question's
+own, and no embedding is stored. What older stores also wrote is ignored:
+an ``embedding`` and a top-level ``database_id`` in ``meta.json``, and a
+configuration file at the store root.
 
 Every write also appends a line to the database's index,
 ``store_root/<database_id>/.index.jsonl``: the question, ``created_at``,
 the stamp (inode, modification time, status-change time, size) of the
-``meta.json`` just written and the question's hashed-trigram counts. The
-index is a derived cache; deleting it only costs full parses.
+``meta.json`` just written, and the question's hashed-trigram counts with
+the dimension they were counted in. The index is a derived cache; deleting
+it only costs full parses.
 
 A ``MemoryStore`` reads each database's index once, on its first load of
 that database. An entry whose ``meta.json`` still has its line's stamp is
@@ -39,8 +42,8 @@ from pathlib import Path
 from typing import Any, Callable, TypeVar
 
 from .classifier import Segment, segment_trajectory
-from .embedding import HashingEmbedder, l2_normalize, unit_vector
-from .errors import ConfigurationError, StateError, StorageError, TrajmemError
+from .embedding import DEFAULT_DIMENSION, HashingEmbedder, l2_normalize, unit_vector
+from .errors import StorageError, TrajmemError
 from .model import ID_PATTERN, Phase, Question, Step, Trajectory
 
 logger = logging.getLogger(__name__)
@@ -188,7 +191,6 @@ class MemoryEntry:
     """One retrievable unit: a question plus its structured trajectory."""
 
     question: Question
-    database_id: str
     structured: StructuredTrajectory
     created_at: str = ""
     path: Path | None = field(default=None, compare=False)
@@ -200,13 +202,12 @@ class MemoryEntry:
     )
 
     def __post_init__(self) -> None:
-        if self.database_id != self.question.database_id:
-            raise StateError(
-                f"entry database {self.database_id!r} does not match question "
-                f"database {self.question.database_id!r}"
-            )
         if not self.created_at:
             self.created_at = datetime.now(timezone.utc).isoformat()
+
+    @property
+    def database_id(self) -> str:
+        return self.question.database_id
 
 
 @dataclass
@@ -223,27 +224,15 @@ class LoadCounts:
 class MemoryStore:
     """Per-database on-disk layout of memory entries with atomic writes."""
 
-    def __init__(self, root: str | Path, dimension: int | None = None) -> None:
+    def __init__(self, root: str | Path, dimension: int = DEFAULT_DIMENSION) -> None:
         self.root = Path(root)
-        configured = self._read_store_config()
-        if dimension is None:
-            self.dimension = configured if configured is not None else 256
-        elif configured is not None and configured != dimension:
-            raise ConfigurationError(
-                f"store at {self.root} uses embedding dimension {configured}, "
-                f"not {dimension}"
-            )
-        else:
-            self.dimension = dimension
+        # Retrieval's embedding dimension. Each index line records the
+        # dimension of its own counts, so any store may open at any one.
+        self.dimension = dimension
         # database id -> entry directory name -> (stamp, entry, or None when
         # the entry is corrupt). A stamp of None means meta.json is missing.
         # A database gets its dict, from its index, on its first load.
         self._entries: dict[str, dict[str, tuple[_Stamp | None, MemoryEntry | None]]] = {}
-        # database id -> entries this store wrote there before its first
-        # load. It keeps no copy of them, so a writer that never reads holds
-        # nothing; the first load parses them in full instead of taking
-        # them from the index, so they come back with their segments.
-        self._written: dict[str, set[str]] = {}
         # run_suite(workers > 1) shares one store between threads.
         self._entries_lock = threading.Lock()
         self.counts = LoadCounts()
@@ -260,34 +249,14 @@ class MemoryStore:
             p.name for p in self.root.iterdir() if p.is_dir() and not p.name.startswith(".")
         )
 
-    def _read_store_config(self) -> int | None:
-        config_path = self.root / "store.json"
-        if not config_path.is_file():
-            return None
-        try:
-            return int(json.loads(config_path.read_text(encoding="utf-8"))["embedding_dimension"])
-        except (OSError, ValueError, KeyError, json.JSONDecodeError):
-            logger.warning("ignoring unreadable store config at %s", config_path)
-            return None
-
-    def _write_store_config(self) -> None:
-        config_path = self.root / "store.json"
-        if config_path.exists():
-            return
-        tmp = self.root / f".tmp-store-{uuid.uuid4().hex[:8]}.json"
-        tmp.write_text(
-            json.dumps({"embedding_dimension": self.dimension}, indent=2) + "\n",
-            encoding="utf-8",
-        )
-        tmp.replace(config_path)
-
     # -- persistence --------------------------------------------------------
 
     def persist(self, entry: MemoryEntry, trajectory: Trajectory | None = None) -> Path:
         """Atomically write an entry; a duplicate question id is overwritten.
 
         When the new version cannot be moved into place, the old one is put
-        back. The entry is then indexed and kept in this store's cache.
+        back. The entry is then indexed, and kept in this store's cache if
+        the store has loaded its database.
         """
         for label, value in (("database", entry.database_id), ("question", entry.question.id)):
             if not ID_PATTERN.fullmatch(value):
@@ -297,7 +266,6 @@ class MemoryStore:
         old = final.parent / f".old-{entry.question.id}-{uuid.uuid4().hex[:8]}"
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            self._write_store_config()
             stamp = self._materialize(tmp, entry, trajectory)
             if final.exists():
                 final.replace(old)
@@ -318,8 +286,6 @@ class MemoryStore:
         with self._entries_lock:
             if entry.database_id in self._entries:
                 self._entries[entry.database_id][final.name] = (stamp, copy.copy(entry))
-            else:
-                self._written.setdefault(entry.database_id, set()).add(final.name)
         return final
 
     def _materialize(
@@ -329,7 +295,6 @@ class MemoryStore:
         target.mkdir(parents=True, exist_ok=False)
         meta: dict[str, Any] = {
             "question": entry.question.to_dict(),
-            "database_id": entry.database_id,
             "created_at": entry.created_at,
             "segments": [
                 {"phase": seg.phase.value, "header": seg.header, "body": seg.body}
@@ -352,7 +317,6 @@ class MemoryStore:
         line = json.dumps(
             {
                 "question": entry.question.to_dict(),
-                "database_id": entry.database_id,
                 "created_at": entry.created_at,
                 "stamp": list(stamp),
                 "dimension": self.dimension,
@@ -444,8 +408,6 @@ class MemoryStore:
             if known is None:
                 known = {}
                 indexed = self._read_index(database_id)
-                for name in self._written.pop(database_id, ()):
-                    indexed.pop(name, None)
             current: dict[str, tuple[_Stamp | None, MemoryEntry | None]] = {}
             for entry_dir in self._entry_dirs(database_id):
                 # Stat before reading, so a stamp is never newer than the
@@ -563,7 +525,6 @@ def _parse_entry(entry_dir: Path, meta: dict[str, Any]) -> MemoryEntry:
         )
     return MemoryEntry(
         question=question,
-        database_id=meta["database_id"],
         structured=structured,
         created_at=meta.get("created_at", ""),
         path=entry_dir,
@@ -587,9 +548,7 @@ def _read_segments(entry_dir: Path, stamp: tuple, question: Question) -> list[St
             meta = json.load(handle)
         if not isinstance(meta, dict):
             raise ValueError("meta.json does not hold a JSON object")
-        if Question.from_dict(meta["question"]) != question or (
-            meta["database_id"] != question.database_id
-        ):
+        if Question.from_dict(meta["question"]) != question:
             raise ValueError("meta.json does not match its index line")
         return _segments(meta)
     except _CORRUPT_ENTRY_ERRORS as exc:

@@ -210,7 +210,6 @@ def synthesize_memory(
             result = run_episode(question, workspace, config, policy, registry=registry)
             entry = MemoryEntry(
                 question=question,
-                database_id=question.database_id,
                 structured=structure_trajectory(result.trajectory),
             )
             store.persist(entry, trajectory=result.trajectory)

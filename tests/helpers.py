@@ -66,7 +66,6 @@ def memory_entry(question_id: str, database_id: str, text: str) -> MemoryEntry:
     )
     return MemoryEntry(
         question=question,
-        database_id=database_id,
         structured=StructuredTrajectory(segments=[]),
         created_at="2026-01-01T00:00:00+00:00",
     )

@@ -154,11 +154,9 @@ def entries_on_disk(database_dir: Path) -> list[MemoryEntry]:
                 StructuredSegment(Phase(seg["phase"]), seg["header"], seg["body"])
                 for seg in meta["segments"]
             ]
-            if meta["database_id"] == question.database_id:
-                entries.append(
-                    MemoryEntry(question, meta["database_id"], StructuredTrajectory(segments),
-                                meta["created_at"], entry_dir)
-                )
+            entries.append(
+                MemoryEntry(question, StructuredTrajectory(segments), meta["created_at"], entry_dir)
+            )
         except (OSError, ValueError, LookupError, TypeError):
             continue
     return entries

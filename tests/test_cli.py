@@ -254,6 +254,39 @@ def test_run_json_output(pipeline_dirs, tmp_path, capsys):
     assert payload["correct"] == 11
 
 
+@pytest.mark.parametrize(
+    "config_steps, flags, expected",
+    [("30", ("--max-steps", "2"), 2 * 12), ("2", (), 2 * 12), ("2", ("--max-steps", "30"), 108)],
+    ids=["flag-wins", "config-without-flag", "larger-flag-wins"],
+)
+def test_max_steps_flag_wins_over_the_config_file(
+    pipeline_dirs, tmp_path, capsys, config_steps, flags, expected
+):
+    ws, store, manifest = pipeline_dirs
+    config = tmp_path / "conf"
+    config.write_text(f"max_planner_steps={config_steps}\n")
+    capsys.readouterr()
+    code = main(
+        [
+            "--json",
+            "--config",
+            str(config),
+            "run",
+            "--questions",
+            str(ws / "questions.jsonl"),
+            "--workspace",
+            str(ws),
+            "--out",
+            str(tmp_path / "runs"),
+            "--no-memory",
+            "--no-composites",
+            *flags,
+        ]
+    )
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["total_steps"] == expected
+
+
 def _run_fixture_questions(ws, questions, out, *global_flags):
     return main(
         [

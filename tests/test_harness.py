@@ -417,6 +417,9 @@ def test_questions_file_rejects_malformed_lines(tmp_path, line):
         {"script": {"main_sql": 5}},
         {"script": {"answer": None}},
         {"script": {"memory_mode": ["condensed"]}},
+        {"script": {"memory_mode": "skip-exploration"}},
+        {"script": {"memory_mode": "bogus"}},
+        {"script": {"memory_mode": ""}},
         {"script": {"check": "false"}},
         {"script": {"check": 1}},
         {"script": {"refine": []}},

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -144,6 +145,61 @@ def test_near_miss_tries_only_column_orders_built_from_matching_columns(monkeypa
     calls.clear()
     assert execution_accuracy(predicted, gold) is True
     assert calls.count(8) == 1 and len(calls) <= 8 * 8 + 1
+
+
+@pytest.mark.parametrize("width", [9, 12])
+def test_column_order_is_ignored_past_eight_columns(width):
+    gold = [[f"{column}-{row}" for column in range(width)] for row in range(3)]
+    predicted = [list(reversed(row)) for row in gold]
+    assert execution_accuracy(predicted, gold) is True
+    predicted[1][2] = "off"
+    assert execution_accuracy(predicted, gold) is False
+
+
+def test_column_orders_tried_are_bounded(monkeypatch):
+    # Ten columns that each hold one 1 and two 0s, so every predicted column
+    # fits every gold column on its own and all 10! orders are candidates.
+    # None matches: the 1s split 4-3-3 over the gold rows, 5-3-2 over the
+    # predicted ones.
+    def rows(*split):
+        ones = [range(sum(split[:r]), sum(split[: r + 1])) for r in range(len(split))]
+        return [[int(column in row) for column in range(10)] for row in ones]
+
+    gold, predicted = rows(4, 3, 3), rows(5, 3, 2)
+    calls = []
+    original = metrics_module._multiset_match
+    monkeypatch.setattr(
+        metrics_module, "_multiset_match",
+        lambda predicted, gold: calls.append(len(gold[0])) or original(predicted, gold),
+    )
+    assert execution_accuracy(predicted, gold) is False
+    assert 0 < calls.count(10) <= factorial(8)
+
+
+def test_column_search_stops_at_once_when_no_column_order_exists(monkeypatch):
+    # One aggregate row of 12 columns: 11 zero columns fit every zero gold
+    # column, but the last gold value fits no predicted column, so none of
+    # the 11! orders of the zeros can end in a whole order.
+    gold, predicted = [[0] * 11 + [5]], [[0] * 11 + [6]]
+    calls = {"match": [], "augment": 0}
+    match, augment = metrics_module._multiset_match, metrics_module._augment
+
+    def counted_augment(*args):
+        calls["augment"] += 1
+        return augment(*args)
+
+    monkeypatch.setattr(
+        metrics_module, "_multiset_match",
+        lambda predicted, gold: calls["match"].append(len(gold[0])) or match(predicted, gold),
+    )
+    monkeypatch.setattr(metrics_module, "_augment", counted_augment)
+    assert execution_accuracy(predicted, gold) is False
+    assert calls["match"].count(12) == 0 and len(calls["match"]) <= 12 * 12
+    assert calls["augment"] <= 12 + len(calls["match"])
+    predicted = [[5] + [0] * 11]
+    calls["match"].clear()
+    assert execution_accuracy(predicted, gold) is True
+    assert calls["match"].count(12) == 1 and len(calls["match"]) <= 12 * 12 + 1
 
 
 def _record(qid, phases, steps=None, **kwargs):

@@ -10,7 +10,6 @@ from trajmem.retrieval import (
     HashingEmbedder,
     filter_by_database,
     l2_normalize,
-    rank,
     select_from_entries,
     unit_cosine,
 )
@@ -217,34 +216,6 @@ def test_select_memoizes_entry_vectors_by_text_and_dimension(monkeypatch):
         ("other words", 256),
     ]
     assert entry.vector_memo[("other words", 256)] == unit("other words")
-
-
-def test_rank_orders_by_score_then_key():
-    query = {0: 1.0}
-    keyed = [("b", {0: 1.0}), ("c", {1: 1.0}), ("a", {0: 1.0}), ("d", {0: 0.6, 1: 0.8})]
-    assert rank(query, keyed, k=3) == [("a", 1.0), ("b", 1.0), ("d", 0.6)]
-
-
-def test_rank_matches_sorted_cosine_on_random_vectors():
-    rng = random.Random(5)
-    query_text = "average delay per carrier"
-    keyed = [(f"q{rng.randrange(40):02d}", f"text {rng.randrange(15)}") for _ in range(60)]
-    expected = sorted(
-        (
-            (key, cosine_similarity(PROVIDER.embed(query_text), PROVIDER.embed(text)))
-            for key, text in keyed
-        ),
-        key=lambda item: (-item[1], item[0]),
-    )
-    sparse = [(key, unit(text)) for key, text in keyed]
-    for k in (1, 5, 60, 100):
-        assert rank(unit(query_text), sparse, k) == expected[:k]
-
-
-def test_rank_empty_and_invalid_k():
-    assert rank({0: 1.0}, [], k=3) == []
-    with pytest.raises(ValueError):
-        rank({0: 1.0}, [("a", {0: 1.0})], k=0)
 
 
 def test_select_duplicate_ids_keep_first_of_equal_scores():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import trajmem.store as store_module
 from trajmem.classifier import classify_trajectory
-from trajmem.errors import ConfigurationError, StateError, StorageError
+from trajmem.errors import StorageError
 from trajmem.model import Phase, Question
 from trajmem.retrieval import HashingEmbedder, l2_normalize, select_trajectory
 from trajmem.store import (
@@ -139,11 +139,7 @@ def test_heuristic_summarizer_uses_lead_thought():
 def _entry():
     question = _question()
     structured = structure_trajectory(_classified_fixture())
-    return MemoryEntry(
-        question=question,
-        database_id=question.database_id,
-        structured=structured,
-    )
+    return MemoryEntry(question=question, structured=structured)
 
 
 def test_persist_writes_two_files(tmp_path):
@@ -153,7 +149,6 @@ def test_persist_writes_two_files(tmp_path):
     assert sorted(p.name for p in path.iterdir()) == ["full.md", "meta.json"]
     assert sorted(json.loads((path / "meta.json").read_text())) == [
         "created_at",
-        "database_id",
         "question",
         "segments",
         "trajectory",
@@ -195,9 +190,8 @@ def test_load_phase_segment_round_trips_through_persist(tmp_path):
     entry = _entry()
     phases = [*Phase, None]
     before = {phase: store.load_phase_segment(entry, phase) for phase in phases}
-    path = store.persist(entry, trajectory=_classified_fixture())
+    store.persist(entry, trajectory=_classified_fixture())
     loaded = store.load_entries("sqlite_fixture")[0]
-    shutil.rmtree(path)  # the segments come from the parsed meta.json, not from files
     assert {phase: store.load_phase_segment(loaded, phase) for phase in phases} == before
 
 
@@ -224,11 +218,7 @@ def test_load_entries_sorted_and_skips_corrupt(tmp_path, caplog):
     store = MemoryStore(tmp_path / "store")
     for qid in ("q003", "q001", "q002"):
         question = Question(id=qid, text=f"question {qid}", database_id="db1")
-        entry = MemoryEntry(
-            question=question,
-            database_id="db1",
-            structured=StructuredTrajectory(segments=[]),
-        )
+        entry = MemoryEntry(question=question, structured=StructuredTrajectory(segments=[]))
         store.persist(entry)
     (tmp_path / "store" / "db1" / "q002" / "meta.json").write_text("{broken")
     with caplog.at_level(logging.WARNING):
@@ -259,17 +249,6 @@ def test_loaders_skip_and_log_corrupt_entry(tmp_path, caplog, bad_meta):
     assert [e.question.id for e in entries] == ["q001"]
     assert [t.question_id for t in trajectories] == ["q001"]
     assert sum(str(corrupt) in record.getMessage() for record in caplog.records) == 2
-
-
-def test_load_entries_skips_entry_whose_database_does_not_match(tmp_path, caplog):
-    store = MemoryStore(tmp_path / "store")
-    path = store.persist(_entry())
-    meta = json.loads((path / "meta.json").read_text())
-    meta["database_id"] = "other_db"
-    (path / "meta.json").write_text(json.dumps(meta))
-    with caplog.at_level(logging.WARNING):
-        assert store.load_entries("sqlite_fixture") == []
-    assert any("corrupt" in record.getMessage() for record in caplog.records)
 
 
 def test_duplicate_question_id_overwrites(tmp_path):
@@ -306,11 +285,7 @@ def test_load_phase_segment_absent_phase_is_empty(tmp_path):
         )
     )
     question = _question()
-    entry = MemoryEntry(
-        question=question,
-        database_id=question.database_id,
-        structured=structure_trajectory(t),
-    )
+    entry = MemoryEntry(question=question, structured=structure_trajectory(t))
     store.persist(entry)
     assert store.load_phase_segment(entry, Phase.VALIDATION) == ""
 
@@ -323,29 +298,6 @@ def test_persist_rejects_unsafe_question_id(tmp_path, bad_id):
     with pytest.raises(StorageError):
         store.persist(entry)
     assert not list(tmp_path.rglob("*escaped*"))
-
-
-def test_store_config_dimension_mismatch(tmp_path):
-    store = MemoryStore(tmp_path / "store", dimension=32)
-    store.persist(
-        MemoryEntry(
-            question=Question(id="q1", text="t", database_id="db"),
-            database_id="db",
-            structured=StructuredTrajectory(segments=[]),
-        )
-    )
-    with pytest.raises(ConfigurationError):
-        MemoryStore(tmp_path / "store", dimension=64)
-
-
-def test_entry_database_must_match_question():
-    question = _question()
-    with pytest.raises(StateError):
-        MemoryEntry(
-            question=question,
-            database_id="some_other_db",
-            structured=StructuredTrajectory(segments=[]),
-        )
 
 
 def test_crash_before_rename_leaves_no_visible_entry(tmp_path, monkeypatch):
@@ -520,7 +472,7 @@ def test_older_embedding_key_is_ignored(tmp_path):
         # As older stores wrote it: the dense embedding between database_id and created_at.
         meta = {
             "question": meta["question"],
-            "database_id": meta["database_id"],
+            "database_id": "db1",
             "embedding": HashingEmbedder(256).embed(text),
             **{key: meta[key] for key in ("created_at", "segments")},
         }
@@ -766,3 +718,60 @@ def test_segments_of_an_entry_rewritten_since_its_load_are_not_read(tmp_path):
     assert not reader.read_segments(stale)
     winner = select_trajectory(Question(id="probe", text=_TEXTS[1], database_id="db1"), reader)
     assert (winner.created_at, winner.structured) == (rewritten.created_at, rewritten.structured)
+
+
+def _rewrite_in_the_older_format(root: Path) -> None:
+    """Rewrite a store as the previous layout wrote it: a store.json naming
+    an embedding dimension, and a top-level database_id in every meta.json
+    and index line, each line carrying the stamp of its rewritten meta.json."""
+    (root / "store.json").write_text(json.dumps({"embedding_dimension": 64}, indent=2) + "\n")
+    index = root / "db1" / ".index.jsonl"
+    lines = []
+    for raw in index.read_text().splitlines():
+        line = json.loads(raw)
+        meta_path = root / "db1" / line["question"]["id"] / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta = {"question": meta["question"], "database_id": "db1",
+                **{key: meta[key] for key in ("created_at", "segments")}}
+        meta_path.write_text(json.dumps(meta, ensure_ascii=False) + "\n")
+        meta_stat = os.stat(meta_path)
+        line = {"question": line["question"], "database_id": "db1",
+                **{key: line[key] for key in ("created_at", "stamp", "dimension", "counts")}}
+        line["stamp"] = [meta_stat.st_ino, meta_stat.st_mtime_ns, meta_stat.st_ctime_ns,
+                         meta_stat.st_size]
+        lines.append(json.dumps(line, ensure_ascii=False, separators=(",", ":")) + "\n")
+    index.write_text("".join(lines))
+
+
+def test_a_store_in_the_older_format_loads_as_the_same_store(tmp_path):
+    for name in ("plain", "older"):
+        writer = MemoryStore(tmp_path / name)
+        for i, text in enumerate(_TEXTS):
+            _persist_text(writer, f"q{i:03d}", text)
+    _rewrite_in_the_older_format(tmp_path / "older")
+    plain_warm, older_warm = MemoryStore(tmp_path / "plain"), MemoryStore(tmp_path / "older")
+    for text in _TEXTS + ["airports per country", "products", "delay", "north orders"]:
+        question = Question(id="probe", text=text, database_id="db1")
+        plain, older = MemoryStore(tmp_path / "plain"), MemoryStore(tmp_path / "older")
+        for plain_store, older_store in ((plain, older), (plain_warm, older_warm)):
+            expected = select_trajectory(question, plain_store)
+            got = select_trajectory(question, older_store)
+            assert (got.question, got.created_at, got.structured) == (
+                expected.question, expected.created_at, expected.structured
+            )
+        assert older.counts == plain.counts == store_module.LoadCounts(
+            indexed=4, parsed=1, corrupt=0
+        )
+    assert older_warm.counts == plain_warm.counts
+    assert older_warm.load_entries("db1") == plain_warm.load_entries("db1")
+
+    # The next write is in the current format; store.json is left as it was.
+    path = _persist_text(older_warm, "q004", "orders per month in the north")
+    assert sorted(json.loads((path / "meta.json").read_text())) == [
+        "created_at", "question", "segments"
+    ]
+    last = json.loads((tmp_path / "older" / "db1" / ".index.jsonl").read_text().splitlines()[-1])
+    assert sorted(last) == ["counts", "created_at", "dimension", "question", "stamp"]
+    assert json.loads((tmp_path / "older" / "store.json").read_text()) == {
+        "embedding_dimension": 64
+    }
