@@ -76,7 +76,6 @@ from .retrieval import (
     filter_by_database,
     select_from_entries,
     select_trajectory,
-    unit_cosine,
 )
 from .store import (
     MemoryEntry,

@@ -1,11 +1,11 @@
 """The one question embedder: hashed character trigrams, kept sparse.
 
 Lowercased character trigrams are counted into ``dimension`` buckets via
-CRC32, and the counts are scaled to unit length. A vector is a dict from
-bucket to value that holds only the nonzero buckets, in ascending bucket
-order. The store keeps the integer counts of each stored question in its
-index, so a vector can be rebuilt from them without hashing the text again;
-``unit_vector`` is the one place where counts become floats.
+CRC32. Retrieval scores those integer counts exactly; the store keeps the
+counts of each stored question in its index, so a stored question is never
+hashed again. ``embed_sparse`` and ``embed`` scale the counts to unit
+length: a sparse vector is a dict from bucket to value that holds only the
+nonzero buckets, in ascending bucket order.
 """
 
 from __future__ import annotations
@@ -13,25 +13,8 @@ from __future__ import annotations
 import math
 import zlib
 from collections import Counter
-from typing import Mapping
 
 DEFAULT_DIMENSION = 256
-
-
-def l2_normalize(vector: Mapping[int, float]) -> dict[int, float]:
-    """Scale a sparse vector (bucket -> value) to unit length, buckets kept in order."""
-    norm = math.sqrt(sum(v * v for v in vector.values()))
-    if norm == 0.0:
-        return dict(vector)
-    return {bucket: v / norm for bucket, v in vector.items()}
-
-
-def unit_vector(counts: Mapping[int, int]) -> dict[int, float]:
-    """Integer bucket counts scaled to unit length, in ascending bucket order."""
-    # The counts are integers, so the sum of their squares is exact and
-    # equals the float sum over the dense vector in any order.
-    norm = math.sqrt(sum(count * count for count in counts.values()))
-    return {bucket: counts[bucket] / norm for bucket in sorted(counts)}
 
 
 class HashingEmbedder:
@@ -59,7 +42,11 @@ class HashingEmbedder:
 
     def embed_sparse(self, text: str) -> dict[int, float]:
         """The embedding's nonzero buckets, in ascending bucket order."""
-        return unit_vector(self.trigram_counts(text))
+        counts = self.trigram_counts(text)
+        # The counts are integers, so the sum of their squares is exact and
+        # equals the float sum over the dense vector in any order.
+        norm = math.sqrt(sum(count * count for count in counts.values()))
+        return {bucket: counts[bucket] / norm for bucket in sorted(counts)}
 
     def embed(self, text: str) -> list[float]:
         """The embedding as ``dimension`` floats."""

@@ -7,7 +7,7 @@ import json
 import math
 import statistics
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
@@ -123,35 +123,67 @@ def _rows_equal(a: Sequence[Any], b: Sequence[Any]) -> bool:
     return len(a) == len(b) and all(_cells_equal(x, y) for x, y in zip(a, b))
 
 
+def _exact_form(row: Sequence[Any]) -> tuple[Any, ...]:
+    """The row with each cell as the number or trimmed text it compares as.
+    Rows of equal form are equal; tolerance can make rows of other forms
+    equal too."""
+    return tuple(
+        str(cell).strip() if number is None else number
+        for cell, number in zip(row, map(_as_float, row))
+    )
+
+
 def _multiset_match(predicted: list[list[Any]], gold: list[list[Any]]) -> bool:
     """True iff the rows pair off one to one under tolerant row equality.
 
     Tolerant equality is not transitive, so giving each predicted row the
     first free equal gold row can miss a pairing that exists. Each row
     instead searches for an augmenting path (Kuhn's algorithm), which finds
-    a pairing whenever one exists.
+    a pairing whenever one exists. A row first tries the free gold rows of
+    its exact form, so a correct answer in any row order costs one
+    comparison per row.
     """
     owner: list[int | None] = [None] * len(gold)  # gold index -> predicted row
+    # Exact form -> its gold rows, last in gold order first. A paired gold row
+    # stays paired, so the ones found paired are dropped for good.
+    by_form: dict[tuple[Any, ...], list[int]] = {}
+    for index in reversed(range(len(gold))):
+        by_form.setdefault(_exact_form(gold[index]), []).append(index)
+    forms = [_exact_form(row) for row in predicted]
 
     def equal(row: int, index: int) -> bool:
         return _rows_equal(predicted[row], gold[index])
 
-    return all(_augment(row, equal, owner) for row in range(len(predicted)))
+    def same_form(row: int) -> list[int]:
+        indices = by_form.get(forms[row], [])
+        while indices and owner[indices[-1]] is not None:
+            indices.pop()
+        return indices[-1:]
+
+    return all(_augment(row, equal, owner, same_form) for row in range(len(predicted)))
 
 
 def _augment(
-    start: int, equal: Callable[[int, int], bool], owner: list[int | None]
+    start: int,
+    equal: Callable[[int, int], bool],
+    owner: list[int | None],
+    first: Callable[[int], list[int]] = lambda item: [],
 ) -> bool:
     """Breadth-first search for a path from predicted item ``start`` to a free
     gold item that alternates unpaired and paired ``equal`` edges; flip it if
-    found. Each item looks at the free gold items first, so an answer already
-    in gold order costs one comparison per item instead of one per earlier one.
+    found. Each item looks at the free gold items first, those that ``first``
+    names before the rest in gold order, so an answer already in gold order
+    costs one comparison per item instead of one per earlier one.
     """
     reached_from: dict[int, int] = {}  # gold index -> predicted item
     queue = [start]
     for item in queue:
         index = next(
-            (i for i, taken in enumerate(owner) if taken is None and equal(item, i)),
+            (
+                i
+                for i in chain(first(item), range(len(owner)))
+                if owner[i] is None and equal(item, i)
+            ),
             None,
         )
         if index is not None:

@@ -6,31 +6,29 @@ similarity to the query embedding, breaking exact ties by the
 lexicographically smallest question id. Questions are always embedded by
 ``HashingEmbedder``, the one deterministic embedder.
 
-Embeddings are not stored. An entry's vector is memoized on the entry,
-sparse: only its nonzero buckets (about 45 of 256 for a fixture question),
-in ascending bucket order. The store fills the memo from the trigram counts
-in its index; otherwise the question text is embedded the first time the
-entry is scored. Either way the vector is ``l2_normalize`` of the unit
-vector of the same integer counts. Scoring is the arithmetic of a dense
-cosine: both vectors are L2-normalized once more, as the dense cosine
-normalizes its inputs, and the products of the buckets they share are
-summed in ascending bucket order. The buckets they do not share would add
-only ``+0.0`` to a non-negative sum, so every score equals the dense cosine
-to the last bit.
+Scores are exact. The cosine of two hashed-trigram embeddings is
+dot / (|q| |e|), where dot is the sum over buckets of the query's count
+times the entry's count. |q| is the same for every candidate and dot is
+never negative, so the argmax of the cosine is the argmax of dot² / |e|².
+Two candidates are compared by cross-multiplying, dot_a² |e_b|² against
+dot_b² |e_a|², in integers: no division and no float, so an exact tie is a
+tie and goes to the smallest question id; between equal ids the first
+candidate in order wins.
+
+Embeddings are not stored. An entry's counts are memoized on the entry as
+its nonzero buckets in ascending order, their counts and the sum of the
+squared counts. The store fills the memo from its index; otherwise the
+question text is hashed the first time the entry is scored.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from operator import mul
+from typing import Iterable
 
-from .embedding import HashingEmbedder, l2_normalize
+from .embedding import HashingEmbedder
 from .model import Question
-from .store import MemoryEntry, MemoryStore
-
-
-def unit_cosine(a: Mapping[int, float], b: Mapping[int, float]) -> float:
-    """Cosine similarity of two sparse unit vectors, clamped to [-1, 1]."""
-    return max(-1.0, min(1.0, sum(v * b[bucket] for bucket, v in a.items() if bucket in b)))
+from .store import EntryCounts, MemoryEntry, MemoryStore
 
 
 def filter_by_database(
@@ -40,13 +38,16 @@ def filter_by_database(
     return [entry for entry in entries if entry.database_id == question.database_id]
 
 
-def _entry_vector(entry: MemoryEntry, provider: HashingEmbedder) -> dict[int, float]:
-    """The entry's embedding normalized once more, memoized on the entry."""
+def _entry_counts(entry: MemoryEntry, provider: HashingEmbedder) -> EntryCounts:
+    """The entry's trigram counts, memoized on the entry."""
     key = (entry.question.text, provider.dimension())
-    vector = entry.vector_memo.get(key)
-    if vector is None:
-        vector = entry.vector_memo[key] = l2_normalize(provider.embed_sparse(key[0]))
-    return vector
+    memo = entry.counts_memo.get(key)
+    if memo is None:
+        counts = provider.trigram_counts(key[0])
+        buckets = sorted(counts)
+        values = [counts[bucket] for bucket in buckets]
+        memo = entry.counts_memo[key] = (buckets, values, sum(map(mul, values, values)))
+    return memo
 
 
 def select_from_entries(
@@ -59,15 +60,21 @@ def select_from_entries(
     if not candidates:
         return None
     # The dense embed is the one perfbench times as retrieval.embed.
-    embedding = provider.embed(question.text)
-    query = l2_normalize({bucket: v for bucket, v in enumerate(embedding) if v})
-    # The highest score wins, then the smallest question id; the position
-    # only separates entries that share a question id.
-    _, _, position = min(
-        (-unit_cosine(query, _entry_vector(entry, provider)), entry.question.id, i)
-        for i, entry in enumerate(candidates)
-    )
-    return candidates[position]
+    # Scoring uses the integer counts it is made from, not its floats.
+    provider.embed(question.text)
+    query = [0] * provider.dimension()
+    for bucket, count in provider.trigram_counts(question.text).items():
+        query[bucket] = count
+    query_count = query.__getitem__
+    best, best_dot, best_norm = None, 0, 1
+    for entry in candidates:
+        buckets, counts, norm = _entry_counts(entry, provider)
+        dot = sum(map(mul, map(query_count, buckets), counts))
+        # dot² / norm against best_dot² / best_norm, without dividing.
+        ahead = dot * dot * best_norm - best_dot * best_dot * norm
+        if best is None or ahead > 0 or (ahead == 0 and entry.question.id < best.question.id):
+            best, best_dot, best_norm = entry, dot, norm
+    return best
 
 
 def select_trajectory(question: Question, store: MemoryStore) -> MemoryEntry | None:

@@ -19,9 +19,10 @@ it only costs full parses.
 
 A ``MemoryStore`` reads each database's index once, on its first load of
 that database. An entry whose ``meta.json`` still has its line's stamp is
-taken from the line, with its retrieval vector rebuilt from the counts, and
-its segments are read from ``meta.json`` only when first needed. Every other
-entry is parsed from ``meta.json`` in full. The store keeps what it read,
+taken from the line, with the line's integer counts as the ones retrieval
+scores exactly, and its segments are read from ``meta.json`` only when
+first needed. Every other entry, and one whose line holds damaged counts,
+is parsed from ``meta.json`` in full. The store keeps what it read,
 per database, stamped; each later ``load_entries`` call lists the database
 directory, stats every ``meta.json`` and parses only what is new or changed.
 """
@@ -39,10 +40,11 @@ import uuid
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from operator import lt, mul
+from typing import Any, Callable, Sequence, TypeVar
 
 from .classifier import Segment, segment_trajectory
-from .embedding import DEFAULT_DIMENSION, HashingEmbedder, l2_normalize, unit_vector
+from .embedding import DEFAULT_DIMENSION, HashingEmbedder
 from .errors import StorageError, TrajmemError
 from .model import ID_PATTERN, Phase, Question, Step, Trajectory
 
@@ -64,6 +66,9 @@ _T = TypeVar("_T")
 # alone would not do: persist frees the entry it replaces, so the inode can be
 # handed out again. The status-change time also moves on an in-place edit.
 _Stamp = tuple[int, int, int, int]
+# A question's hashed-trigram counts as retrieval scores them: the nonzero
+# buckets in ascending order, their counts, and the sum of the squared counts.
+EntryCounts = tuple[Sequence[int], Sequence[int], int]
 
 
 def truncate_observation(text: str, limit: int = DEFAULT_OBSERVATION_LIMIT) -> str:
@@ -194,16 +199,22 @@ class MemoryEntry:
     structured: StructuredTrajectory
     created_at: str = ""
     path: Path | None = field(default=None, compare=False)
-    # Retrieval's vectors of the question text by (text, dimension). Shallow
+    # Retrieval's counts of the question text by (text, dimension). Shallow
     # copies share it, which is safe because each value depends only on its
     # key. It is never written to disk.
-    vector_memo: dict[tuple[str, int], dict[int, float]] = field(
+    counts_memo: dict[tuple[str, int], EntryCounts] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
         if not self.created_at:
             self.created_at = datetime.now(timezone.utc).isoformat()
+
+    def __copy__(self) -> MemoryEntry:
+        """A shallow copy: it shares ``counts_memo`` and ``structured``."""
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        return clone
 
     @property
     def database_id(self) -> str:
@@ -426,14 +437,27 @@ class MemoryStore:
         return [copy.copy(entry) for _, entry in current.values() if entry is not None]
 
     def _from_index(self, entry_dir: Path, line: dict[str, Any]) -> MemoryEntry | None:
-        """The entry an index line describes, its vector rebuilt from the
-        line's counts; None when the line is damaged."""
+        """The entry an index line describes, with the line's counts memoized
+        for retrieval; None when the line is damaged."""
         try:
             entry = _parse_entry(entry_dir, line)
-            numbers = iter(line["counts"])
-            # The arithmetic of retrieval's l2_normalize(embed_sparse(text)).
-            vector = l2_normalize(unit_vector(dict(zip(numbers, numbers))))
-            entry.vector_memo[(entry.question.text, line["dimension"])] = vector
+            dimension = line["dimension"]
+            numbers = line["counts"]
+            buckets, counts = numbers[0::2], numbers[1::2]
+            if not (
+                isinstance(dimension, int)
+                # A JSON number that is not an int makes the sum a float, and
+                # anything else makes sum() raise, without a Python loop.
+                and type(sum(numbers)) is int
+                and 0 < len(buckets) == len(counts)
+                and 0 <= buckets[0]
+                and buckets[-1] < dimension
+                and all(map(lt, buckets, buckets[1:]))
+                and min(counts) >= 1
+            ):
+                raise ValueError("index line holds damaged trigram counts")
+            norm = sum(map(mul, counts, counts))
+            entry.counts_memo[(entry.question.text, dimension)] = (buckets, counts, norm)
         except _CORRUPT_ENTRY_ERRORS:
             return None
         self.counts.indexed += 1

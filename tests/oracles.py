@@ -2,8 +2,8 @@
 
 These deliberately restate the definitions with different code paths than
 the modules they verify: explicit window enumeration and per-candidate
-containment scans for mining, and an explicit filter-then-scan argmax over
-dense cosine similarities for retrieval.
+containment scans for mining, a dense float embedding, and an explicit
+filter-then-scan argmax over exact fractions for retrieval.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
+from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
 from typing import Sequence
@@ -125,16 +126,26 @@ def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
     return max(-1.0, min(1.0, dot))
 
 
+def exact_similarity(provider: HashingEmbedder, a: str, b: str) -> Fraction:
+    """The squared cosine of two texts' embeddings, exactly: dot² / (|a|² |b|²)
+    over their integer trigram counts."""
+    counts_a, counts_b = provider.trigram_counts(a), provider.trigram_counts(b)
+    dot = sum(count * counts_b[bucket] for bucket, count in counts_a.items())
+    norm_a = sum(count * count for count in counts_a.values())
+    norm_b = sum(count * count for count in counts_b.values())
+    return Fraction(dot * dot, norm_a * norm_b)
+
+
 def brute_force_select(
     question: Question, entries: list[MemoryEntry], provider: HashingEmbedder
 ) -> MemoryEntry | None:
-    """Exhaustive scan: same-database filter, then argmax of the dense cosine
-    between the query's and each entry's embedding, with id tie-break."""
+    """Exhaustive scan: same-database filter, then argmax of the exact squared
+    cosine (the cosine is never negative, so squaring keeps its order), then
+    the smallest question id among exact ties; of equal ids, the first."""
     matching = [e for e in entries if e.database_id == question.database_id]
     if not matching:
         return None
-    query = provider.embed(question.text)
-    scored = [(cosine_similarity(query, provider.embed(e.question.text)), e) for e in matching]
+    scored = [(exact_similarity(provider, question.text, e.question.text), e) for e in matching]
     best_score = max(score for score, _ in scored)
     tied = [e for score, e in scored if score == best_score]
     return min(tied, key=lambda e: e.question.id)

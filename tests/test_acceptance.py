@@ -26,10 +26,8 @@ from trajmem.mining import MinerConfig, export_manifest, mine_composites
 from trajmem.model import Phase, Question
 from trajmem.retrieval import (
     HashingEmbedder,
-    l2_normalize,
     select_from_entries,
     select_trajectory,
-    unit_cosine,
 )
 from trajmem.store import MemoryStore, StructuredTrajectory
 from trajmem.synthesis import (
@@ -42,7 +40,7 @@ from trajmem.tools import Workspace
 
 from conftest import record_acceptance
 from helpers import memory_entry, step, tool_trajectory, trajectory
-from oracles import brute_force_mine, brute_force_select
+from oracles import brute_force_mine, brute_force_select, exact_similarity
 
 PROVIDER = HashingEmbedder(256)
 
@@ -136,12 +134,13 @@ def test_acceptance_retrieval_oracle_equivalence(tmp_path):
             tie_cases += 1
         stores += 1
 
-    # Self-retrieval: similarity of a stored question with itself is 1.
-    max_error = 0.0
-    for text in _VOCABULARY:
-        vector = l2_normalize(PROVIDER.embed_sparse(text))
-        max_error = max(max_error, abs(unit_cosine(vector, vector) - 1.0))
-    assert max_error <= 1e-9
+    # Self-retrieval: a stored question scores exactly 1 against itself, and
+    # over the whole vocabulary its own entry is the one selected.
+    vocabulary = [memory_entry(f"v{i:02d}", "A", text) for i, text in enumerate(_VOCABULARY)]
+    self_exact = sum(exact_similarity(PROVIDER, text, text) == 1 for text in _VOCABULARY)
+    for entry in vocabulary:
+        question = Question(id="probe", text=entry.question.text, database_id="A")
+        assert select_from_entries(question, vocabulary, PROVIDER) is entry
 
     # Bind the on-disk path: select_trajectory over a persisted store.
     store = MemoryStore(tmp_path / "store")
@@ -154,9 +153,9 @@ def test_acceptance_retrieval_oracle_equivalence(tmp_path):
 
     check(
         "retrieval oracle equivalence",
-        stores >= 1000 and tie_cases > 0,
+        stores >= 1000 and tie_cases > 0 and self_exact == len(_VOCABULARY),
         f"{stores} stores, {tie_cases} with duplicate texts, "
-        f"self-similarity error {max_error:.1e}",
+        f"self-similarity exactly 1 for {self_exact}/{len(_VOCABULARY)} texts",
     )
 
 

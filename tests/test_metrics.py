@@ -202,6 +202,20 @@ def test_column_search_stops_at_once_when_no_column_order_exists(monkeypatch):
     assert calls["match"].count(12) == 1 and len(calls["match"]) <= 12 * 12 + 1
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_a_correct_answer_in_reversed_row_order_costs_linear_comparisons(monkeypatch, width):
+    gold = [[i, f"name {i}", i * 0.5][:width] for i in range(1500)]
+    predicted = [list(row) for row in reversed(gold)]
+    calls = []
+    original = metrics_module._cells_equal
+    monkeypatch.setattr(
+        metrics_module, "_cells_equal", lambda a, b: calls.append(1) or original(a, b)
+    )
+    assert execution_accuracy(predicted, gold) is True
+    # Each column fits its gold column once, then the whole rows match once.
+    assert len(calls) <= 2 * len(gold) * width
+
+
 def _record(qid, phases, steps=None, **kwargs):
     counts = {}
     for phase in phases:

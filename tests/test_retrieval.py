@@ -4,24 +4,20 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trajmem.model import Question
 from trajmem.retrieval import (
     HashingEmbedder,
     filter_by_database,
-    l2_normalize,
     select_from_entries,
-    unit_cosine,
 )
 
 from helpers import memory_entry
-from oracles import brute_force_select, cosine_similarity, reference_embed
+from oracles import brute_force_select, cosine_similarity, exact_similarity, reference_embed
 
 PROVIDER = HashingEmbedder(256)
-
-
-def unit(text: str) -> dict[int, float]:
-    return l2_normalize(PROVIDER.embed_sparse(text))
 
 
 def test_embed_is_deterministic():
@@ -31,7 +27,6 @@ def test_embed_is_deterministic():
 def test_embed_is_unit_norm():
     vector = PROVIDER.embed("list all airports")
     assert math.isclose(sum(v * v for v in vector), 1.0, abs_tol=1e-12)
-    assert abs(unit_cosine(unit("list all airports"), unit("list all airports")) - 1.0) <= 1e-9
 
 
 @pytest.mark.parametrize("dimension", [1, 16, 256])
@@ -51,14 +46,14 @@ def test_sparse_embedding_holds_exactly_the_nonzero_buckets():
         assert sparse == {bucket: v for bucket, v in enumerate(dense) if v}
 
 
-def test_sparse_scores_equal_dense_cosine_bit_for_bit():
+def test_exact_scores_agree_with_dense_cosine():
     rng = random.Random(11)
     words = "how many flights rows per carrier airport delay count distinct region".split()
     texts = [" ".join(rng.choice(words) for _ in range(rng.randint(0, 9))) for _ in range(60)]
     for a in texts:
         for b in texts[:20]:
             dense = cosine_similarity(PROVIDER.embed(a), PROVIDER.embed(b))
-            assert unit_cosine(unit(a), unit(b)) == dense
+            assert math.isclose(exact_similarity(PROVIDER, a, b), dense * dense, abs_tol=1e-12)
 
 
 def test_empty_text_uses_convention_vector():
@@ -68,31 +63,30 @@ def test_empty_text_uses_convention_vector():
 
 
 def test_shared_trigrams_dominate_similarity():
-    base = unit("group by region")
-    assert unit_cosine(base, unit("group by region totals")) > unit_cosine(
-        base, unit("list all airports")
-    )
+    entries = [
+        memory_entry("q1", "A", "list all airports"),
+        memory_entry("q2", "A", "group by region totals"),
+    ]
+    question = Question(id="x", text="group by region", database_id="A")
+    assert select_from_entries(question, entries, PROVIDER) is entries[1]
 
 
 def test_cosine_identity():
-    v = unit("anything at all")
-    assert unit_cosine(v, v) == pytest.approx(1.0, abs=1e-12)
+    assert exact_similarity(PROVIDER, "anything at all", "anything at all") == 1
+    entries = [
+        memory_entry("q1", "A", "anything at all, really"),
+        memory_entry("q2", "A", "anything at all"),
+    ]
+    question = Question(id="x", text="anything at all", database_id="A")
+    assert select_from_entries(question, entries, PROVIDER) is entries[1]
 
 
 def test_cosine_orthogonal():
-    assert unit_cosine({0: 1.0}, {1: 1.0}) == 0.0
-    assert unit_cosine({0: 1.0}, {}) == 0.0
-
-
-def test_cosine_antipodal():
-    v = {3: 0.6, 7: 0.8}
-    assert unit_cosine(v, {b: -x for b, x in v.items()}) == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_cosine_clamps_to_unit_interval():
-    v = unit("clamp check")
-    assert -1.0 <= unit_cosine(v, v) <= 1.0
-    assert unit_cosine({0: 1.0 + 1e-9}, {0: 1.0 + 1e-9}) == 1.0
+    apart = [memory_entry("q2", "A", "sum of sales"), memory_entry("q1", "A", "count rows")]
+    query = Question(id="x", text="zzzz", database_id="A")
+    assert all(exact_similarity(PROVIDER, "zzzz", e.question.text) == 0 for e in apart)
+    # Every score is 0, an exact tie, so the smallest id wins.
+    assert select_from_entries(query, apart, PROVIDER) is apart[1]
 
 
 def test_filter_keeps_matching_database_only():
@@ -131,7 +125,7 @@ def test_select_exact_text_wins():
     question = Question(id="x", text="how many flights are recorded", database_id="A")
     selected = select_from_entries(question, entries, PROVIDER)
     assert selected is entries[1]
-    assert abs(unit_cosine(unit(question.text), unit(selected.question.text)) - 1.0) <= 1e-9
+    assert exact_similarity(PROVIDER, question.text, selected.question.text) == 1
 
 
 def test_select_matches_brute_force_on_random_corpus():
@@ -197,25 +191,30 @@ def test_select_none_when_database_unseen():
 def test_select_memoizes_entry_vectors_by_text_and_dimension(monkeypatch):
     entry = memory_entry("q1", "A", "how many flights are recorded")
     question = Question(id="x", text="how many flights", database_id="A")
-    embedded = []
-    original = HashingEmbedder.embed_sparse
+    hashed = []
+    original = HashingEmbedder.trigram_counts
     monkeypatch.setattr(
         HashingEmbedder,
-        "embed_sparse",
-        lambda self, text: embedded.append((text, self.dimension())) or original(self, text),
+        "trigram_counts",
+        lambda self, text: hashed.append((text, self.dimension())) or original(self, text),
     )
     for _ in range(3):
         select_from_entries(question, [entry], PROVIDER)
     select_from_entries(question, [entry], HashingEmbedder(16))
     entry.question = Question(id="q1", text="other words", database_id="A")
     select_from_entries(question, [entry], PROVIDER)
-    # The query is embedded on every call; each entry text once per dimension.
-    assert [call for call in embedded if call[0] != question.text] == [
+    # The query is hashed on every call; each entry text once per dimension.
+    assert [call for call in hashed if call[0] != question.text] == [
         ("how many flights are recorded", 256),
         ("how many flights are recorded", 16),
         ("other words", 256),
     ]
-    assert entry.vector_memo[("other words", 256)] == unit("other words")
+    monkeypatch.undo()
+    counts = PROVIDER.trigram_counts("other words")
+    buckets = sorted(counts)
+    assert entry.counts_memo[("other words", 256)] == (
+        buckets, [counts[b] for b in buckets], sum(c * c for c in counts.values())
+    )
 
 
 def test_select_duplicate_ids_keep_first_of_equal_scores():
@@ -223,3 +222,43 @@ def test_select_duplicate_ids_keep_first_of_equal_scores():
     second = memory_entry("q1", "A", "same words")
     question = Question(id="x", text="same words", database_id="A")
     assert select_from_entries(question, [first, second], PROVIDER) is first
+
+
+def test_exact_tie_goes_to_the_smallest_id():
+    # Both entries score 25/26 (dot² / |e|²); float rounding used to rank
+    # q06 first. Case 634 of the retrieval acceptance loop.
+    question = Question(id="probe", text="sum of distances per year", database_id="A")
+    airports = memory_entry("q06", "A", "list the airports by country")
+    revenue = memory_entry("q04", "A", "total revenue per region")
+    assert exact_similarity(PROVIDER, question.text, airports.question.text) == exact_similarity(
+        PROVIDER, question.text, revenue.question.text
+    )
+    for entries in ([airports, revenue], [revenue, airports]):
+        assert select_from_entries(question, entries, PROVIDER) is revenue
+
+
+# The first three hold an exact tie: the second and third score the same
+# against the first.
+_PHRASES = ["sum of distances per year", "list the airports by country",
+            "total revenue per region", "group by region"]
+_TEXT = st.one_of(
+    st.sampled_from(_PHRASES),
+    st.lists(st.sampled_from(" ".join(_PHRASES).split()), max_size=6).map(" ".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(["q1", "q2", "q3", "q4"]), st.sampled_from("AB"), _TEXT),
+             max_size=12),
+    _TEXT,
+    st.sampled_from([256, 4, 1]),
+)
+@example([("q2", "A", _PHRASES[1]), ("q1", "A", _PHRASES[2])], _PHRASES[0], 256)
+def test_select_is_the_exact_fraction_argmax(rows, text, dimension):
+    entries = [memory_entry(qid, db, entry_text) for qid, db, entry_text in rows]
+    question = Question(id="probe", text=text, database_id="A")
+    provider = HashingEmbedder(dimension)
+    assert select_from_entries(question, entries, provider) is brute_force_select(
+        question, entries, provider
+    )

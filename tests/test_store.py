@@ -20,7 +20,7 @@ import trajmem.store as store_module
 from trajmem.classifier import classify_trajectory
 from trajmem.errors import StorageError
 from trajmem.model import Phase, Question
-from trajmem.retrieval import HashingEmbedder, l2_normalize, select_trajectory
+from trajmem.retrieval import HashingEmbedder, select_trajectory
 from trajmem.store import (
     MemoryEntry,
     MemoryStore,
@@ -562,11 +562,11 @@ def test_cold_selection_parses_only_the_winner(tmp_path, monkeypatch):
 def test_indexed_vectors_equal_the_embedded_ones_bit_for_bit(tmp_path):
     _persist_all(tmp_path)
     for entry in MemoryStore(tmp_path / "store").load_entries("db1"):
-        ((key, vector),) = entry.vector_memo.items()
+        ((key, (buckets, counts, norm)),) = entry.counts_memo.items()
         assert key == (entry.question.text, 256)
-        assert list(vector.items()) == list(
-            l2_normalize(HashingEmbedder(256).embed_sparse(entry.question.text)).items()
-        )
+        hashed = HashingEmbedder(256).trigram_counts(entry.question.text)
+        assert list(zip(buckets, counts)) == sorted(hashed.items())
+        assert norm == sum(count * count for count in hashed.values())
 
 
 def test_crash_between_rename_and_index_append_still_selects_the_entry(tmp_path, monkeypatch):
@@ -582,6 +582,40 @@ def test_crash_between_rename_and_index_append_still_selects_the_entry(tmp_path,
     selected, store = _cold_selection(tmp_path, "orders per month")
     assert selected == "q004"
     assert store.counts == store_module.LoadCounts(indexed=4, parsed=1, corrupt=0)
+
+
+def _swap_first_two_pairs(c):
+    return c[2:4] + c[0:2] + c[4:]
+
+
+_DAMAGED_COUNTS = {
+    "bucket past the dimension": lambda c: c[:-2] + [256, c[-1]],
+    "negative bucket": lambda c: [-1] + c[1:],
+    "string bucket": lambda c: [str(c[0])] + c[1:],
+    "float count": lambda c: c[:1] + [float(c[1])] + c[2:],
+    "unsorted buckets": _swap_first_two_pairs,
+    "duplicate bucket": lambda c: c[:2] + [c[0]] + c[3:],
+    "zero count": lambda c: c[:1] + [0] + c[2:],
+    "odd length": lambda c: c[:-1],
+    "no counts": lambda c: [],
+    "not a list": lambda c: {"0": 1},
+    "a list in the list": lambda c: [c[:2]] + c[2:],
+}
+
+
+@pytest.mark.parametrize("damage", sorted(_DAMAGED_COUNTS))
+def test_damaged_index_counts_are_parsed_from_meta_json(tmp_path, damage):
+    _persist_all(tmp_path)
+    index = _index(tmp_path)
+    lines = [json.loads(raw) for raw in index.read_bytes().splitlines()]
+    lines[1]["counts"] = _DAMAGED_COUNTS[damage](lines[1]["counts"])
+    index.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    for text in _TEXTS:
+        selected, store = _cold_selection(tmp_path, text)
+        assert selected == _expected(tmp_path, text)
+        # The stamp still matches, but the entry is parsed from its meta.json.
+        assert (store.counts.indexed, store.counts.corrupt) == (3, 0)
+        assert store.counts.parsed == 1 + (selected != "q001")
 
 
 @pytest.mark.parametrize("tail", [b'{"question":{"id":"q0', b"\x00\xffgarbage\n", b"[1, 2]\n"])
