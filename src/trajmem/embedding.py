@@ -2,8 +2,9 @@
 
 Lowercased character trigrams are counted into ``dimension`` buckets via
 CRC32. Retrieval scores those integer counts exactly; the store keeps the
-counts of each stored question in its index, so a stored question is never
-hashed again. ``embed_sparse`` and ``embed`` scale the counts to unit
+counts of each stored question in its index, as base64 (bucket, count)
+pairs of 16-bit numbers, so a stored question with a usable index line is
+never hashed again. ``embed_sparse`` and ``embed`` scale the counts to unit
 length: a sparse vector is a dict from bucket to value that holds only the
 nonzero buckets, in ascending bucket order.
 """

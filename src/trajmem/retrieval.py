@@ -17,8 +17,9 @@ candidate in order wins.
 
 Embeddings are not stored. An entry's counts are memoized on the entry as
 its nonzero buckets in ascending order, their counts and the sum of the
-squared counts. The store fills the memo from its index; otherwise the
-question text is hashed the first time the entry is scored.
+squared counts. The store fills the memo from its index, whose base64
+(bucket, count) pairs decode to two arrays of 16-bit numbers; otherwise the
+question text is hashed the first time the entry is scored, into lists.
 """
 
 from __future__ import annotations

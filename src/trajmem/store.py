@@ -14,29 +14,37 @@ Every write also appends a line to the database's index,
 ``store_root/<database_id>/.index.jsonl``: the question, ``created_at``,
 the stamp (inode, modification time, status-change time, size) of the
 ``meta.json`` just written, and the question's hashed-trigram counts with
-the dimension they were counted in. The index is a derived cache; deleting
-it only costs full parses.
+the dimension they were counted in. The counts are one base64 string of
+(bucket, count) pairs as big-endian unsigned 16-bit numbers, decoded in C
+with no per-number JSON parse; counts that do not fit 16 bits are written
+empty, which reads as damaged. The index is a derived cache; deleting it
+only costs full parses.
 
-A ``MemoryStore`` reads each database's index once, on its first load of
-that database. An entry whose ``meta.json`` still has its line's stamp is
-taken from the line, with the line's integer counts as the ones retrieval
-scores exactly, and its segments are read from ``meta.json`` only when
-first needed. Every other entry, and one whose line holds damaged counts,
-is parsed from ``meta.json`` in full. The store keeps what it read,
-per database, stamped; each later ``load_entries`` call lists the database
-directory, stats every ``meta.json`` and parses only what is new or changed.
+A ``MemoryStore`` reads each database's index once, in one read, on its
+first load of that database, parsing each line on its own. An entry whose
+``meta.json`` still has its line's stamp is taken from the line, with the
+line's integer counts as the ones retrieval scores exactly, and its
+segments are read from ``meta.json`` only when first needed. Every other
+entry, and one whose line holds damaged counts (a line in the older list
+format among them), is parsed from ``meta.json`` in full. The store keeps
+what it read, per database, stamped; each later ``load_entries`` call lists
+the database directory, stats every ``meta.json`` and parses only what is
+new or changed.
 """
 
 from __future__ import annotations
 
+import binascii
 import copy
 import json
 import logging
 import os
 import re
 import shutil
+import sys
 import threading
 import uuid
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -62,6 +70,10 @@ _CORRUPT_ENTRY_ERRORS = (
     OSError, ValueError, LookupError, TypeError, AttributeError, TrajmemError
 )
 _T = TypeVar("_T")
+# Index counts are unsigned 16-bit numbers, written big-endian whatever the
+# host's byte order; "H" is the array typecode of that width.
+_COUNT_TYPECODE = "H"
+_SWAP_COUNT_BYTES = sys.byteorder == "little"
 # (st_ino, st_mtime_ns, st_ctime_ns, st_size) of an entry's meta.json. An inode
 # alone would not do: persist frees the entry it replaces, so the inode can be
 # handed out again. The status-change time also moves on an in-place edit.
@@ -331,8 +343,7 @@ class MemoryStore:
                 "created_at": entry.created_at,
                 "stamp": list(stamp),
                 "dimension": self.dimension,
-                # Bucket, count, bucket, count, ... in ascending bucket order.
-                "counts": [number for pair in sorted(counts.items()) for number in pair],
+                "counts": _encode_counts(counts),
             },
             ensure_ascii=False,
             separators=(",", ":"),
@@ -351,32 +362,36 @@ class MemoryStore:
             self._compact_index(entry.database_id, size)
 
     def _read_index(self, database_id: str) -> dict[str, tuple[dict[str, Any], bytes]]:
-        """Entry directory name -> (line, its bytes) for the last well-formed
-        line of that entry in the database's index; torn or garbage lines are
-        skipped."""
-        lines: dict[str, tuple[dict[str, Any], bytes]] = {}
+        """Entry directory name -> (line, its bytes without the line break)
+        for the last well-formed line of that entry in the database's index,
+        read in one call; torn or garbage lines are skipped."""
         try:
             with open(self.root / database_id / _INDEX_FILE, "rb") as handle:
-                for raw in handle:
-                    try:
-                        line = json.loads(raw)
-                        lines[line["question"]["id"]] = (line, raw)
-                    except (ValueError, LookupError, TypeError):
-                        continue
+                data = handle.read()
         except OSError:
-            pass
+            return {}
+        lines: dict[str, tuple[dict[str, Any], bytes]] = {}
+        # Each line is parsed on its own, so a garbage line cannot shift or
+        # swallow its neighbours.
+        for raw in data.split(b"\n"):
+            try:
+                line = json.loads(raw)
+                lines[line["question"]["id"]] = (line, raw)
+            except (ValueError, LookupError, TypeError):
+                continue
         return lines
 
     def _compact_index(self, database_id: str, size: int) -> None:
         """Rewrite the index with only the lines that still match their entry's
-        ``meta.json``, when those take at most half of its ``size`` bytes. A
-        line another writer appends meanwhile is lost, which only costs a
-        full parse."""
+        ``meta.json`` and hold usable counts, when those take at most half of
+        its ``size`` bytes. A line another writer appends meanwhile is lost,
+        which only costs a full parse."""
         database_dir = self.root / database_id
         live = b"".join(
-            raw.rstrip(b"\n") + b"\n"
+            raw + b"\n"
             for name, (line, raw) in self._read_index(database_id).items()
             if line.get("stamp") == list(_stamp(database_dir / name / "meta.json") or ())
+            and _counts_usable(line)
         )
         if 2 * len(live) > size:
             return
@@ -421,18 +436,19 @@ class MemoryStore:
                 indexed = self._read_index(database_id)
             current: dict[str, tuple[_Stamp | None, MemoryEntry | None]] = {}
             for entry_dir in self._entry_dirs(database_id):
+                name = entry_dir.name
                 # Stat before reading, so a stamp is never newer than the
                 # content kept with it.
-                stamp = _stamp(os.path.join(entry_dir.path, "meta.json"))
-                cached = known.get(entry_dir.name)
+                stamp = _stamp(entry_dir.path + "/meta.json")
+                cached = known.get(name)
                 if cached is None or cached[0] != stamp:
-                    path = database_dir / entry_dir.name
-                    line, _ = indexed.get(entry_dir.name, (None, b""))
+                    path = database_dir / name
+                    line, _ = indexed.get(name, (None, b""))
                     entry = None
                     if line is not None and stamp is not None and line.get("stamp") == list(stamp):
                         entry = self._from_index(path, line)
                     cached = (stamp, entry or self._parse(path, _parse_entry))
-                current[entry_dir.name] = cached
+                current[name] = cached
             self._entries[database_id] = current
         return [copy.copy(entry) for _, entry in current.values() if entry is not None]
 
@@ -440,24 +456,10 @@ class MemoryStore:
         """The entry an index line describes, with the line's counts memoized
         for retrieval; None when the line is damaged."""
         try:
-            entry = _parse_entry(entry_dir, line)
             dimension = line["dimension"]
-            numbers = line["counts"]
-            buckets, counts = numbers[0::2], numbers[1::2]
-            if not (
-                isinstance(dimension, int)
-                # A JSON number that is not an int makes the sum a float, and
-                # anything else makes sum() raise, without a Python loop.
-                and type(sum(numbers)) is int
-                and 0 < len(buckets) == len(counts)
-                and 0 <= buckets[0]
-                and buckets[-1] < dimension
-                and all(map(lt, buckets, buckets[1:]))
-                and min(counts) >= 1
-            ):
-                raise ValueError("index line holds damaged trigram counts")
-            norm = sum(map(mul, counts, counts))
-            entry.counts_memo[(entry.question.text, dimension)] = (buckets, counts, norm)
+            memo = _decode_counts(line["counts"], dimension)
+            entry = _parse_entry(entry_dir, line)
+            entry.counts_memo[(entry.question.text, dimension)] = memo
         except _CORRUPT_ENTRY_ERRORS:
             return None
         self.counts.indexed += 1
@@ -520,6 +522,54 @@ class MemoryStore:
             self.counts.corrupt += 1
             logger.warning("skipping corrupt memory entry at %s: %s", entry_dir, exc)
             return None
+
+
+def _encode_counts(counts: dict[int, int]) -> str:
+    """An index line's ``counts``: the (bucket, count) pairs in ascending
+    bucket order, as big-endian unsigned 16-bit numbers, in base64.
+
+    Counts with a bucket or a count past 65535 cannot be held; they are
+    written as the empty string, which reads as damaged.
+    """
+    try:
+        numbers = array(_COUNT_TYPECODE, [n for pair in sorted(counts.items()) for n in pair])
+    except OverflowError:
+        return ""
+    if _SWAP_COUNT_BYTES:
+        numbers.byteswap()
+    return binascii.b2a_base64(numbers.tobytes(), newline=False).decode("ascii")
+
+
+def _decode_counts(text: Any, dimension: Any) -> EntryCounts:
+    """The counts an index line holds, as retrieval scores them: buckets,
+    counts and the sum of the squared counts.
+
+    Raises ValueError or TypeError when they are damaged: not a base64
+    string of whole (bucket, count) pairs, empty, with buckets not strictly
+    ascending below an integer ``dimension``, or with a count of 0.
+    """
+    numbers = array(_COUNT_TYPECODE, binascii.a2b_base64(text))
+    if _SWAP_COUNT_BYTES:
+        numbers.byteswap()
+    buckets, counts = numbers[0::2], numbers[1::2]
+    if not (
+        # A float dimension would key the memo as its equal int does.
+        type(dimension) is int
+        and 0 < len(buckets) == len(counts)
+        and buckets[-1] < dimension
+        and all(map(lt, buckets, buckets[1:]))
+        and all(counts)
+    ):
+        raise ValueError("index line holds damaged trigram counts")
+    return buckets, counts, sum(map(mul, counts, counts))
+
+
+def _counts_usable(line: dict[str, Any]) -> bool:
+    try:
+        _decode_counts(line.get("counts"), line.get("dimension"))
+    except (ValueError, TypeError):
+        return False
+    return True
 
 
 def _stamp_of(stat: os.stat_result) -> _Stamp:

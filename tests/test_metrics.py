@@ -156,6 +156,55 @@ def test_column_order_is_ignored_past_eight_columns(width):
     assert execution_accuracy(predicted, gold) is False
 
 
+@st.composite
+def _wide_gold(draw):
+    """A gold table 9 to 12 columns wide, each column a copy of one of a few
+    kinds. Cells of different kinds never compare equal, so a predicted
+    column fits only gold columns holding the same cells, and every column
+    order the search builds from fitting columns is a right one. Tables whose
+    columns fit each other without being the same are left out: EX can
+    score a right answer to them False (see the strict xfail below)."""
+    width = draw(st.integers(9, 12))
+    rows = draw(st.integers(1, 5))
+    kinds = draw(st.integers(1, width))
+
+    def cell(kind: int):
+        base = 10 * kind + 1
+        # Numbers, numeric text and a value within tolerance of ``base``.
+        return st.sampled_from([base, base + 1, str(base), f" {base + 2} ", base * (1 + 5e-7)])
+
+    columns = [draw(st.lists(cell(kind), min_size=rows, max_size=rows)) for kind in range(kinds)]
+    picks = draw(st.lists(st.integers(0, kinds - 1), min_size=width, max_size=width))
+    return [[columns[kind][row] for kind in picks] for row in range(rows)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_wide_gold(), st.data())
+def test_ex_past_eight_columns_is_blind_to_row_and_column_order(gold, data):
+    order = data.draw(st.permutations(range(len(gold[0]))))
+    predicted = [[row[i] for i in order] for row in data.draw(st.permutations(gold))]
+    assert execution_accuracy(predicted, gold) is True
+    # A value found nowhere in the table can pair with no gold cell.
+    row = data.draw(st.integers(0, len(gold) - 1))
+    predicted[row][data.draw(st.integers(0, len(order) - 1))] = "absent"
+    assert execution_accuracy(predicted, gold) is False
+
+
+@pytest.mark.xfail(strict=True, reason="past 8 columns, EX stops after 8! fitting column "
+                   "orders; here each 0/1 column fits most others, and the right order "
+                   "is not among the first 8!")
+def test_a_row_and_column_permutation_of_eleven_0_1_columns_matches():
+    gold = [[0, 0, 0, 1, 1, 1, 0, 1, 1, 1, 1],
+            [1, 1, 0, 0, 0, 0, 1, 1, 0, 1, 1],
+            [1, 1, 1, 1, 1, 0, 0, 0, 1, 0, 0]]
+    order = [3, 5, 7, 4, 9, 8, 10, 0, 2, 6, 1]
+    predicted = [[gold[row][i] for i in order] for row in (1, 2, 0)]
+    assert predicted == [[0, 0, 1, 0, 1, 0, 1, 1, 0, 1, 1],
+                         [1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 1],
+                         [1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0]]
+    assert execution_accuracy(predicted, gold) is True
+
+
 def test_column_orders_tried_are_bounded(monkeypatch):
     # Ten columns that each hold one 1 and two 0s, so every predicted column
     # fits every gold column on its own and all 10! orders are candidates.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import dataclasses
 import errno
 import json
@@ -533,16 +534,87 @@ def _persist_all(tmp_path):
     return writer
 
 
+def _flat_pairs(text: str, dimension: int = 256) -> list[int]:
+    counts = HashingEmbedder(dimension).trigram_counts(text)
+    return [n for pair in sorted(counts.items()) for n in pair]
+
+
+def _encoded(numbers: list[int]) -> str:
+    """Numbers as index counts hold them: big-endian 16-bit, in base64."""
+    return base64.b64encode(b"".join(n.to_bytes(2, "big") for n in numbers)).decode()
+
+
 def test_persist_appends_one_index_line_per_write(tmp_path):
     path = _persist_all(tmp_path).entry_dir("db1", "q001")
     lines = [json.loads(line) for line in _index(tmp_path).read_text().splitlines()]
     assert [line["question"]["id"] for line in lines] == ["q000", "q001", "q002", "q003"]
     meta = os.stat(path / "meta.json")
     assert lines[1]["stamp"] == [meta.st_ino, meta.st_mtime_ns, meta.st_ctime_ns, meta.st_size]
-    counts = HashingEmbedder(256).trigram_counts(_TEXTS[1])
-    assert lines[1]["counts"] == [n for pair in sorted(counts.items()) for n in pair]
+    assert lines[1]["counts"] == _encoded(_flat_pairs(_TEXTS[1]))
     # meta.json is written compact, on one line.
     assert (path / "meta.json").read_text().count("\n") == 1
+
+
+def test_index_counts_are_big_endian_16_bit_pairs():
+    # "abcd" has the trigrams "abc" (bucket 121) and "bcd" (bucket 194), once each.
+    counts = HashingEmbedder(256).trigram_counts("abcd")
+    assert store_module._encode_counts(counts) == "AHkAAQDCAAE="
+    assert base64.b64decode("AHkAAQDCAAE=") == bytes([0, 121, 0, 1, 0, 194, 0, 1])
+    # Bucket 258 = 0x0102, count 2: the high byte comes first on every host.
+    assert store_module._encode_counts({1: 2, 258: 1}) == "AAEAAgECAAE="
+    # A bucket or a count past 16 bits cannot be held, and reads as damaged.
+    assert store_module._encode_counts({65536: 1}) == ""
+    assert store_module._encode_counts({0: 65536}) == ""
+    assert store_module._encode_counts({65535: 65535}) == "/////w=="
+
+
+# One trigram that hashes to bucket 65536 of 65537, the first past 16 bits.
+_PAST_16_BITS = "f\u00e9\u00aa"
+_TEXT_STRATEGY = st.one_of(
+    st.text(min_size=0, max_size=40),
+    # One trigram repeated more than 255 times.
+    st.integers(256, 400).map(lambda n: "a" * (n + 2)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 256, 65536, 65537]), _TEXT_STRATEGY)
+def test_counts_read_from_the_index_equal_the_hashed_ones(dimension, text):
+    counts = HashingEmbedder(dimension).trigram_counts(text)
+    buckets = sorted(counts)
+    expected = (buckets, [counts[b] for b in buckets], sum(c * c for c in counts.values()))
+    with tempfile.TemporaryDirectory() as tmp:
+        _persist_text(MemoryStore(tmp, dimension), "q000", text)
+        store = MemoryStore(tmp, dimension)
+        (entry,) = store.load_entries("db1")
+    if max(buckets) < 65536:
+        ((key, (got_buckets, got_counts, norm)),) = entry.counts_memo.items()
+        assert key == (text, dimension)
+        assert (list(got_buckets), list(got_counts), norm) == expected
+        assert store.counts == store_module.LoadCounts(indexed=1, parsed=0, corrupt=0)
+    else:
+        assert entry.counts_memo == {}
+        assert store.counts == store_module.LoadCounts(indexed=0, parsed=1, corrupt=0)
+
+
+def test_a_line_past_16_bits_is_parsed_from_meta_json(tmp_path):
+    assert HashingEmbedder(65537).trigram_counts(_PAST_16_BITS) == {65536: 1}
+
+    def index_counts():
+        return [json.loads(raw)["counts"] for raw in _index(tmp_path).read_bytes().splitlines()]
+
+    _persist_text(MemoryStore(tmp_path / "store", 65537), "q000", _PAST_16_BITS)
+    assert index_counts() == [""]
+    # The long line takes the index past the size that sets off compaction,
+    # which drops both lines that hold no usable counts.
+    _persist_text(MemoryStore(tmp_path / "store", 65537), "q001", "a" * 65538)
+    assert index_counts() == []
+    _persist_text(MemoryStore(tmp_path / "store", 65537), "q002", _TEXTS[0])
+    assert index_counts() == [_encoded(_flat_pairs(_TEXTS[0], 65537))]
+    store = MemoryStore(tmp_path / "store", 65537)
+    for i, text in enumerate([_PAST_16_BITS, "a" * 65538, _TEXTS[0]]):
+        assert _selected(store, text) == f"q{i:03d}"
+    assert store.counts == store_module.LoadCounts(indexed=1, parsed=3, corrupt=0)
 
 
 def test_cold_selection_parses_only_the_winner(tmp_path, monkeypatch):
@@ -588,18 +660,22 @@ def _swap_first_two_pairs(c):
     return c[2:4] + c[0:2] + c[4:]
 
 
+# Each kind of damage, applied to a line's counts as (bucket, count, ...)
+# numbers. A negative bucket, a string bucket, a float count and a list in
+# the list, which the list format could hold, cannot be written as unsigned
+# 16-bit numbers.
 _DAMAGED_COUNTS = {
-    "bucket past the dimension": lambda c: c[:-2] + [256, c[-1]],
-    "negative bucket": lambda c: [-1] + c[1:],
-    "string bucket": lambda c: [str(c[0])] + c[1:],
-    "float count": lambda c: c[:1] + [float(c[1])] + c[2:],
-    "unsorted buckets": _swap_first_two_pairs,
-    "duplicate bucket": lambda c: c[:2] + [c[0]] + c[3:],
-    "zero count": lambda c: c[:1] + [0] + c[2:],
-    "odd length": lambda c: c[:-1],
-    "no counts": lambda c: [],
-    "not a list": lambda c: {"0": 1},
-    "a list in the list": lambda c: [c[:2]] + c[2:],
+    "bucket past the dimension": lambda c: _encoded(c[:-2] + [256, c[-1]]),
+    "unsorted buckets": lambda c: _encoded(_swap_first_two_pairs(c)),
+    "duplicate bucket": lambda c: _encoded(c[:2] + [c[0]] + c[3:]),
+    "zero count": lambda c: _encoded(c[:1] + [0] + c[2:]),
+    "odd number of numbers": lambda c: _encoded(c[:-1]),
+    "odd length": lambda c: base64.b64encode(base64.b64decode(_encoded(c))[:-1]).decode(),
+    "bad base64": lambda c: _encoded(c)[:-1],
+    "not ascii": lambda c: "\u00e9" + _encoded(c),
+    "no counts": lambda c: "",
+    "not a string": lambda c: {"0": 1},
+    "the older list format": lambda c: c,
 }
 
 
@@ -608,7 +684,7 @@ def test_damaged_index_counts_are_parsed_from_meta_json(tmp_path, damage):
     _persist_all(tmp_path)
     index = _index(tmp_path)
     lines = [json.loads(raw) for raw in index.read_bytes().splitlines()]
-    lines[1]["counts"] = _DAMAGED_COUNTS[damage](lines[1]["counts"])
+    lines[1]["counts"] = _DAMAGED_COUNTS[damage](_flat_pairs(_TEXTS[1]))
     index.write_text("".join(json.dumps(line) + "\n" for line in lines))
     for text in _TEXTS:
         selected, store = _cold_selection(tmp_path, text)
@@ -616,6 +692,120 @@ def test_damaged_index_counts_are_parsed_from_meta_json(tmp_path, damage):
         # The stamp still matches, but the entry is parsed from its meta.json.
         assert (store.counts.indexed, store.counts.corrupt) == (3, 0)
         assert store.counts.parsed == 1 + (selected != "q001")
+
+
+def _write_counts_in_the_older_list_format(tmp_path) -> None:
+    index = _index(tmp_path)
+    lines = [json.loads(raw) for raw in index.read_bytes().splitlines()]
+    for line in lines:
+        line["counts"] = _flat_pairs(line["question"]["text"])
+    index.write_text(
+        "".join(json.dumps(line, separators=(",", ":")) + "\n" for line in lines)
+    )
+
+
+def test_an_index_in_the_older_list_format_is_parsed_from_meta_json(tmp_path):
+    _persist_all(tmp_path)
+    _write_counts_in_the_older_list_format(tmp_path)
+    for text in _TEXTS + ["airports per country", "delay"]:
+        selected, store = _cold_selection(tmp_path, text)
+        assert selected == _expected(tmp_path, text)
+        assert store.counts == store_module.LoadCounts(indexed=0, parsed=4, corrupt=0)
+
+
+def _read_per_line(index: Path) -> dict:
+    """The index as a reader that parses the file line by line sees it:
+    each line's id -> (line, its bytes without the line break)."""
+    lines = {}
+    with open(index, "rb") as handle:
+        for raw in handle:
+            try:
+                line = json.loads(raw)
+                lines[line["question"]["id"]] = (line, raw.rstrip(b"\n"))
+            except (ValueError, LookupError, TypeError):
+                continue
+    return lines
+
+
+# Lines that are not index lines, or not only one: each must be skipped alone,
+# as a reader parsing line by line skips it, even where a parse of the lines
+# joined into one array would pair them up ("[1" with "2]") or split one.
+_GARBAGE_LINES = [
+    b"[1", b"2]", b"3,", b"{", b"}", b"[", b"]", b"", b" ", b"\x00\xffgarbage",
+    b'{"question":{"id":"q0', b'"x"}', b"null", b'{"question":5}', b'{"question":{}}',
+    b'\xef\xbb\xbf{"question":{"id":"bom"}}', b'{"question":{"id":"q9"},"text":"\xff"}',
+    b'{"question":{"id":"q8"}} trailing', b'{"question":{"id":"q8"}}\r',
+    b'  {"question":{"id":"q7"}}', b'{"question":{"id":"q6"}}{"question":{"id":"q5"}}',
+]
+
+
+def _index_with_a_stale_line(root: Path) -> tuple[Path, list[bytes]]:
+    """A store of the four texts whose q001 was rewritten once: its index
+    lines, the stale line of q001 second and its current one last."""
+    writer = MemoryStore(root / "store")
+    for i, text in enumerate(_TEXTS):
+        _persist_text(writer, f"q{i:03d}", text)
+    _persist_text(writer, "q001", "a rewritten question")
+    index = root / "store" / "db1" / ".index.jsonl"
+    return index, index.read_bytes().splitlines()
+
+
+def test_index_reader_skips_each_garbage_line_alone(tmp_path):
+    index, valid = _index_with_a_stale_line(tmp_path)
+    # Joined into one JSON array, "[1", "2]" and "3,<line>" would read as
+    # [[1, 2], 3, <line>]: as many values as lines, each out of step.
+    lines = [b"[1", b"2]", b"3," + valid[0], valid[4], valid[2], b"\x00garbage", valid[1],
+             valid[4], valid[3][:40]]
+    index.write_bytes(b"\n".join(lines))
+    read = MemoryStore(tmp_path / "store")._read_index("db1")
+    assert read == _read_per_line(index)
+    assert {name: raw for name, (_, raw) in read.items()} == {"q001": valid[4], "q002": valid[2]}
+    store = MemoryStore(tmp_path / "store")
+    assert [e.question.text for e in store.load_entries("db1")] == [
+        _TEXTS[0], "a rewritten question", _TEXTS[2], _TEXTS[3]
+    ]
+    assert store.counts == store_module.LoadCounts(indexed=2, parsed=2, corrupt=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from(_GARBAGE_LINES),
+            st.integers(0, 4).map(lambda i: ("valid", i)),
+            st.tuples(st.integers(0, 4), st.sampled_from(_GARBAGE_LINES)).map(
+                lambda pair: ("glued", *pair)
+            ),
+        ),
+        max_size=12,
+    ),
+    st.integers(0, 60),
+    st.booleans(),
+)
+def test_index_reader_equals_a_line_by_line_reader(pieces, cut, torn):
+    with tempfile.TemporaryDirectory() as tmp:
+        index, valid = _index_with_a_stale_line(Path(tmp))
+        lines = []
+        for piece in pieces:
+            if isinstance(piece, bytes):
+                lines.append(piece)
+            elif piece[0] == "valid":
+                lines.append(valid[piece[1]])
+            else:  # "3," + a valid line: one line holding two values
+                lines.append(piece[2] + b"," + valid[piece[1]])
+        data = b"".join(line + b"\n" for line in lines)
+        if torn and data:
+            data = data[: len(data) - 1 - cut % len(data)]
+        index.write_bytes(data)
+        read = MemoryStore(Path(tmp) / "store")._read_index("db1")
+        assert read == _read_per_line(index)
+        # Each id keeps its last well-formed line; of q001's two, only the
+        # current one (the last written) still matches its meta.json.
+        store = MemoryStore(Path(tmp) / "store")
+        entries = store.load_entries("db1")
+        assert [e.question.id for e in entries] == [f"q{i:03d}" for i in range(4)]
+        current = {valid[0], valid[2], valid[3], valid[4]}
+        assert store.counts.indexed == sum(raw in current for _, raw in read.values())
 
 
 @pytest.mark.parametrize("tail", [b'{"question":{"id":"q0', b"\x00\xffgarbage\n", b"[1, 2]\n"])
@@ -689,6 +879,21 @@ def test_overwrites_keep_the_index_bounded(tmp_path):
     selected, store = _cold_selection(tmp_path, "departure delay per carrier 5")
     assert selected == "q001"
     assert store.counts == store_module.LoadCounts(indexed=4, parsed=1, corrupt=0)
+
+
+def test_compaction_drops_lines_in_the_older_list_format(tmp_path):
+    writer = _persist_all(tmp_path)
+    _write_counts_in_the_older_list_format(tmp_path)
+    for i in range(100):
+        _persist_text(writer, "q001", f"average departure delay per carrier {i % 7}")
+    lines = [json.loads(raw) for raw in _index(tmp_path).read_bytes().splitlines()]
+    # Only the line of the entry rewritten since is kept; the other entries
+    # have no line and are parsed in full.
+    assert lines[0]["question"]["id"] == "q001"
+    assert {line["question"]["id"] for line in lines} == {"q001"}
+    selected, store = _cold_selection(tmp_path, "departure delay per carrier 5")
+    assert selected == "q001"
+    assert store.counts == store_module.LoadCounts(indexed=1, parsed=4, corrupt=0)
 
 
 _OPERATION = st.one_of(
