@@ -17,8 +17,9 @@ candidate in order wins.
 
 Embeddings are not stored. An entry's counts are memoized on the entry as
 its nonzero buckets in ascending order, their counts and the sum of the
-squared counts. The store fills the memo from its index, whose base64
-(bucket, count) pairs decode to two arrays of 16-bit numbers; otherwise the
+squared counts. The store fills the memo when it takes an entry from its
+index, whose base64 (bucket, count) pairs decode to two arrays of 16-bit
+numbers, and when it writes the line an entry lacked; otherwise the
 question text is hashed the first time the entry is scored, into lists.
 """
 
@@ -36,18 +37,18 @@ def filter_by_database(
     question: Question, entries: Iterable[MemoryEntry]
 ) -> list[MemoryEntry]:
     """Exactly the entries recorded for the question's database, order kept."""
-    return [entry for entry in entries if entry.database_id == question.database_id]
+    database_id = question.database_id
+    return [entry for entry in entries if entry.question.database_id == database_id]
 
 
 def _entry_counts(entry: MemoryEntry, provider: HashingEmbedder) -> EntryCounts:
-    """The entry's trigram counts, memoized on the entry."""
+    """The entry's trigram counts, hashed from its question text and
+    memoized on the entry."""
     key = (entry.question.text, provider.dimension())
-    memo = entry.counts_memo.get(key)
-    if memo is None:
-        counts = provider.trigram_counts(key[0])
-        buckets = sorted(counts)
-        values = [counts[bucket] for bucket in buckets]
-        memo = entry.counts_memo[key] = (buckets, values, sum(map(mul, values, values)))
+    counts = provider.trigram_counts(key[0])
+    buckets = sorted(counts)
+    values = [counts[bucket] for bucket in buckets]
+    memo = entry.counts_memo[key] = (buckets, values, sum(map(mul, values, values)))
     return memo
 
 
@@ -63,13 +64,15 @@ def select_from_entries(
     # The dense embed is the one perfbench times as retrieval.embed.
     # Scoring uses the integer counts it is made from, not its floats.
     provider.embed(question.text)
-    query = [0] * provider.dimension()
+    dimension = provider.dimension()
+    query = [0] * dimension
     for bucket, count in provider.trigram_counts(question.text).items():
         query[bucket] = count
     query_count = query.__getitem__
     best, best_dot, best_norm = None, 0, 1
     for entry in candidates:
-        buckets, counts, norm = _entry_counts(entry, provider)
+        memo = entry.counts_memo.get((entry.question.text, dimension))
+        buckets, counts, norm = memo if memo is not None else _entry_counts(entry, provider)
         dot = sum(map(mul, map(query_count, buckets), counts))
         # dot² / norm against best_dot² / best_norm, without dividing.
         ahead = dot * dot * best_norm - best_dot * best_dot * norm

@@ -18,24 +18,26 @@ the dimension they were counted in. The counts are one base64 string of
 (bucket, count) pairs as big-endian unsigned 16-bit numbers, decoded in C
 with no per-number JSON parse; counts that do not fit 16 bits are written
 empty, which reads as damaged. The index is a derived cache; deleting it
-only costs full parses.
+costs one load that parses every entry in full and writes the index again.
 
 A ``MemoryStore`` reads each database's index once, in one read, on its
 first load of that database, parsing each line on its own. An entry whose
-``meta.json`` still has its line's stamp is taken from the line, with the
-line's integer counts as the ones retrieval scores exactly, and its
-segments are read from ``meta.json`` only when first needed. Every other
-entry, and one whose line holds damaged counts (a line in the older list
-format among them), is parsed from ``meta.json`` in full. The store keeps
-what it read, per database, stamped; each later ``load_entries`` call lists
-the database directory, stats every ``meta.json`` and parses only what is
-new or changed.
+``meta.json`` still has its line's stamp is built from the line in one
+step, with no file opened: the line's integer counts, decoded and checked,
+are the ones retrieval scores exactly, its directory is kept as a string
+until its ``path`` is read, and its segments are read from ``meta.json``
+only when first needed. Every other entry, and one whose line holds damaged
+counts (a line in the older list format among them), is parsed from
+``meta.json`` in full, and that first load appends a current line for it,
+so the next store takes it from the index. The store keeps what it read,
+per database, stamped; each later ``load_entries`` call lists the database
+directory, stats every ``meta.json`` and parses only what is new or
+changed.
 """
 
 from __future__ import annotations
 
 import binascii
-import copy
 import json
 import logging
 import os
@@ -45,7 +47,7 @@ import sys
 import threading
 import uuid
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from operator import lt, mul
@@ -123,28 +125,15 @@ class StructuredSegment:
 
 
 class StructuredTrajectory:
-    """Phase-segmented markdown rendering of a trajectory.
+    """Phase-segmented markdown rendering of a trajectory."""
 
-    An entry that a store took from its index gets one built with ``read``
-    in place of ``segments``: the segments are read from the entry's
-    ``meta.json`` the first time they are asked for. Shallow copies of the
-    entry share this object, and so share the read.
-    """
+    __slots__ = ("_segments",)
 
-    def __init__(
-        self,
-        segments: list[StructuredSegment] | None = None,
-        read: Callable[[], list[StructuredSegment]] | None = None,
-    ) -> None:
-        if (segments is None) == (read is None):
-            raise ValueError("give either segments or a reader of them")
+    def __init__(self, segments: list[StructuredSegment]) -> None:
         self._segments = segments
-        self._read = read
 
     @property
     def segments(self) -> list[StructuredSegment]:
-        if self._segments is None:
-            self._segments = self._read()
         return self._segments
 
     @property
@@ -203,45 +192,95 @@ def structure_trajectory(trajectory: Trajectory) -> StructuredTrajectory:
     return StructuredTrajectory(segments=segments)
 
 
-@dataclass
 class MemoryEntry:
-    """One retrievable unit: a question plus its structured trajectory."""
+    """One retrievable unit: a question plus its structured trajectory.
 
-    question: Question
-    structured: StructuredTrajectory
-    created_at: str = ""
-    path: Path | None = field(default=None, compare=False)
-    # Retrieval's counts of the question text by (text, dimension). Shallow
-    # copies share it, which is safe because each value depends only on its
-    # key. It is never written to disk.
-    counts_memo: dict[tuple[str, int], EntryCounts] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    ``path`` is the entry's directory, ``None`` until it is stored; given as
+    a string, it becomes a ``Path`` when first read, once for the entry and
+    all its copies. ``counts_memo`` holds
+    retrieval's counts of the question text by (text, dimension). Copies
+    share it, which is safe because each value depends only on its key. It
+    is never written to disk. Two entries are equal when their questions,
+    structured trajectories and ``created_at`` are.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.created_at:
-            self.created_at = datetime.now(timezone.utc).isoformat()
+    __slots__ = ("question", "structured", "created_at", "_path", "counts_memo")
 
-    def __copy__(self) -> MemoryEntry:
-        """A shallow copy: it shares ``counts_memo`` and ``structured``."""
-        clone = object.__new__(type(self))
-        clone.__dict__.update(self.__dict__)
-        return clone
+    def __init__(
+        self,
+        question: Question,
+        structured: StructuredTrajectory,
+        created_at: str = "",
+        path: str | Path | None = None,
+    ) -> None:
+        self.question = question
+        self.structured = structured
+        self.created_at = created_at or _now()
+        self._path = path
+        self.counts_memo: dict[tuple[str, int], EntryCounts] = {}
+
+    @property
+    def path(self) -> Path | None:
+        path = self._path
+        if path.__class__ is str:
+            path = self._path = Path(path)
+        elif isinstance(path, MemoryEntry):
+            path = self._path = path.path
+        return path
+
+    @path.setter
+    def path(self, value: str | Path | None) -> None:
+        self._path = value
 
     @property
     def database_id(self) -> str:
         return self.question.database_id
 
+    def __copy__(self) -> MemoryEntry:
+        """A shallow copy: it shares ``counts_memo`` and ``structured``."""
+        clone = _new(self.__class__)
+        clone.question = self.question
+        clone.structured = self.structured
+        clone.created_at = self.created_at
+        # A copy of an entry whose directory is still a string reads its path
+        # through that entry, which builds the Path once for all its copies.
+        clone._path = self if self._path.__class__ is str else self._path
+        clone.counts_memo = self.counts_memo
+        return clone
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MemoryEntry):
+            return NotImplemented
+        return (self.question, self.structured, self.created_at) == (
+            other.question, other.structured, other.created_at
+        )
+
+    __hash__ = None  # type: ignore[assignment]  # mutable, compared by value
+
+    def __repr__(self) -> str:
+        return (
+            f"MemoryEntry(question={self.question!r}, structured={self.structured!r}, "
+            f"created_at={self.created_at!r}, path={self.path!r})"
+        )
+
+
+def _now() -> str:
+    return datetime.now(timezone.utc).isoformat()
+
+
+_new = object.__new__
+
 
 @dataclass
 class LoadCounts:
     """What a store's loads did with the entries they met: took them from
-    the index, parsed a ``meta.json`` (a winner's segments included), or
-    skipped them as corrupt."""
+    the index, parsed a ``meta.json`` (a winner's segments included),
+    skipped them as corrupt, or wrote the index line they lacked."""
 
     indexed: int = 0
     parsed: int = 0
     corrupt: int = 0
+    healed: int = 0
 
 
 class MemoryStore:
@@ -305,10 +344,11 @@ class MemoryStore:
             if final.exists():  # a failed put-back leaves the old version under .old-*
                 shutil.rmtree(old, ignore_errors=True)
         entry.path = final
-        self._append_index(entry, stamp)
+        counts = self._encoded_counts(entry.question.text)
+        self._append_index(entry.database_id, self._index_line(entry, stamp, counts))
         with self._entries_lock:
             if entry.database_id in self._entries:
-                self._entries[entry.database_id][final.name] = (stamp, copy.copy(entry))
+                self._entries[entry.database_id][final.name] = (stamp, entry.__copy__())
         return final
 
     def _materialize(
@@ -333,33 +373,45 @@ class MemoryStore:
 
     # -- the index ------------------------------------------------------------
 
-    def _append_index(self, entry: MemoryEntry, stamp: _Stamp) -> None:
-        """Add the entry's line to its database's index. A line that cannot be
-        written only costs a full parse of the entry later."""
-        counts = HashingEmbedder(self.dimension).trigram_counts(entry.question.text)
-        line = json.dumps(
+    def _encoded_counts(self, text: str) -> str:
+        return _encode_counts(HashingEmbedder(self.dimension).trigram_counts(text))
+
+    def _index_line(self, entry: MemoryEntry, stamp: _Stamp, counts: str) -> bytes:
+        """The entry's index line, with its line break."""
+        return json.dumps(
             {
                 "question": entry.question.to_dict(),
                 "created_at": entry.created_at,
                 "stamp": list(stamp),
                 "dimension": self.dimension,
-                "counts": _encode_counts(counts),
+                "counts": counts,
             },
             ensure_ascii=False,
             separators=(",", ":"),
         ).encode("utf-8") + b"\n"
-        index = self.root / entry.database_id / _INDEX_FILE
+
+    def _append_index(self, database_id: str, lines: bytes) -> bool:
+        """Add whole lines to the database's index in one write; whether they
+        were written. Lines that cannot be written only cost full parses
+        later."""
+        index = self.root / database_id / _INDEX_FILE
         try:
             with open(index, "ab") as handle:
-                handle.write(line)
+                handle.write(lines)
                 size = handle.tell()
         except OSError as exc:
-            logger.warning("could not index memory entry %s: %s", entry.path, exc)
-            return
+            logger.warning("could not write to memory index %s: %s", index, exc)
+            return False
         # Each time the file grows past a power of two, see whether most of
-        # it is dead lines; that keeps the cost per append constant.
-        if size >= _COMPACT_FROM and (size - len(line)).bit_length() < size.bit_length():
-            self._compact_index(entry.database_id, size)
+        # it is dead lines; that keeps the cost per append constant. A file
+        # this append wrote whole holds no dead line.
+        if (
+            size >= _COMPACT_FROM
+            and size != len(lines)
+            and (size - len(lines)).bit_length() < size.bit_length()
+        ):
+            self._compact_index(database_id, size)
+        return True
 
     def _read_index(self, database_id: str) -> dict[str, tuple[dict[str, Any], bytes]]:
         """Entry directory name -> (line, its bytes without the line break)
@@ -383,15 +435,14 @@ class MemoryStore:
 
     def _compact_index(self, database_id: str, size: int) -> None:
         """Rewrite the index with only the lines that still match their entry's
-        ``meta.json`` and hold usable counts, when those take at most half of
-        its ``size`` bytes. A line another writer appends meanwhile is lost,
-        which only costs a full parse."""
+        ``meta.json``, when those take at most half of its ``size`` bytes. A
+        line another writer appends meanwhile is lost, which only costs a full
+        parse, and the next first load writes the line again."""
         database_dir = self.root / database_id
         live = b"".join(
             raw + b"\n"
             for name, (line, raw) in self._read_index(database_id).items()
             if line.get("stamp") == list(_stamp(database_dir / name / "meta.json") or ())
-            and _counts_usable(line)
         )
         if 2 * len(live) > size:
             return
@@ -418,52 +469,76 @@ class MemoryStore:
         """All entries for a database in question-id order; corrupt ones skipped.
 
         The first call reads the database's index: an entry whose
-        ``meta.json`` still has the stamp of its index line is taken from
-        the line, and its segments are read only when asked for. Later calls
-        parse only entries whose ``meta.json`` is new or changed since the
-        store last saw it. Each call returns shallow copies of the cached
-        entries, so a caller that rebinds an entry's fields leaves the
-        store's copy as it was. A corrupt entry is logged once and parsed
-        again only when its ``meta.json`` changes. Entries that vanished are
-        dropped.
+        ``meta.json`` still has the stamp of its index line, and whose line
+        holds usable counts, is built from the line alone, and its segments
+        are read only when asked for. Every other entry is parsed from its
+        ``meta.json``, and the index gets a current line for it, so the next
+        store takes it from the index. Later calls parse only entries whose
+        ``meta.json`` is new or changed since the store last saw it. Each call
+        returns copies of the cached entries, so a caller that rebinds an
+        entry's fields leaves the store's copy as it was. A corrupt entry is
+        logged once and parsed again only when its ``meta.json`` changes.
+        Entries that vanished are dropped.
         """
-        database_dir = self.root / database_id
         with self._entries_lock:
             known = self._entries.get(database_id)
-            indexed = {}
-            if known is None:
-                known = {}
-                indexed = self._read_index(database_id)
+            first = known is None
+            indexed = self._read_index(database_id) if first else {}
             current: dict[str, tuple[_Stamp | None, MemoryEntry | None]] = {}
+            heal: list[bytes] = []
             for entry_dir in self._entry_dirs(database_id):
                 name = entry_dir.name
                 # Stat before reading, so a stamp is never newer than the
                 # content kept with it.
                 stamp = _stamp(entry_dir.path + "/meta.json")
-                cached = known.get(name)
+                cached = None if first else known.get(name)
                 if cached is None or cached[0] != stamp:
-                    path = database_dir / name
                     line, _ = indexed.get(name, (None, b""))
-                    entry = None
-                    if line is not None and stamp is not None and line.get("stamp") == list(stamp):
-                        entry = self._from_index(path, line)
-                    cached = (stamp, entry or self._parse(path, _parse_entry))
+                    entry = self._from_index(entry_dir.path, stamp, line)
+                    if entry is None:
+                        entry = self._parse(entry_dir.path, _parse_entry)
+                        if first and entry is not None and stamp is not None:
+                            heal += self._heal_line(database_id, name, entry, stamp)
+                    cached = (stamp, entry)
                 current[name] = cached
             self._entries[database_id] = current
-        return [copy.copy(entry) for _, entry in current.values() if entry is not None]
+            if heal and self._append_index(database_id, b"".join(heal)):
+                self.counts.healed += len(heal)
+        clone = MemoryEntry.__copy__
+        return [clone(entry) for _, entry in current.values() if entry is not None]
 
-    def _from_index(self, entry_dir: Path, line: dict[str, Any]) -> MemoryEntry | None:
-        """The entry an index line describes, with the line's counts memoized
-        for retrieval; None when the line is damaged."""
+    def _from_index(
+        self, entry_dir: str, stamp: _Stamp | None, line: dict[str, Any] | None
+    ) -> MemoryEntry | None:
+        """The entry an index line describes, when the entry's ``meta.json``
+        still has the line's stamp; None when it does not, or the line is
+        damaged."""
+        if line is None or stamp is None or line.get("stamp") != list(stamp):
+            return None
         try:
-            dimension = line["dimension"]
-            memo = _decode_counts(line["counts"], dimension)
             entry = _parse_entry(entry_dir, line)
-            entry.counts_memo[(entry.question.text, dimension)] = memo
         except _CORRUPT_ENTRY_ERRORS:
             return None
         self.counts.indexed += 1
         return entry
+
+    def _heal_line(
+        self, database_id: str, name: str, entry: MemoryEntry, stamp: _Stamp
+    ) -> list[bytes]:
+        """The index line that an entry parsed in full on a first load lacks,
+        as a list of one, with its counts memoized on the entry as a load
+        from the line would. No line for an entry stored under another name
+        than its own, or whose counts 16 bits cannot hold: such a line would
+        never be taken, and each first load would add one."""
+        if (entry.question.id, entry.database_id) != (name, database_id):
+            return []
+        counts = self._encoded_counts(entry.question.text)
+        if not counts:
+            return []
+        entry.counts_memo[(entry.question.text, self.dimension)] = _decode_counts(
+            counts, self.dimension
+        )
+        return [self._index_line(entry, stamp, counts)]
 
     def read_segments(self, entry: MemoryEntry) -> bool:
         """Make sure an entry's segments are in memory, reading them from its
@@ -564,14 +639,6 @@ def _decode_counts(text: Any, dimension: Any) -> EntryCounts:
     return buckets, counts, sum(map(mul, counts, counts))
 
 
-def _counts_usable(line: dict[str, Any]) -> bool:
-    try:
-        _decode_counts(line.get("counts"), line.get("dimension"))
-    except (ValueError, TypeError):
-        return False
-    return True
-
-
 def _stamp_of(stat: os.stat_result) -> _Stamp:
     return (stat.st_ino, stat.st_mtime_ns, stat.st_ctime_ns, stat.st_size)
 
@@ -583,26 +650,29 @@ def _stamp(meta_path: str | Path) -> _Stamp | None:
         return None
 
 
-def _parse_entry(entry_dir: Path, meta: dict[str, Any]) -> MemoryEntry:
-    """The entry that a ``meta.json`` or an index line describes.
+def _parse_entry(entry_dir: str, meta: dict[str, Any]) -> MemoryEntry:
+    """The entry that a ``meta.json`` or an index line describes, in the
+    directory ``entry_dir``.
 
-    An index line holds no segments. The entry gets a reader of them that
-    takes them from ``meta.json`` only while the file keeps the line's stamp.
+    An index line holds no segments, and is taken in one step: its counts
+    are decoded and checked into the entry's ``counts_memo``, and its
+    segments are left to be read from ``meta.json`` when first asked for.
     """
     question = Question.from_dict(meta["question"])
     if "segments" in meta:
-        structured = StructuredTrajectory(segments=_segments(meta))
-    else:
-        stamp = tuple(meta["stamp"])
-        structured = StructuredTrajectory(
-            read=lambda: _read_segments(entry_dir, stamp, question)
+        return MemoryEntry(
+            question, StructuredTrajectory(_segments(meta)), meta.get("created_at", ""), entry_dir
         )
-    return MemoryEntry(
-        question=question,
-        structured=structured,
-        created_at=meta.get("created_at", ""),
-        path=entry_dir,
+    dimension = meta["dimension"]
+    counts = _decode_counts(meta["counts"], dimension)
+    entry = MemoryEntry(
+        question,
+        _IndexedTrajectory(entry_dir, tuple(meta["stamp"]), question),
+        meta.get("created_at", ""),
+        entry_dir,
     )
+    entry.counts_memo[(question.text, dimension)] = counts
+    return entry
 
 
 def _segments(meta: dict[str, Any]) -> list[StructuredSegment]:
@@ -612,21 +682,40 @@ def _segments(meta: dict[str, Any]) -> list[StructuredSegment]:
     ]
 
 
-def _read_segments(entry_dir: Path, stamp: tuple, question: Question) -> list[StructuredSegment]:
-    """The segments of an indexed entry, from a ``meta.json`` that still has
-    the index line's stamp and holds the line's question."""
-    try:
-        with open(os.path.join(entry_dir, "meta.json"), encoding="utf-8") as handle:
-            if _stamp_of(os.fstat(handle.fileno())) != stamp:
-                raise ValueError("meta.json changed since it was indexed")
-            meta = json.load(handle)
-        if not isinstance(meta, dict):
-            raise ValueError("meta.json does not hold a JSON object")
-        if Question.from_dict(meta["question"]) != question:
-            raise ValueError("meta.json does not match its index line")
-        return _segments(meta)
-    except _CORRUPT_ENTRY_ERRORS as exc:
-        raise StorageError(f"cannot read memory entry at {entry_dir}: {exc}") from exc
+class _IndexedTrajectory(StructuredTrajectory):
+    """The structured trajectory of an entry taken from its index line. Its
+    segments are read from the entry's ``meta.json`` the first time they are
+    asked for, and only from a file that still has the line's stamp and
+    holds the line's question. Copies of the entry share this object, and so
+    share the read."""
+
+    __slots__ = ("entry_dir", "stamp", "question")
+
+    def __init__(self, entry_dir: str, stamp: tuple, question: Question) -> None:
+        self._segments = None
+        self.entry_dir = entry_dir
+        self.stamp = stamp
+        self.question = question
+
+    @property
+    def segments(self) -> list[StructuredSegment]:
+        if self._segments is None:
+            self._segments = self._read()
+        return self._segments
+
+    def _read(self) -> list[StructuredSegment]:
+        try:
+            with open(os.path.join(self.entry_dir, "meta.json"), encoding="utf-8") as handle:
+                if _stamp_of(os.fstat(handle.fileno())) != self.stamp:
+                    raise ValueError("meta.json changed since it was indexed")
+                meta = json.load(handle)
+            if not isinstance(meta, dict):
+                raise ValueError("meta.json does not hold a JSON object")
+            if Question.from_dict(meta["question"]) != self.question:
+                raise ValueError("meta.json does not match its index line")
+            return _segments(meta)
+        except _CORRUPT_ENTRY_ERRORS as exc:
+            raise StorageError(f"cannot read memory entry at {self.entry_dir}: {exc}") from exc
 
 
 def _stored_trajectory(entry_dir: str | Path, meta: dict[str, Any]) -> Trajectory | None:

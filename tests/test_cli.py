@@ -341,7 +341,7 @@ def test_retrieve_json_reports_what_the_load_did(pipeline_dirs, capsys):
     payload = json.loads(capsys.readouterr().out)
     entries = len([p for p in (store / "flights").iterdir() if not p.name.startswith(".")])
     # Every entry comes from the index; only the winner's meta.json is parsed.
-    assert payload["entries"] == {"indexed": entries, "parsed": 1, "corrupt": 0}
+    assert payload["entries"] == {"indexed": entries, "parsed": 1, "corrupt": 0, "healed": 0}
 
     (store / "flights" / "broken").mkdir()
     (store / "flights" / "broken" / "meta.json").write_text("{broken")
@@ -350,8 +350,18 @@ def test_retrieve_json_reports_what_the_load_did(pipeline_dirs, capsys):
          "--db", "flights", "--store", str(store)]
     ) == 0
     assert json.loads(capsys.readouterr().out)["entries"] == {
-        "indexed": entries, "parsed": 2, "corrupt": 1
+        "indexed": entries, "parsed": 2, "corrupt": 1, "healed": 0
     }
+
+    # Without the index, every entry is parsed and gets its line back.
+    (store / "flights" / ".index.jsonl").unlink()
+    for healed in (entries, 0):
+        assert main(
+            ["--json", "retrieve", "--question", "anything",
+             "--db", "flights", "--store", str(store)]
+        ) == 0
+        counts = json.loads(capsys.readouterr().out)["entries"]
+        assert (counts["indexed"], counts["healed"]) == (entries - healed, healed)
 
 
 def test_synth_on_an_existing_store_parses_no_indexed_entry(pipeline_dirs, monkeypatch):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import base64
+import copy
 import dataclasses
 import errno
 import json
@@ -606,15 +607,18 @@ def test_a_line_past_16_bits_is_parsed_from_meta_json(tmp_path):
     _persist_text(MemoryStore(tmp_path / "store", 65537), "q000", _PAST_16_BITS)
     assert index_counts() == [""]
     # The long line takes the index past the size that sets off compaction,
-    # which drops both lines that hold no usable counts.
+    # which keeps both lines: each still matches its entry's meta.json.
     _persist_text(MemoryStore(tmp_path / "store", 65537), "q001", "a" * 65538)
-    assert index_counts() == []
+    assert index_counts() == ["", ""]
     _persist_text(MemoryStore(tmp_path / "store", 65537), "q002", _TEXTS[0])
-    assert index_counts() == [_encoded(_flat_pairs(_TEXTS[0], 65537))]
-    store = MemoryStore(tmp_path / "store", 65537)
-    for i, text in enumerate([_PAST_16_BITS, "a" * 65538, _TEXTS[0]]):
-        assert _selected(store, text) == f"q{i:03d}"
-    assert store.counts == store_module.LoadCounts(indexed=1, parsed=3, corrupt=0)
+    assert index_counts() == ["", "", _encoded(_flat_pairs(_TEXTS[0], 65537))]
+    for _ in range(2):
+        store = MemoryStore(tmp_path / "store", 65537)
+        for i, text in enumerate([_PAST_16_BITS, "a" * 65538, _TEXTS[0]]):
+            assert _selected(store, text) == f"q{i:03d}"
+        # A line that 16 bits cannot hold is not written again by a load.
+        assert store.counts == store_module.LoadCounts(indexed=1, parsed=3, corrupt=0, healed=0)
+    assert len(index_counts()) == 3
 
 
 def test_cold_selection_parses_only_the_winner(tmp_path, monkeypatch):
@@ -653,7 +657,10 @@ def test_crash_between_rename_and_index_append_still_selects_the_entry(tmp_path,
     monkeypatch.undo()
     selected, store = _cold_selection(tmp_path, "orders per month")
     assert selected == "q004"
-    assert store.counts == store_module.LoadCounts(indexed=4, parsed=1, corrupt=0)
+    assert store.counts == store_module.LoadCounts(indexed=4, parsed=1, corrupt=0, healed=1)
+    selected, store = _cold_selection(tmp_path, "orders per month")
+    assert selected == "q004"
+    assert store.counts == store_module.LoadCounts(indexed=5, parsed=1, corrupt=0, healed=0)
 
 
 def _swap_first_two_pairs(c):
@@ -685,13 +692,18 @@ def test_damaged_index_counts_are_parsed_from_meta_json(tmp_path, damage):
     index = _index(tmp_path)
     lines = [json.loads(raw) for raw in index.read_bytes().splitlines()]
     lines[1]["counts"] = _DAMAGED_COUNTS[damage](_flat_pairs(_TEXTS[1]))
-    index.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    damaged = "".join(json.dumps(line) + "\n" for line in lines)
     for text in _TEXTS:
+        index.write_text(damaged)
         selected, store = _cold_selection(tmp_path, text)
         assert selected == _expected(tmp_path, text)
-        # The stamp still matches, but the entry is parsed from its meta.json.
-        assert (store.counts.indexed, store.counts.corrupt) == (3, 0)
+        # The stamp still matches, but the entry is parsed from its meta.json,
+        # and the load appends a current line for it.
+        assert (store.counts.indexed, store.counts.corrupt, store.counts.healed) == (3, 0, 1)
         assert store.counts.parsed == 1 + (selected != "q001")
+        selected, store = _cold_selection(tmp_path, text)
+        assert selected == _expected(tmp_path, text)
+        assert (store.counts.indexed, store.counts.parsed, store.counts.healed) == (4, 1, 0)
 
 
 def _write_counts_in_the_older_list_format(tmp_path) -> None:
@@ -706,11 +718,11 @@ def _write_counts_in_the_older_list_format(tmp_path) -> None:
 
 def test_an_index_in_the_older_list_format_is_parsed_from_meta_json(tmp_path):
     _persist_all(tmp_path)
-    _write_counts_in_the_older_list_format(tmp_path)
     for text in _TEXTS + ["airports per country", "delay"]:
+        _write_counts_in_the_older_list_format(tmp_path)
         selected, store = _cold_selection(tmp_path, text)
         assert selected == _expected(tmp_path, text)
-        assert store.counts == store_module.LoadCounts(indexed=0, parsed=4, corrupt=0)
+        assert store.counts == store_module.LoadCounts(indexed=0, parsed=4, corrupt=0, healed=4)
 
 
 def _read_per_line(index: Path) -> dict:
@@ -764,7 +776,7 @@ def test_index_reader_skips_each_garbage_line_alone(tmp_path):
     assert [e.question.text for e in store.load_entries("db1")] == [
         _TEXTS[0], "a rewritten question", _TEXTS[2], _TEXTS[3]
     ]
-    assert store.counts == store_module.LoadCounts(indexed=2, parsed=2, corrupt=0)
+    assert store.counts == store_module.LoadCounts(indexed=2, parsed=2, corrupt=0, healed=2)
 
 
 @settings(max_examples=150, deadline=None)
@@ -813,21 +825,146 @@ def test_torn_or_garbage_last_line_is_skipped(tmp_path, tail):
     _persist_all(tmp_path)
     index = _index(tmp_path)
     lines = index.read_bytes().splitlines(keepends=True)
-    index.write_bytes(b"".join(lines[:-1]) + lines[-1][:40] + b"\n" + tail)
+    torn = b"".join(lines[:-1]) + lines[-1][:40] + b"\n" + tail
     for text in _TEXTS:
+        index.write_bytes(torn)
         selected, store = _cold_selection(tmp_path, text)
         assert selected == _expected(tmp_path, text)
-    # Only the entry whose line was torn is parsed in full.
-    assert store.counts.indexed == 3
+        # Only the entry whose line was torn is parsed in full.
+        assert (store.counts.indexed, store.counts.healed) == (3, 1)
 
 
 def test_deleted_index_falls_back_to_full_parses(tmp_path):
     _persist_all(tmp_path)
-    _index(tmp_path).unlink()
     for text in _TEXTS:
+        _index(tmp_path).unlink()
         selected, store = _cold_selection(tmp_path, text)
         assert selected == _expected(tmp_path, text)
-        assert store.counts == store_module.LoadCounts(indexed=0, parsed=4, corrupt=0)
+        assert store.counts == store_module.LoadCounts(indexed=0, parsed=4, corrupt=0, healed=4)
+
+
+@pytest.mark.parametrize("damage", ["deleted", "older list format"])
+def test_a_first_load_heals_the_index(tmp_path, monkeypatch, damage):
+    _persist_all(tmp_path)
+    if damage == "deleted":
+        _index(tmp_path).unlink()
+    else:
+        _write_counts_in_the_older_list_format(tmp_path)
+    appends = []
+    original_append = MemoryStore._append_index
+    monkeypatch.setattr(
+        MemoryStore, "_append_index",
+        lambda self, database_id, lines: appends.append(lines)
+        or original_append(self, database_id, lines),
+    )
+    selected, store = _cold_selection(tmp_path, "departure delay per carrier")
+    assert selected == "q001"
+    assert store.counts == store_module.LoadCounts(indexed=0, parsed=4, corrupt=0, healed=4)
+    # One write holds the four lines.
+    assert len(appends) == 1 and appends[0].count(b"\n") == 4
+
+    opened = []
+    original_load = store_module.json.load
+    monkeypatch.setattr(store_module.json, "load",
+                        lambda handle: opened.append(handle.name) or original_load(handle))
+    for text in _TEXTS:
+        opened.clear()
+        selected, store = _cold_selection(tmp_path, text)
+        assert selected == _expected(tmp_path, text)
+        assert store.counts == store_module.LoadCounts(indexed=4, parsed=1, corrupt=0, healed=0)
+        # Only the winner's segments are read.
+        assert opened == [str(tmp_path / "store" / "db1" / selected / "meta.json")]
+    assert len(appends) == 1
+
+
+def test_an_index_that_cannot_be_written_is_not_counted_as_healed(tmp_path, caplog):
+    _persist_all(tmp_path)
+    _index(tmp_path).unlink()
+    _index(tmp_path).mkdir()  # neither readable nor writable as a file
+    with caplog.at_level(logging.WARNING):
+        for text in _TEXTS:
+            selected, store = _cold_selection(tmp_path, text)
+            assert selected == _expected(tmp_path, text)
+            assert store.counts == store_module.LoadCounts(
+                indexed=0, parsed=4, corrupt=0, healed=0
+            )
+    assert sum("could not write to memory index" in r.getMessage() for r in caplog.records) == 4
+
+
+def test_an_entry_stored_under_another_name_is_not_healed(tmp_path):
+    _persist_all(tmp_path)
+    moved = tmp_path / "store" / "db1" / "q009"
+    (tmp_path / "store" / "db1" / "q002").rename(moved)
+    size = _index(tmp_path).stat().st_size
+    for _ in range(3):
+        selected, store = _cold_selection(tmp_path, "count the distinct products")
+        assert selected == "q002"
+        # Its meta.json names q002, so a line for it would never be found.
+        assert store.counts == store_module.LoadCounts(indexed=3, parsed=1, corrupt=0, healed=0)
+    assert _index(tmp_path).stat().st_size == size
+
+
+def test_a_heal_that_writes_the_whole_index_does_not_compact_it(tmp_path, monkeypatch):
+    writer = MemoryStore(tmp_path / "store")
+    for i in range(40):
+        _persist_text(writer, f"q{i:03d}", f"average departure delay per carrier {i}")
+    _index(tmp_path).unlink()
+    compactions = []
+    monkeypatch.setattr(MemoryStore, "_compact_index",
+                        lambda self, database_id, size: compactions.append(size))
+    store = MemoryStore(tmp_path / "store")
+    assert len(store.load_entries("db1")) == 40
+    assert store.counts.healed == 40
+    # The one append crossed powers of two, but every line in it is live.
+    assert _index(tmp_path).stat().st_size > 2 * store_module._COMPACT_FROM
+    assert compactions == []
+
+
+def test_an_indexed_entry_equals_its_twin_parsed_from_meta_json(tmp_path):
+    _persist_all(tmp_path)
+    database_dir = tmp_path / "store" / "db1"
+    store = MemoryStore(tmp_path / "store")
+    entries = store.load_entries("db1")
+    assert store.counts.indexed == 4
+    for entry in entries:
+        entry_dir = database_dir / entry.question.id
+        twin = store_module._parse_entry(
+            str(entry_dir), json.loads((entry_dir / "meta.json").read_text())
+        )
+        assert (entry.question, entry.created_at) == (twin.question, twin.created_at)
+        assert isinstance(entry.path, Path) and entry.path == twin.path == entry_dir
+        ((key, (buckets, counts, norm)),) = entry.counts_memo.items()
+        hashed = HashingEmbedder(256).trigram_counts(entry.question.text)
+        assert key == (twin.question.text, 256)
+        assert (list(buckets), list(counts), norm) == (
+            sorted(hashed), [hashed[b] for b in sorted(hashed)], sum(c * c for c in hashed.values())
+        )
+        assert not entry.structured.loaded
+        assert entry.structured.segments == twin.structured.segments
+        assert entry == twin
+
+    # Rebinding the fields of a returned copy leaves the store's copy as it was.
+    loaded = store.load_entries("db1")[0]
+    loaded.path = tmp_path / "elsewhere"
+    loaded.question = dataclasses.replace(loaded.question, text="changed")
+    again = store.load_entries("db1")[0]
+    assert (again.path, again.question.text) == (database_dir / "q000", _TEXTS[0])
+
+
+def test_an_indexed_entry_path_is_built_once_for_all_its_copies(tmp_path):
+    _persist_all(tmp_path)
+    store = MemoryStore(tmp_path / "store")
+    first = store.load_entries("db1")
+    second = store.load_entries("db1")
+    assert store.counts.indexed == 4
+    for a, b in zip(first, second):
+        assert a.path is b.path
+        assert copy.copy(b).path is a.path
+    # A copy whose path is rebound before it is read leaves the others alone.
+    moved = store.load_entries("db1")[0]
+    moved.path = tmp_path / "elsewhere"
+    assert moved.path == tmp_path / "elsewhere"
+    assert store.load_entries("db1")[0].path is first[0].path
 
 
 def test_same_size_edit_with_mtime_set_back_ignores_the_stale_line(tmp_path):
@@ -840,7 +977,7 @@ def test_same_size_edit_with_mtime_set_back_ignores_the_stale_line(tmp_path):
     assert os.stat(meta_path).st_size == before.st_size
     store = MemoryStore(tmp_path / "store")
     assert store.load_entries("db1")[0].question.text == "list the carriers by country"
-    assert store.counts == store_module.LoadCounts(indexed=3, parsed=1, corrupt=0)
+    assert store.counts == store_module.LoadCounts(indexed=3, parsed=1, corrupt=0, healed=1)
 
 
 def test_winner_changed_after_load_is_dropped_and_the_selection_redone(tmp_path):
@@ -884,16 +1021,18 @@ def test_overwrites_keep_the_index_bounded(tmp_path):
 def test_compaction_drops_lines_in_the_older_list_format(tmp_path):
     writer = _persist_all(tmp_path)
     _write_counts_in_the_older_list_format(tmp_path)
+    # A first load appends a current line after each older one.
+    assert _cold_selection(tmp_path, "count the products")[1].counts.healed == 4
     for i in range(100):
         _persist_text(writer, "q001", f"average departure delay per carrier {i % 7}")
     lines = [json.loads(raw) for raw in _index(tmp_path).read_bytes().splitlines()]
-    # Only the line of the entry rewritten since is kept; the other entries
-    # have no line and are parsed in full.
-    assert lines[0]["question"]["id"] == "q001"
-    assert {line["question"]["id"] for line in lines} == {"q001"}
+    # Compaction keeps the last line of each entry, so no older line is left.
+    assert {line["question"]["id"] for line in lines} == {"q000", "q001", "q002", "q003"}
+    assert len(lines) < 100
+    assert all(isinstance(line["counts"], str) for line in lines)
     selected, store = _cold_selection(tmp_path, "departure delay per carrier 5")
     assert selected == "q001"
-    assert store.counts == store_module.LoadCounts(indexed=1, parsed=4, corrupt=0)
+    assert store.counts == store_module.LoadCounts(indexed=4, parsed=1, corrupt=0, healed=0)
 
 
 _OPERATION = st.one_of(
