@@ -4,12 +4,16 @@ Rules match over a step's action code plus its invocation tool names, never
 over the step position, so classification is stable under reordering. A
 trajectory-level pass handles reasoning-only steps, which inherit the phase
 of the preceding step (the first step defaults to exploration).
+
+A ``RuleTable`` compiles each pattern once, when it is built (a pattern that
+does not compile is rejected then), and classifies with those compiled
+patterns, so classifying a step compiles nothing.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
 
@@ -32,10 +36,14 @@ class ClassifierRule:
 
 @dataclass(frozen=True)
 class RuleTable:
-    """Priority-ordered rules plus the default phase for unmatched steps."""
+    """Priority-ordered rules, each pattern compiled once, plus the default
+    phase for unmatched steps."""
 
     rules: tuple[ClassifierRule, ...]
     default: Phase = Phase.EXECUTION
+    _compiled: tuple[tuple[re.Pattern[str], ClassifierRule], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.rules:
@@ -43,12 +51,15 @@ class RuleTable:
         priorities = [rule.priority for rule in self.rules]
         if len(priorities) != len(set(priorities)):
             raise StructuralError("rule priorities must be unique")
-        for rule in self.rules:
+        rules = tuple(sorted(self.rules, key=lambda r: r.priority))
+        compiled = []
+        for rule in rules:
             try:
-                rule.compiled()
+                compiled.append((rule.compiled(), rule))
             except re.error as exc:
                 raise StructuralError(f"rule {rule.id!r} pattern does not compile: {exc}")
-        object.__setattr__(self, "rules", tuple(sorted(self.rules, key=lambda r: r.priority)))
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "_compiled", tuple(compiled))
 
 
 # Reconstruction of the intent rules: V-rules for validation/saving tools,
@@ -87,8 +98,8 @@ def classification_text(step: Step) -> str:
 
 def _first_matching_rule(step: Step, table: RuleTable) -> ClassifierRule | None:
     text = classification_text(step)
-    for rule in table.rules:
-        if rule.compiled().search(text):
+    for pattern, rule in table._compiled:
+        if pattern.search(text):
             return rule
     return None
 
@@ -120,7 +131,16 @@ def classify_trajectory(
             phase = previous
         else:
             phase = Phase.EXPLORATION
-        classified.append(replace(step, phase=phase))
+        classified.append(
+            Step(
+                index=step.index,
+                thought=step.thought,
+                action_code=step.action_code,
+                invocations=step.invocations,
+                observation=step.observation,
+                phase=phase,
+            )
+        )
         previous = phase
     return replace(trajectory, steps=classified)
 

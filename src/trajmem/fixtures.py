@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import sqlite3
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -314,7 +315,7 @@ FIXTURE_DATABASES = ("flights", "retail")
 def _write_database(path: Path, ddl: str, inserts: dict[str, list[tuple]]) -> None:
     if path.exists():
         path.unlink()
-    with sqlite3.connect(str(path)) as conn:
+    with closing(sqlite3.connect(str(path))) as conn:
         conn.executescript(ddl)
         for table, rows in inserts.items():
             if not rows:
@@ -327,7 +328,7 @@ def _write_database(path: Path, ddl: str, inserts: dict[str, list[tuple]]) -> No
 
 
 def _write_gold(db_path: Path, gold_sql: str, target: Path) -> None:
-    with sqlite3.connect(str(db_path)) as conn:
+    with closing(sqlite3.connect(str(db_path))) as conn:
         cursor = conn.execute(gold_sql)
         columns = [d[0] for d in cursor.description]
         rows = cursor.fetchall()

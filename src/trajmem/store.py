@@ -532,13 +532,12 @@ class MemoryStore:
         never be taken, and each first load would add one."""
         if (entry.question.id, entry.database_id) != (name, database_id):
             return []
-        counts = self._encoded_counts(entry.question.text)
-        if not counts:
+        text = entry.question.text
+        counts = _count_arrays(HashingEmbedder(self.dimension).trigram_counts(text))
+        if counts is None:
             return []
-        entry.counts_memo[(entry.question.text, self.dimension)] = _decode_counts(
-            counts, self.dimension
-        )
-        return [self._index_line(entry, stamp, counts)]
+        entry.counts_memo[(text, self.dimension)] = counts
+        return [self._index_line(entry, stamp, _encode_count_arrays(counts[0], counts[1]))]
 
     def read_segments(self, entry: MemoryEntry) -> bool:
         """Make sure an entry's segments are in memory, reading them from its
@@ -599,20 +598,39 @@ class MemoryStore:
             return None
 
 
-def _encode_counts(counts: dict[int, int]) -> str:
-    """An index line's ``counts``: the (bucket, count) pairs in ascending
-    bucket order, as big-endian unsigned 16-bit numbers, in base64.
-
-    Counts with a bucket or a count past 65535 cannot be held; they are
-    written as the empty string, which reads as damaged.
-    """
+def _count_arrays(counts: dict[int, int]) -> EntryCounts | None:
+    """Trigram counts as retrieval scores them and an index line holds them:
+    the buckets in ascending order and their counts, each as an array of
+    unsigned 16-bit numbers, and the sum of the squared counts. None when a
+    bucket or a count is past 65535."""
+    buckets = sorted(counts)
+    values = list(map(counts.__getitem__, buckets))
     try:
-        numbers = array(_COUNT_TYPECODE, [n for pair in sorted(counts.items()) for n in pair])
+        return (
+            array(_COUNT_TYPECODE, buckets),
+            array(_COUNT_TYPECODE, values),
+            sum(map(mul, values, values)),
+        )
     except OverflowError:
-        return ""
+        return None
+
+
+def _encode_count_arrays(buckets: array, counts: array) -> str:
+    """An index line's ``counts``: the (bucket, count) pairs in order, as
+    big-endian unsigned 16-bit numbers, in base64."""
+    numbers = buckets + counts
+    numbers[0::2] = buckets
+    numbers[1::2] = counts
     if _SWAP_COUNT_BYTES:
         numbers.byteswap()
     return binascii.b2a_base64(numbers.tobytes(), newline=False).decode("ascii")
+
+
+def _encode_counts(counts: dict[int, int]) -> str:
+    """The index line's ``counts`` of trigram counts. Counts that 16 bits
+    cannot hold are written as the empty string, which reads as damaged."""
+    arrays = _count_arrays(counts)
+    return "" if arrays is None else _encode_count_arrays(arrays[0], arrays[1])
 
 
 def _decode_counts(text: Any, dimension: Any) -> EntryCounts:

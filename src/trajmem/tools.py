@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import ast
 import csv
-import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -17,6 +16,12 @@ from typing import Any, Callable, Sequence
 from .backend import SqliteBackend, execute_sql_with_refinement, render_result
 from .errors import ConfigurationError, ToolError, WorkspaceSecurityError
 from .model import ID_PATTERN, Question, ToolInvocation, ToolParam, ToolSpec
+
+
+_DDL_QUERY = (
+    "SELECT sql FROM main.sqlite_master WHERE type = 'table' "
+    "AND name NOT LIKE 'sqlite_%' ORDER BY name"
+)
 
 
 class Workspace:
@@ -66,16 +71,23 @@ class Workspace:
             raise ToolError(f"no such file: {relative!r}")
         return target.read_text(encoding="utf-8")
 
-    def ddl(self, database_id: str) -> str:
-        """All table definitions in canonical (name) order."""
+    def ddl(self, database_id: str, backend: SqliteBackend | None = None) -> str:
+        """All table definitions of the main schema in canonical (name) order.
+
+        The schema is read through ``backend`` when it is open on this
+        database, so the query has the episode's time limit and row cap, and
+        otherwise through a read-only backend opened for the call alone. TEMP
+        tables and views, which an agent can make on a read-only connection,
+        are not part of the main schema and never show.
+        """
         path = self.db_path(database_id)
         if not path.is_file():
             raise ToolError(f"unknown database: {database_id!r}")
-        with sqlite3.connect(str(path)) as conn:
-            rows = conn.execute(
-                "SELECT sql FROM sqlite_master WHERE type = 'table' "
-                "AND name NOT LIKE 'sqlite_%' ORDER BY name"
-            ).fetchall()
+        if backend is not None and backend.path == path:
+            rows = backend.execute(_DDL_QUERY).rows
+        else:
+            with SqliteBackend(path) as own:
+                rows = own.execute(_DDL_QUERY).rows
         return "\n\n".join(f"{sql};" for (sql,) in rows if sql)
 
     def knowledge(self, database_id: str) -> str:
@@ -152,7 +164,7 @@ def _read_file(ctx: EpisodeContext, path: str = "") -> str:
 
 
 def _get_ddl(ctx: EpisodeContext, database: str = "") -> str:
-    return ctx.workspace.ddl(database or ctx.database_id)
+    return ctx.workspace.ddl(database or ctx.database_id, ctx.backend)
 
 
 def _get_ext(ctx: EpisodeContext, database: str = "") -> str:

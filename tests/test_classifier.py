@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajmem.classifier import (
     DEFAULT_RULE_TABLE,
     ClassifierRule,
     RuleTable,
     Segment,
+    classification_text,
     classify_step,
     classify_trajectory,
     parse_rule_lines,
@@ -245,3 +250,80 @@ def test_parse_rule_lines_round_trip():
 def test_parse_rule_lines_rejects_malformed():
     with pytest.raises(StructuralError):
         parse_rule_lines(["10 exploration"])
+
+
+def test_parse_rule_lines_rejects_a_pattern_that_does_not_compile():
+    with pytest.raises(StructuralError, match="does not compile"):
+        parse_rule_lines(["10 x sql_execute", "20 e (unclosed"])
+
+
+# -- equivalence with matching each rule's pattern text in priority order -----
+
+_PATTERNS = [rule.pattern for rule in DEFAULT_RULE_TABLE.rules] + [
+    r"get_",
+    r"(?i)\bfrom\b",
+    r"x|y",
+    r"^save",
+    r"\d{2,}",
+    r"[\s\S]",
+    r"zz_never",
+]
+_TOOLS = ["get_ddl", "get_ext", "sql_execute", "save_result", "validate_result",
+          "read_file", "get_ext_then_get_ddl", "oddball"]
+_ACTIONS = ["", "SELECT 1", "select a from t limit 5", "WITH x AS (SELECT 1) SELECT 1",
+            "SELECT a FROM t JOIN u GROUP BY a", "PRAGMA table_info(t)", "hello 42",
+            "final_answer('x')", "save it"]
+
+
+@st.composite
+def _rule_tables(draw):
+    if draw(st.booleans()):
+        return DEFAULT_RULE_TABLE
+    priorities = draw(st.lists(st.integers(0, 999), min_size=1, max_size=8, unique=True))
+    return parse_rule_lines(
+        f"{priority} {draw(st.sampled_from('exv'))} {draw(st.sampled_from(_PATTERNS))}"
+        for priority in priorities
+    )
+
+
+@st.composite
+def _steps(draw):
+    actions = draw(st.lists(st.sampled_from(_ACTIONS) | st.text(max_size=12), max_size=3))
+    return step(
+        0,
+        tools=tuple(draw(st.lists(st.sampled_from(_TOOLS), max_size=3))),
+        action="\n".join(actions),
+    )
+
+
+def _reference_rule(s, table):
+    text = classification_text(s)
+    for rule in sorted(table.rules, key=lambda rule: rule.priority):
+        if re.search(rule.pattern, text):
+            return rule
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rule_tables(), st.lists(_steps(), max_size=8))
+def test_classification_equals_searching_each_pattern_in_priority_order(table, steps):
+    for s in steps:
+        rule = _reference_rule(s, table)
+        assert classify_step(s, table) is (rule.target if rule else table.default)
+
+    t = trajectory([dataclasses.replace(s, index=i) for i, s in enumerate(steps)])
+    t.final_answer, t.wall_time_ms = "answer", 7
+    expected, previous = [], None
+    for s in t.steps:
+        rule = _reference_rule(s, table)
+        if rule is not None:
+            phase = rule.target
+        elif s.invocations:
+            phase = table.default
+        else:
+            phase = previous or Phase.EXPLORATION
+        expected.append(dataclasses.replace(s, phase=phase))
+        previous = phase
+    classified = classify_trajectory(t, table)
+    assert classified == dataclasses.replace(t, steps=expected)
+    assert all(s.phase is None for s in t.steps)

@@ -877,6 +877,18 @@ def test_a_first_load_heals_the_index(tmp_path, monkeypatch, damage):
     assert len(appends) == 1
 
 
+def test_a_healed_entry_memoizes_the_counts_a_load_from_its_line_gives(tmp_path):
+    _persist_all(tmp_path)
+    _index(tmp_path).unlink()
+    healer = MemoryStore(tmp_path / "store")
+    healed = healer.load_entries("db1")
+    assert healer.counts.healed == 4
+    reader = MemoryStore(tmp_path / "store")
+    indexed = reader.load_entries("db1")
+    assert reader.counts.indexed == 4
+    assert [entry.counts_memo for entry in healed] == [entry.counts_memo for entry in indexed]
+
+
 def test_an_index_that_cannot_be_written_is_not_counted_as_healed(tmp_path, caplog):
     _persist_all(tmp_path)
     _index(tmp_path).unlink()

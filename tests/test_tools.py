@@ -109,6 +109,36 @@ def test_get_ddl_contains_every_table(workspace):
     assert ddl.index("airports") < ddl.index("carriers") < ddl.index("flights")
 
 
+def test_get_ddl_shows_no_temp_table_or_view_an_agent_made(ctx, workspace):
+    code = (
+        'sql_execute(query="CREATE TEMP TABLE zz(a)")\n'
+        'sql_execute(query="CREATE TEMP VIEW zv AS SELECT 1 AS b")\n'
+        "get_ddl()"
+    )
+    invocations, _ = execute_action(_registry(), ctx, code)
+    assert [inv.succeeded for inv in invocations] == [True, True, True]
+    assert ctx.backend.execute("SELECT name FROM temp.sqlite_master ORDER BY name").rows == [
+        ("zv",),
+        ("zz",),
+    ]
+    assert invocations[2].output == workspace.ddl("flights")
+    assert "zz" not in invocations[2].output and "zv" not in invocations[2].output
+
+
+def test_get_ddl_reads_through_the_episode_backend(ctx, workspace, monkeypatch):
+    monkeypatch.setattr(
+        backend_module.sqlite3, "connect", lambda *args, **kwargs: pytest.fail("new connection")
+    )
+    invocations, _ = execute_action(_registry(), ctx, "get_ddl()")
+    assert invocations[0].succeeded and "CREATE TABLE flights" in invocations[0].output
+
+
+def test_get_ddl_of_an_unknown_database_is_a_failed_invocation(ctx):
+    invocations, observation = execute_action(_registry(), ctx, "get_ddl(database='nowhere')")
+    assert invocations[0].succeeded is False
+    assert "unknown database: 'nowhere'" in observation
+
+
 def test_get_ext_missing_knowledge_gives_notice(tmp_path):
     root = build_fixture_workspace(tmp_path / "ws")
     (root / "dbs" / "flights" / "knowledge.md").unlink()
