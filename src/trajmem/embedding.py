@@ -1,12 +1,11 @@
-"""The one question embedder: hashed character trigrams, kept sparse.
+"""The one question embedder: hashed character trigrams.
 
-Lowercased character trigrams are counted into ``dimension`` buckets via
-CRC32. Retrieval scores those integer counts exactly; the store keeps the
-counts of each stored question in its index, as base64 (bucket, count)
-pairs of 16-bit numbers, so a stored question with a usable index line is
-never hashed again. ``embed_sparse`` and ``embed`` scale the counts to unit
-length: a sparse vector is a dict from bucket to value that holds only the
-nonzero buckets, in ascending bucket order.
+This module owns how a text becomes numbers. ``trigram_counts`` counts its
+lowercased character trigrams into ``dimension`` buckets via CRC32, and
+``embed`` scales those counts to a unit-length vector of ``dimension``
+floats. Retrieval scores the integer counts exactly and uses no float. How a
+stored question's counts are kept, memoized and written to disk is the
+store's concern (``trajmem.store.entry_counts``).
 """
 
 from __future__ import annotations
@@ -41,17 +40,12 @@ class HashingEmbedder:
             for i in range(len(lowered) - 2)
         ) or Counter({0: 1})
 
-    def embed_sparse(self, text: str) -> dict[int, float]:
-        """The embedding's nonzero buckets, in ascending bucket order."""
-        counts = self.trigram_counts(text)
-        # The counts are integers, so the sum of their squares is exact and
-        # equals the float sum over the dense vector in any order.
-        norm = math.sqrt(sum(count * count for count in counts.values()))
-        return {bucket: counts[bucket] / norm for bucket in sorted(counts)}
-
     def embed(self, text: str) -> list[float]:
-        """The embedding as ``dimension`` floats."""
+        """The embedding as ``dimension`` floats: the counts scaled to unit length."""
+        counts = self.trigram_counts(text)
+        # The counts are integers, so the sum of their squares is exact.
+        norm = math.sqrt(sum(count * count for count in counts.values()))
         dense = [0.0] * self._dimension
-        for bucket, value in self.embed_sparse(text).items():
-            dense[bucket] = value
+        for bucket, count in counts.items():
+            dense[bucket] = count / norm
         return dense

@@ -11,7 +11,7 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
-from .errors import StructuralError
+from .errors import ConfigurationError, StructuralError
 from .model import Phase, Trajectory
 
 _REL_TOL = 1e-6
@@ -48,6 +48,9 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunRecord":
+        # A string such as "false" would count as a correct answer.
+        if data.get("correct") not in (True, False, None):
+            raise ValueError(f"'correct' is {data['correct']!r}, not a bool or null")
         return cls(
             question_id=data["question_id"],
             database_id=data["database_id"],
@@ -90,7 +93,10 @@ def load_run_records(run_dir: str | Path) -> list[RunRecord]:
         return []
     records = []
     for path in sorted(records_dir.glob("*.json")):
-        records.append(RunRecord.from_dict(json.loads(path.read_text(encoding="utf-8"))))
+        try:
+            records.append(RunRecord.from_dict(json.loads(path.read_text(encoding="utf-8"))))
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise ConfigurationError(f"run record {path} is malformed: {exc!r}") from exc
     return records
 
 

@@ -190,19 +190,54 @@ def export_manifest(composites: Sequence[MinedComposite], path: str | Path) -> P
     return target
 
 
+# A manifest composite's fields, each with the JSON type it must have; the
+# tools are checked apart. A bool is not taken for a number.
+_MANIFEST_FIELDS = {
+    "name": str, "description": str, "phase": str, "support_count": int,
+    "support_ratio": (int, float),
+}
+
+
 def load_manifest(path: str | Path) -> list[MinedComposite]:
+    """The composites a manifest file lists.
+
+    Raises ConfigurationError, naming the file, when it is not a JSON object
+    whose ``composites`` is a list, and naming the composite's position and
+    field when a composite lacks a field, gives one the wrong type, names an
+    unknown phase or lists fewer than two tools. ``description`` may be left
+    out.
+    """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
+    raw_composites = data.get("composites", []) if isinstance(data, dict) else None
+    if not isinstance(raw_composites, list):
+        raise ConfigurationError(
+            f"manifest {path} is not a JSON object with a list of composites"
+        )
     composites = []
-    for raw in data.get("composites", []):
+    for position, raw in enumerate(raw_composites):
+        where = f"manifest {path}, composite {position}"
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"{where} is not a JSON object")
+        raw = {"description": "", **raw}
+        for key, kind in _MANIFEST_FIELDS.items():
+            if isinstance(raw.get(key), bool) or not isinstance(raw.get(key), kind):
+                raise ConfigurationError(f"{where}: {key!r} is missing or of the wrong type")
+        tools = raw.get("tools")
+        if not (
+            isinstance(tools, list) and len(tools) >= 2 and all(isinstance(t, str) for t in tools)
+        ):
+            raise ConfigurationError(f"{where}: 'tools' is not a list of two or more tool names")
+        try:
+            phase = Phase.parse(raw["phase"])
+        except ValueError as exc:
+            raise ConfigurationError(f"{where}: {exc}") from None
         composites.append(
             MinedComposite(
-                sequence=ToolSequence(
-                    tools=tuple(raw["tools"]), phase=Phase.parse(raw["phase"])
-                ),
-                support_count=int(raw["support_count"]),
+                sequence=ToolSequence(tools=tuple(tools), phase=phase),
+                support_count=raw["support_count"],
                 support_ratio=float(raw["support_ratio"]),
                 name=raw["name"],
-                description=raw.get("description", ""),
+                description=raw["description"],
             )
         )
     return composites

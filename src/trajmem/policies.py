@@ -102,13 +102,29 @@ class ReplayPolicy(Policy):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplayPolicy":
+        """The policy a script file holds, as ``RecordingPolicy.save`` writes
+        it. Raises ConfigurationError, naming the file, when it is not a JSON
+        object whose ``fingerprints`` map to decisions (objects whose
+        ``thought`` and ``action_code`` are strings and whose
+        ``final_answer`` is a string or null) and whose ``refinements`` map
+        queries to strings."""
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"replay script {path} does not hold a JSON object")
+        fingerprints = data.get("fingerprints", {})
+        refinements = data.get("refinements", {})
+        if not (isinstance(fingerprints, dict) and all(map(_is_decision, fingerprints.values()))):
+            raise ConfigurationError(f"replay script {path}: a fingerprint maps to no decision")
+        if not (
+            isinstance(refinements, dict) and all(isinstance(f, str) for f in refinements.values())
+        ):
+            raise ConfigurationError(f"replay script {path}: a refinement is not a string")
         return cls(
             {
                 fingerprint: PolicyDecision.from_dict(decision)
-                for fingerprint, decision in data.get("fingerprints", {}).items()
+                for fingerprint, decision in fingerprints.items()
             },
-            refinements=data.get("refinements", {}),
+            refinements=refinements,
         )
 
     def next_action(
@@ -122,6 +138,15 @@ class ReplayPolicy(Policy):
 
     def refine_sql(self, query: str, feedback: str) -> str | None:
         return self.refinements.get(query)
+
+
+def _is_decision(raw: Any) -> bool:
+    return (
+        isinstance(raw, dict)
+        and isinstance(raw.get("thought", ""), str)
+        and isinstance(raw.get("action_code", ""), str)
+        and isinstance(raw.get("final_answer"), (str, type(None)))
+    )
 
 
 class RecordingPolicy(Policy):

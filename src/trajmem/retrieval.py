@@ -15,12 +15,11 @@ dot_b² |e_a|², in integers: no division and no float, so an exact tie is a
 tie and goes to the smallest question id; between equal ids the first
 candidate in order wins.
 
-Embeddings are not stored. An entry's counts are memoized on the entry as
-its nonzero buckets in ascending order, their counts and the sum of the
-squared counts. The store fills the memo when it takes an entry from its
-index, whose base64 (bucket, count) pairs decode to two arrays of 16-bit
-numbers, and when it writes the line an entry lacked; otherwise the
-question text is hashed the first time the entry is scored, into lists.
+This module owns the choice and the scoring. It hashes only the query; a
+candidate's counts come from ``trajmem.store.entry_counts``, which owns
+hashing, memoizing and storing the counts of a stored question, so an
+entry taken from the index, persisted or healed by a store is not hashed
+again.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Iterable
 
 from .embedding import HashingEmbedder
 from .model import Question
-from .store import EntryCounts, MemoryEntry, MemoryStore
+from .store import MemoryEntry, MemoryStore, entry_counts
 
 
 def filter_by_database(
@@ -39,17 +38,6 @@ def filter_by_database(
     """Exactly the entries recorded for the question's database, order kept."""
     database_id = question.database_id
     return [entry for entry in entries if entry.question.database_id == database_id]
-
-
-def _entry_counts(entry: MemoryEntry, provider: HashingEmbedder) -> EntryCounts:
-    """The entry's trigram counts, hashed from its question text and
-    memoized on the entry."""
-    key = (entry.question.text, provider.dimension())
-    counts = provider.trigram_counts(key[0])
-    buckets = sorted(counts)
-    values = [counts[bucket] for bucket in buckets]
-    memo = entry.counts_memo[key] = (buckets, values, sum(map(mul, values, values)))
-    return memo
 
 
 def select_from_entries(
@@ -68,12 +56,10 @@ def select_from_entries(
     query = [0] * dimension
     for bucket, count in provider.trigram_counts(question.text).items():
         query[bucket] = count
-    query_count = query.__getitem__
     best, best_dot, best_norm = None, 0, 1
     for entry in candidates:
-        memo = entry.counts_memo.get((entry.question.text, dimension))
-        buckets, counts, norm = memo if memo is not None else _entry_counts(entry, provider)
-        dot = sum(map(mul, map(query_count, buckets), counts))
+        buckets, counts, norm = entry_counts(entry, dimension)
+        dot = sum(map(mul, map(query.__getitem__, buckets), counts))
         # dot² / norm against best_dot² / best_norm, without dividing.
         ahead = dot * dot * best_norm - best_dot * best_dot * norm
         if best is None or ahead > 0 or (ahead == 0 and entry.question.id < best.question.id):

@@ -32,7 +32,13 @@ counts (a line in the older list format among them), is parsed from
 so the next store takes it from the index. The store keeps what it read,
 per database, stamped; each later ``load_entries`` call lists the database
 directory, stats every ``meta.json`` and parses only what is new or
-changed.
+changed. ``_read_meta`` is the one reader of ``meta.json``.
+
+The store owns a stored question's trigram counts. ``entry_counts`` gives
+the counts that persist, a heal and retrieval use: it hashes the text once
+per dimension and memoizes the counts on the entry (counts past 16 bits
+excepted). ``_encode_counts`` writes them into an index line and
+``_decode_counts`` reads them back.
 """
 
 from __future__ import annotations
@@ -197,11 +203,11 @@ class MemoryEntry:
 
     ``path`` is the entry's directory, ``None`` until it is stored; given as
     a string, it becomes a ``Path`` when first read, once for the entry and
-    all its copies. ``counts_memo`` holds
-    retrieval's counts of the question text by (text, dimension). Copies
-    share it, which is safe because each value depends only on its key. It
-    is never written to disk. Two entries are equal when their questions,
-    structured trajectories and ``created_at`` are.
+    all its copies. ``counts_memo`` holds the question's trigram counts by
+    (text, dimension), as ``entry_counts`` returns them. Copies share it,
+    which is safe because each value depends only on its key. It is never
+    written to disk. Two entries are equal when their questions, structured
+    trajectories and ``created_at`` are.
     """
 
     __slots__ = ("question", "structured", "created_at", "_path", "counts_memo")
@@ -344,7 +350,7 @@ class MemoryStore:
             if final.exists():  # a failed put-back leaves the old version under .old-*
                 shutil.rmtree(old, ignore_errors=True)
         entry.path = final
-        counts = self._encoded_counts(entry.question.text)
+        counts = _encode_counts(entry_counts(entry, self.dimension))
         self._append_index(entry.database_id, self._index_line(entry, stamp, counts))
         with self._entries_lock:
             if entry.database_id in self._entries:
@@ -372,9 +378,6 @@ class MemoryStore:
         return _stamp_of(os.stat(meta_path))
 
     # -- the index ------------------------------------------------------------
-
-    def _encoded_counts(self, text: str) -> str:
-        return _encode_counts(HashingEmbedder(self.dimension).trigram_counts(text))
 
     def _index_line(self, entry: MemoryEntry, stamp: _Stamp, counts: str) -> bytes:
         """The entry's index line, with its line break."""
@@ -526,18 +529,13 @@ class MemoryStore:
         self, database_id: str, name: str, entry: MemoryEntry, stamp: _Stamp
     ) -> list[bytes]:
         """The index line that an entry parsed in full on a first load lacks,
-        as a list of one, with its counts memoized on the entry as a load
-        from the line would. No line for an entry stored under another name
+        as a list of one. No line for an entry stored under another name
         than its own, or whose counts 16 bits cannot hold: such a line would
         never be taken, and each first load would add one."""
         if (entry.question.id, entry.database_id) != (name, database_id):
             return []
-        text = entry.question.text
-        counts = _count_arrays(HashingEmbedder(self.dimension).trigram_counts(text))
-        if counts is None:
-            return []
-        entry.counts_memo[(text, self.dimension)] = counts
-        return [self._index_line(entry, stamp, _encode_count_arrays(counts[0], counts[1]))]
+        counts = _encode_counts(entry_counts(entry, self.dimension))
+        return [self._index_line(entry, stamp, counts)] if counts else []
 
     def read_segments(self, entry: MemoryEntry) -> bool:
         """Make sure an entry's segments are in memory, reading them from its
@@ -587,50 +585,53 @@ class MemoryStore:
         """
         self.counts.parsed += 1
         try:
-            with open(os.path.join(entry_dir, "meta.json"), encoding="utf-8") as handle:
-                meta = json.load(handle)
-            if not isinstance(meta, dict):
-                raise ValueError("meta.json does not hold a JSON object")
-            return parse(entry_dir, meta)
+            return parse(entry_dir, _read_meta(entry_dir))
         except _CORRUPT_ENTRY_ERRORS as exc:
             self.counts.corrupt += 1
             logger.warning("skipping corrupt memory entry at %s: %s", entry_dir, exc)
             return None
 
 
-def _count_arrays(counts: dict[int, int]) -> EntryCounts | None:
-    """Trigram counts as retrieval scores them and an index line holds them:
-    the buckets in ascending order and their counts, each as an array of
-    unsigned 16-bit numbers, and the sum of the squared counts. None when a
-    bucket or a count is past 65535."""
-    buckets = sorted(counts)
-    values = list(map(counts.__getitem__, buckets))
+def entry_counts(entry: MemoryEntry, dimension: int) -> EntryCounts:
+    """The entry's question counted into ``dimension`` trigram buckets, as
+    retrieval scores them and an index line holds them: the buckets in
+    ascending order and their counts, each as an array of unsigned 16-bit
+    numbers, and the sum of the squared counts.
+
+    The text is hashed only when ``entry.counts_memo`` has no counts for it
+    at this dimension, and the result is memoized there. Counts past 65535
+    come back as lists and are not memoized, so the memo holds only counts
+    in the form an index line gives them.
+    """
+    key = (entry.question.text, dimension)
+    counts = entry.counts_memo.get(key)
+    if counts is not None:
+        return counts
+    hashed = HashingEmbedder(dimension).trigram_counts(key[0])
+    buckets = sorted(hashed)
+    values = list(map(hashed.__getitem__, buckets))
+    norm = sum(map(mul, values, values))
     try:
-        return (
-            array(_COUNT_TYPECODE, buckets),
-            array(_COUNT_TYPECODE, values),
-            sum(map(mul, values, values)),
-        )
+        counts = array(_COUNT_TYPECODE, buckets), array(_COUNT_TYPECODE, values), norm
     except OverflowError:
-        return None
+        return buckets, values, norm
+    entry.counts_memo[key] = counts
+    return counts
 
 
-def _encode_count_arrays(buckets: array, counts: array) -> str:
+def _encode_counts(counts: EntryCounts) -> str:
     """An index line's ``counts``: the (bucket, count) pairs in order, as
-    big-endian unsigned 16-bit numbers, in base64."""
-    numbers = buckets + counts
-    numbers[0::2] = buckets
-    numbers[1::2] = counts
+    big-endian unsigned 16-bit numbers, in base64. Counts that 16 bits
+    cannot hold are written as the empty string, which reads as damaged."""
+    numbers = counts[0] + counts[1]
+    numbers[0::2], numbers[1::2] = counts[0], counts[1]
+    try:
+        numbers = array(_COUNT_TYPECODE, numbers)
+    except OverflowError:
+        return ""
     if _SWAP_COUNT_BYTES:
         numbers.byteswap()
-    return binascii.b2a_base64(numbers.tobytes(), newline=False).decode("ascii")
-
-
-def _encode_counts(counts: dict[int, int]) -> str:
-    """The index line's ``counts`` of trigram counts. Counts that 16 bits
-    cannot hold are written as the empty string, which reads as damaged."""
-    arrays = _count_arrays(counts)
-    return "" if arrays is None else _encode_count_arrays(arrays[0], arrays[1])
+    return binascii.b2a_base64(numbers, newline=False).decode("ascii")
 
 
 def _decode_counts(text: Any, dimension: Any) -> EntryCounts:
@@ -668,6 +669,19 @@ def _stamp(meta_path: str | Path) -> _Stamp | None:
         return None
 
 
+def _read_meta(entry_dir: str | Path, stamp: _Stamp | None = None) -> dict[str, Any]:
+    """The JSON object in the entry's ``meta.json``; given a ``stamp``, only
+    from a file that still has it. Raises one of ``_CORRUPT_ENTRY_ERRORS``
+    when the file cannot be read, has changed, or holds no JSON object."""
+    with open(os.path.join(entry_dir, "meta.json"), encoding="utf-8") as handle:
+        if stamp is not None and _stamp_of(os.fstat(handle.fileno())) != stamp:
+            raise ValueError("meta.json changed since it was indexed")
+        meta = json.load(handle)
+    if not isinstance(meta, dict):
+        raise ValueError("meta.json does not hold a JSON object")
+    return meta
+
+
 def _parse_entry(entry_dir: str, meta: dict[str, Any]) -> MemoryEntry:
     """The entry that a ``meta.json`` or an index line describes, in the
     directory ``entry_dir``.
@@ -681,15 +695,14 @@ def _parse_entry(entry_dir: str, meta: dict[str, Any]) -> MemoryEntry:
         return MemoryEntry(
             question, StructuredTrajectory(_segments(meta)), meta.get("created_at", ""), entry_dir
         )
-    dimension = meta["dimension"]
-    counts = _decode_counts(meta["counts"], dimension)
+    counts = _decode_counts(meta["counts"], meta["dimension"])
     entry = MemoryEntry(
         question,
         _IndexedTrajectory(entry_dir, tuple(meta["stamp"]), question),
         meta.get("created_at", ""),
         entry_dir,
     )
-    entry.counts_memo[(question.text, dimension)] = counts
+    entry.counts_memo[(question.text, meta["dimension"])] = counts
     return entry
 
 
@@ -723,12 +736,7 @@ class _IndexedTrajectory(StructuredTrajectory):
 
     def _read(self) -> list[StructuredSegment]:
         try:
-            with open(os.path.join(self.entry_dir, "meta.json"), encoding="utf-8") as handle:
-                if _stamp_of(os.fstat(handle.fileno())) != self.stamp:
-                    raise ValueError("meta.json changed since it was indexed")
-                meta = json.load(handle)
-            if not isinstance(meta, dict):
-                raise ValueError("meta.json does not hold a JSON object")
+            meta = _read_meta(self.entry_dir, self.stamp)
             if Question.from_dict(meta["question"]) != self.question:
                 raise ValueError("meta.json does not match its index line")
             return _segments(meta)

@@ -384,3 +384,101 @@ def test_synth_on_an_existing_store_parses_no_indexed_entry(pipeline_dirs, monke
     (synth_store,) = stores
     assert synth_store.counts.parsed == 0
     assert synth_store.counts.indexed == before
+
+
+_GOOD_COMPOSITE = {"name": "get_ext_then_get_ddl", "description": "",
+                   "tools": ["get_ext", "get_ddl"], "phase": "exploration",
+                   "support_count": 3, "support_ratio": 0.5}
+
+
+def _composite(**changes):
+    composite = {**_GOOD_COMPOSITE, **changes}
+    return {key: value for key, value in composite.items() if value is not None}
+
+
+def _run_without_memory(tmp_path, *flags):
+    """Exit code of a memory-off run of the fixture questions."""
+    ws = tmp_path / "ws"
+    assert main(["fixtures", "--out", str(ws)]) == 0
+    code = main(["run", "--questions", str(ws / "questions.jsonl"), "--workspace", str(ws),
+                 "--out", str(tmp_path / "runs"), "--no-memory", *flags])
+    return code
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        pytest.param([], id="top-level-list"),
+        pytest.param({"version": 1, "composites": {"name": "x"}}, id="composites-object"),
+        pytest.param({"composites": ["get_ext_then_get_ddl"]}, id="composite-string"),
+        *[pytest.param({"composites": [_composite(**{field: None})]}, id=f"no-{field}")
+          for field in ("name", "tools", "phase", "support_count", "support_ratio")],
+        pytest.param({"composites": [_composite(name=3)]}, id="int-name"),
+        pytest.param({"composites": [_composite(tools="get_ext")]}, id="string-tools"),
+        pytest.param({"composites": [_composite(tools=["get_ext", 3])]}, id="int-tool"),
+        pytest.param({"composites": [_composite(phase=2)]}, id="int-phase"),
+        pytest.param({"composites": [_composite(phase="nowhere")]}, id="unknown-phase"),
+        pytest.param({"composites": [_composite(support_count="3")]}, id="string-count"),
+        pytest.param({"composites": [_composite(support_count=True)]}, id="bool-count"),
+        pytest.param({"composites": [_composite(support_ratio="0.5")]}, id="string-ratio"),
+        pytest.param({"composites": [_composite(description=["x"])]}, id="list-description"),
+        pytest.param({"composites": [_GOOD_COMPOSITE, _composite(tools=["get_ext"])]},
+                     id="one-tool"),
+    ],
+)
+def test_a_malformed_manifest_exits_2_naming_the_file(tmp_path, capsys, manifest):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    assert _run_without_memory(tmp_path, "--manifest", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
+
+
+def test_a_well_formed_manifest_runs(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"version": 1, "composites": [_GOOD_COMPOSITE]}))
+    assert _run_without_memory(tmp_path, "--manifest", str(path)) == 0
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        pytest.param([], id="top-level-list"),
+        pytest.param({"fingerprints": ["abc"]}, id="fingerprints-list"),
+        pytest.param({"fingerprints": {"abc": 3}}, id="decision-int"),
+        pytest.param({"fingerprints": {"abc": {"thought": 3}}}, id="thought-int"),
+        pytest.param({"fingerprints": {}, "refinements": {"select 1": 1}}, id="refinement-int"),
+    ],
+)
+def test_a_malformed_replay_script_exits_2_naming_the_file(tmp_path, capsys, script):
+    path = tmp_path / "rp.json"
+    path.write_text(json.dumps(script))
+    assert _run_without_memory(tmp_path, "--policy", f"replay:{path}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
+
+
+_RECORD = {"question_id": "f1", "database_id": "flights", "steps": 3, "input_tokens": 1,
+           "output_tokens": 1, "wall_time_ms": 1, "phase_counts": {"exploration": 1},
+           "answer_rows": None, "correct": None}
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        pytest.param([], id="top-level-list"),
+        *[pytest.param({k: v for k, v in _RECORD.items() if k != field}, id=f"no-{field}")
+          for field in ("question_id", "database_id", "steps")],
+        pytest.param({**_RECORD, "phase_counts": ["exploration"]}, id="list-phase-counts"),
+        pytest.param({**_RECORD, "correct": "false"}, id="string-correct"),
+    ],
+)
+def test_a_malformed_run_record_exits_2_naming_the_file(tmp_path, capsys, record):
+    records = tmp_path / "runs" / "records"
+    records.mkdir(parents=True)
+    (records / "f0.json").write_text(json.dumps(_RECORD))
+    path = records / "f1.json"
+    path.write_text(json.dumps(record))
+    assert main(["report", "--runs", str(tmp_path / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err

@@ -557,16 +557,21 @@ def test_persist_appends_one_index_line_per_write(tmp_path):
 
 
 def test_index_counts_are_big_endian_16_bit_pairs():
+    def encoded(counts: dict[int, int]) -> str:
+        buckets = sorted(counts)
+        values = [counts[b] for b in buckets]
+        return store_module._encode_counts((buckets, values, sum(v * v for v in values)))
+
     # "abcd" has the trigrams "abc" (bucket 121) and "bcd" (bucket 194), once each.
-    counts = HashingEmbedder(256).trigram_counts("abcd")
+    counts = store_module.entry_counts(memory_entry("q000", "db1", "abcd"), 256)
     assert store_module._encode_counts(counts) == "AHkAAQDCAAE="
     assert base64.b64decode("AHkAAQDCAAE=") == bytes([0, 121, 0, 1, 0, 194, 0, 1])
     # Bucket 258 = 0x0102, count 2: the high byte comes first on every host.
-    assert store_module._encode_counts({1: 2, 258: 1}) == "AAEAAgECAAE="
+    assert encoded({1: 2, 258: 1}) == "AAEAAgECAAE="
     # A bucket or a count past 16 bits cannot be held, and reads as damaged.
-    assert store_module._encode_counts({65536: 1}) == ""
-    assert store_module._encode_counts({0: 65536}) == ""
-    assert store_module._encode_counts({65535: 65535}) == "/////w=="
+    assert encoded({65536: 1}) == ""
+    assert encoded({0: 65536}) == ""
+    assert encoded({65535: 65535}) == "/////w=="
 
 
 # One trigram that hashes to bucket 65536 of 65537, the first past 16 bits.
@@ -887,6 +892,20 @@ def test_a_healed_entry_memoizes_the_counts_a_load_from_its_line_gives(tmp_path)
     indexed = reader.load_entries("db1")
     assert reader.counts.indexed == 4
     assert [entry.counts_memo for entry in healed] == [entry.counts_memo for entry in indexed]
+
+
+def test_a_persisted_entry_is_never_hashed_again(tmp_path, monkeypatch):
+    store = _persist_all(tmp_path)
+    store.load_entries("db1")  # the store now keeps what it persists
+    hashed = []
+    original = HashingEmbedder.trigram_counts
+    monkeypatch.setattr(HashingEmbedder, "trigram_counts",
+                        lambda self, text: hashed.append(text) or original(self, text))
+    _persist_text(store, "q004", "average departure delay per flight")
+    assert hashed == ["average departure delay per flight"]
+    hashed.clear()
+    assert _selected(store, "delay per flight") == "q004"
+    assert hashed and set(hashed) == {"delay per flight"}
 
 
 def test_an_index_that_cannot_be_written_is_not_counted_as_healed(tmp_path, caplog):
