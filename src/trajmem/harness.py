@@ -318,6 +318,11 @@ def run_suite(
         if config.composites_enabled and manifest_path is not None
         else None
     )
+    # One tool set for every episode and worker thread: tools keep their
+    # state on each episode's EpisodeContext.
+    registry = build_planner_registry(
+        config, policy, memory_store=memory_store, composites=composites
+    )
 
     def _one(record: QuestionRecord) -> tuple[RunRecord, EpisodeResult]:
         result = run_episode(
@@ -326,8 +331,8 @@ def run_suite(
             config,
             policy,
             memory_store=memory_store,
-            composites=composites,
             answer_dir=answer_dir,
+            registry=registry,
         )
         correct: bool | None = None
         if record.gold_csv is not None:

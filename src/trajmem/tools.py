@@ -8,7 +8,9 @@ literals; anything else is treated as reasoning-only text.
 from __future__ import annotations
 
 import ast
+import copy
 import csv
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -304,16 +306,26 @@ def validation_tools() -> list[Tool]:
 # -- action parsing and execution --------------------------------------------
 
 
-def parse_action_code(code: str) -> list[tuple[str, dict[str, Any]]]:
-    """Extract ``name(kw=literal, ...)`` calls from action code, in order.
+# Distinct action texts whose parse is kept. The memo pays off when the same
+# text comes back across episodes, as the fixed calls of the scripted and
+# explorer policies do (get_ddl(database=...), validate_result(),
+# save_result()); a text seen once costs one lookup and one copy more.
+_PARSE_MEMO_SIZE = 256
 
-    Non-call statements and calls with positional or non-literal arguments
-    are ignored, so free-form reasoning text yields no invocations.
-    """
+# What ast.literal_eval documents for malformed input and the text alone
+# decides. MemoryError and RecursionError can also come from the state of the
+# process, so they are never memoized: parse_action_code catches them.
+_UNPARSABLE = (ValueError, TypeError, SyntaxError)
+
+
+@functools.lru_cache(maxsize=_PARSE_MEMO_SIZE)
+def _parse_calls(code: str) -> tuple[tuple[str, dict[str, Any]], ...]:
+    """The calls of ``parse_action_code``; the dicts are the memo's own and
+    are never handed out."""
     try:
         tree = ast.parse(code)
-    except SyntaxError:
-        return []
+    except _UNPARSABLE:
+        return ()
     calls: list[tuple[str, dict[str, Any]]] = []
     for node in tree.body:
         if not isinstance(node, ast.Expr) or not isinstance(node.value, ast.Call):
@@ -329,12 +341,29 @@ def parse_action_code(code: str) -> list[tuple[str, dict[str, Any]]]:
                 break
             try:
                 args[keyword.arg] = ast.literal_eval(keyword.value)
-            except (ValueError, SyntaxError):
+            except _UNPARSABLE:
                 valid = False
                 break
         if valid:
             calls.append((call.func.id, args))
-    return calls
+    return tuple(calls)
+
+
+def parse_action_code(code: str) -> list[tuple[str, dict[str, Any]]]:
+    """Extract ``name(kw=literal, ...)`` calls from action code, in order.
+
+    Non-call statements and calls with positional or non-literal arguments
+    are ignored, so free-form reasoning text yields no invocations; so are
+    calls with a literal that fails to evaluate, such as an unhashable dict
+    key, and text too deep or too large for the parser. Each distinct text is
+    parsed once, in a memo bounded by ``_PARSE_MEMO_SIZE``; every call returns
+    fresh copies of the arguments.
+    """
+    try:
+        calls = _parse_calls(code)
+    except (MemoryError, RecursionError):
+        return []
+    return [(name, copy.deepcopy(args)) for name, args in calls]
 
 
 def execute_action(
@@ -344,9 +373,19 @@ def execute_action(
     invocations: list[ToolInvocation] = []
     blocks: list[str] = []
     for name, args in parse_action_code(action_code):
-        recorded = {key: str(value) for key, value in args.items()}
+        recorded: dict[str, str] = {}
+        unshown: list[str] = []
+        for key, value in args.items():
+            try:
+                recorded[key] = str(value)
+            except ValueError:  # an int past sys.get_int_max_str_digits()
+                recorded[key] = f"<{type(value).__name__} too large to show>"
+                unshown.append(key)
         tool = registry.get(name)
-        if tool is None:
+        if unshown:
+            output = f"error: invalid arguments for {name}: {', '.join(unshown)} too large to show"
+            succeeded = False
+        elif tool is None:
             output = f"error: unknown tool {name!r}"
             succeeded = False
         else:

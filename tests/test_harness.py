@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 
 import pytest
 
@@ -15,7 +16,8 @@ from trajmem.harness import (
     run_episode,
     run_suite,
 )
-from trajmem.mining import MinedComposite, ToolSequence
+import trajmem.harness as harness_module
+from trajmem.mining import MinedComposite, ToolSequence, export_manifest, load_manifest
 from trajmem.model import Phase, Question
 from trajmem.policies import Policy, PolicyDecision, QuestionScript, ScriptedPolicy
 import trajmem.store as store_module
@@ -147,6 +149,47 @@ def test_tool_crash_is_recorded_and_episode_continues(workspace):
     assert first.invocations[0].succeeded is False
     assert "error" in first.observation
     assert result.answer == "gave up"
+
+
+class _ActThenAnswer(Policy):
+    """Emit one fixed action, then answer."""
+
+    def __init__(self, action_code):
+        self.action_code = action_code
+
+    def next_action(self, transcript, tools):
+        if not transcript.steps:
+            return PolicyDecision(thought="try", action_code=self.action_code)
+        return PolicyDecision(thought="", final_answer="gave up")
+
+
+@pytest.mark.parametrize(
+    "action_code",
+    [
+        "sql_execute(query={['a']: 1})",  # unhashable dict key: TypeError
+        "sql_execute(query={1, [2]})",  # unhashable set member: TypeError
+        "sql_execute(query=" + "-" * 100000 + "1)",  # too deep for the parser
+    ],
+    ids=["unhashable-key", "unhashable-member", "deep-nesting"],
+)
+def test_a_literal_that_fails_to_evaluate_is_reasoning_text(workspace, action_code):
+    result = run_episode(UNIT_QUESTION, workspace, _config(), _ActThenAnswer(action_code))
+    first = result.trajectory.steps[0]
+    assert first.action_code == action_code
+    assert first.invocations == []
+    assert result.answer == "gave up"
+
+
+def test_an_argument_too_large_to_show_is_a_failed_invocation(workspace):
+    action_code = "sql_execute(query=0x" + "f" * 5000 + ")"
+    result = run_episode(UNIT_QUESTION, workspace, _config(), _ActThenAnswer(action_code))
+    (invocation,) = result.trajectory.steps[0].invocations
+    assert invocation.tool_name == "sql_execute"
+    assert invocation.succeeded is False
+    assert invocation.args == {"query": "<int too large to show>"}
+    assert "invalid arguments for sql_execute" in invocation.output
+    assert result.answer == "gave up"
+    json.loads(result.trajectory.to_json())
 
 
 def test_episode_determinism_modulo_wall_time(workspace):
@@ -323,6 +366,69 @@ def test_run_suite_parallel_matches_serial_with_memory(workspace, tmp_path, monk
     assert strip(serial.records) == strip(parallel.records)
     memory_off = run_suite(records, workspace, tmp_path / "off", _config())
     assert sum(r.steps for r in serial.records) < sum(r.steps for r in memory_off.records)
+
+
+def _count_registry_builds(monkeypatch):
+    builds = []
+    original = harness_module.build_planner_registry
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness_module, "build_planner_registry", counted)
+    return builds
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_run_suite_builds_the_planner_registry_once(workspace, tmp_path, monkeypatch, workers):
+    builds = _count_registry_builds(monkeypatch)
+    records = load_questions_file(workspace.root / "questions.jsonl")
+    suite = run_suite(records, workspace, tmp_path / "runs", _config(), workers=workers)
+    assert len(suite.records) == len(records)
+    assert len(builds) == 1
+    run_suite(records, workspace, tmp_path / "again", _config(), workers=workers)
+    assert len(builds) == 2
+
+
+def _latency_blanked(path):
+    return re.sub(rb'"wall_time_ms": \d+', b'"wall_time_ms": 0', path.read_bytes())
+
+
+def test_a_shared_registry_writes_what_per_episode_registries_write(
+    workspace, memory, tmp_path, monkeypatch
+):
+    manifest = export_manifest([_bootstrap_composite()], tmp_path / "manifest.json")
+    records = load_questions_file(workspace.root / "questions.jsonl")
+    config = _config(memory_enabled=True, composites_enabled=True)
+    paths = dict(store_root=memory.root, manifest_path=manifest)
+    run_suite(records, workspace, tmp_path / "shared", config, **paths)
+    # As before one registry per suite: each episode builds its own.
+    original = harness_module.run_episode
+    composites = load_manifest(manifest)
+    monkeypatch.setattr(
+        harness_module,
+        "run_episode",
+        lambda *args, registry, **kwargs: original(*args, composites=composites, **kwargs),
+    )
+    builds = _count_registry_builds(monkeypatch)
+    run_suite(records, workspace, tmp_path / "own", config, **paths)
+    assert len(builds) == 1 + len(records)
+    shared = sorted(p.relative_to(tmp_path / "shared") for p in (tmp_path / "shared").rglob("*.*"))
+    own = sorted(p.relative_to(tmp_path / "own") for p in (tmp_path / "own").rglob("*.*"))
+    assert shared == own and len(shared) == 3 * len(records)
+    for relative in shared:
+        assert _latency_blanked(tmp_path / "shared" / relative) == _latency_blanked(
+            tmp_path / "own" / relative
+        ), relative
+    used = {
+        inv["tool_name"]
+        for relative in shared
+        if relative.parts[0] == "trajectories"
+        for step in json.loads((tmp_path / "shared" / relative).read_text())["steps"]
+        for inv in step["invocations"]
+    }
+    assert "get_ext_then_get_ddl" in used
 
 
 def test_run_suite_scores_wrong_answer_false(workspace, tmp_path):

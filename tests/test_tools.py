@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import sqlite3
+import sys
+import threading
 import time
 
 import pytest
 
 import trajmem.backend as backend_module
+import trajmem.tools as tools_module
 from trajmem.backend import SqliteBackend, execute_sql_with_refinement
 from trajmem.errors import ConfigurationError, WorkspaceSecurityError
 from trajmem.fixtures import build_fixture_workspace
@@ -76,6 +79,85 @@ def test_parse_ignores_comments_and_prose():
 def test_parse_ignores_positional_and_non_literal_args():
     assert parse_action_code("tool(1)") == []
     assert parse_action_code("tool(x=variable)") == []
+
+
+def test_two_parses_of_one_text_are_equal_and_share_no_container():
+    code = "get_ddl(database='flights')\nsql_execute(query='SELECT 1')"
+    first, second = parse_action_code(code), parse_action_code(code)
+    assert first == second == [
+        ("get_ddl", {"database": "flights"}),
+        ("sql_execute", {"query": "SELECT 1"}),
+    ]
+    assert first is not second
+    for (_, first_args), (_, second_args) in zip(first, second):
+        assert first_args is not second_args
+
+
+def test_mutating_a_parse_leaves_the_next_parse_unchanged():
+    code = "f(a=[1, [2]], d={'k': [3]}, s={4}, t=(5, [6]), n='x')"
+    expected = [("f", {"a": [1, [2]], "d": {"k": [3]}, "s": {4}, "t": (5, [6]), "n": "x"})]
+    (_, args), = parse_action_code(code)
+    args["a"][1].append(0)
+    args["d"]["k"].append(0)
+    args["d"]["new"] = 1
+    args["s"].add(0)
+    args["t"][1].append(0)
+    args["n"] = "changed"
+    args["extra"] = True
+    assert parse_action_code(code) == expected
+
+
+def test_threads_sharing_the_parse_memo_never_see_each_others_mutations():
+    codes = [f"stress(a=[{n}, [{n}]], d={{'k': {{{n}}}}}, n={n})" for n in range(16)]
+    expected = {code: [("stress", {"a": [n, [n]], "d": {"k": {n}}, "n": n})]
+                for n, code in enumerate(codes)}
+    mismatches = []
+
+    def work(offset):
+        for round_ in range(400):
+            code = codes[(offset + round_) % len(codes)]
+            calls = parse_action_code(code)
+            if calls != expected[code]:
+                mismatches.append(code)
+            (_, args), = calls
+            args["a"][1].append(-1)
+            args["d"]["k"].add(-1)
+            args["n"] = -1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_a_parse_the_process_could_not_finish_is_not_memoized(monkeypatch, error):
+    code = "get_ddl(database='not_memoized')"
+    tools_module._parse_calls.cache_clear()
+    real_parse = tools_module.ast.parse
+
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(tools_module.ast, "parse", exhausted)
+    assert parse_action_code(code) == []
+    monkeypatch.setattr(tools_module.ast, "parse", real_parse)
+    assert parse_action_code(code) == [("get_ddl", {"database": "not_memoized"})]
+
+
+def test_the_parse_memo_is_bounded():
+    assert tools_module._parse_calls.cache_info().maxsize == tools_module._PARSE_MEMO_SIZE
+    for number in range(tools_module._PARSE_MEMO_SIZE + 10):
+        assert parse_action_code(f"f(x={number})") == [("f", {"x": number})]
+    assert tools_module._parse_calls.cache_info().currsize == tools_module._PARSE_MEMO_SIZE
 
 
 # -- workspace ------------------------------------------------------------------
