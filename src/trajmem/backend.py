@@ -5,7 +5,9 @@ more corrected attempts; every attempt is recorded so the invocation output
 can show the full trail. Each query is bounded in time and in rows: one that
 runs past its time limit is interrupted, and one that returns more rows than
 the cap raises rather than being cut, so a runaway query fails like any
-other broken one.
+other broken one. On Python 3.11 and later a string or blob past
+``QUERY_MAX_VALUE_BYTES`` fails the query too; on every version a rendered
+cell is cut at ``_RENDERED_CELL_CHARS``.
 """
 
 from __future__ import annotations
@@ -22,8 +24,13 @@ from .errors import ConfigurationError
 Refiner = Callable[[str, str], "str | None"]
 
 _RENDERED_ROWS = 50
+# Characters of one cell an observation shows; the rest is cut and counted.
+_RENDERED_CELL_CHARS = 1_000
 QUERY_TIME_LIMIT_S = 10.0
 QUERY_MAX_ROWS = 100_000
+# Bytes in one string or blob value (SQLite's length limit), where Python
+# can set it (3.11 and later).
+QUERY_MAX_VALUE_BYTES = 1_000_000
 # SQLite virtual-machine instructions between two checks of the time limit.
 _PROGRESS_INTERVAL = 10_000
 
@@ -51,6 +58,8 @@ class SqliteBackend:
         uri = f"file:{quote(str(self.path))}?mode=ro"
         self._conn = sqlite3.connect(uri, uri=True)
         self._conn.set_authorizer(_deny_attach)
+        if hasattr(self._conn, "setlimit"):
+            self._conn.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, QUERY_MAX_VALUE_BYTES)
         # A true return interrupts the running statement, which then raises
         # sqlite3.OperationalError("interrupted").
         self._conn.set_progress_handler(
@@ -99,7 +108,9 @@ def _render_cell(cell: object) -> str:
         return "NULL"
     if isinstance(cell, float):
         return f"{cell:g}"
-    return str(cell)
+    text = str(cell)
+    cut = len(text) - _RENDERED_CELL_CHARS
+    return text if cut <= 0 else f"{text[:_RENDERED_CELL_CHARS]} [truncated {cut} characters]"
 
 
 @dataclass

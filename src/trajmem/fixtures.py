@@ -14,8 +14,11 @@ import csv
 import json
 import sqlite3
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
+
+from .policies import QuestionScript
 
 FLIGHTS_DDL = """\
 CREATE TABLE airports (
@@ -141,175 +144,143 @@ def _order_rows() -> list[tuple]:
     ]
 
 
+# Each database: its id, DDL, knowledge notes, and rows per table.
+_DATABASES = (
+    (
+        "flights",
+        FLIGHTS_DDL,
+        FLIGHTS_KNOWLEDGE,
+        {"airports": _AIRPORTS, "carriers": _CARRIERS, "flights": _flight_rows()},
+    ),
+    ("retail", RETAIL_DDL, RETAIL_KNOWLEDGE, {"products": _product_rows(), "orders": _order_rows()}),
+)
+
+_PROBES = {
+    "flights": ("SELECT * FROM flights LIMIT 5", "SELECT COUNT(*) AS c FROM airports LIMIT 1"),
+    "retail": ("SELECT * FROM orders LIMIT 5", "SELECT COUNT(*) AS c FROM products LIMIT 1"),
+}
+
+
 @dataclass(frozen=True)
 class FixtureQuestion:
+    """A question, the reference SQL whose result is its gold answer, and
+    the script the scripted policy plays for it."""
+
     id: str
     text: str
     database_id: str
     gold_sql: str
-    main_sql: str
-    probes: tuple[str, ...]
-    check: bool = False
-    refine: dict[str, str] = field(default_factory=dict)
-    memory_mode: str = "condensed"
-    answer: str = "answer saved as CSV"
+    script: QuestionScript
+
+
+def _question(
+    qid: str, text: str, database_id: str, gold_sql: str, probes: int = 2, **script: Any
+) -> FixtureQuestion:
+    """A fixture question whose script runs its first ``probes`` probes, then
+    ``gold_sql`` unless a ``main_sql`` is given."""
+    script.setdefault("main_sql", gold_sql)
+    return FixtureQuestion(
+        qid,
+        text,
+        database_id,
+        gold_sql,
+        QuestionScript(
+            probes=list(_PROBES[database_id][:probes]), answer="answer saved as CSV", **script
+        ),
+    )
 
 
 _BAD_MAX_SQL = "SELECT MAX(distnace_km) AS longest FROM flights"
 _GOOD_MAX_SQL = "SELECT MAX(distance_km) AS longest FROM flights"
 
-_FLIGHT_PROBES = (
-    "SELECT * FROM flights LIMIT 5",
-    "SELECT COUNT(*) AS c FROM airports LIMIT 1",
-)
-_RETAIL_PROBES = (
-    "SELECT * FROM orders LIMIT 5",
-    "SELECT COUNT(*) AS c FROM products LIMIT 1",
-)
-
 FIXTURE_QUESTIONS: tuple[FixtureQuestion, ...] = (
-    FixtureQuestion(
-        id="f1",
-        text="How many flights are recorded in total?",
-        database_id="flights",
-        gold_sql="SELECT COUNT(*) AS n FROM flights",
-        main_sql="SELECT COUNT(*) AS n FROM flights",
-        probes=_FLIGHT_PROBES,
+    _question(
+        "f1",
+        "How many flights are recorded in total?",
+        "flights",
+        "SELECT COUNT(*) AS n FROM flights",
     ),
-    FixtureQuestion(
-        id="f2",
-        text="What is the average departure delay in minutes for each carrier?",
-        database_id="flights",
-        gold_sql=(
-            "SELECT carrier, AVG(departure_delay_minutes) AS avg_delay "
-            "FROM flights GROUP BY carrier ORDER BY carrier"
-        ),
-        main_sql=(
-            "SELECT carrier, AVG(departure_delay_minutes) AS avg_delay "
-            "FROM flights GROUP BY carrier ORDER BY carrier"
-        ),
-        probes=_FLIGHT_PROBES,
+    _question(
+        "f2",
+        "What is the average departure delay in minutes for each carrier?",
+        "flights",
+        "SELECT carrier, AVG(departure_delay_minutes) AS avg_delay "
+        "FROM flights GROUP BY carrier ORDER BY carrier",
         check=True,
     ),
-    FixtureQuestion(
-        id="f3",
-        text="Which origin airport has the most departures?",
-        database_id="flights",
-        gold_sql=(
-            "SELECT origin, COUNT(*) AS departures FROM flights "
-            "GROUP BY origin ORDER BY departures DESC, origin LIMIT 1"
-        ),
-        main_sql=(
-            "SELECT origin, COUNT(*) AS departures FROM flights "
-            "GROUP BY origin ORDER BY departures DESC, origin LIMIT 1"
-        ),
-        probes=_FLIGHT_PROBES,
+    _question(
+        "f3",
+        "Which origin airport has the most departures?",
+        "flights",
+        "SELECT origin, COUNT(*) AS departures FROM flights "
+        "GROUP BY origin ORDER BY departures DESC, origin LIMIT 1",
     ),
-    FixtureQuestion(
-        id="f4",
-        text="List the distinct carriers operating flights.",
-        database_id="flights",
-        gold_sql="SELECT DISTINCT carrier FROM flights ORDER BY carrier",
-        main_sql="SELECT DISTINCT carrier FROM flights ORDER BY carrier",
-        probes=_FLIGHT_PROBES[:1],
+    _question(
+        "f4",
+        "List the distinct carriers operating flights.",
+        "flights",
+        "SELECT DISTINCT carrier FROM flights ORDER BY carrier",
+        probes=1,
     ),
-    FixtureQuestion(
-        id="f5",
-        text="What is the total distance flown per year?",
-        database_id="flights",
-        gold_sql=(
-            "SELECT year, SUM(distance_km) AS total_km FROM flights "
-            "GROUP BY year ORDER BY year"
-        ),
-        main_sql=(
-            "SELECT year, SUM(distance_km) AS total_km FROM flights "
-            "GROUP BY year ORDER BY year"
-        ),
-        probes=_FLIGHT_PROBES,
+    _question(
+        "f5",
+        "What is the total distance flown per year?",
+        "flights",
+        "SELECT year, SUM(distance_km) AS total_km FROM flights GROUP BY year ORDER BY year",
     ),
-    FixtureQuestion(
-        id="f6",
-        text="What is the longest flight distance in kilometres?",
-        database_id="flights",
-        gold_sql=_GOOD_MAX_SQL,
+    _question(
+        "f6",
+        "What is the longest flight distance in kilometres?",
+        "flights",
+        _GOOD_MAX_SQL,
         main_sql=_BAD_MAX_SQL,
-        probes=_FLIGHT_PROBES,
         refine={_BAD_MAX_SQL: _GOOD_MAX_SQL},
     ),
-    FixtureQuestion(
-        id="f7",
-        text="How many airports are in the dataset?",
-        database_id="flights",
-        gold_sql="SELECT COUNT(*) AS n FROM airports",
+    _question(
+        "f7",
+        "How many airports are in the dataset?",
+        "flights",
+        "SELECT COUNT(*) AS n FROM airports",
         main_sql="SELECT COUNT(*) AS n FROM airports WHERE country = 'Norlandia'",
-        probes=_FLIGHT_PROBES,
     ),
-    FixtureQuestion(
-        id="r1",
-        text="How many orders were placed in total?",
-        database_id="retail",
-        gold_sql="SELECT COUNT(*) AS n FROM orders",
-        main_sql="SELECT COUNT(*) AS n FROM orders",
-        probes=_RETAIL_PROBES,
+    _question(
+        "r1",
+        "How many orders were placed in total?",
+        "retail",
+        "SELECT COUNT(*) AS n FROM orders",
     ),
-    FixtureQuestion(
-        id="r2",
-        text="What is the total revenue per product category?",
-        database_id="retail",
-        gold_sql=(
-            "WITH order_values AS (SELECT p.category AS category, "
-            "o.quantity * p.price AS value FROM orders o "
-            "JOIN products p ON o.sku = p.sku) "
-            "SELECT category, SUM(value) AS revenue FROM order_values "
-            "GROUP BY category ORDER BY category"
-        ),
-        main_sql=(
-            "WITH order_values AS (SELECT p.category AS category, "
-            "o.quantity * p.price AS value FROM orders o "
-            "JOIN products p ON o.sku = p.sku) "
-            "SELECT category, SUM(value) AS revenue FROM order_values "
-            "GROUP BY category ORDER BY category"
-        ),
-        probes=_RETAIL_PROBES,
+    _question(
+        "r2",
+        "What is the total revenue per product category?",
+        "retail",
+        "WITH order_values AS (SELECT p.category AS category, "
+        "o.quantity * p.price AS value FROM orders o "
+        "JOIN products p ON o.sku = p.sku) "
+        "SELECT category, SUM(value) AS revenue FROM order_values "
+        "GROUP BY category ORDER BY category",
         check=True,
     ),
-    FixtureQuestion(
-        id="r3",
-        text="Which region has the highest total order quantity?",
-        database_id="retail",
-        gold_sql=(
-            "SELECT region, SUM(quantity) AS total_quantity FROM orders "
-            "GROUP BY region ORDER BY total_quantity DESC, region LIMIT 1"
-        ),
-        main_sql=(
-            "SELECT region, SUM(quantity) AS total_quantity FROM orders "
-            "GROUP BY region ORDER BY total_quantity DESC, region LIMIT 1"
-        ),
-        probes=_RETAIL_PROBES,
+    _question(
+        "r3",
+        "Which region has the highest total order quantity?",
+        "retail",
+        "SELECT region, SUM(quantity) AS total_quantity FROM orders "
+        "GROUP BY region ORDER BY total_quantity DESC, region LIMIT 1",
     ),
-    FixtureQuestion(
-        id="r4",
-        text="List the product names in the gadgets category.",
-        database_id="retail",
-        gold_sql=(
-            "SELECT name FROM products WHERE category = 'gadgets' ORDER BY name"
-        ),
-        main_sql=(
-            "SELECT name FROM products WHERE category = 'gadgets' ORDER BY name"
-        ),
-        probes=_RETAIL_PROBES[:1],
+    _question(
+        "r4",
+        "List the product names in the gadgets category.",
+        "retail",
+        "SELECT name FROM products WHERE category = 'gadgets' ORDER BY name",
+        probes=1,
     ),
-    FixtureQuestion(
-        id="r5",
-        text="What is the average list price of the products?",
-        database_id="retail",
-        gold_sql="SELECT AVG(price) AS avg_price FROM products",
-        main_sql="SELECT AVG(price) AS avg_price FROM products",
-        probes=_RETAIL_PROBES,
+    _question(
+        "r5",
+        "What is the average list price of the products?",
+        "retail",
+        "SELECT AVG(price) AS avg_price FROM products",
     ),
 )
-
-FIXTURE_DATABASES = ("flights", "retail")
 
 
 def _write_database(path: Path, ddl: str, inserts: dict[str, list[tuple]]) -> None:
@@ -318,12 +289,8 @@ def _write_database(path: Path, ddl: str, inserts: dict[str, list[tuple]]) -> No
     with closing(sqlite3.connect(str(path))) as conn:
         conn.executescript(ddl)
         for table, rows in inserts.items():
-            if not rows:
-                continue
             placeholders = ", ".join("?" for _ in rows[0])
-            conn.executemany(
-                f"INSERT INTO {table} VALUES ({placeholders})", rows
-            )
+            conn.executemany(f"INSERT INTO {table} VALUES ({placeholders})", rows)
         conn.commit()
 
 
@@ -342,54 +309,19 @@ def _write_gold(db_path: Path, gold_sql: str, target: Path) -> None:
 def build_fixture_workspace(root: str | Path) -> Path:
     """Materialize the full fixture workspace under ``root`` and return it."""
     base = Path(root)
-    base.mkdir(parents=True, exist_ok=True)
-
-    flights_dir = base / "dbs" / "flights"
-    retail_dir = base / "dbs" / "retail"
-    flights_dir.mkdir(parents=True, exist_ok=True)
-    retail_dir.mkdir(parents=True, exist_ok=True)
-
-    flights_db = flights_dir / "flights.sqlite"
-    retail_db = retail_dir / "retail.sqlite"
-    _write_database(
-        flights_db,
-        FLIGHTS_DDL,
-        {"airports": _AIRPORTS, "carriers": _CARRIERS, "flights": _flight_rows()},
-    )
-    _write_database(
-        retail_db,
-        RETAIL_DDL,
-        {"products": _product_rows(), "orders": _order_rows()},
-    )
-    (flights_dir / "schema.sql").write_text(FLIGHTS_DDL, encoding="utf-8")
-    (retail_dir / "schema.sql").write_text(RETAIL_DDL, encoding="utf-8")
-    (flights_dir / "knowledge.md").write_text(FLIGHTS_KNOWLEDGE, encoding="utf-8")
-    (retail_dir / "knowledge.md").write_text(RETAIL_KNOWLEDGE, encoding="utf-8")
-
-    db_paths = {"flights": flights_db, "retail": retail_db}
+    for database_id, ddl, knowledge, tables in _DATABASES:
+        db_dir = base / "dbs" / database_id
+        db_dir.mkdir(parents=True, exist_ok=True)
+        _write_database(db_dir / f"{database_id}.sqlite", ddl, tables)
+        (db_dir / "schema.sql").write_text(ddl, encoding="utf-8")
+        (db_dir / "knowledge.md").write_text(knowledge, encoding="utf-8")
     lines = []
-    for question in FIXTURE_QUESTIONS:
-        gold_rel = f"gold/{question.id}.csv"
-        _write_gold(db_paths[question.database_id], question.gold_sql, base / gold_rel)
-        lines.append(
-            json.dumps(
-                {
-                    "id": question.id,
-                    "text": question.text,
-                    "database_id": question.database_id,
-                    "gold_csv": gold_rel,
-                    "script": {
-                        "probes": list(question.probes),
-                        "main_sql": question.main_sql,
-                        "answer": question.answer,
-                        "check": question.check,
-                        "refine": dict(question.refine),
-                        "memory_mode": question.memory_mode,
-                    },
-                },
-                ensure_ascii=False,
-            )
-        )
+    for q in FIXTURE_QUESTIONS:
+        gold_csv = f"gold/{q.id}.csv"
+        db_path = base / "dbs" / q.database_id / f"{q.database_id}.sqlite"
+        _write_gold(db_path, q.gold_sql, base / gold_csv)
+        line = {"id": q.id, "text": q.text, "database_id": q.database_id, "gold_csv": gold_csv}
+        lines.append(json.dumps({**line, "script": q.script.to_dict()}, ensure_ascii=False))
     (base / "questions.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (base / "workload.txt").write_text(
         "".join(f"{q.id}\t{q.database_id}\n" for q in FIXTURE_QUESTIONS),

@@ -22,7 +22,7 @@ from .classifier import classify_trajectory
 from .errors import ConfigurationError
 from .metrics import RunRecord, execution_accuracy
 from .mining import MinedComposite, build_composite_tool, load_manifest
-from .model import ID_PATTERN, Phase, Question, Step, ToolParam, ToolSpec, Trajectory, append_step
+from .model import Phase, Question, Step, ToolParam, ToolSpec, Trajectory, append_step
 from .policies import Policy, QuestionScript, ScriptedPolicy, Transcript
 from .retrieval import select_trajectory
 from .store import MemoryStore
@@ -215,51 +215,36 @@ class QuestionRecord:
 def load_questions_file(path: str | Path) -> list[QuestionRecord]:
     """Parse a JSONL questions file (id, text, database_id, gold_csv, script).
 
-    Every line is an object with at least id, text and database_id. Question
-    ids name the run's output files and database ids name workspace
-    directories: both must match ID_PATTERN, and question ids must be unique.
-    text and a given gold_csv are strings, a given synthetic is a bool, and a
-    given script is an object whose fields ``QuestionScript.from_dict`` checks.
+    Each line is a question that ``Question.from_dict`` checks, with an
+    optional gold_csv string and script object whose fields
+    ``QuestionScript.from_dict`` checks; question ids must be unique. An
+    error names the line.
     """
     records: list[QuestionRecord] = []
     seen: set[str] = set()
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
+        if not line.strip():
             continue
-        where = f"{path} line {lineno}"
         try:
             data = json.loads(line)
-        except ValueError as exc:
-            raise ConfigurationError(f"{where}: not JSON: {exc}") from None
-        if not isinstance(data, dict) or not {"id", "text", "database_id"} <= data.keys():
-            raise ConfigurationError(f"{where}: not an object with id, text and database_id")
-        qid = data["id"]
-        for label, value in (("question", qid), ("database", data["database_id"])):
-            if not isinstance(value, str) or not ID_PATTERN.fullmatch(value):
-                raise ConfigurationError(f"{where}: unsafe {label} id {value!r}")
-        if qid in seen:
-            raise ConfigurationError(f"{where}: duplicate question id {qid!r}")
-        seen.add(qid)
-        text, gold_csv, script = data["text"], data.get("gold_csv"), data.get("script")
-        if not isinstance(text, str):
-            raise ConfigurationError(f"{where}: text is not a string: {text!r}")
-        if gold_csv is not None and not isinstance(gold_csv, str):
-            raise ConfigurationError(f"{where}: gold_csv is not a string: {gold_csv!r}")
-        if script is not None and not isinstance(script, dict):
-            raise ConfigurationError(f"{where}: script is not an object: {script!r}")
-        synthetic = data.get("synthetic", False)
-        if not isinstance(synthetic, bool):
-            raise ConfigurationError(f"{where}: synthetic is not a bool: {synthetic!r}")
-        try:
-            parsed_script = QuestionScript.from_dict(script) if script else None
+            question = Question.from_dict(data)
+            if question.id in seen:
+                raise ConfigurationError(f"duplicate question id {question.id!r}")
+            seen.add(question.id)
+            gold_csv, script = data.get("gold_csv"), data.get("script")
+            if gold_csv is not None and not isinstance(gold_csv, str):
+                raise ConfigurationError(f"gold_csv is not a string: {gold_csv!r}")
+            if script is not None and not isinstance(script, dict):
+                raise ConfigurationError(f"script is not an object: {script!r}")
+            record = QuestionRecord(
+                question, QuestionScript.from_dict(script) if script else None, gold_csv
+            )
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{path} line {lineno}: not JSON: {exc}") from None
         except ConfigurationError as exc:
-            raise ConfigurationError(f"{where}: {exc}") from None
-        question = Question(
-            id=qid, text=text, database_id=data["database_id"], synthetic=synthetic
-        )
-        records.append(QuestionRecord(question=question, script=parsed_script, gold_csv=gold_csv))
+            raise ConfigurationError(f"{path} line {lineno}: {exc}") from None
+        records.append(record)
     return records
 
 

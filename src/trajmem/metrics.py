@@ -82,9 +82,17 @@ class RunRecord:
             output_tokens=trajectory.output_tokens,
             wall_time_ms=trajectory.wall_time_ms,
             phase_counts=counts,
-            answer_rows=[list(row) for row in answer_rows] if answer_rows is not None else None,
+            answer_rows=None if answer_rows is None else [
+                list(map(_json_cell, row)) for row in answer_rows
+            ],
             correct=correct,
         )
+
+
+def _json_cell(cell: Any) -> Any:
+    """A result cell as a record holds it: a blob as the text ``save_result``
+    writes for it in the CSV, as JSON has no bytes."""
+    return str(cell) if isinstance(cell, bytes) else cell
 
 
 def load_run_records(run_dir: str | Path) -> list[RunRecord]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
-from .errors import StructuralError
+from .errors import ConfigurationError, StructuralError
 
 # Ids that are safe as one path component: they name database directories
 # and store and run files.
@@ -143,13 +143,26 @@ class Question:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Question":
-        return cls(
-            id=data["id"],
-            text=data["text"],
-            database_id=data["database_id"],
-            synthetic=bool(data.get("synthetic", False)),
-        )
+    def from_dict(cls, data: Any) -> "Question":
+        """A question from its JSON object, as a questions file, a store index
+        line and a ``meta.json`` hold it. Both ids must match ``ID_PATTERN``
+        (they name files and directories), ``text`` must be a string and a
+        given ``synthetic`` a bool; otherwise ``ConfigurationError`` names
+        the field."""
+        try:
+            qid, text, database_id = data["id"], data["text"], data["database_id"]
+        except (LookupError, TypeError):
+            raise ConfigurationError("not an object with id, text and database_id") from None
+        synthetic = data.get("synthetic", False)
+        if not (isinstance(qid, str) and ID_PATTERN.fullmatch(qid)):
+            raise ConfigurationError(f"unsafe question id {qid!r}")
+        if not (isinstance(database_id, str) and ID_PATTERN.fullmatch(database_id)):
+            raise ConfigurationError(f"unsafe database id {database_id!r}")
+        if not isinstance(text, str):
+            raise ConfigurationError(f"text is not a string: {text!r}")
+        if not isinstance(synthetic, bool):
+            raise ConfigurationError(f"synthetic is not a bool: {synthetic!r}")
+        return cls(qid, text, database_id, synthetic)
 
 
 @dataclass

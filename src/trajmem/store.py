@@ -314,7 +314,7 @@ class MemoryStore:
         if not self.root.is_dir():
             return []
         return sorted(
-            p.name for p in self.root.iterdir() if p.is_dir() and not p.name.startswith(".")
+            p.name for p in self.root.iterdir() if p.is_dir() and ID_PATTERN.fullmatch(p.name)
         )
 
     # -- persistence --------------------------------------------------------
@@ -326,9 +326,8 @@ class MemoryStore:
         back. The entry is then indexed, and kept in this store's cache if
         the store has loaded its database.
         """
-        for label, value in (("database", entry.database_id), ("question", entry.question.id)):
-            if not ID_PATTERN.fullmatch(value):
-                raise StorageError(f"unsafe {label} id for storage: {value!r}")
+        _check_id("database", entry.database_id)
+        _check_id("question", entry.question.id)
         final = self.entry_dir(entry.database_id, entry.question.id)
         tmp = final.parent / f".tmp-{entry.question.id}-{uuid.uuid4().hex[:8]}"
         old = final.parent / f".old-{entry.question.id}-{uuid.uuid4().hex[:8]}"
@@ -481,8 +480,10 @@ class MemoryStore:
         returns copies of the cached entries, so a caller that rebinds an
         entry's fields leaves the store's copy as it was. A corrupt entry is
         logged once and parsed again only when its ``meta.json`` changes.
-        Entries that vanished are dropped.
+        Entries that vanished are dropped. An id that ``ID_PATTERN`` does not
+        match raises ``StorageError``.
         """
+        _check_id("database", database_id)
         with self._entries_lock:
             known = self._entries.get(database_id)
             first = known is None
@@ -560,7 +561,9 @@ class MemoryStore:
 
     def load_trajectories(self, database_id: str) -> list[Trajectory]:
         """Raw classified trajectories stored alongside entries (for mining),
-        read afresh on every call, in question-id order; corrupt ones skipped."""
+        read afresh on every call, in question-id order; corrupt ones skipped.
+        An id that ``ID_PATTERN`` does not match raises ``StorageError``."""
+        _check_id("database", database_id)
         parsed = (
             self._parse(entry_dir.path, _stored_trajectory)
             for entry_dir in self._entry_dirs(database_id)
@@ -590,6 +593,12 @@ class MemoryStore:
             self.counts.corrupt += 1
             logger.warning("skipping corrupt memory entry at %s: %s", entry_dir, exc)
             return None
+
+
+def _check_id(label: str, value: str) -> None:
+    """Raise ``StorageError`` unless ``value`` is safe as one path component."""
+    if not ID_PATTERN.fullmatch(value):
+        raise StorageError(f"unsafe {label} id for storage: {value!r}")
 
 
 def entry_counts(entry: MemoryEntry, dimension: int) -> EntryCounts:

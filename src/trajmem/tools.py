@@ -336,7 +336,8 @@ def _parse_calls(code: str) -> tuple[tuple[str, dict[str, Any]], ...]:
         args: dict[str, Any] = {}
         valid = True
         for keyword in call.keywords:
-            if keyword.arg is None:
+            # ** unpacking, or a keyword given twice, which compile rejects.
+            if keyword.arg is None or keyword.arg in args:
                 valid = False
                 break
             try:
@@ -352,12 +353,12 @@ def _parse_calls(code: str) -> tuple[tuple[str, dict[str, Any]], ...]:
 def parse_action_code(code: str) -> list[tuple[str, dict[str, Any]]]:
     """Extract ``name(kw=literal, ...)`` calls from action code, in order.
 
-    Non-call statements and calls with positional or non-literal arguments
-    are ignored, so free-form reasoning text yields no invocations; so are
-    calls with a literal that fails to evaluate, such as an unhashable dict
-    key, and text too deep or too large for the parser. Each distinct text is
-    parsed once, in a memo bounded by ``_PARSE_MEMO_SIZE``; every call returns
-    fresh copies of the arguments.
+    Non-call statements and calls with positional, repeated or non-literal
+    arguments are ignored, so free-form reasoning text yields no
+    invocations; so are calls with a literal that fails to evaluate, such as
+    an unhashable dict key, and text too deep or too large for the parser.
+    Each distinct text is parsed once, in a memo bounded by
+    ``_PARSE_MEMO_SIZE``; every call returns fresh copies of the arguments.
     """
     try:
         calls = _parse_calls(code)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -362,6 +363,25 @@ def test_retrieve_json_reports_what_the_load_did(pipeline_dirs, capsys):
         ) == 0
         counts = json.loads(capsys.readouterr().out)["entries"]
         assert (counts["indexed"], counts["healed"]) == (entries - healed, healed)
+
+
+@pytest.mark.parametrize("db", ["..", "../store", ".", "a/b", ""])
+def test_retrieve_of_an_unsafe_database_id_is_an_error(pipeline_dirs, capsys, db):
+    ws, store, _ = pipeline_dirs
+    capsys.readouterr()
+    code = main(["retrieve", "--question", "anything", "--db", db, "--store", str(store)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unsafe database id" in captured.err
+
+
+def test_mine_skips_a_store_directory_whose_name_is_not_an_id(pipeline_dirs, tmp_path):
+    ws, store, manifest = pipeline_dirs
+    stray = store / "not an id"
+    shutil.copytree(store / "flights", stray)
+    out = tmp_path / "again.json"
+    assert main(["mine", "--store", str(store), "--out", str(out), "--tau", "0.5"]) == 0
+    assert out.read_bytes() == manifest.read_bytes()
 
 
 def test_synth_on_an_existing_store_parses_no_indexed_entry(pipeline_dirs, monkeypatch):

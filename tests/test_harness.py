@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import os
 import re
+import sqlite3
 
 import pytest
 
+import trajmem.backend as backend_module
 from trajmem.errors import ConfigurationError
 from trajmem.fixtures import build_fixture_workspace
 from trajmem.harness import (
@@ -20,10 +23,14 @@ import trajmem.harness as harness_module
 from trajmem.mining import MinedComposite, ToolSequence, export_manifest, load_manifest
 from trajmem.model import Phase, Question
 from trajmem.policies import Policy, PolicyDecision, QuestionScript, ScriptedPolicy
+from trajmem.retrieval import select_trajectory
 import trajmem.store as store_module
 from trajmem.store import MemoryStore
 from trajmem.synthesis import synthesize_memory
 from trajmem.tools import Workspace
+
+
+_HAS_SETLIMIT = hasattr(sqlite3.Connection, "setlimit")
 
 
 @pytest.fixture()
@@ -169,8 +176,9 @@ class _ActThenAnswer(Policy):
         "sql_execute(query={['a']: 1})",  # unhashable dict key: TypeError
         "sql_execute(query={1, [2]})",  # unhashable set member: TypeError
         "sql_execute(query=" + "-" * 100000 + "1)",  # too deep for the parser
+        "sql_execute(query='SELECT 1', query='SELECT 2')",  # compile: keyword repeated
     ],
-    ids=["unhashable-key", "unhashable-member", "deep-nesting"],
+    ids=["unhashable-key", "unhashable-member", "deep-nesting", "repeated-keyword"],
 )
 def test_a_literal_that_fails_to_evaluate_is_reasoning_text(workspace, action_code):
     result = run_episode(UNIT_QUESTION, workspace, _config(), _ActThenAnswer(action_code))
@@ -190,6 +198,18 @@ def test_an_argument_too_large_to_show_is_a_failed_invocation(workspace):
     assert "invalid arguments for sql_execute" in invocation.output
     assert result.answer == "gave up"
     json.loads(result.trajectory.to_json())
+
+
+@pytest.mark.parametrize("length_limit", ["sqlite", "none"])
+def test_a_huge_sql_value_keeps_the_observation_small(workspace, monkeypatch, length_limit):
+    if length_limit == "none":  # as on Python 3.10, which has no Connection.setlimit
+        monkeypatch.setattr(backend_module, "QUERY_MAX_VALUE_BYTES", 10**9)
+    action_code = 'sql_execute(query="SELECT zeroblob(20000000) AS b")'
+    result = run_episode(UNIT_QUESTION, workspace, _config(), _ActThenAnswer(action_code))
+    (invocation,) = result.trajectory.steps[0].invocations
+    assert len(result.trajectory.steps[0].observation) < 10_000
+    assert len(result.trajectory.to_json()) < 20_000
+    assert invocation.succeeded is (length_limit == "none" or not _HAS_SETLIMIT)
 
 
 def test_episode_determinism_modulo_wall_time(workspace):
@@ -321,6 +341,19 @@ def test_run_suite_writes_records_and_trajectories(workspace, tmp_path):
         assert (tmp_path / "runs" / "trajectories" / f"{qid}.json").is_file()
         assert (tmp_path / "runs" / "answers" / f"{qid}.csv").is_file()
     assert all(r.correct is True for r in suite.records)
+
+
+def test_run_suite_records_a_blob_answer_as_its_csv_text(workspace, tmp_path):
+    script = QuestionScript(main_sql="SELECT x'00ff' AS b, 'text' AS t, 2 AS n")
+    record = harness_module.QuestionRecord(UNIT_QUESTION, script, "gold/f1.csv")
+    suite = run_suite([record], workspace, tmp_path / "runs", _config())
+    with open(tmp_path / "runs" / "answers" / "f1.csv", encoding="utf-8", newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == ["b", "t", "n"] and rows == [["b'\\x00\\xff'", "text", "2"]]
+    written = json.loads((tmp_path / "runs" / "records" / "f1.json").read_text("utf-8"))
+    assert written["answer_rows"] == [["b'\\x00\\xff'", "text", 2]]
+    assert suite.records[0].answer_rows == written["answer_rows"]
+    assert written["correct"] is False
 
 
 def test_run_suite_parallel_matches_serial(workspace, tmp_path):
@@ -505,34 +538,34 @@ def test_questions_file_rejects_malformed_lines(tmp_path, line):
         load_questions_file(path)
 
 
-@pytest.mark.parametrize(
-    "fields",
-    [
-        {"text": None},
-        {"text": 5},
-        {"gold_csv": 5},
-        {"gold_csv": ["gold/f2.csv"]},
-        {"script": [1]},
-        {"script": "main_sql"},
-        {"synthetic": "false"},
-        {"synthetic": 0},
-        {"synthetic": None},
-        {"script": {"probes": 5}},
-        {"script": {"probes": "SELECT 1"}},
-        {"script": {"probes": ["SELECT 1", 2]}},
-        {"script": {"main_sql": 5}},
-        {"script": {"answer": None}},
-        {"script": {"memory_mode": ["condensed"]}},
-        {"script": {"memory_mode": "skip-exploration"}},
-        {"script": {"memory_mode": "bogus"}},
-        {"script": {"memory_mode": ""}},
-        {"script": {"check": "false"}},
-        {"script": {"check": 1}},
-        {"script": {"refine": []}},
-        {"script": {"refine": "SELECT 1"}},
-        {"script": {"refine": {"SELECT 1": 5}}},
-    ],
-)
+_MISTYPED_FIELDS = [
+    {"text": None},
+    {"text": 5},
+    {"gold_csv": 5},
+    {"gold_csv": ["gold/f2.csv"]},
+    {"script": [1]},
+    {"script": "main_sql"},
+    {"synthetic": "false"},
+    {"synthetic": 0},
+    {"synthetic": None},
+    {"script": {"probes": 5}},
+    {"script": {"probes": "SELECT 1"}},
+    {"script": {"probes": ["SELECT 1", 2]}},
+    {"script": {"main_sql": 5}},
+    {"script": {"answer": None}},
+    {"script": {"memory_mode": ["condensed"]}},
+    {"script": {"memory_mode": "skip-exploration"}},
+    {"script": {"memory_mode": "bogus"}},
+    {"script": {"memory_mode": ""}},
+    {"script": {"check": "false"}},
+    {"script": {"check": 1}},
+    {"script": {"refine": []}},
+    {"script": {"refine": "SELECT 1"}},
+    {"script": {"refine": {"SELECT 1": 5}}},
+]
+
+
+@pytest.mark.parametrize("fields", _MISTYPED_FIELDS)
 def test_questions_file_rejects_mistyped_fields(tmp_path, fields):
     path = _questions_file(tmp_path, ["f1"])
     line = {"id": "f2", "text": "question", "database_id": "flights", **fields}
@@ -540,6 +573,33 @@ def test_questions_file_rejects_mistyped_fields(tmp_path, fields):
         handle.write(json.dumps(line) + "\n")
     with pytest.raises(ConfigurationError, match=r"questions\.jsonl line 2: " + next(iter(fields))):
         load_questions_file(path)
+
+
+@pytest.mark.parametrize("index", ["kept", "deleted"])
+@pytest.mark.parametrize(
+    "fields",
+    [f for f in _MISTYPED_FIELDS if next(iter(f)) in {"text", "synthetic"}]
+    + [{"id": bad} for bad in ("../../escaped", "", 5)]
+    + [{"database_id": bad} for bad in ("..", "/tmp/sec", None)],
+)
+def test_a_stored_question_with_a_field_a_questions_file_rejects_is_skipped(
+    tmp_path, fields, index
+):
+    store = MemoryStore(tmp_path / "store")
+    for qid in ("q1", "q2"):
+        question = Question(id=qid, text=f"question {qid}", database_id="flights")
+        store.persist(store_module.MemoryEntry(question, store_module.StructuredTrajectory([])))
+    meta_path = tmp_path / "store" / "flights" / "q2" / "meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta["question"].update(fields)
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+    if index == "deleted":
+        (tmp_path / "store" / "flights" / ".index.jsonl").unlink()
+    cold = MemoryStore(tmp_path / "store")
+    probe = Question(id="probe", text="question q2", database_id="flights")
+    assert select_trajectory(probe, cold).question.id == "q1"
+    assert cold.counts.corrupt == 1
+    assert [e.question.id for e in cold.load_entries("flights")] == ["q1"]
 
 
 def test_questions_file_reads_synthetic_as_a_json_bool(tmp_path):

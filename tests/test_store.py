@@ -253,6 +253,25 @@ def test_loaders_skip_and_log_corrupt_entry(tmp_path, caplog, bad_meta):
     assert sum(str(corrupt) in record.getMessage() for record in caplog.records) == 2
 
 
+@pytest.mark.parametrize("database_id", ["..", ".", "a/b", "", "-x", "db1\n"])
+def test_loaders_reject_an_unsafe_database_id(tmp_path, database_id):
+    store = MemoryStore(tmp_path / "store")
+    store.persist(_entry())
+    for load in (store.load_entries, store.load_trajectories):
+        with pytest.raises(StorageError, match="unsafe database id"):
+            load(database_id)
+    assert store.counts == store_module.LoadCounts()
+
+
+def test_database_ids_lists_only_names_that_are_ids(tmp_path):
+    store = MemoryStore(tmp_path / "store")
+    store.persist(_entry())
+    for name in ("not an id", "-x", ".hidden"):
+        (tmp_path / "store" / name).mkdir()
+    (tmp_path / "store" / "file").write_text("")
+    assert store.database_ids() == ["sqlite_fixture"]
+
+
 def test_duplicate_question_id_overwrites(tmp_path):
     store = MemoryStore(tmp_path / "store")
     first = _entry()
@@ -1020,6 +1039,16 @@ def test_winner_changed_after_load_is_dropped_and_the_selection_redone(tmp_path)
         tmp_path, "departure delay per carrier"
     )
     assert [e.question.id for e in store.load_entries("db1")] == ["q000", "q002", "q003"]
+
+
+def test_an_index_line_whose_text_is_not_a_string_is_parsed_from_meta_json(tmp_path):
+    _persist_all(tmp_path)
+    lines = [json.loads(raw) for raw in _index(tmp_path).read_bytes().splitlines()]
+    lines[1]["question"]["text"] = 5
+    _index(tmp_path).write_text("".join(json.dumps(line) + "\n" for line in lines))
+    selected, store = _cold_selection(tmp_path, _TEXTS[1])
+    assert selected == "q001"
+    assert (store.counts.indexed, store.counts.corrupt) == (3, 0)
 
 
 def test_a_second_store_persisting_while_the_first_is_warm(tmp_path):

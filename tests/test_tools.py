@@ -9,7 +9,12 @@ import pytest
 
 import trajmem.backend as backend_module
 import trajmem.tools as tools_module
-from trajmem.backend import SqliteBackend, execute_sql_with_refinement
+from trajmem.backend import (
+    QueryResult,
+    SqliteBackend,
+    execute_sql_with_refinement,
+    render_result,
+)
 from trajmem.errors import ConfigurationError, WorkspaceSecurityError
 from trajmem.fixtures import build_fixture_workspace
 from trajmem.model import Question, ToolSpec
@@ -79,6 +84,7 @@ def test_parse_ignores_comments_and_prose():
 def test_parse_ignores_positional_and_non_literal_args():
     assert parse_action_code("tool(1)") == []
     assert parse_action_code("tool(x=variable)") == []
+    assert parse_action_code("get_ddl()\ntool(x=1, y=2, x=3)") == [("get_ddl", {})]
 
 
 def test_two_parses_of_one_text_are_equal_and_share_no_container():
@@ -433,6 +439,27 @@ def test_backend_row_cap_is_exact(workspace, monkeypatch):
             _COUNT_TO.format(6) + "SELECT n FROM c", backend, retry_limit=0
         )
     assert not outcome.succeeded and "more than 5 rows" in outcome.error
+
+
+def test_render_result_cuts_a_long_cell_and_marks_the_cut():
+    cap = backend_module._RENDERED_CELL_CHARS
+    rows = [("x" * cap, "y" * (cap + 7), b"\x00" * cap)]
+    lines = render_result(QueryResult(columns=["a", "b", "c"], rows=rows)).splitlines()
+    a, b, c = lines[1].split(" | ")
+    assert a == "x" * cap
+    assert b == "y" * cap + " [truncated 7 characters]"
+    assert c.startswith("b'\\x00") and c.endswith(f" [truncated {3 * cap + 3} characters]")
+
+
+@pytest.mark.skipif(
+    not hasattr(sqlite3.Connection, "setlimit"), reason="Connection.setlimit needs Python 3.11"
+)
+def test_backend_fails_a_value_past_the_length_limit(workspace):
+    limit = backend_module.QUERY_MAX_VALUE_BYTES
+    with SqliteBackend(workspace.db_path("flights")) as backend:
+        assert backend.execute(f"SELECT length(zeroblob({limit}))").rows == [(limit,)]
+        with pytest.raises(sqlite3.DataError, match="too big"):
+            backend.execute(f"SELECT zeroblob({limit + 1})")
 
 
 # -- SQL self-refinement --------------------------------------------------------------
