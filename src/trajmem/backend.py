@@ -2,12 +2,14 @@
 
 A failed or empty-result query is fed back to a refiner callback for one or
 more corrected attempts; every attempt is recorded so the invocation output
-can show the full trail. Each query is bounded in time and in rows: one that
-runs past its time limit is interrupted, and one that returns more rows than
-the cap raises rather than being cut, so a runaway query fails like any
-other broken one. On Python 3.11 and later a string or blob past
-``QUERY_MAX_VALUE_BYTES`` fails the query too; on every version a rendered
-cell is cut at ``_RENDERED_CELL_CHARS``.
+can show the full trail. Each query is bounded in time, in rows and in
+result size: one that runs past its time limit is interrupted, and one that
+returns more rows than ``QUERY_MAX_ROWS``, or more than
+``QUERY_MAX_RESULT_BYTES`` of text and blob cells (``len()`` of each, summed
+as rows are fetched in batches of ``_FETCH_ROWS``), raises rather than being
+cut, so a runaway query fails like any other broken one. On Python 3.11 and
+later a string or blob past ``QUERY_MAX_VALUE_BYTES`` fails the query too;
+on every version a rendered cell is cut at ``_RENDERED_CELL_CHARS``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,12 @@ _RENDERED_ROWS = 50
 _RENDERED_CELL_CHARS = 1_000
 QUERY_TIME_LIMIT_S = 10.0
 QUERY_MAX_ROWS = 100_000
+# Text and blob in one result, by len() of each cell: what one query may hold
+# in memory, on every Python version.
+QUERY_MAX_RESULT_BYTES = 32_000_000
+# Rows fetched between two checks of the caps; small, so that a result of
+# large values stops soon after it passes the byte budget.
+_FETCH_ROWS = 16
 # Bytes in one string or blob value (SQLite's length limit), where Python
 # can set it (3.11 and later).
 QUERY_MAX_VALUE_BYTES = 1_000_000
@@ -68,16 +76,29 @@ class SqliteBackend:
 
     def execute(self, query: str) -> QueryResult:
         """Rows of one query; raises ``sqlite3.OperationalError`` when the query
-        runs past ``QUERY_TIME_LIMIT_S`` or returns over ``QUERY_MAX_ROWS`` rows."""
+        runs past ``QUERY_TIME_LIMIT_S``, returns over ``QUERY_MAX_ROWS`` rows
+        or holds over ``QUERY_MAX_RESULT_BYTES`` of text and blob."""
         self._deadline = time.monotonic() + QUERY_TIME_LIMIT_S
         cursor = self._conn.execute(query)
         try:
             columns = [d[0] for d in cursor.description] if cursor.description else []
-            rows = [tuple(row) for row in cursor.fetchmany(QUERY_MAX_ROWS + 1)]
+            rows: list[tuple] = []
+            size = 0
+            while batch := cursor.fetchmany(_FETCH_ROWS):
+                rows += batch
+                if len(rows) > QUERY_MAX_ROWS:
+                    raise sqlite3.OperationalError(f"result has more than {QUERY_MAX_ROWS} rows")
+                size += sum(
+                    len(cell) for row in batch for cell in row if isinstance(cell, (str, bytes))
+                )
+                if size > QUERY_MAX_RESULT_BYTES:
+                    raise sqlite3.OperationalError(
+                        f"result has more than {QUERY_MAX_RESULT_BYTES} bytes of text and blob"
+                    )
+                if len(batch) < _FETCH_ROWS:
+                    break
         finally:
             cursor.close()
-        if len(rows) > QUERY_MAX_ROWS:
-            raise sqlite3.OperationalError(f"result has more than {QUERY_MAX_ROWS} rows")
         return QueryResult(columns=columns, rows=rows)
 
     def close(self) -> None:

@@ -1,12 +1,16 @@
-"""Minimal JSON chat-endpoint client behind ``HttpPolicy`` (``--policy http:``)."""
+"""Minimal JSON chat-endpoint client behind ``HttpPolicy`` (``--policy http:``).
+
+``requests`` is imported on first use, by a ``ChatEndpoint`` built without
+an injected ``post`` or when a failure has to be classified, so importing
+the package, and so every CLI command that takes no ``--policy http:``,
+loads no HTTP stack.
+"""
 
 from __future__ import annotations
 
 import os
 import time
 from typing import Any, Callable
-
-import requests
 
 from .errors import EndpointError
 
@@ -39,7 +43,11 @@ class ChatEndpoint:
         self.auth_env = auth_env
         self.timeout = timeout
         self.retries = retries
-        self._post = post or requests.post
+        if post is None:
+            import requests
+
+            post = requests.post
+        self._post = post
         self._sleep = sleep or time.sleep
 
     def complete(self, prompt: str, system: str | None = None) -> str:
@@ -71,6 +79,8 @@ class ChatEndpoint:
 
 def _transient(exc: Exception) -> bool:
     """Connection failures, timeouts and 5xx responses; a retry may succeed."""
+    import requests
+
     if isinstance(exc, requests.HTTPError):
         return exc.response is not None and exc.response.status_code >= 500
     if isinstance(exc, requests.RequestException):

@@ -64,7 +64,7 @@ class ToolSpec:
             raise StructuralError(f"duplicate parameter names in tool spec {self.name!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class ToolInvocation:
     """One concrete tool call with its arguments and observed output."""
 
@@ -91,7 +91,7 @@ class ToolInvocation:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class Step:
     """One observe/reason/act cycle. A step with no invocations is reasoning-only."""
 

@@ -34,6 +34,12 @@ per database, stamped; each later ``load_entries`` call lists the database
 directory, stats every ``meta.json`` and parses only what is new or
 changed. ``_read_meta`` is the one reader of ``meta.json``.
 
+``load_trajectories``, which mining reads, parses every ``meta.json`` on
+each call and keeps nothing. Each trajectory of a database repeats its
+knowledge file and DDL, as observations and as invocation outputs, so the
+trajectories one call returns share equal texts: one object per distinct
+thought, action, observation, tool name and output, not one per entry.
+
 The store owns a stored question's trigram counts. ``entry_counts`` gives
 the counts that persist, a heal and retrieval use: it hashes the text once
 per dimension and memoizes the counts on the entry (counts past 16 bits
@@ -55,6 +61,7 @@ import uuid
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from operator import lt, mul
 from typing import Any, Callable, Sequence, TypeVar
@@ -562,10 +569,17 @@ class MemoryStore:
     def load_trajectories(self, database_id: str) -> list[Trajectory]:
         """Raw classified trajectories stored alongside entries (for mining),
         read afresh on every call, in question-id order; corrupt ones skipped.
-        An id that ``ID_PATTERN`` does not match raises ``StorageError``."""
+        An id that ``ID_PATTERN`` does not match raises ``StorageError``.
+
+        Equal texts are one object across the returned trajectories: each
+        trajectory of a database repeats its knowledge file and DDL, so
+        without sharing the corpus would hold them once per entry. Steps and
+        invocations are still the caller's own; rebinding a field of one
+        changes no other trajectory."""
         _check_id("database", database_id)
+        texts: dict[str, str] = {}
         parsed = (
-            self._parse(entry_dir.path, _stored_trajectory)
+            self._parse(entry_dir.path, partial(_stored_trajectory, texts=texts))
             for entry_dir in self._entry_dirs(database_id)
         )
         return [trajectory for trajectory in parsed if trajectory is not None]
@@ -753,6 +767,21 @@ class _IndexedTrajectory(StructuredTrajectory):
             raise StorageError(f"cannot read memory entry at {self.entry_dir}: {exc}") from exc
 
 
-def _stored_trajectory(entry_dir: str | Path, meta: dict[str, Any]) -> Trajectory | None:
+def _stored_trajectory(
+    entry_dir: str | Path, meta: dict[str, Any], texts: dict[str, str]
+) -> Trajectory | None:
+    """The entry's stored trajectory, its step and invocation texts rebound
+    to the equal ones already in ``texts`` (those that are new are added)."""
     raw = meta.get("trajectory")
-    return None if raw is None else Trajectory.from_dict(raw)
+    if raw is None:
+        return None
+    trajectory = Trajectory.from_dict(raw)
+    share = texts.setdefault
+    for step in trajectory.steps:
+        step.thought = share(step.thought, step.thought)
+        step.action_code = share(step.action_code, step.action_code)
+        step.observation = share(step.observation, step.observation)
+        for invocation in step.invocations:
+            invocation.tool_name = share(invocation.tool_name, invocation.tool_name)
+            invocation.output = share(invocation.output, invocation.output)
+    return trajectory

@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 import requests
 
@@ -164,3 +170,36 @@ def test_chat_endpoint_sleeps_only_between_attempts():
     with pytest.raises(EndpointError):
         endpoint.complete("x")
     assert delays == []
+
+
+_IMPORT_PROBE = """
+import json, sys
+HTTP = ("requests", "urllib3", "ssl", "http.client")
+import trajmem, trajmem.cli
+from trajmem.llm import ChatEndpoint
+after_import = [name for name in HTTP if name in sys.modules]
+
+class Reply:
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return {"content": "ok"}
+
+text = ChatEndpoint("http://fake/chat", post=lambda *args, **kwargs: Reply()).complete("hi")
+after_complete = [name for name in HTTP if name in sys.modules]
+ChatEndpoint("http://fake/chat")
+print(json.dumps([after_import, text, after_complete, "requests" in sys.modules]))
+"""
+
+
+def test_the_http_client_is_imported_only_for_an_endpoint_that_posts_through_it():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    after_import, text, after_complete, requests_loaded = json.loads(probe.stdout)
+    assert (after_import, text, after_complete) == ([], "ok", [])
+    assert requests_loaded

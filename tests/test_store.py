@@ -7,6 +7,7 @@ import errno
 import json
 import logging
 import os
+import pickle
 import shutil
 import sys
 import tempfile
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 import trajmem.store as store_module
 from trajmem.classifier import classify_trajectory
 from trajmem.errors import StorageError
-from trajmem.model import Phase, Question
+from trajmem.model import Phase, Question, Step, ToolInvocation
 from trajmem.retrieval import HashingEmbedder, select_trajectory
 from trajmem.store import (
     MemoryEntry,
@@ -237,6 +238,8 @@ def test_load_entries_sorted_and_skips_corrupt(tmp_path, caplog):
         '{"trajectory": 5}',
         '{"trajectory": {"question_id": "q002", "database_id": "sqlite_fixture",'
         ' "steps": [{"index": 3}]}}',
+        '{"trajectory": {"question_id": "q002", "database_id": "sqlite_fixture",'
+        ' "steps": [{"index": 0, "observation": ["not", "text"]}]}}',
     ],
 )
 def test_loaders_skip_and_log_corrupt_entry(tmp_path, caplog, bad_meta):
@@ -261,6 +264,41 @@ def test_loaders_reject_an_unsafe_database_id(tmp_path, database_id):
         with pytest.raises(StorageError, match="unsafe database id"):
             load(database_id)
     assert store.counts == store_module.LoadCounts()
+
+
+def test_loaded_trajectories_share_equal_texts_and_stay_independent(tmp_path):
+    store = MemoryStore(tmp_path / "store")
+    persisted = []
+    for qid in ("q001", "q003"):
+        entry = MemoryEntry(
+            question=dataclasses.replace(_question(), id=qid),
+            structured=structure_trajectory(_classified_fixture()),
+        )
+        persisted.append(dataclasses.replace(_classified_fixture(), question_id=qid))
+        store.persist(entry, trajectory=persisted[-1])
+    corrupt = tmp_path / "store" / "sqlite_fixture" / "q002"
+    corrupt.mkdir()
+    (corrupt / "meta.json").write_text("{broken")
+
+    first, second = store.load_trajectories("sqlite_fixture")
+    assert [first, second] == persisted
+    assert store.counts.corrupt == 1
+    for one, other in zip(first.steps, second.steps, strict=True):
+        assert one.observation is other.observation
+        assert one.thought is other.thought and one.action_code is other.action_code
+        for a, b in zip(one.invocations, other.invocations, strict=True):
+            assert a.output is b.output and a.tool_name is b.tool_name
+
+    first.steps[1].observation = "changed"
+    first.steps[1].invocations[0].output = "changed"
+    assert second == persisted[1]
+
+    assert not hasattr(Step(index=0), "__dict__")
+    assert not hasattr(ToolInvocation(tool_name="t"), "__dict__")
+    moved = dataclasses.replace(second.steps[0], index=5)
+    assert (moved.index, moved.observation) == (5, second.steps[0].observation)
+    assert copy.deepcopy(second) == second
+    assert pickle.loads(pickle.dumps(second)) == second
 
 
 def test_database_ids_lists_only_names_that_are_ids(tmp_path):

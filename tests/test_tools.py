@@ -441,6 +441,21 @@ def test_backend_row_cap_is_exact(workspace, monkeypatch):
     assert not outcome.succeeded and "more than 5 rows" in outcome.error
 
 
+def test_backend_fails_a_result_past_its_byte_budget(workspace, monkeypatch):
+    monkeypatch.setattr(backend_module, "QUERY_MAX_RESULT_BYTES", 5_000)
+    blobs = _COUNT_TO + "SELECT n, zeroblob(100) FROM c"
+    texts = _COUNT_TO + "SELECT n, printf('%.2000c', 'x') FROM c"
+    with SqliteBackend(workspace.db_path("flights")) as backend:
+        # 50 blobs of 100 bytes are the whole budget; integers count for nothing.
+        assert len(backend.execute(blobs.format(50)).rows) == 50
+        with pytest.raises(sqlite3.OperationalError, match="more than 5000 bytes"):
+            backend.execute(blobs.format(51))
+        assert backend.execute(texts.format(2)).rows == [(1, "x" * 2000), (2, "x" * 2000)]
+        outcome = execute_sql_with_refinement(texts.format(3), backend, retry_limit=0)
+        assert backend.execute("SELECT COUNT(*) FROM flights").rows == [(36,)]
+    assert not outcome.succeeded and "more than 5000 bytes" in outcome.error
+
+
 def test_render_result_cuts_a_long_cell_and_marks_the_cut():
     cap = backend_module._RENDERED_CELL_CHARS
     rows = [("x" * cap, "y" * (cap + 7), b"\x00" * cap)]
