@@ -7,9 +7,9 @@ result size: one that runs past its time limit is interrupted, and one that
 returns more rows than ``QUERY_MAX_ROWS``, or more than
 ``QUERY_MAX_RESULT_BYTES`` of text and blob cells (``len()`` of each, summed
 as rows are fetched in batches of ``_FETCH_ROWS``), raises rather than being
-cut, so a runaway query fails like any other broken one. On Python 3.11 and
-later a string or blob past ``QUERY_MAX_VALUE_BYTES`` fails the query too;
-on every version a rendered cell is cut at ``_RENDERED_CELL_CHARS``.
+cut, so a runaway query fails like any other broken one. A string or blob
+past ``QUERY_MAX_VALUE_BYTES`` fails the query too, and a rendered cell is
+cut at ``_RENDERED_CELL_CHARS``.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ QUERY_MAX_RESULT_BYTES = 32_000_000
 # Rows fetched between two checks of the caps; small, so that a result of
 # large values stops soon after it passes the byte budget.
 _FETCH_ROWS = 16
-# Bytes in one string or blob value (SQLite's length limit), where Python
-# can set it (3.11 and later).
+# Bytes in one string or blob value (SQLite's length limit).
 QUERY_MAX_VALUE_BYTES = 1_000_000
 # SQLite virtual-machine instructions between two checks of the time limit.
 _PROGRESS_INTERVAL = 10_000
@@ -66,8 +65,7 @@ class SqliteBackend:
         uri = f"file:{quote(str(self.path))}?mode=ro"
         self._conn = sqlite3.connect(uri, uri=True)
         self._conn.set_authorizer(_deny_attach)
-        if hasattr(self._conn, "setlimit"):
-            self._conn.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, QUERY_MAX_VALUE_BYTES)
+        self._conn.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, QUERY_MAX_VALUE_BYTES)
         # A true return interrupts the running statement, which then raises
         # sqlite3.OperationalError("interrupted").
         self._conn.set_progress_handler(

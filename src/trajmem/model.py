@@ -64,6 +64,21 @@ class ToolSpec:
             raise StructuralError(f"duplicate parameter names in tool spec {self.name!r}")
 
 
+# The exact type each field of a stored invocation and step must hold, so a
+# bool is no int and the JSON string "false" is no bool.
+_INVOCATION_TYPES = (("tool_name", str), ("output", str), ("succeeded", bool))
+_STEP_TYPES = (("index", int), ("thought", str), ("action_code", str), ("observation", str))
+
+
+def _check_types(value: Any, types: tuple[tuple[str, type], ...]) -> None:
+    """Raise ``StructuralError`` naming the first field of ``value`` that is
+    not exactly of its type."""
+    for name, kind in types:
+        field_value = getattr(value, name)
+        if type(field_value) is not kind:
+            raise StructuralError(f"{name} is not {kind.__name__}: {field_value!r}")
+
+
 @dataclass(slots=True)
 class ToolInvocation:
     """One concrete tool call with its arguments and observed output."""
@@ -83,12 +98,19 @@ class ToolInvocation:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ToolInvocation":
-        return cls(
+        """An invocation from its JSON object; ``StructuralError`` names a
+        field of the wrong type."""
+        args = data.get("args", {})
+        if type(args) is not dict or not all(type(value) is str for value in args.values()):
+            raise StructuralError(f"args are not an object of strings: {args!r}")
+        invocation = cls(
             tool_name=data["tool_name"],
-            args=dict(data.get("args", {})),
+            args=dict(args),
             output=data.get("output", ""),
-            succeeded=bool(data.get("succeeded", True)),
+            succeeded=data.get("succeeded", True),
         )
+        _check_types(invocation, _INVOCATION_TYPES)
+        return invocation
 
 
 @dataclass(slots=True)
@@ -114,15 +136,19 @@ class Step:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Step":
+        """A step from its JSON object; ``StructuralError`` names a field of
+        the wrong type (an ``index`` must be an int, not a bool)."""
         phase = data.get("phase")
-        return cls(
-            index=int(data["index"]),
+        step = cls(
+            index=data["index"],
             thought=data.get("thought", ""),
             action_code=data.get("action_code", ""),
             invocations=[ToolInvocation.from_dict(d) for d in data.get("invocations", [])],
             observation=data.get("observation", ""),
             phase=Phase.parse(phase) if phase else None,
         )
+        _check_types(step, _STEP_TYPES)
+        return step
 
 
 @dataclass

@@ -32,7 +32,9 @@ counts (a line in the older list format among them), is parsed from
 so the next store takes it from the index. The store keeps what it read,
 per database, stamped; each later ``load_entries`` call lists the database
 directory, stats every ``meta.json`` and parses only what is new or
-changed. ``_read_meta`` is the one reader of ``meta.json``.
+changed. Every call returns the entries the store keeps, not copies:
+a ``MemoryEntry`` is read-only. ``_read_meta`` is the one reader of
+``meta.json``.
 
 ``load_trajectories``, which mining reads, parses every ``meta.json`` on
 each call and keeps nothing. Each trajectory of a database repeats its
@@ -208,16 +210,19 @@ def structure_trajectory(trajectory: Trajectory) -> StructuredTrajectory:
 class MemoryEntry:
     """One retrievable unit: a question plus its structured trajectory.
 
+    An entry is read-only: its question, structured trajectory,
+    ``created_at`` and ``path`` cannot be rebound, so a store hands out the
+    entries it keeps and a caller that needs another entry builds a new one.
     ``path`` is the entry's directory, ``None`` until it is stored; given as
-    a string, it becomes a ``Path`` when first read, once for the entry and
-    all its copies. ``counts_memo`` holds the question's trigram counts by
-    (text, dimension), as ``entry_counts`` returns them. Copies share it,
-    which is safe because each value depends only on its key. It is never
-    written to disk. Two entries are equal when their questions, structured
-    trajectories and ``created_at`` are.
+    a string, it becomes a ``Path`` when first read. ``counts_memo`` holds
+    the question's trigram counts by (text, dimension), as ``entry_counts``
+    returns them; entries of one question may share it, since each value
+    depends only on its key. It is never written to disk. Two entries are
+    equal when their questions, structured trajectories and ``created_at``
+    are.
     """
 
-    __slots__ = ("question", "structured", "created_at", "_path", "counts_memo")
+    __slots__ = ("_question", "_structured", "_created_at", "_path", "counts_memo")
 
     def __init__(
         self,
@@ -225,41 +230,36 @@ class MemoryEntry:
         structured: StructuredTrajectory,
         created_at: str = "",
         path: str | Path | None = None,
+        counts_memo: dict[tuple[str, int], EntryCounts] | None = None,
     ) -> None:
-        self.question = question
-        self.structured = structured
-        self.created_at = created_at or _now()
+        self._question = question
+        self._structured = structured
+        self._created_at = created_at or _now()
         self._path = path
-        self.counts_memo: dict[tuple[str, int], EntryCounts] = {}
+        self.counts_memo = {} if counts_memo is None else counts_memo
+
+    @property
+    def question(self) -> Question:
+        return self._question
+
+    @property
+    def structured(self) -> StructuredTrajectory:
+        return self._structured
+
+    @property
+    def created_at(self) -> str:
+        return self._created_at
 
     @property
     def path(self) -> Path | None:
         path = self._path
         if path.__class__ is str:
             path = self._path = Path(path)
-        elif isinstance(path, MemoryEntry):
-            path = self._path = path.path
         return path
-
-    @path.setter
-    def path(self, value: str | Path | None) -> None:
-        self._path = value
 
     @property
     def database_id(self) -> str:
-        return self.question.database_id
-
-    def __copy__(self) -> MemoryEntry:
-        """A shallow copy: it shares ``counts_memo`` and ``structured``."""
-        clone = _new(self.__class__)
-        clone.question = self.question
-        clone.structured = self.structured
-        clone.created_at = self.created_at
-        # A copy of an entry whose directory is still a string reads its path
-        # through that entry, which builds the Path once for all its copies.
-        clone._path = self if self._path.__class__ is str else self._path
-        clone.counts_memo = self.counts_memo
-        return clone
+        return self._question.database_id
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MemoryEntry):
@@ -268,7 +268,7 @@ class MemoryEntry:
             other.question, other.structured, other.created_at
         )
 
-    __hash__ = None  # type: ignore[assignment]  # mutable, compared by value
+    __hash__ = None  # type: ignore[assignment]  # compared by value; Question is unhashable
 
     def __repr__(self) -> str:
         return (
@@ -279,9 +279,6 @@ class MemoryEntry:
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
-
-
-_new = object.__new__
 
 
 @dataclass
@@ -328,10 +325,13 @@ class MemoryStore:
 
     def persist(self, entry: MemoryEntry, trajectory: Trajectory | None = None) -> Path:
         """Atomically write an entry; a duplicate question id is overwritten.
+        Returns the entry's directory; the given entry is left as it was.
 
         When the new version cannot be moved into place, the old one is put
-        back. The entry is then indexed, and kept in this store's cache if
-        the store has loaded its database.
+        back. The entry is then indexed and, if the store has loaded its
+        database, kept in this store's cache as a new entry with that
+        directory, which shares the given one's question, structured
+        trajectory and ``counts_memo``.
         """
         _check_id("database", entry.database_id)
         _check_id("question", entry.question.id)
@@ -355,12 +355,14 @@ class MemoryStore:
             shutil.rmtree(tmp, ignore_errors=True)
             if final.exists():  # a failed put-back leaves the old version under .old-*
                 shutil.rmtree(old, ignore_errors=True)
-        entry.path = final
         counts = _encode_counts(entry_counts(entry, self.dimension))
         self._append_index(entry.database_id, self._index_line(entry, stamp, counts))
         with self._entries_lock:
             if entry.database_id in self._entries:
-                self._entries[entry.database_id][final.name] = (stamp, entry.__copy__())
+                stored = MemoryEntry(
+                    entry.question, entry.structured, entry.created_at, final, entry.counts_memo
+                )
+                self._entries[entry.database_id][final.name] = (stamp, stored)
         return final
 
     def _materialize(
@@ -484,11 +486,11 @@ class MemoryStore:
         ``meta.json``, and the index gets a current line for it, so the next
         store takes it from the index. Later calls parse only entries whose
         ``meta.json`` is new or changed since the store last saw it. Each call
-        returns copies of the cached entries, so a caller that rebinds an
-        entry's fields leaves the store's copy as it was. A corrupt entry is
-        logged once and parsed again only when its ``meta.json`` changes.
-        Entries that vanished are dropped. An id that ``ID_PATTERN`` does not
-        match raises ``StorageError``.
+        returns the read-only entries the store keeps, the same objects on
+        every call until an entry changes on disk. A corrupt entry is logged
+        once and parsed again only when its ``meta.json`` changes. Entries
+        that vanished are dropped. An id that ``ID_PATTERN`` does not match
+        raises ``StorageError``.
         """
         _check_id("database", database_id)
         with self._entries_lock:
@@ -515,8 +517,7 @@ class MemoryStore:
             self._entries[database_id] = current
             if heal and self._append_index(database_id, b"".join(heal)):
                 self.counts.healed += len(heal)
-        clone = MemoryEntry.__copy__
-        return [clone(entry) for _, entry in current.values() if entry is not None]
+            return [entry for _, entry in current.values() if entry is not None]
 
     def _from_index(
         self, entry_dir: str, stamp: _Stamp | None, line: dict[str, Any] | None
@@ -709,24 +710,23 @@ def _parse_entry(entry_dir: str, meta: dict[str, Any]) -> MemoryEntry:
     """The entry that a ``meta.json`` or an index line describes, in the
     directory ``entry_dir``.
 
-    An index line holds no segments, and is taken in one step: its counts
-    are decoded and checked into the entry's ``counts_memo``, and its
-    segments are left to be read from ``meta.json`` when first asked for.
+    An index line holds no segments, and is taken in one step: the entry
+    is built with its counts, decoded and checked, as its ``counts_memo``,
+    and its segments are left to be read from ``meta.json`` when first
+    asked for.
     """
     question = Question.from_dict(meta["question"])
     if "segments" in meta:
         return MemoryEntry(
             question, StructuredTrajectory(_segments(meta)), meta.get("created_at", ""), entry_dir
         )
-    counts = _decode_counts(meta["counts"], meta["dimension"])
-    entry = MemoryEntry(
+    return MemoryEntry(
         question,
         _IndexedTrajectory(entry_dir, tuple(meta["stamp"]), question),
         meta.get("created_at", ""),
         entry_dir,
+        {(question.text, meta["dimension"]): _decode_counts(meta["counts"], meta["dimension"])},
     )
-    entry.counts_memo[(question.text, meta["dimension"])] = counts
-    return entry
 
 
 def _segments(meta: dict[str, Any]) -> list[StructuredSegment]:
@@ -740,8 +740,7 @@ class _IndexedTrajectory(StructuredTrajectory):
     """The structured trajectory of an entry taken from its index line. Its
     segments are read from the entry's ``meta.json`` the first time they are
     asked for, and only from a file that still has the line's stamp and
-    holds the line's question. Copies of the entry share this object, and so
-    share the read."""
+    holds the line's question."""
 
     __slots__ = ("entry_dir", "stamp", "question")
 

@@ -194,7 +194,8 @@ def synthesize_memory(
     provider: HashingEmbedder | None = None,
     config: EpisodeConfig | None = None,
 ) -> list[MemoryEntry]:
-    """Explore each question offline and persist the structured trajectory.
+    """Explore each question offline and persist the structured trajectory;
+    the stored entries, each with its directory as ``path``.
 
     Episodes use the restricted registry (SQL plus file and schema reading;
     no validation or memory tools); answers are never checked.
@@ -212,8 +213,10 @@ def synthesize_memory(
                 question=question,
                 structured=structure_trajectory(result.trajectory),
             )
-            store.persist(entry, trajectory=result.trajectory)
-            entries.append(entry)
+            path = store.persist(entry, trajectory=result.trajectory)
+            entries.append(
+                MemoryEntry(question, entry.structured, entry.created_at, path, entry.counts_memo)
+            )
         except Exception as exc:  # noqa: BLE001 - skip and continue per contract
             logger.warning("synthesis episode failed for %r: %s", question.id, exc)
     return entries

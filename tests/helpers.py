@@ -60,12 +60,18 @@ def tool_trajectory(
     return trajectory(steps, question_id, database_id)
 
 
-def memory_entry(question_id: str, database_id: str, text: str) -> MemoryEntry:
+def memory_entry(
+    question_id: str,
+    database_id: str,
+    text: str,
+    structured: StructuredTrajectory | None = None,
+    created_at: str = "2026-01-01T00:00:00+00:00",
+) -> MemoryEntry:
     question = Question(
         id=question_id, text=text, database_id=database_id, synthetic=True
     )
     return MemoryEntry(
         question=question,
-        structured=StructuredTrajectory(segments=[]),
-        created_at="2026-01-01T00:00:00+00:00",
+        structured=structured or StructuredTrajectory(segments=[]),
+        created_at=created_at,
     )

@@ -29,7 +29,7 @@ from trajmem.retrieval import (
     select_from_entries,
     select_trajectory,
 )
-from trajmem.store import MemoryStore, StructuredTrajectory
+from trajmem.store import MemoryEntry, MemoryStore, StructuredTrajectory
 from trajmem.synthesis import (
     QueryDistribution,
     allocate,
@@ -450,9 +450,12 @@ def test_acceptance_store_round_trip_and_atomicity(tmp_path, monkeypatch):
             break
         stable_cycles += 1
 
-    crash_entry = store.load_entries("flights")[0]
-    crash_entry.question = dataclasses.replace(crash_entry.question, id="crashy")
-    crash_entry.structured = StructuredTrajectory(segments=crash_entry.structured.segments)
+    loaded = store.load_entries("flights")[0]
+    crash_entry = MemoryEntry(
+        dataclasses.replace(loaded.question, id="crashy"),
+        StructuredTrajectory(segments=loaded.structured.segments),
+        loaded.created_at,
+    )
 
     original = MemoryStore._materialize
 

@@ -5,7 +5,6 @@ import dataclasses
 import json
 import os
 import re
-import sqlite3
 
 import pytest
 
@@ -28,9 +27,6 @@ import trajmem.store as store_module
 from trajmem.store import MemoryStore
 from trajmem.synthesis import synthesize_memory
 from trajmem.tools import Workspace
-
-
-_HAS_SETLIMIT = hasattr(sqlite3.Connection, "setlimit")
 
 
 @pytest.fixture()
@@ -202,14 +198,14 @@ def test_an_argument_too_large_to_show_is_a_failed_invocation(workspace):
 
 @pytest.mark.parametrize("length_limit", ["sqlite", "none"])
 def test_a_huge_sql_value_keeps_the_observation_small(workspace, monkeypatch, length_limit):
-    if length_limit == "none":  # as on Python 3.10, which has no Connection.setlimit
+    if length_limit == "none":  # a value the length limit lets through: the cell cut bounds it
         monkeypatch.setattr(backend_module, "QUERY_MAX_VALUE_BYTES", 10**9)
     action_code = 'sql_execute(query="SELECT zeroblob(20000000) AS b")'
     result = run_episode(UNIT_QUESTION, workspace, _config(), _ActThenAnswer(action_code))
     (invocation,) = result.trajectory.steps[0].invocations
     assert len(result.trajectory.steps[0].observation) < 10_000
     assert len(result.trajectory.to_json()) < 20_000
-    assert invocation.succeeded is (length_limit == "none" or not _HAS_SETLIMIT)
+    assert invocation.succeeded is (length_limit == "none")
 
 
 def test_episode_determinism_modulo_wall_time(workspace):

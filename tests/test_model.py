@@ -108,3 +108,28 @@ def test_phase_parse_round_trip():
         assert Phase.parse(phase.value) is phase
     with pytest.raises(ValueError):
         Phase.parse("unknown")
+
+
+@pytest.mark.parametrize(
+    "step_fields, invocation_fields",
+    [
+        ({"index": "0"}, {}),
+        ({"index": 0.0}, {}),
+        ({"index": False}, {}),
+        ({"thought": 7}, {}),
+        ({"action_code": 5}, {}),
+        ({"observation": 3}, {}),
+        ({}, {"tool_name": 9}),
+        ({}, {"output": 1}),
+        ({}, {"args": ["a"]}),
+        ({}, {"args": {"a": 1}}),
+        ({}, {"succeeded": "false"}),
+        ({}, {"succeeded": 0}),
+    ],
+)
+def test_deserialization_rejects_a_field_of_the_wrong_type(step_fields, invocation_fields):
+    data = trajectory([step(0, tools=("get_ddl",), observation="CREATE TABLE x")]).to_dict()
+    data["steps"][0].update(step_fields)
+    data["steps"][0]["invocations"][0].update(invocation_fields)
+    with pytest.raises(StructuralError):
+        Trajectory.from_dict(data)

@@ -13,6 +13,7 @@ from trajmem.retrieval import (
     filter_by_database,
     select_from_entries,
 )
+from trajmem.store import MemoryEntry
 
 from helpers import memory_entry
 from oracles import brute_force_select, cosine_similarity, exact_similarity, reference_embed
@@ -193,7 +194,13 @@ def test_select_memoizes_entry_vectors_by_text_and_dimension(monkeypatch):
     for _ in range(3):
         select_from_entries(question, [entry], PROVIDER)
     select_from_entries(question, [entry], HashingEmbedder(16))
-    entry.question = Question(id="q1", text="other words", database_id="A")
+    # An entry of another text that shares the memo is hashed for its own text.
+    entry = MemoryEntry(
+        Question(id="q1", text="other words", database_id="A"),
+        entry.structured,
+        entry.created_at,
+        counts_memo=entry.counts_memo,
+    )
     select_from_entries(question, [entry], PROVIDER)
     # The query is hashed on every call; each entry text once per dimension.
     assert [call for call in hashed if call[0] != question.text] == [

@@ -139,10 +139,10 @@ def test_heuristic_summarizer_uses_lead_thought():
     assert header == "read the schema"
 
 
-def _entry():
-    question = _question()
+def _entry(created_at: str = "", question_id: str = "q001"):
+    question = dataclasses.replace(_question(), id=question_id)
     structured = structure_trajectory(_classified_fixture())
-    return MemoryEntry(question=question, structured=structured)
+    return MemoryEntry(question=question, structured=structured, created_at=created_at)
 
 
 def test_persist_writes_two_files(tmp_path):
@@ -240,6 +240,9 @@ def test_load_entries_sorted_and_skips_corrupt(tmp_path, caplog):
         ' "steps": [{"index": 3}]}}',
         '{"trajectory": {"question_id": "q002", "database_id": "sqlite_fixture",'
         ' "steps": [{"index": 0, "observation": ["not", "text"]}]}}',
+        '{"trajectory": {"question_id": "q002", "database_id": "sqlite_fixture",'
+        ' "steps": [{"index": 0, "thought": 7, "action_code": 5, "observation": 3,'
+        ' "invocations": [{"tool_name": 9, "output": 1}]}]}}',
     ],
 )
 def test_loaders_skip_and_log_corrupt_entry(tmp_path, caplog, bad_meta):
@@ -312,11 +315,9 @@ def test_database_ids_lists_only_names_that_are_ids(tmp_path):
 
 def test_duplicate_question_id_overwrites(tmp_path):
     store = MemoryStore(tmp_path / "store")
-    first = _entry()
-    first.created_at = "2026-01-01T00:00:00+00:00"
+    first = _entry(created_at="2026-01-01T00:00:00+00:00")
     store.persist(first)
-    second = _entry()
-    second.created_at = "2026-02-02T00:00:00+00:00"
+    second = _entry(created_at="2026-02-02T00:00:00+00:00")
     store.persist(second)
     entries = store.load_entries("sqlite_fixture")
     assert len(entries) == 1
@@ -352,8 +353,7 @@ def test_load_phase_segment_absent_phase_is_empty(tmp_path):
 @pytest.mark.parametrize("bad_id", ["../escaped", "a/b", ".hidden", "q001\n"])
 def test_persist_rejects_unsafe_question_id(tmp_path, bad_id):
     store = MemoryStore(tmp_path / "store")
-    entry = _entry()
-    entry.question = dataclasses.replace(entry.question, id=bad_id)
+    entry = _entry(question_id=bad_id)
     with pytest.raises(StorageError):
         store.persist(entry)
     assert not list(tmp_path.rglob("*escaped*"))
@@ -510,12 +510,32 @@ def test_threads_sharing_a_store_parse_each_entry_once(tmp_path, monkeypatch):
     assert all([e.question.id for e in r] == [f"q{i:03d}" for i in range(100)] for r in results)
 
 
-def test_loaded_entries_are_copies_the_caller_may_change(tmp_path):
+def test_loaded_entries_are_the_stores_own_and_read_only(tmp_path):
     store = MemoryStore(tmp_path / "store")
     _persist_text(store, "q001", "first question")
-    loaded = store.load_entries("db1")[0]
-    loaded.question = dataclasses.replace(loaded.question, id="changed")
-    assert [e.question.id for e in store.load_entries("db1")] == ["q001"]
+    _persist_text(store, "q002", "second question")
+    first = store.load_entries("db1")
+    second = store.load_entries("db1")
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    loaded = first[0]
+    before = (loaded.question, loaded.structured, loaded.created_at, loaded.path)
+    for name, value in (
+        ("question", dataclasses.replace(loaded.question, id="changed")),
+        ("structured", StructuredTrajectory(segments=[])),
+        ("created_at", "2026-02-02T00:00:00+00:00"),
+        ("path", tmp_path / "elsewhere"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(loaded, name, value)
+    again = store.load_entries("db1")
+    assert [e.question.id for e in again] == ["q001", "q002"]
+    assert again[0] is loaded
+    assert (loaded.question, loaded.structured, loaded.created_at, loaded.path) == before
+    # persist leaves the entry it is given as it was, path included.
+    fresh = memory_entry("q003", "db1", "third question")
+    assert store.persist(fresh) == tmp_path / "store" / "db1" / "q003"
+    assert fresh.path is None
+    assert store.persist(loaded) == loaded.path == before[3]
 
 
 def test_older_embedding_key_is_ignored(tmp_path):
@@ -1031,28 +1051,16 @@ def test_an_indexed_entry_equals_its_twin_parsed_from_meta_json(tmp_path):
         assert entry.structured.segments == twin.structured.segments
         assert entry == twin
 
-    # Rebinding the fields of a returned copy leaves the store's copy as it was.
-    loaded = store.load_entries("db1")[0]
-    loaded.path = tmp_path / "elsewhere"
-    loaded.question = dataclasses.replace(loaded.question, text="changed")
-    again = store.load_entries("db1")[0]
-    assert (again.path, again.question.text) == (database_dir / "q000", _TEXTS[0])
 
-
-def test_an_indexed_entry_path_is_built_once_for_all_its_copies(tmp_path):
+def test_an_indexed_entry_path_is_built_once_per_entry(tmp_path):
     _persist_all(tmp_path)
     store = MemoryStore(tmp_path / "store")
     first = store.load_entries("db1")
     second = store.load_entries("db1")
     assert store.counts.indexed == 4
     for a, b in zip(first, second):
+        assert isinstance(a.path, Path)
         assert a.path is b.path
-        assert copy.copy(b).path is a.path
-    # A copy whose path is rebound before it is read leaves the others alone.
-    moved = store.load_entries("db1")[0]
-    moved.path = tmp_path / "elsewhere"
-    assert moved.path == tmp_path / "elsewhere"
-    assert store.load_entries("db1")[0].path is first[0].path
 
 
 def test_same_size_edit_with_mtime_set_back_ignores_the_stale_line(tmp_path):
@@ -1153,10 +1161,9 @@ def test_index_equivalence_under_writes_damage_and_deletion(operations, query):
         for name, number, text in operations:
             entry_dir = root / "store" / "db1" / f"q{number:03d}"
             if name == "persist":
-                entry = memory_entry(f"q{number:03d}", "db1", text)
-                entry.structured = StructuredTrajectory(
+                entry = memory_entry(f"q{number:03d}", "db1", text, StructuredTrajectory(
                     segments=[store_module.StructuredSegment(Phase.EXPLORATION, text, text)]
-                )
+                ))
                 writer.persist(entry)
             elif name == "corrupt" and entry_dir.is_dir():
                 (entry_dir / "meta.json").write_text('{"question": 5}')
@@ -1181,10 +1188,14 @@ def test_segments_of_an_entry_rewritten_since_its_load_are_not_read(tmp_path):
     _persist_all(tmp_path)
     reader = MemoryStore(tmp_path / "store")
     stale = reader.load_entries("db1")[1]
-    rewritten = memory_entry("q001", "db1", _TEXTS[1])
-    rewritten.created_at = "2026-02-02T00:00:00+00:00"
-    rewritten.structured = StructuredTrajectory(
-        segments=[store_module.StructuredSegment(Phase.EXPLORATION, "new", "new body")]
+    rewritten = memory_entry(
+        "q001",
+        "db1",
+        _TEXTS[1],
+        StructuredTrajectory(
+            segments=[store_module.StructuredSegment(Phase.EXPLORATION, "new", "new body")]
+        ),
+        created_at="2026-02-02T00:00:00+00:00",
     )
     MemoryStore(tmp_path / "store").persist(rewritten)
     # Same question, so only the stamp tells the versions apart: the stale

@@ -466,9 +466,6 @@ def test_render_result_cuts_a_long_cell_and_marks_the_cut():
     assert c.startswith("b'\\x00") and c.endswith(f" [truncated {3 * cap + 3} characters]")
 
 
-@pytest.mark.skipif(
-    not hasattr(sqlite3.Connection, "setlimit"), reason="Connection.setlimit needs Python 3.11"
-)
 def test_backend_fails_a_value_past_the_length_limit(workspace):
     limit = backend_module.QUERY_MAX_VALUE_BYTES
     with SqliteBackend(workspace.db_path("flights")) as backend:
