@@ -139,6 +139,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
             for comp in composites
         ],
         "manifest": str(args.out),
+        # meta.json files parsed, and those skipped as corrupt.
+        "entries": asdict(store.counts),
     }
     lines = [f"mined {len(composites)} composite(s) from {len(corpus)} trajectories:"]
     for comp in composites:
@@ -146,6 +148,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
             f"  {comp.name}  [{comp.sequence.phase.value}]  "
             f"support {comp.support_count} ({comp.support_ratio:.2f})"
         )
+    if store.counts.corrupt:
+        lines.append(f"skipped {store.counts.corrupt} corrupt stored entry(s)")
     lines.append(f"manifest written to {args.out}")
     _emit(args, payload, "\n".join(lines))
     return 0

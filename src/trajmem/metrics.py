@@ -12,11 +12,24 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
 from .errors import ConfigurationError, StructuralError
-from .model import Phase, Trajectory
+from .model import Phase, Trajectory, check_types
 
 _REL_TOL = 1e-6
 _ABS_TOL = 1e-9
 _MAX_COLUMN_ORDERS = 40_320  # 8!: whole column orders tried before EX scores False
+
+
+# The exact types each field of a run record read back may hold.
+_RECORD_TYPES = (
+    ("question_id", (str,)),
+    ("database_id", (str,)),
+    ("steps", (int,)),
+    ("input_tokens", (int,)),
+    ("output_tokens", (int,)),
+    ("wall_time_ms", (int,)),
+    ("answer_rows", (list, type(None))),
+    ("correct", (bool, type(None))),
+)
 
 
 @dataclass
@@ -48,20 +61,28 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunRecord":
-        # A string such as "false" would count as a correct answer.
-        if data.get("correct") not in (True, False, None):
-            raise ValueError(f"'correct' is {data['correct']!r}, not a bool or null")
-        return cls(
+        """A record from its JSON object; ``StructuralError`` names a field of
+        the wrong type (a count must be an int, not a bool or a string, and
+        ``correct`` a bool or null, as the string "false" would count as a
+        correct answer)."""
+        phase_counts = data.get("phase_counts", {})
+        if type(phase_counts) is not dict or not all(
+            type(count) is int for count in phase_counts.values()
+        ):
+            raise StructuralError(f"phase_counts are not an object of ints: {phase_counts!r}")
+        record = cls(
             question_id=data["question_id"],
             database_id=data["database_id"],
-            steps=int(data["steps"]),
-            input_tokens=int(data["input_tokens"]),
-            output_tokens=int(data["output_tokens"]),
-            wall_time_ms=int(data["wall_time_ms"]),
-            phase_counts={k: int(v) for k, v in data.get("phase_counts", {}).items()},
+            steps=data["steps"],
+            input_tokens=data["input_tokens"],
+            output_tokens=data["output_tokens"],
+            wall_time_ms=data["wall_time_ms"],
+            phase_counts=dict(phase_counts),
             answer_rows=data.get("answer_rows"),
             correct=data.get("correct"),
         )
+        check_types(record, _RECORD_TYPES)
+        return record
 
     @classmethod
     def from_trajectory(
@@ -96,6 +117,8 @@ def _json_cell(cell: Any) -> Any:
 
 
 def load_run_records(run_dir: str | Path) -> list[RunRecord]:
+    """The records under ``run_dir/records``, in file-name order;
+    ``ConfigurationError`` names a file that holds no well-formed record."""
     records_dir = Path(run_dir) / "records"
     if not records_dir.is_dir():
         return []
@@ -103,7 +126,7 @@ def load_run_records(run_dir: str | Path) -> list[RunRecord]:
     for path in sorted(records_dir.glob("*.json")):
         try:
             records.append(RunRecord.from_dict(json.loads(path.read_text(encoding="utf-8"))))
-        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        except (ValueError, LookupError, TypeError, AttributeError, StructuralError) as exc:
             raise ConfigurationError(f"run record {path} is malformed: {exc!r}") from exc
     return records
 

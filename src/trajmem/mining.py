@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .errors import ConfigurationError, StateError, ToolError
-from .model import Phase, ToolParam, ToolSpec, Trajectory
+from .model import Phase, ToolParam, ToolSpec, Trajectory, render_observation
 from .tools import EpisodeContext, Tool, ToolRegistry
 
 
@@ -289,7 +289,7 @@ def build_composite_tool(mined: MinedComposite, registry: ToolRegistry) -> Tool:
         lookup.append(plan)
 
     def _run(ctx: EpisodeContext, **kwargs: Any) -> str:
-        outputs: list[str] = []
+        outputs: list[tuple[str, str]] = []
         for position, tool in enumerate(constituents):
             args: dict[str, Any] = {}
             for param_name, exposed_name in lookup[position]:
@@ -300,14 +300,14 @@ def build_composite_tool(mined: MinedComposite, registry: ToolRegistry) -> Tool:
             try:
                 output = tool.fn(ctx, **args)
             except Exception as exc:  # noqa: BLE001 - abort chain, report partials
-                partial = "\n\n".join(outputs) if outputs else "(no partial outputs)"
+                partial = render_observation(outputs) or "(no partial outputs)"
                 raise ToolError(
                     f"composite {mined.name!r} failed at constituent "
                     f"{position + 1} ({tool.spec.name!r}): {exc}\n"
                     f"partial outputs:\n{partial}"
                 ) from exc
-            outputs.append(f"### {tool.spec.name}\n{output}")
-        return "\n\n".join(outputs)
+            outputs.append((tool.spec.name, output))
+        return render_observation(outputs)
 
     spec = ToolSpec(
         name=mined.name,

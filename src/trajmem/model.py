@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, Iterable
 
 from .errors import ConfigurationError, StructuralError
 
@@ -64,19 +64,37 @@ class ToolSpec:
             raise StructuralError(f"duplicate parameter names in tool spec {self.name!r}")
 
 
-# The exact type each field of a stored invocation and step must hold, so a
-# bool is no int and the JSON string "false" is no bool.
-_INVOCATION_TYPES = (("tool_name", str), ("output", str), ("succeeded", bool))
-_STEP_TYPES = (("index", int), ("thought", str), ("action_code", str), ("observation", str))
+# The exact types each field of a stored invocation, step and trajectory may
+# hold, so a bool is no int and the JSON string "false" is no bool.
+_INVOCATION_TYPES = (("tool_name", (str,)), ("output", (str,)), ("succeeded", (bool,)))
+_STEP_TYPES = (
+    ("index", (int,)), ("thought", (str,)), ("action_code", (str,)), ("observation", (str,))
+)
+_TRAJECTORY_TYPES = (
+    ("question_id", (str,)),
+    ("database_id", (str,)),
+    ("final_answer", (str, type(None))),
+    ("input_tokens", (int,)),
+    ("output_tokens", (int,)),
+    ("wall_time_ms", (int,)),
+)
 
 
-def _check_types(value: Any, types: tuple[tuple[str, type], ...]) -> None:
-    """Raise ``StructuralError`` naming the first field of ``value`` that is
-    not exactly of its type."""
-    for name, kind in types:
+def check_types(value: Any, types: tuple[tuple[str, tuple[type, ...]], ...]) -> None:
+    """Raise ``StructuralError`` naming the first field of ``value`` whose
+    type is not exactly one of its types."""
+    for name, kinds in types:
         field_value = getattr(value, name)
-        if type(field_value) is not kind:
-            raise StructuralError(f"{name} is not {kind.__name__}: {field_value!r}")
+        if type(field_value) not in kinds:
+            expected = " or ".join(kind.__name__ for kind in kinds)
+            raise StructuralError(f"{name} is not {expected}: {field_value!r}")
+
+
+def render_observation(outputs: Iterable[tuple[str, str]]) -> str:
+    """The observation of tool outputs, given as (tool name, output) pairs in
+    call order: one ``### <tool>`` block per output, separated by a blank
+    line. Empty when there is no output."""
+    return "\n\n".join(f"### {name}\n{output}" for name, output in outputs)
 
 
 @dataclass(slots=True)
@@ -109,7 +127,7 @@ class ToolInvocation:
             output=data.get("output", ""),
             succeeded=data.get("succeeded", True),
         )
-        _check_types(invocation, _INVOCATION_TYPES)
+        check_types(invocation, _INVOCATION_TYPES)
         return invocation
 
 
@@ -147,7 +165,7 @@ class Step:
             observation=data.get("observation", ""),
             phase=Phase.parse(phase) if phase else None,
         )
-        _check_types(step, _STEP_TYPES)
+        check_types(step, _STEP_TYPES)
         return step
 
 
@@ -216,21 +234,26 @@ class Trajectory:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Trajectory":
+        """A trajectory from its JSON object; ``StructuralError`` names a
+        field of the wrong type (a count must be an int, not a bool) or a
+        step out of place."""
         steps = [Step.from_dict(d) for d in data.get("steps", [])]
         for position, step in enumerate(steps):
             if step.index != position:
                 raise StructuralError(
                     f"step index {step.index} does not match position {position}"
                 )
-        return cls(
+        trajectory = cls(
             question_id=data["question_id"],
             database_id=data["database_id"],
             steps=steps,
             final_answer=data.get("final_answer"),
-            input_tokens=int(data.get("input_tokens", 0)),
-            output_tokens=int(data.get("output_tokens", 0)),
-            wall_time_ms=int(data.get("wall_time_ms", 0)),
+            input_tokens=data.get("input_tokens", 0),
+            output_tokens=data.get("output_tokens", 0),
+            wall_time_ms=data.get("wall_time_ms", 0),
         )
+        check_types(trajectory, _TRAJECTORY_TYPES)
+        return trajectory
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, ensure_ascii=False) + "\n"

@@ -6,9 +6,14 @@ thought), and is persisted atomically under
 ``store_root/<database_id>/<question_id>/`` as two files: ``meta.json``,
 which holds everything the code reads back, and ``full.md``, the whole
 markdown document for people to read. The database id is the question's
-own, and no embedding is stored. What older stores also wrote is ignored:
-an ``embedding`` and a top-level ``database_id`` in ``meta.json``, and a
-configuration file at the store root.
+own, and no embedding is stored. ``meta.json`` is one line of JSON with
+compact separators. Its stored trajectory leaves out a step's
+``observation`` when the step's invocations rebuild it, as
+``model.render_observation`` of their outputs, so each tool output is kept
+once; the reader rebuilds it. What older stores also wrote is ignored: an
+``embedding`` and a top-level ``database_id`` in ``meta.json``, and a
+configuration file at the store root. A ``meta.json`` with an
+``observation`` on every step and the default separators loads unchanged.
 
 Every write also appends a line to the database's index,
 ``store_root/<database_id>/.index.jsonl``: the question, ``created_at``,
@@ -71,7 +76,7 @@ from typing import Any, Callable, Sequence, TypeVar
 from .classifier import Segment, segment_trajectory
 from .embedding import DEFAULT_DIMENSION, HashingEmbedder
 from .errors import StorageError, TrajmemError
-from .model import ID_PATTERN, Phase, Question, Step, Trajectory
+from .model import ID_PATTERN, Phase, Question, Step, Trajectory, render_observation
 
 logger = logging.getLogger(__name__)
 
@@ -379,9 +384,15 @@ class MemoryStore:
             ],
         }
         if trajectory is not None:
-            meta["trajectory"] = trajectory.to_dict()
+            meta["trajectory"] = raw = trajectory.to_dict()
+            # An observation its invocations rebuild is not written twice.
+            for step, data in zip(trajectory.steps, raw["steps"]):
+                if step.observation == _rendered(step):
+                    del data["observation"]
         meta_path = target / "meta.json"
-        meta_path.write_text(json.dumps(meta, ensure_ascii=False) + "\n", encoding="utf-8")
+        meta_path.write_text(
+            json.dumps(meta, ensure_ascii=False, separators=(",", ":")) + "\n", encoding="utf-8"
+        )
         (target / _FULL_FILE).write_text(entry.structured.full_document, encoding="utf-8")
         return _stamp_of(os.stat(meta_path))
 
@@ -766,17 +777,28 @@ class _IndexedTrajectory(StructuredTrajectory):
             raise StorageError(f"cannot read memory entry at {self.entry_dir}: {exc}") from exc
 
 
+def _rendered(step: Step) -> str:
+    """The observation that a step's invocations rebuild."""
+    return render_observation(
+        (invocation.tool_name, invocation.output) for invocation in step.invocations
+    )
+
+
 def _stored_trajectory(
     entry_dir: str | Path, meta: dict[str, Any], texts: dict[str, str]
 ) -> Trajectory | None:
     """The entry's stored trajectory, its step and invocation texts rebound
-    to the equal ones already in ``texts`` (those that are new are added)."""
+    to the equal ones already in ``texts`` (those that are new are added).
+    A step stored without an observation gets the one its invocations
+    rebuild."""
     raw = meta.get("trajectory")
     if raw is None:
         return None
     trajectory = Trajectory.from_dict(raw)
     share = texts.setdefault
-    for step in trajectory.steps:
+    for step, data in zip(trajectory.steps, raw.get("steps", ())):
+        if "observation" not in data:
+            step.observation = _rendered(step)
         step.thought = share(step.thought, step.thought)
         step.action_code = share(step.action_code, step.action_code)
         step.observation = share(step.observation, step.observation)

@@ -17,7 +17,9 @@ from typing import Any, Callable, Sequence
 
 from .backend import SqliteBackend, execute_sql_with_refinement, render_result
 from .errors import ConfigurationError, ToolError, WorkspaceSecurityError
-from .model import ID_PATTERN, Question, ToolInvocation, ToolParam, ToolSpec
+from .model import (
+    ID_PATTERN, Question, ToolInvocation, ToolParam, ToolSpec, render_observation
+)
 
 
 _DDL_QUERY = (
@@ -370,9 +372,9 @@ def parse_action_code(code: str) -> list[tuple[str, dict[str, Any]]]:
 def execute_action(
     registry: ToolRegistry, ctx: EpisodeContext, action_code: str
 ) -> tuple[list[ToolInvocation], str]:
-    """Run every parsed call; failures become failed invocations, not crashes."""
+    """Run every parsed call; failures become failed invocations, not crashes.
+    The observation is ``render_observation`` of the invocations' outputs."""
     invocations: list[ToolInvocation] = []
-    blocks: list[str] = []
     for name, args in parse_action_code(action_code):
         recorded: dict[str, str] = {}
         unshown: list[str] = []
@@ -405,5 +407,6 @@ def execute_action(
         invocations.append(
             ToolInvocation(tool_name=name, args=recorded, output=output, succeeded=succeeded)
         )
-        blocks.append(f"### {name}\n{output}")
-    return invocations, "\n\n".join(blocks)
+    return invocations, render_observation(
+        (invocation.tool_name, invocation.output) for invocation in invocations
+    )

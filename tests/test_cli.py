@@ -491,6 +491,15 @@ _RECORD = {"question_id": "f1", "database_id": "flights", "steps": 3, "input_tok
           for field in ("question_id", "database_id", "steps")],
         pytest.param({**_RECORD, "phase_counts": ["exploration"]}, id="list-phase-counts"),
         pytest.param({**_RECORD, "correct": "false"}, id="string-correct"),
+        pytest.param({**_RECORD, "question_id": 7}, id="int-question-id"),
+        pytest.param({**_RECORD, "database_id": ["flights"]}, id="list-database-id"),
+        pytest.param({**_RECORD, "steps": True}, id="bool-steps"),
+        pytest.param({**_RECORD, "input_tokens": "3"}, id="string-input-tokens"),
+        pytest.param({**_RECORD, "output_tokens": None}, id="null-output-tokens"),
+        pytest.param({**_RECORD, "wall_time_ms": 2.7}, id="float-wall-time"),
+        pytest.param({**_RECORD, "phase_counts": {"exploration": "1"}}, id="string-phase-count"),
+        pytest.param({**_RECORD, "phase_counts": {"exploration": True}}, id="bool-phase-count"),
+        pytest.param({**_RECORD, "answer_rows": "1"}, id="string-answer-rows"),
     ],
 )
 def test_a_malformed_run_record_exits_2_naming_the_file(tmp_path, capsys, record):
@@ -502,3 +511,31 @@ def test_a_malformed_run_record_exits_2_naming_the_file(tmp_path, capsys, record
     assert main(["report", "--runs", str(tmp_path / "runs")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(path) in err
+
+
+def test_mine_json_reports_what_the_load_did(pipeline_dirs, tmp_path, capsys):
+    ws, store, manifest = pipeline_dirs
+    out = tmp_path / "again.json"
+    capsys.readouterr()
+    assert main(["--json", "mine", "--store", str(store), "--out", str(out), "--tau", "0.5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    entries = sum(
+        1 for db in store.iterdir() if db.is_dir()
+        for p in db.iterdir() if not p.name.startswith(".")
+    )
+    assert payload["corpus_size"] == entries
+    assert payload["entries"] == {"indexed": 0, "parsed": entries, "corrupt": 0, "healed": 0}
+    assert main(["mine", "--store", str(store), "--out", str(out), "--tau", "0.5"]) == 0
+    assert "corrupt" not in capsys.readouterr().out
+
+    (store / "flights" / "broken").mkdir()
+    (store / "flights" / "broken" / "meta.json").write_text("{broken")
+    assert main(["--json", "mine", "--store", str(store), "--out", str(out), "--tau", "0.5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["corpus_size"] == entries
+    assert payload["entries"] == {
+        "indexed": 0, "parsed": entries + 1, "corrupt": 1, "healed": 0
+    }
+    assert out.read_bytes() == manifest.read_bytes()
+    assert main(["mine", "--store", str(store), "--out", str(out), "--tau", "0.5"]) == 0
+    assert "skipped 1 corrupt stored entry(s)" in capsys.readouterr().out

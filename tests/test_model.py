@@ -133,3 +133,32 @@ def test_deserialization_rejects_a_field_of_the_wrong_type(step_fields, invocati
     data["steps"][0]["invocations"][0].update(invocation_fields)
     with pytest.raises(StructuralError):
         Trajectory.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"question_id": 7},
+        {"database_id": ["db1"]},
+        {"final_answer": 3},
+        {"input_tokens": True},
+        {"output_tokens": "12"},
+        {"wall_time_ms": 1.9},
+        {"question_id": 7, "final_answer": 3, "input_tokens": True,
+         "output_tokens": "12", "wall_time_ms": 1.9},
+    ],
+)
+def test_deserialization_rejects_a_trajectory_field_of_the_wrong_type(fields):
+    data = trajectory([step(0, tools=("get_ddl",))]).to_dict()
+    data.update(fields)
+    with pytest.raises(StructuralError):
+        Trajectory.from_dict(data)
+
+
+def test_deserialization_keeps_a_null_final_answer_and_absent_counts():
+    data = trajectory([step(0)]).to_dict()
+    for name in ("final_answer", "input_tokens", "output_tokens", "wall_time_ms"):
+        del data[name]
+    restored = Trajectory.from_dict(data)
+    assert restored.final_answer is None
+    assert (restored.input_tokens, restored.output_tokens, restored.wall_time_ms) == (0, 0, 0)

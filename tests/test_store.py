@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import trajmem.store as store_module
 from trajmem.classifier import classify_trajectory
 from trajmem.errors import StorageError
-from trajmem.model import Phase, Question, Step, ToolInvocation
+from trajmem.model import Phase, Question, Step, ToolInvocation, Trajectory, render_observation
 from trajmem.retrieval import HashingEmbedder, select_trajectory
 from trajmem.store import (
     MemoryEntry,
@@ -243,6 +243,9 @@ def test_load_entries_sorted_and_skips_corrupt(tmp_path, caplog):
         '{"trajectory": {"question_id": "q002", "database_id": "sqlite_fixture",'
         ' "steps": [{"index": 0, "thought": 7, "action_code": 5, "observation": 3,'
         ' "invocations": [{"tool_name": 9, "output": 1}]}]}}',
+        '{"trajectory": {"question_id": 7, "database_id": "sqlite_fixture", "steps": [],'
+        ' "final_answer": 3, "input_tokens": true, "output_tokens": "12",'
+        ' "wall_time_ms": 1.9}}',
     ],
 )
 def test_loaders_skip_and_log_corrupt_entry(tmp_path, caplog, bad_meta):
@@ -1262,3 +1265,90 @@ def test_a_store_in_the_older_format_loads_as_the_same_store(tmp_path):
     assert json.loads((tmp_path / "older" / "store.json").read_text()) == {
         "embedding_dimension": 64
     }
+
+
+# -- observations a step's invocations rebuild ------------------------------------
+
+_OUTPUT_TEXT = st.one_of(
+    st.sampled_from(["", "ok", "### get_ddl\nCREATE TABLE t (a INT)", "a\n\n### b\nc", "\n"]),
+    st.text(alphabet="#ab \n", max_size=12),
+)
+
+
+@st.composite
+def _stored_step(draw, index):
+    invocations = [
+        ToolInvocation(tool_name=name, args={"q": "1"}, output=draw(_OUTPUT_TEXT),
+                       succeeded=draw(st.booleans()))
+        for name in draw(st.lists(st.sampled_from(["get_ddl", "sql_execute", "a b"]),
+                                  max_size=3))
+    ]
+    rendered = render_observation((inv.tool_name, inv.output) for inv in invocations)
+    observation = draw(st.one_of(
+        st.just(rendered),
+        st.just(""),
+        st.just(rendered + "\n[truncated]"),
+        _OUTPUT_TEXT,
+    ))
+    return Step(index=index, thought=draw(st.sampled_from(["", "look"])),
+                action_code="get_ddl()", invocations=invocations,
+                observation=observation, phase=draw(st.sampled_from(list(Phase))))
+
+
+@st.composite
+def _classified_trajectories(draw):
+    size = draw(st.integers(1, 5))
+    return trajectory([draw(_stored_step(index)) for index in range(size)],
+                      question_id="q001", database_id="sqlite_fixture")
+
+
+@settings(max_examples=120, deadline=None)
+@given(_classified_trajectories())
+def test_a_stored_trajectory_loads_back_equal_and_rewrites_byte_identical(stored):
+    entry = MemoryEntry(question=_question(), structured=structure_trajectory(stored))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = MemoryStore(Path(tmp) / "one"), MemoryStore(Path(tmp) / "two")
+        path = first.persist(entry, trajectory=stored)
+        meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
+        for data, step_ in zip(meta["trajectory"]["steps"], stored.steps, strict=True):
+            rendered = render_observation((i.tool_name, i.output) for i in step_.invocations)
+            assert ("observation" in data) == (step_.observation != rendered)
+        (loaded,) = first.load_trajectories("sqlite_fixture")
+        assert loaded == stored
+        (loaded_entry,) = first.load_entries("sqlite_fixture")
+        again = second.persist(loaded_entry, trajectory=loaded)
+        for name in ("meta.json", "full.md"):
+            assert (again / name).read_bytes() == (path / name).read_bytes()
+
+
+_OLDER_ENTRY = Path(__file__).parent / "data" / "older_entry"
+
+
+def test_an_entry_written_with_every_observation_loads_unchanged(tmp_path):
+    # Written before meta.json left out the observations that a step's
+    # invocations rebuild, and with the default JSON separators.
+    older = (_OLDER_ENTRY / "meta.json").read_text(encoding="utf-8")
+    raw = json.loads(older)
+    assert all("observation" in data for data in raw["trajectory"]["steps"])
+    entry_dir = tmp_path / "older" / "flights" / raw["question"]["id"]
+    entry_dir.mkdir(parents=True)
+    shutil.copy(_OLDER_ENTRY / "meta.json", entry_dir)
+    older_store = MemoryStore(tmp_path / "older")
+    (entry,) = older_store.load_entries("flights")
+    (stored,) = older_store.load_trajectories("flights")
+    assert stored == Trajectory.from_dict(raw["trajectory"])
+    assert entry.question == Question.from_dict(raw["question"])
+    assert entry.created_at == raw["created_at"]
+    assert [seg.body for seg in entry.structured.segments] == [
+        seg["body"] for seg in raw["segments"]
+    ]
+    assert older_store.counts.corrupt == 0
+
+    newer_store = MemoryStore(tmp_path / "newer")
+    path = newer_store.persist(entry, trajectory=stored)
+    assert (path / "full.md").read_bytes() == (_OLDER_ENTRY / "full.md").read_bytes()
+    newer = (path / "meta.json").read_text(encoding="utf-8")
+    assert len(newer) < len(older)
+    assert all("observation" not in data for data in json.loads(newer)["trajectory"]["steps"])
+    assert MemoryStore(tmp_path / "newer").load_entries("flights") == [entry]
+    assert MemoryStore(tmp_path / "newer").load_trajectories("flights") == [stored]

@@ -17,7 +17,8 @@ from trajmem.backend import (
 )
 from trajmem.errors import ConfigurationError, WorkspaceSecurityError
 from trajmem.fixtures import build_fixture_workspace
-from trajmem.model import Question, ToolSpec
+from trajmem.mining import MinedComposite, ToolSequence, build_composite_tool, name_composite
+from trajmem.model import Phase, Question, ToolSpec, render_observation
 from trajmem.tools import (
     EpisodeContext,
     Tool,
@@ -300,6 +301,38 @@ def test_execute_action_tool_crash_is_failed_invocation(ctx):
     invocations, _ = execute_action(registry, ctx, "crashy()")
     assert invocations[0].succeeded is False
     assert "RuntimeError" in invocations[0].output
+
+
+def test_execute_action_observation_is_the_rendering_of_its_outputs(ctx):
+    registry = _registry()
+
+    def boom(ctx):
+        raise RuntimeError("kaput")
+
+    registry.register(Tool(ToolSpec("crashy"), boom))
+    for tools in (("get_ext", "get_ddl"), ("get_ext", "crashy")):
+        sequence = ToolSequence(tools=tools, phase=Phase.EXPLORATION)
+        name, description = name_composite(sequence)
+        build_composite_tool(MinedComposite(sequence, 2, 1.0, name, description), registry)
+    action = (
+        "get_ext_then_get_ddl(database='flights')\n"
+        "get_ext_then_crashy(database='flights')\n"
+        "crashy()\nnonexistent(x=1)\nget_ddl(database='nowhere')"
+    )
+    invocations, observation = execute_action(registry, ctx, action)
+    assert [inv.succeeded for inv in invocations] == [True, False, False, False, False]
+    assert observation == render_observation(
+        (inv.tool_name, inv.output) for inv in invocations
+    )
+    pieces, _ = execute_action(
+        registry, ctx, "get_ext(database='flights')\nget_ddl(database='flights')"
+    )
+    assert invocations[0].output == render_observation(
+        (inv.tool_name, inv.output) for inv in pieces
+    )
+    assert f"partial outputs:\n{render_observation([('get_ext', pieces[0].output)])}" in (
+        invocations[1].output
+    )
 
 
 def test_execute_action_observation_has_per_tool_headers(ctx):
