@@ -15,6 +15,7 @@ from .fixtures import build_fixture_workspace
 from .harness import (
     EpisodeConfig,
     load_questions_file,
+    memory_prefix,
     run_suite,
     scripted_policy_from_records,
 )
@@ -22,7 +23,7 @@ from .llm import ChatEndpoint
 from .metrics import load_run_records, report, report_dict
 from .policies import HttpPolicy, Policy, RecordingPolicy, ReplayPolicy
 from .mining import MinerConfig, export_manifest, mine_composites
-from .model import Question, Trajectory
+from .model import Question, Trajectory, count_tokens
 from .retrieval import select_trajectory
 from .store import MemoryStore
 from .synthesis import QueryDistribution, allocate, generate_questions, synthesize_memory
@@ -251,12 +252,23 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     # Entries taken from the index, meta.json files parsed, entries skipped as corrupt.
     counts = asdict(store.counts)
     if entry is None:
-        _emit(args, {"entry": None, "entries": counts}, "(no stored entry for this database)")
+        _emit(
+            args,
+            {"entry": None, "prefix_tokens": 0, "entries": counts},
+            "(no stored entry for this database)",
+        )
         return 0
+    # What an episode asking this question would add to its context.
+    tokens = count_tokens(memory_prefix(store, entry))
     _emit(
         args,
-        {"entry": str(entry.path), "question_id": entry.question.id, "entries": counts},
-        f"{entry.path}",
+        {
+            "entry": str(entry.path),
+            "question_id": entry.question.id,
+            "prefix_tokens": tokens,
+            "entries": counts,
+        },
+        f"{entry.path}\nprefix tokens: {tokens}",
     )
     return 0
 

@@ -25,7 +25,7 @@ from .mining import MinedComposite, build_composite_tool, load_manifest
 from .model import Phase, Question, Step, ToolParam, ToolSpec, Trajectory, append_step
 from .policies import Policy, QuestionScript, ScriptedPolicy, Transcript
 from .retrieval import select_trajectory
-from .store import MemoryStore
+from .store import MemoryEntry, MemoryStore
 from .tools import (
     EpisodeContext,
     Tool,
@@ -121,6 +121,12 @@ class EpisodeResult:
     answer_rows: list[tuple] | None = None
 
 
+def memory_prefix(store: MemoryStore, entry: MemoryEntry) -> str:
+    """The markdown an episode injects from its retrieved entry: the
+    entry's exploration segments."""
+    return store.load_phase_segment(entry, Phase.EXPLORATION)
+
+
 def _final_answer_code(answer: str) -> str:
     return f"final_answer({answer!r})"
 
@@ -153,7 +159,7 @@ def run_episode(
         if config.memory_enabled and memory_store is not None:
             entry = select_trajectory(question, memory_store)
             if entry is not None:
-                prefix = memory_store.load_phase_segment(entry, Phase.EXPLORATION)
+                prefix = memory_prefix(memory_store, entry)
         if registry is None:
             registry = build_planner_registry(
                 config, policy, memory_store=memory_store, composites=composites

@@ -7,13 +7,17 @@ thought), and is persisted atomically under
 which holds everything the code reads back, and ``full.md``, the whole
 markdown document for people to read. The database id is the question's
 own, and no embedding is stored. ``meta.json`` is one line of JSON with
-compact separators. Its stored trajectory leaves out a step's
-``observation`` when the step's invocations rebuild it, as
-``model.render_observation`` of their outputs, so each tool output is kept
-once; the reader rebuilds it. What older stores also wrote is ignored: an
-``embedding`` and a top-level ``database_id`` in ``meta.json``, and a
-configuration file at the store root. A ``meta.json`` with an
-``observation`` on every step and the default separators loads unchanged.
+compact separators. It holds the entry's ``segments`` only when the entry
+is stored without a trajectory, or its stored trajectory, read back, does
+not render exactly those segments; otherwise the reader renders them from
+the trajectory, so the markdown is kept once, in ``full.md``. Its stored
+trajectory leaves out a step's ``observation`` when the step's invocations
+rebuild it, as ``model.render_observation`` of their outputs, so each tool
+output is kept once; the reader rebuilds it. What older stores also wrote
+is ignored: an ``embedding`` and a top-level ``database_id`` in
+``meta.json``, and a configuration file at the store root. A ``meta.json``
+with ``segments`` beside its trajectory, an ``observation`` on every step
+and the default separators loads unchanged.
 
 Every write also appends a line to the database's index,
 ``store_root/<database_id>/.index.jsonl``: the question, ``created_at``,
@@ -30,11 +34,11 @@ first load of that database, parsing each line on its own. An entry whose
 ``meta.json`` still has its line's stamp is built from the line in one
 step, with no file opened: the line's integer counts, decoded and checked,
 are the ones retrieval scores exactly, its directory is kept as a string
-until its ``path`` is read, and its segments are read from ``meta.json``
-only when first needed. Every other entry, and one whose line holds damaged
-counts (a line in the older list format among them), is parsed from
-``meta.json`` in full, and that first load appends a current line for it,
-so the next store takes it from the index. The store keeps what it read,
+until its ``path`` is read, and its segments are read (or rendered) from
+``meta.json`` only when first needed. Every other entry, and one whose line
+holds damaged counts (a line in the older list format among them), is
+parsed from ``meta.json`` in full, and that first load appends a current
+line for it, so the next store takes it from the index. The store keeps what it read,
 per database, stamped; each later ``load_entries`` call lists the database
 directory, stats every ``meta.json`` and parses only what is new or
 changed. Every call returns the entries the store keeps, not copies:
@@ -290,7 +294,9 @@ def _now() -> str:
 class LoadCounts:
     """What a store's loads did with the entries they met: took them from
     the index, parsed a ``meta.json`` (a winner's segments included),
-    skipped them as corrupt, or wrote the index line they lacked."""
+    skipped them as corrupt, or wrote the index line they lacked. An entry
+    whose ``meta.json`` holds no segments and whose trajectory cannot render
+    them (missing, or with an unclassified or unknown phase) is corrupt."""
 
     indexed: int = 0
     parsed: int = 0
@@ -378,17 +384,21 @@ class MemoryStore:
         meta: dict[str, Any] = {
             "question": entry.question.to_dict(),
             "created_at": entry.created_at,
-            "segments": [
-                {"phase": seg.phase.value, "header": seg.header, "body": seg.body}
-                for seg in entry.structured.segments
-            ],
         }
+        stored: dict[str, Any] = {}
         if trajectory is not None:
-            meta["trajectory"] = raw = trajectory.to_dict()
+            stored["trajectory"] = raw = trajectory.to_dict()
             # An observation its invocations rebuild is not written twice.
             for step, data in zip(trajectory.steps, raw["steps"]):
                 if step.observation == _rendered(step):
                     del data["observation"]
+        # Nor are segments that the reader renders from that trajectory.
+        if not (stored and _renders(stored, entry.structured)):
+            meta["segments"] = [
+                {"phase": seg.phase.value, "header": seg.header, "body": seg.body}
+                for seg in entry.structured.segments
+            ]
+        meta.update(stored)
         meta_path = target / "meta.json"
         meta_path.write_text(
             json.dumps(meta, ensure_ascii=False, separators=(",", ":")) + "\n", encoding="utf-8"
@@ -561,8 +571,9 @@ class MemoryStore:
         """Make sure an entry's segments are in memory, reading them from its
         ``meta.json`` if the entry came from the index.
 
-        False when the file changed since it was indexed or does not parse.
-        The entry is then dropped from the cache, so the next
+        False when the file changed since it was indexed, does not parse, or
+        holds no segments and a trajectory that cannot render them. The
+        entry is then dropped from the cache, so the next
         ``load_entries`` parses it in full.
         """
         if entry.structured.loaded:
@@ -719,15 +730,16 @@ def _read_meta(entry_dir: str | Path, stamp: _Stamp | None = None) -> dict[str, 
 
 def _parse_entry(entry_dir: str, meta: dict[str, Any]) -> MemoryEntry:
     """The entry that a ``meta.json`` or an index line describes, in the
-    directory ``entry_dir``.
+    directory ``entry_dir``; an index line is the one with ``counts``.
 
-    An index line holds no segments, and is taken in one step: the entry
-    is built with its counts, decoded and checked, as its ``counts_memo``,
-    and its segments are left to be read from ``meta.json`` when first
-    asked for.
+    A ``meta.json`` gives the entry its segments at once, as ``_segments``
+    reads them: those it holds, or else those its trajectory renders. An
+    index line is taken in one step: the entry is built with its counts,
+    decoded and checked, as its ``counts_memo``, and its segments are left
+    to be read from ``meta.json`` when first asked for.
     """
     question = Question.from_dict(meta["question"])
-    if "segments" in meta:
+    if "counts" not in meta:
         return MemoryEntry(
             question, StructuredTrajectory(_segments(meta)), meta.get("created_at", ""), entry_dir
         )
@@ -741,17 +753,27 @@ def _parse_entry(entry_dir: str, meta: dict[str, Any]) -> MemoryEntry:
 
 
 def _segments(meta: dict[str, Any]) -> list[StructuredSegment]:
-    return [
-        StructuredSegment(phase=Phase.parse(seg["phase"]), header=seg["header"], body=seg["body"])
-        for seg in meta["segments"]
-    ]
+    """The entry's segments: those ``meta.json`` holds, or else those its
+    stored trajectory renders. Raises one of ``_CORRUPT_ENTRY_ERRORS`` when
+    it holds neither, or the trajectory cannot be rendered."""
+    if "segments" in meta:
+        return [
+            StructuredSegment(
+                phase=Phase.parse(seg["phase"]), header=seg["header"], body=seg["body"]
+            )
+            for seg in meta["segments"]
+        ]
+    trajectory = _stored_trajectory(None, meta, {})
+    if trajectory is None:
+        raise ValueError("meta.json holds neither segments nor a trajectory")
+    return structure_trajectory(trajectory).segments
 
 
 class _IndexedTrajectory(StructuredTrajectory):
     """The structured trajectory of an entry taken from its index line. Its
-    segments are read from the entry's ``meta.json`` the first time they are
-    asked for, and only from a file that still has the line's stamp and
-    holds the line's question."""
+    segments are read from the entry's ``meta.json``, as ``_segments`` reads
+    them, the first time they are asked for, and only from a file that
+    still has the line's stamp and holds the line's question."""
 
     __slots__ = ("entry_dir", "stamp", "question")
 
@@ -777,6 +799,16 @@ class _IndexedTrajectory(StructuredTrajectory):
             raise StorageError(f"cannot read memory entry at {self.entry_dir}: {exc}") from exc
 
 
+def _renders(meta: dict[str, Any], structured: StructuredTrajectory) -> bool:
+    """Whether ``_segments`` gives exactly these segments for a ``meta.json``
+    that holds none; False when its trajectory cannot be read back or
+    rendered (an unclassified step, a step out of place)."""
+    try:
+        return _segments(meta) == structured.segments
+    except _CORRUPT_ENTRY_ERRORS:
+        return False
+
+
 def _rendered(step: Step) -> str:
     """The observation that a step's invocations rebuild."""
     return render_observation(
@@ -785,7 +817,7 @@ def _rendered(step: Step) -> str:
 
 
 def _stored_trajectory(
-    entry_dir: str | Path, meta: dict[str, Any], texts: dict[str, str]
+    entry_dir: str | Path | None, meta: dict[str, Any], texts: dict[str, str]
 ) -> Trajectory | None:
     """The entry's stored trajectory, its step and invocation texts rebound
     to the equal ones already in ``texts`` (those that are new are added).

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import os
+from pathlib import Path
+
 from trajmem.model import Phase, Question, Step, ToolInvocation, Trajectory, append_step
 from trajmem.store import MemoryEntry, StructuredTrajectory
 
@@ -75,3 +79,35 @@ def memory_entry(
         structured=structured or StructuredTrajectory(segments=[]),
         created_at=created_at,
     )
+
+
+def restamp_index_line(entry_dir: Path) -> None:
+    """Give the entry's line in its database's index the stamp its
+    ``meta.json`` has now, so a load takes the entry from that line."""
+    index = entry_dir.parent / ".index.jsonl"
+    meta = os.stat(entry_dir / "meta.json")
+    lines = []
+    for raw in index.read_text(encoding="utf-8").splitlines():
+        line = json.loads(raw)
+        if line["question"]["id"] == entry_dir.name:
+            line["stamp"] = [meta.st_ino, meta.st_mtime_ns, meta.st_ctime_ns, meta.st_size]
+        lines.append(json.dumps(line, ensure_ascii=False, separators=(",", ":")) + "\n")
+    index.write_text("".join(lines), encoding="utf-8")
+
+
+# Ways to leave a meta.json's trajectory unable to render the entry's segments.
+_UNRENDERABLE = {
+    "trajectory missing": lambda meta: meta.pop("trajectory"),
+    "unclassified step": lambda meta: meta["trajectory"]["steps"][1].update(phase=None),
+    "unknown phase": lambda meta: meta["trajectory"]["steps"][1].update(phase="planning"),
+}
+UNRENDERABLE = sorted(_UNRENDERABLE)
+
+
+def break_segments(entry_dir: Path, damage: str) -> None:
+    """Leave the entry's ``meta.json``, which holds no segments, with a
+    trajectory that cannot render them, damaged as ``UNRENDERABLE`` names."""
+    meta = json.loads((entry_dir / "meta.json").read_text(encoding="utf-8"))
+    assert "segments" not in meta
+    _UNRENDERABLE[damage](meta)
+    (entry_dir / "meta.json").write_text(json.dumps(meta), encoding="utf-8")

@@ -7,6 +7,10 @@ import pytest
 
 from trajmem.cli import main, read_config
 from trajmem.errors import TrajmemError
+from trajmem.model import Phase, count_tokens
+from trajmem.store import MemoryStore
+
+from helpers import UNRENDERABLE, break_segments, restamp_index_line
 
 
 @pytest.fixture()
@@ -363,6 +367,56 @@ def test_retrieve_json_reports_what_the_load_did(pipeline_dirs, capsys):
         ) == 0
         counts = json.loads(capsys.readouterr().out)["entries"]
         assert (counts["indexed"], counts["healed"]) == (entries - healed, healed)
+
+
+def _retrieve_json(store, question, capsys):
+    capsys.readouterr()
+    assert main(
+        ["--json", "retrieve", "--question", question, "--db", "flights", "--store", str(store)]
+    ) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_retrieve_reports_the_tokens_of_the_prefix_an_episode_injects(pipeline_dirs, capsys):
+    ws, store, _ = pipeline_dirs
+    question = "How many flights are recorded in total?"
+    payload = _retrieve_json(store, question, capsys)
+    (entry,) = [
+        e for e in MemoryStore(store).load_entries("flights")
+        if e.question.id == payload["question_id"]
+    ]
+    prefix = entry.structured.phase_document(Phase.EXPLORATION)
+    assert prefix and payload["prefix_tokens"] == count_tokens(prefix)
+
+    assert main(
+        ["retrieve", "--question", question, "--db", "flights", "--store", str(store)]
+    ) == 0
+    assert f"prefix tokens: {count_tokens(prefix)}" in capsys.readouterr().out
+
+    empty = _retrieve_json(store.parent / "empty", question, capsys)
+    assert (empty["entry"], empty["prefix_tokens"]) == (None, 0)
+
+
+@pytest.mark.parametrize("damage", UNRENDERABLE)
+def test_retrieve_skips_a_winner_whose_segments_cannot_be_rebuilt(
+    pipeline_dirs, tmp_path, capsys, damage
+):
+    ws, store, _ = pipeline_dirs
+    question = "How many flights are recorded in total?"
+    winner = _retrieve_json(store, question, capsys)["question_id"]
+    expected = tmp_path / "expected"
+    shutil.copytree(store, expected)
+    shutil.rmtree(expected / "flights" / winner)
+    following = _retrieve_json(expected, question, capsys)["question_id"]
+    assert following not in (None, winner)
+
+    broken = store / "flights" / winner
+    break_segments(broken, damage)
+    restamp_index_line(broken)
+
+    payload = _retrieve_json(store, question, capsys)
+    assert payload["question_id"] == following
+    assert payload["entries"]["corrupt"] == 1
 
 
 @pytest.mark.parametrize("db", ["..", "../store", ".", "a/b", ""])

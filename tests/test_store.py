@@ -34,7 +34,14 @@ from trajmem.store import (
     truncate_observation,
 )
 
-from helpers import memory_entry, step, trajectory
+from helpers import (
+    UNRENDERABLE,
+    break_segments,
+    memory_entry,
+    restamp_index_line,
+    step,
+    trajectory,
+)
 from oracles import brute_force_select, entries_on_disk
 
 
@@ -153,9 +160,57 @@ def test_persist_writes_two_files(tmp_path):
     assert sorted(json.loads((path / "meta.json").read_text())) == [
         "created_at",
         "question",
-        "segments",
         "trajectory",
     ]
+
+
+def _unclassified_fixture():
+    unclassified = _classified_fixture()
+    for step_ in unclassified.steps:
+        step_.phase = None
+    return unclassified
+
+
+def _misplaced_fixture():
+    # A step out of place renders, but Trajectory.from_dict rejects it.
+    return Trajectory(
+        "q001", "sqlite_fixture", [Step(index=1, thought="look", phase=Phase.EXPLORATION)]
+    )
+
+
+_HAND_WRITTEN = StructuredTrajectory(
+    [store_module.StructuredSegment(Phase.EXPLORATION, "hand-written", "a body of its own")]
+)
+
+
+@pytest.mark.parametrize(
+    ("stored", "structured"),
+    [
+        (None, None),
+        (_classified_fixture, lambda _: _HAND_WRITTEN),
+        (_unclassified_fixture, None),
+        (_misplaced_fixture, structure_trajectory),
+    ],
+    ids=["no trajectory", "structured differs", "unclassified trajectory", "step out of place"],
+)
+def test_segments_the_trajectory_does_not_render_are_written(tmp_path, stored, structured):
+    stored = None if stored is None else stored()
+    entry = _entry()
+    if structured is not None:
+        entry = MemoryEntry(entry.question, structured(stored), entry.created_at)
+    path = MemoryStore(tmp_path / "store").persist(entry, trajectory=stored)
+    meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
+    assert meta["segments"] == [
+        {"phase": seg.phase.value, "header": seg.header, "body": seg.body}
+        for seg in entry.structured.segments
+    ]
+    assert (path / "full.md").read_text(encoding="utf-8") == entry.structured.full_document
+    reader = MemoryStore(tmp_path / "store")
+    (from_index,) = reader.load_entries("sqlite_fixture")
+    assert reader.read_segments(from_index)
+    (tmp_path / "store" / "sqlite_fixture" / ".index.jsonl").unlink()
+    (parsed,) = MemoryStore(tmp_path / "store").load_entries("sqlite_fixture")
+    assert from_index == parsed == entry
 
 
 def test_persist_load_round_trip_is_byte_identical(tmp_path):
@@ -1352,3 +1407,104 @@ def test_an_entry_written_with_every_observation_loads_unchanged(tmp_path):
     assert all("observation" not in data for data in json.loads(newer)["trajectory"]["steps"])
     assert MemoryStore(tmp_path / "newer").load_entries("flights") == [entry]
     assert MemoryStore(tmp_path / "newer").load_trajectories("flights") == [stored]
+
+
+_LONG_TEXT = "é" * (store_module.DEFAULT_OBSERVATION_LIMIT + 3)
+
+
+@st.composite
+def _rendered_trajectories(draw):
+    """Classified trajectories with the texts that reach each rule of the
+    markdown rendering: an observation past ``DEFAULT_OBSERVATION_LIMIT``,
+    which is truncated, whether its invocations rebuild it or not; an empty
+    thought beside an empty or fence-only action, which leaves a segment
+    the fallback header; non-ASCII text; several phase runs."""
+    stored = draw(_classified_trajectories())
+    for step_ in stored.steps:
+        step_.thought = draw(st.sampled_from(["", "look", "  ", "列を数える ünd"]))
+        step_.action_code = draw(st.sampled_from(["get_ddl()", "", "```", "SELECT 'ø'"]))
+        if step_.invocations and draw(st.booleans()):
+            step_.invocations[0].output = _LONG_TEXT
+            step_.observation = render_observation(
+                (i.tool_name, i.output) for i in step_.invocations
+            )
+        elif draw(st.booleans()):
+            step_.observation = _LONG_TEXT
+    return stored
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rendered_trajectories())
+def test_segments_left_out_of_meta_json_load_back_from_the_trajectory(stored):
+    expected = structure_trajectory(stored)
+    entry = MemoryEntry(question=_question(), structured=expected)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "store"
+        path = MemoryStore(root).persist(entry, trajectory=stored)
+        meta = (path / "meta.json").read_bytes()
+        assert "segments" not in json.loads(meta)
+        indexed = MemoryStore(root)
+        (from_index,) = indexed.load_entries("sqlite_fixture")
+        assert indexed.read_segments(from_index)
+        (root / "sqlite_fixture" / ".index.jsonl").unlink()
+        parsing = MemoryStore(root)
+        (parsed,) = parsing.load_entries("sqlite_fixture")
+        (fresh,) = MemoryStore(root).load_entries("sqlite_fixture")
+        assert (indexed.counts.indexed, parsing.counts.indexed) == (1, 0)
+        full = (path / "full.md").read_bytes().decode("utf-8")
+        for loaded in (from_index, parsed, fresh):
+            assert loaded.structured == expected
+            assert loaded.structured.full_document == full
+        (trajectory_,) = MemoryStore(root).load_trajectories("sqlite_fixture")
+        again = MemoryStore(Path(tmp) / "again").persist(fresh, trajectory=trajectory_)
+        assert (again / "meta.json").read_bytes() == meta
+
+
+# -- an entry whose segments its trajectory cannot rebuild -------------------------
+
+def _persist_with_trajectories(root: Path) -> None:
+    store = MemoryStore(root)
+    for i, text in enumerate(_TEXTS):
+        question = dataclasses.replace(_question(), id=f"q{i:03d}", text=text)
+        store.persist(
+            MemoryEntry(question, structure_trajectory(_classified_fixture())),
+            trajectory=_classified_fixture(),
+        )
+
+
+@pytest.mark.parametrize("damage", UNRENDERABLE)
+def test_a_full_parse_skips_an_entry_with_no_segments_to_rebuild(tmp_path, damage):
+    _persist_with_trajectories(tmp_path / "store")
+    break_segments(tmp_path / "store" / "sqlite_fixture" / "q001", damage)
+    store = MemoryStore(tmp_path / "store")
+    assert [e.question.id for e in store.load_entries("sqlite_fixture")] == [
+        "q000", "q002", "q003"
+    ]
+    assert (store.counts.corrupt, store.counts.indexed) == (1, 3)
+
+
+@pytest.mark.parametrize("damage", UNRENDERABLE)
+def test_an_indexed_winner_with_no_segments_to_rebuild_is_dropped(tmp_path, damage):
+    for root in ("store", "expected"):
+        _persist_with_trajectories(tmp_path / root)
+    shutil.rmtree(tmp_path / "expected" / "sqlite_fixture" / "q001")
+    broken = tmp_path / "store" / "sqlite_fixture" / "q001"
+    break_segments(broken, damage)
+    restamp_index_line(broken)
+
+    store = MemoryStore(tmp_path / "store")
+    (winner,) = [e for e in store.load_entries("sqlite_fixture") if e.question.id == "q001"]
+    assert store.counts == store_module.LoadCounts(indexed=4)
+    assert not store.read_segments(winner)
+    assert [e.question.id for e in store.load_entries("sqlite_fixture")] == [
+        "q000", "q002", "q003"
+    ]
+    assert store.counts.corrupt == 1
+
+    # A new store whose selection falls on that entry drops it and takes the next one.
+    question = Question(id="probe", text=_TEXTS[1], database_id="sqlite_fixture")
+    store = MemoryStore(tmp_path / "store")
+    selected = select_trajectory(question, store)
+    expected = select_trajectory(question, MemoryStore(tmp_path / "expected"))
+    assert (selected.question, selected.structured) == (expected.question, expected.structured)
+    assert (store.counts.indexed, store.counts.corrupt) == (4, 1)
