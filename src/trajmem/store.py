@@ -11,13 +11,17 @@ compact separators. It holds the entry's ``segments`` only when the entry
 is stored without a trajectory, or its stored trajectory, read back, does
 not render exactly those segments; otherwise the reader renders them from
 the trajectory, so the markdown is kept once, in ``full.md``. Its stored
-trajectory leaves out a step's ``observation`` when the step's invocations
-rebuild it, as ``model.render_observation`` of their outputs, so each tool
-output is kept once; the reader rebuilds it. What older stores also wrote
-is ignored: an ``embedding`` and a top-level ``database_id`` in
-``meta.json``, and a configuration file at the store root. A ``meta.json``
-with ``segments`` beside its trajectory, an ``observation`` on every step
-and the default separators loads unchanged.
+trajectory leaves out every field the reader rebuilds exactly (see
+``_written_trajectory``): a step's ``observation`` when the step's
+invocations rebuild it, as ``model.render_observation`` of their outputs,
+so each tool output is kept once; the ids when they are the entry's
+question's; a step's ``index`` when it is the step's position; and a step
+or invocation field that holds its ``from_dict`` default, such as
+``succeeded: true``. What older stores also wrote is ignored: an
+``embedding`` and a top-level ``database_id`` in ``meta.json``, and a
+configuration file at the store root. A ``meta.json`` with ``segments``
+beside its trajectory, every trajectory field, an ``observation`` on every
+step and the default separators loads unchanged.
 
 Every write also appends a line to the database's index,
 ``store_root/<database_id>/.index.jsonl``: the question, ``created_at``,
@@ -347,25 +351,31 @@ class MemoryStore:
         _check_id("database", entry.database_id)
         _check_id("question", entry.question.id)
         final = self.entry_dir(entry.database_id, entry.question.id)
-        tmp = final.parent / f".tmp-{entry.question.id}-{uuid.uuid4().hex[:8]}"
-        old = final.parent / f".old-{entry.question.id}-{uuid.uuid4().hex[:8]}"
+        token = f"{entry.question.id}-{uuid.uuid4().hex[:8]}"
+        tmp = final.parent / f".tmp-{token}"
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
             stamp = self._materialize(tmp, entry, trajectory)
-            if final.exists():
-                final.replace(old)
             try:
                 tmp.replace(final)
             except OSError:
-                if old.exists():
+                if not final.exists():
+                    raise
+                # The stored version is in the way: move it aside, and put it
+                # back when the new one cannot take its place. A failed
+                # put-back leaves it under .old-*.
+                old = final.parent / f".old-{token}"
+                final.replace(old)
+                try:
+                    tmp.replace(final)
+                except OSError:
                     old.replace(final)
-                raise
-        except OSError as exc:
-            raise StorageError(f"persist failed for {entry.question.id!r}: {exc}") from exc
-        finally:
-            shutil.rmtree(tmp, ignore_errors=True)
-            if final.exists():  # a failed put-back leaves the old version under .old-*
+                    raise
                 shutil.rmtree(old, ignore_errors=True)
+        except BaseException as exc:
+            shutil.rmtree(tmp, ignore_errors=True)
+            if isinstance(exc, OSError):
+                raise StorageError(f"persist failed for {entry.question.id!r}: {exc}") from exc
+            raise
         counts = _encode_counts(entry_counts(entry, self.dimension))
         self._append_index(entry.database_id, self._index_line(entry, stamp, counts))
         with self._entries_lock:
@@ -385,20 +395,15 @@ class MemoryStore:
             "question": entry.question.to_dict(),
             "created_at": entry.created_at,
         }
-        stored: dict[str, Any] = {}
-        if trajectory is not None:
-            stored["trajectory"] = raw = trajectory.to_dict()
-            # An observation its invocations rebuild is not written twice.
-            for step, data in zip(trajectory.steps, raw["steps"]):
-                if step.observation == _rendered(step):
-                    del data["observation"]
-        # Nor are segments that the reader renders from that trajectory.
-        if not (stored and _renders(stored, entry.structured)):
+        written = None if trajectory is None else _written_trajectory(trajectory, entry.question)
+        # Segments that the reader renders from that trajectory are not written.
+        if written is None or not _renders({**meta, "trajectory": written}, entry.structured):
             meta["segments"] = [
                 {"phase": seg.phase.value, "header": seg.header, "body": seg.body}
                 for seg in entry.structured.segments
             ]
-        meta.update(stored)
+        if written is not None:
+            meta["trajectory"] = written
         meta_path = target / "meta.json"
         meta_path.write_text(
             json.dumps(meta, ensure_ascii=False, separators=(",", ":")) + "\n", encoding="utf-8"
@@ -445,22 +450,28 @@ class MemoryStore:
             self._compact_index(database_id, size)
         return True
 
-    def _read_index(self, database_id: str) -> dict[str, tuple[dict[str, Any], bytes]]:
-        """Entry directory name -> (line, its bytes without the line break)
-        for the last well-formed line of that entry in the database's index,
-        read in one call; torn or garbage lines are skipped."""
+    def _read_index(
+        self,
+        database_id: str,
+        keep: Callable[[dict[str, Any], bytes], _T] = lambda line, raw: (line, raw),
+    ) -> dict[str, _T]:
+        """Entry directory name -> ``keep(line, its bytes without the line
+        break)`` for the last well-formed line of that entry in the
+        database's index, read in one call; torn or garbage lines are
+        skipped. By default ``keep`` keeps both."""
         try:
             with open(self.root / database_id / _INDEX_FILE, "rb") as handle:
                 data = handle.read()
         except OSError:
             return {}
-        lines: dict[str, tuple[dict[str, Any], bytes]] = {}
+        lines: dict[str, _T] = {}
         # Each line is parsed on its own, so a garbage line cannot shift or
         # swallow its neighbours.
         for raw in data.split(b"\n"):
             try:
                 line = json.loads(raw)
-                lines[line["question"]["id"]] = (line, raw)
+                name = line["question"]["id"]
+                lines[name] = keep(line, raw)
             except (ValueError, LookupError, TypeError):
                 continue
         return lines
@@ -471,10 +482,12 @@ class MemoryStore:
         line another writer appends meanwhile is lost, which only costs a full
         parse, and the next first load writes the line again."""
         database_dir = self.root / database_id
+        # Only each line's stamp is kept beside its bytes, not the parsed line.
+        stamped = self._read_index(database_id, lambda line, raw: (line.get("stamp"), raw))
         live = b"".join(
             raw + b"\n"
-            for name, (line, raw) in self._read_index(database_id).items()
-            if line.get("stamp") == list(_stamp(database_dir / name / "meta.json") or ())
+            for name, (stamp, raw) in stamped.items()
+            if stamp == list(_stamp(database_dir / name / "meta.json") or ())
         )
         if 2 * len(live) > size:
             return
@@ -816,17 +829,59 @@ def _rendered(step: Step) -> str:
     )
 
 
+# A stored step's and invocation's fields, each with the value that
+# ``from_dict`` gives it when it is absent.
+_STEP_DEFAULTS = (("thought", ""), ("action_code", ""), ("invocations", []), ("phase", None))
+_INVOCATION_DEFAULTS = (("args", {}), ("output", ""), ("succeeded", True))
+
+
+def _leave_out(data: dict[str, Any], filled: Sequence[tuple[str, Any]]) -> None:
+    """Delete each field of ``data`` that holds exactly the value its reader
+    fills in: an equal value of the same type."""
+    for key, value in filled:
+        if type(data[key]) is type(value) and data[key] == value:
+            del data[key]
+
+
+def _written_trajectory(trajectory: Trajectory, question: Question) -> dict[str, Any]:
+    """The trajectory as ``meta.json`` stores it: ``to_dict`` less every field
+    that ``_stored_trajectory`` rebuilds exactly. Left out are the ids when
+    they are the question's, a step's ``index`` when it is the step's
+    position, its ``observation`` when its invocations rebuild it, and any
+    other step or invocation field that holds its ``from_dict`` default."""
+    raw = trajectory.to_dict()
+    _leave_out(raw, (("question_id", question.id), ("database_id", question.database_id)))
+    for position, (step, data) in enumerate(zip(trajectory.steps, raw["steps"])):
+        if step.observation == _rendered(step):
+            del data["observation"]
+        for invocation in data["invocations"]:
+            _leave_out(invocation, _INVOCATION_DEFAULTS)
+        _leave_out(data, (("index", position), *_STEP_DEFAULTS))
+    return raw
+
+
 def _stored_trajectory(
     entry_dir: str | Path | None, meta: dict[str, Any], texts: dict[str, str]
 ) -> Trajectory | None:
     """The entry's stored trajectory, its step and invocation texts rebound
     to the equal ones already in ``texts`` (those that are new are added).
-    A step stored without an observation gets the one its invocations
-    rebuild."""
+
+    What the writer left out is filled in: the ids from the entry's
+    question, a step's index from its position, a step's observation from
+    its invocations, as ``model.render_observation`` of their outputs, and
+    every other field by ``from_dict``'s default. A stored index that is not
+    its step's position makes the trajectory corrupt."""
     raw = meta.get("trajectory")
     if raw is None:
         return None
-    trajectory = Trajectory.from_dict(raw)
+    question = meta.get("question", {})
+    steps = [{"index": position, **data} for position, data in enumerate(raw.get("steps", ()))]
+    trajectory = Trajectory.from_dict({
+        "question_id": question.get("id"),
+        "database_id": question.get("database_id"),
+        **raw,
+        "steps": steps,
+    })
     share = texts.setdefault
     for step, data in zip(trajectory.steps, raw.get("steps", ())):
         if "observation" not in data:

@@ -14,13 +14,18 @@ import zlib
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
-from typing import Sequence
+from typing import Collection, Sequence
 
 from trajmem.metrics import _cells_equal
 from trajmem.mining import ToolSequence
 from trajmem.model import Phase, Question, Trajectory
 from trajmem.retrieval import HashingEmbedder
-from trajmem.store import MemoryEntry, StructuredSegment, StructuredTrajectory
+from trajmem.store import (
+    MemoryEntry,
+    StructuredSegment,
+    StructuredTrajectory,
+    structure_trajectory,
+)
 
 
 def _flat(trajectory: Trajectory) -> list[tuple[str, Phase]]:
@@ -151,26 +156,50 @@ def brute_force_select(
     return min(tied, key=lambda e: e.question.id)
 
 
-def entries_on_disk(database_dir: Path) -> list[MemoryEntry]:
-    """Every entry under a database directory whose meta.json parses, read
-    with ``json`` alone: no store, no cache and no index."""
+def entries_on_disk(database_dir: Path, corrupt: Collection[str] = ()) -> list[MemoryEntry]:
+    """Every entry under a database directory, read with ``json`` alone: no
+    store, no cache and no index. Entries named in ``corrupt`` are left out;
+    any other entry that cannot be read raises.
+
+    A ``meta.json`` without ``segments`` gets those its trajectory renders,
+    once the fields its writer leaves out are filled in: the ids from its
+    question, each step's index from its position and an absent
+    observation from the step's invocations."""
     entries = []
     for entry_dir in sorted(database_dir.iterdir() if database_dir.is_dir() else []):
-        if entry_dir.name.startswith(".") or not entry_dir.is_dir():
+        if entry_dir.name.startswith(".") or not entry_dir.is_dir() or entry_dir.name in corrupt:
             continue
-        try:
-            meta = json.loads((entry_dir / "meta.json").read_text(encoding="utf-8"))
-            question = Question(**meta["question"])
+        meta = json.loads((entry_dir / "meta.json").read_text(encoding="utf-8"))
+        question = Question(**meta["question"])
+        if "segments" in meta:
             segments = [
                 StructuredSegment(Phase(seg["phase"]), seg["header"], seg["body"])
                 for seg in meta["segments"]
             ]
-            entries.append(
-                MemoryEntry(question, StructuredTrajectory(segments), meta["created_at"], entry_dir)
-            )
-        except (OSError, ValueError, LookupError, TypeError):
-            continue
+        else:
+            segments = structure_trajectory(_filled_trajectory(meta)).segments
+        entries.append(
+            MemoryEntry(question, StructuredTrajectory(segments), meta["created_at"], entry_dir)
+        )
     return entries
+
+
+def _filled_trajectory(meta: dict) -> Trajectory:
+    raw = meta["trajectory"]
+    steps = []
+    for position, stored in enumerate(raw.get("steps", [])):
+        data = dict(stored)
+        data.setdefault("index", position)
+        if "observation" not in data:
+            data["observation"] = "\n\n".join(
+                "### " + invocation["tool_name"] + "\n" + invocation.get("output", "")
+                for invocation in data.get("invocations", [])
+            )
+        steps.append(data)
+    data = dict(raw, steps=steps)
+    data.setdefault("question_id", meta["question"]["id"])
+    data.setdefault("database_id", meta["question"]["database_id"])
+    return Trajectory.from_dict(data)
 
 
 def brute_force_execution_accuracy(

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import trajmem.store as store_module
 from trajmem.classifier import classify_trajectory
-from trajmem.errors import StorageError
+from trajmem.errors import StateError, StorageError
 from trajmem.model import Phase, Question, Step, ToolInvocation, Trajectory, render_observation
 from trajmem.retrieval import HashingEmbedder, select_trajectory
 from trajmem.store import (
@@ -640,6 +640,26 @@ def test_failed_overwrite_keeps_the_stored_entry(tmp_path, monkeypatch):
     ]
 
 
+def test_a_persist_removes_only_the_version_it_moved_aside(tmp_path, monkeypatch):
+    removed = []
+    rmtree = shutil.rmtree
+
+    def recording_rmtree(path, **kwargs):
+        removed.append(Path(path).name)
+        rmtree(path, **kwargs)
+
+    monkeypatch.setattr(store_module.shutil, "rmtree", recording_rmtree)
+    store = MemoryStore(tmp_path / "store")
+    store.persist(_entry(), trajectory=_classified_fixture())
+    assert removed == []
+    store.persist(_entry(created_at="2026-01-01T00:00:00+00:00"))
+    assert [name.startswith(".old-q001-") for name in removed] == [True]
+    database_dir = tmp_path / "store" / "sqlite_fixture"
+    assert sorted(p.name for p in database_dir.iterdir()) == [".index.jsonl", "q001"]
+    (loaded,) = MemoryStore(tmp_path / "store").load_entries("sqlite_fixture")
+    assert loaded.created_at == "2026-01-01T00:00:00+00:00"
+
+
 # -- the per-database index ------------------------------------------------------------
 
 
@@ -652,9 +672,9 @@ def _cold_selection(tmp_path, text: str) -> tuple[str | None, MemoryStore]:
     return _selected(store, text), store
 
 
-def _expected(tmp_path, text: str) -> str | None:
+def _expected(tmp_path, text: str, corrupt: tuple[str, ...] = ()) -> str | None:
     question = Question(id="probe", text=text, database_id="db1")
-    entry = brute_force_select(question, entries_on_disk(tmp_path / "store" / "db1"),
+    entry = brute_force_select(question, entries_on_disk(tmp_path / "store" / "db1", corrupt),
                                HashingEmbedder(256))
     return None if entry is None else entry.question.id
 
@@ -1140,7 +1160,7 @@ def test_winner_changed_after_load_is_dropped_and_the_selection_redone(tmp_path)
     store.load_entries("db1")
     (tmp_path / "store" / "db1" / "q001" / "meta.json").write_text("{broken")
     assert _selected(store, "departure delay per carrier") == _expected(
-        tmp_path, "departure delay per carrier"
+        tmp_path, "departure delay per carrier", corrupt=("q001",)
     )
     assert [e.question.id for e in store.load_entries("db1")] == ["q000", "q002", "q003"]
 
@@ -1216,8 +1236,11 @@ def test_index_equivalence_under_writes_damage_and_deletion(operations, query):
         root = Path(tmp)
         writer = MemoryStore(root / "store")
         warm = MemoryStore(root / "store")
+        corrupt: set[str] = set()
         for name, number, text in operations:
             entry_dir = root / "store" / "db1" / f"q{number:03d}"
+            if name in ("persist", "delete"):
+                corrupt.discard(entry_dir.name)
             if name == "persist":
                 entry = memory_entry(f"q{number:03d}", "db1", text, StructuredTrajectory(
                     segments=[store_module.StructuredSegment(Phase.EXPLORATION, text, text)]
@@ -1225,13 +1248,14 @@ def test_index_equivalence_under_writes_damage_and_deletion(operations, query):
                 writer.persist(entry)
             elif name == "corrupt" and entry_dir.is_dir():
                 (entry_dir / "meta.json").write_text('{"question": 5}')
+                corrupt.add(entry_dir.name)
             elif name == "delete":
                 shutil.rmtree(entry_dir, ignore_errors=True)
             elif name == "drop index":
                 (root / "store" / "db1" / ".index.jsonl").unlink(missing_ok=True)
             question = Question(id="probe", text=query, database_id="db1")
             expected = brute_force_select(
-                question, entries_on_disk(root / "store" / "db1"), HashingEmbedder(256)
+                question, entries_on_disk(root / "store" / "db1", corrupt), HashingEmbedder(256)
             )
             for store in (warm, MemoryStore(root / "store")):
                 got = select_trajectory(question, store)
@@ -1458,6 +1482,80 @@ def test_segments_left_out_of_meta_json_load_back_from_the_trajectory(stored):
         (trajectory_,) = MemoryStore(root).load_trajectories("sqlite_fixture")
         again = MemoryStore(Path(tmp) / "again").persist(fresh, trajectory=trajectory_)
         assert (again / "meta.json").read_bytes() == meta
+
+
+# -- fields a stored trajectory leaves out ------------------------------------------
+
+@st.composite
+def _written_step(draw, index):
+    invocations = [
+        ToolInvocation(tool_name=name, args=draw(st.sampled_from([{}, {"q": "1"}])),
+                       output=draw(st.sampled_from(["", "ok", "a\n\n### b"])),
+                       succeeded=draw(st.booleans()))
+        for name in draw(st.lists(st.sampled_from(["get_ddl", "sql_execute"]), max_size=2))
+    ]
+    rendered = render_observation((inv.tool_name, inv.output) for inv in invocations)
+    return Step(index=index, thought=draw(st.sampled_from(["", "look"])),
+                action_code=draw(st.sampled_from(["", "get_ddl()"])), invocations=invocations,
+                observation=draw(st.sampled_from([rendered, "", "other"])),
+                phase=draw(st.sampled_from(list(Phase))))
+
+
+@st.composite
+def _written_trajectories(draw):
+    """Classified trajectories whose steps are in place or, now and then, one
+    out of place, and whose ids are the question's or not."""
+    size = draw(st.integers(1, 4))
+    misplaced = draw(st.sampled_from([None, *range(size)]))
+    return Trajectory(
+        question_id=draw(st.sampled_from(["q001", "q002"])),
+        database_id=draw(st.sampled_from(["sqlite_fixture", "other_db"])),
+        steps=[draw(_written_step(i + (i == misplaced))) for i in range(size)],
+        final_answer=draw(st.sampled_from([None, "42"])),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_written_trajectories())
+def test_a_trajectory_leaves_out_what_its_reader_fills_in_and_loads_back(stored):
+    entry = MemoryEntry(question=_question(), structured=structure_trajectory(stored))
+    in_place = all(step_.index == i for i, step_ in enumerate(stored.steps))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "store"
+        path = MemoryStore(root).persist(entry, trajectory=stored)
+        written = json.loads((path / "meta.json").read_text(encoding="utf-8"))["trajectory"]
+        assert ("question_id" in written) == (stored.question_id != "q001")
+        assert ("database_id" in written) == (stored.database_id != "sqlite_fixture")
+        for i, (data, step_) in enumerate(zip(written["steps"], stored.steps, strict=True)):
+            assert ("index" in data) == (step_.index != i)
+            assert ("invocations" in data) == bool(step_.invocations)
+            assert [("succeeded" in inv, "args" in inv) for inv in data.get("invocations", [])] \
+                == [(not inv.succeeded, bool(inv.args)) for inv in step_.invocations]
+        # A step out of place loads as corrupt, as it did when every field was written.
+        assert MemoryStore(root).load_trajectories("sqlite_fixture") == (
+            [stored] if in_place else []
+        )
+        indexed = MemoryStore(root)
+        (from_index,) = indexed.load_entries("sqlite_fixture")
+        assert indexed.read_segments(from_index)
+        (root / "sqlite_fixture" / ".index.jsonl").unlink()
+        (parsed,) = MemoryStore(root).load_entries("sqlite_fixture")
+        assert from_index.structured == parsed.structured == entry.structured
+        assert entries_on_disk(root / "sqlite_fixture") == [entry]
+
+
+def test_the_reference_renders_entries_stored_with_their_trajectory(tmp_path):
+    _persist_with_trajectories(tmp_path / "store")
+    database_dir = tmp_path / "store" / "sqlite_fixture"
+    assert not any("segments" in json.loads(meta.read_text(encoding="utf-8"))
+                   for meta in database_dir.glob("*/meta.json"))
+    loaded = MemoryStore(tmp_path / "store").load_entries("sqlite_fixture")
+    assert len(loaded) == len(_TEXTS)
+    assert entries_on_disk(database_dir) == loaded
+    break_segments(database_dir / "q001", "unclassified step")
+    with pytest.raises(StateError, match="unclassified"):
+        entries_on_disk(database_dir)
+    assert entries_on_disk(database_dir, corrupt={"q001"}) == loaded[:1] + loaded[2:]
 
 
 # -- an entry whose segments its trajectory cannot rebuild -------------------------
