@@ -273,6 +273,23 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     return 0
 
 
+def cmd_show(args: argparse.Namespace) -> int:
+    store = MemoryStore(args.store)
+    entry = next((e for e in store.load_entries(args.db) if e.question.id == args.id), None)
+    if entry is None or not store.read_segments(entry):
+        print(f"error: no readable memory entry {args.id!r} in {args.db!r}", file=sys.stderr)
+        return 2
+    document = store.load_phase_segment(entry)
+    if args.json:
+        _emit(args, {"entry": str(entry.path), "document": document}, document)
+    else:
+        # The document's own bytes, whatever the terminal's encoding.
+        sys.stdout.flush()
+        sys.stdout.buffer.write(document.encode("utf-8"))
+        sys.stdout.flush()
+    return 0
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     records = load_run_records(args.runs)
     if not records:
@@ -354,6 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", required=True)
     p.add_argument("--store", required=True)
     p.set_defaults(func=cmd_retrieve)
+
+    p = sub.add_parser("show", help="print a stored entry's markdown document")
+    p.add_argument("--store", required=True)
+    p.add_argument("--db", required=True)
+    p.add_argument("--id", required=True, help="the entry's question id")
+    p.set_defaults(func=cmd_show)
 
     p = sub.add_parser("report", help="print the metrics table for a run directory")
     p.add_argument("--runs", required=True)

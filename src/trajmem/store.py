@@ -3,25 +3,23 @@
 Each stored entry renders a classified trajectory into phase-segmented
 markdown, each segment headed by its first line of text (usually the lead
 thought), and is persisted atomically under
-``store_root/<database_id>/<question_id>/`` as two files: ``meta.json``,
-which holds everything the code reads back, and ``full.md``, the whole
-markdown document for people to read. The database id is the question's
-own, and no embedding is stored. ``meta.json`` is one line of JSON with
-compact separators. It holds the entry's ``segments`` only when the entry
-is stored without a trajectory, or its stored trajectory, read back, does
-not render exactly those segments; otherwise the reader renders them from
-the trajectory, so the markdown is kept once, in ``full.md``. Its stored
-trajectory leaves out every field the reader rebuilds exactly (see
-``_written_trajectory``): a step's ``observation`` when the step's
-invocations rebuild it, as ``model.render_observation`` of their outputs,
-so each tool output is kept once; the ids when they are the entry's
-question's; a step's ``index`` when it is the step's position; and a step
-or invocation field that holds its ``from_dict`` default, such as
-``succeeded: true``. What older stores also wrote is ignored: an
-``embedding`` and a top-level ``database_id`` in ``meta.json``, and a
-configuration file at the store root. A ``meta.json`` with ``segments``
-beside its trajectory, every trajectory field, an ``observation`` on every
-step and the default separators loads unchanged.
+``store_root/<database_id>/<question_id>/`` as one file, ``meta.json``: the
+question, ``created_at`` and the classified trajectory, as one line of JSON
+with compact separators. The database id is the question's own, and no
+embedding is stored. No markdown is written: the reader renders the
+entry's segments from its trajectory, and ``trajmem show`` prints the
+whole document for people to read. The stored trajectory leaves out every
+field the reader rebuilds exactly (see ``_written_trajectory``): a step's
+``observation`` when the step's invocations rebuild it, as
+``model.render_observation`` of their outputs, so each tool output is kept
+once; the ids when they are the entry's question's; each step's ``index``,
+its position; and a step or invocation field that holds its ``from_dict``
+default, such as ``succeeded: true``. What older stores also wrote is
+ignored: a ``full.md`` beside ``meta.json``, an ``embedding`` and a
+top-level ``database_id`` in ``meta.json``, and a configuration file at
+the store root. A ``meta.json`` with ``segments`` (read as they are, not
+rendered) beside its trajectory, every trajectory field, an
+``observation`` on every step and the default separators loads unchanged.
 
 Every write also appends a line to the database's index,
 ``store_root/<database_id>/.index.jsonl``: the question, ``created_at``,
@@ -91,7 +89,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_OBSERVATION_LIMIT = 2000
 _HEADER_MAX_CHARS = 120
 
-_FULL_FILE = "full.md"
 _INDEX_FILE = ".index.jsonl"
 # The index is first checked for dead lines once it reaches this size.
 _COMPACT_FROM = 4096
@@ -298,9 +295,11 @@ def _now() -> str:
 class LoadCounts:
     """What a store's loads did with the entries they met: took them from
     the index, parsed a ``meta.json`` (a winner's segments included),
-    skipped them as corrupt, or wrote the index line they lacked. An entry
-    whose ``meta.json`` holds no segments and whose trajectory cannot render
-    them (missing, or with an unclassified or unknown phase) is corrupt."""
+    skipped them as corrupt, or wrote the index line they lacked. An entry's
+    segments are rendered from the trajectory in its ``meta.json``, or read
+    from the ``segments`` an older one holds; an entry with neither, or whose
+    trajectory cannot be rendered (a step with no phase or an unknown one),
+    is corrupt."""
 
     indexed: int = 0
     parsed: int = 0
@@ -338,18 +337,35 @@ class MemoryStore:
 
     # -- persistence --------------------------------------------------------
 
-    def persist(self, entry: MemoryEntry, trajectory: Trajectory | None = None) -> Path:
-        """Atomically write an entry; a duplicate question id is overwritten.
-        Returns the entry's directory; the given entry is left as it was.
+    def persist(self, entry: MemoryEntry, trajectory: Trajectory) -> Path:
+        """Atomically write an entry with the classified trajectory it was
+        rendered from; a duplicate question id is overwritten. Returns the
+        entry's directory; the given entry is left as it was.
+
+        The trajectory is required (an entry with no steps stores an empty
+        one), and ``entry.structured`` must be what it renders,
+        ``structure_trajectory(trajectory)``: only the trajectory is
+        written, and every reader renders the entry's segments from it. A
+        trajectory the reader could not rebuild, with a step that holds no
+        known phase or whose ``index`` is not its position, raises
+        ``StorageError`` before anything is written.
 
         When the new version cannot be moved into place, the old one is put
         back. The entry is then indexed and, if the store has loaded its
         database, kept in this store's cache as a new entry with that
-        directory, which shares the given one's question, structured
-        trajectory and ``counts_memo``.
+        directory, which shares the given one's question, ``counts_memo``
+        and structured trajectory; segments not yet read from an older
+        version are read from the one written.
         """
         _check_id("database", entry.database_id)
         _check_id("question", entry.question.id)
+        for position, step in enumerate(trajectory.steps):
+            index, phase = step.index, step.phase
+            if type(index) is not int or index != position or not isinstance(phase, Phase):
+                raise StorageError(
+                    f"cannot persist {entry.question.id!r}: step {position} has index "
+                    f"{index!r} and phase {phase!r}, not its position and a known phase"
+                )
         final = self.entry_dir(entry.database_id, entry.question.id)
         token = f"{entry.question.id}-{uuid.uuid4().hex[:8]}"
         tmp = final.parent / f".tmp-{token}"
@@ -378,37 +394,30 @@ class MemoryStore:
             raise
         counts = _encode_counts(entry_counts(entry, self.dimension))
         self._append_index(entry.database_id, self._index_line(entry, stamp, counts))
+        structured = entry.structured
+        if not structured.loaded:
+            # Segments not yet read are read from the version just written.
+            structured = _IndexedTrajectory(str(final), stamp, entry.question)
         with self._entries_lock:
             if entry.database_id in self._entries:
                 stored = MemoryEntry(
-                    entry.question, entry.structured, entry.created_at, final, entry.counts_memo
+                    entry.question, structured, entry.created_at, final, entry.counts_memo
                 )
                 self._entries[entry.database_id][final.name] = (stamp, stored)
         return final
 
-    def _materialize(
-        self, target: Path, entry: MemoryEntry, trajectory: Trajectory | None
-    ) -> _Stamp:
-        """Write the entry's two files into ``target``; the stamp of its meta.json."""
+    def _materialize(self, target: Path, entry: MemoryEntry, trajectory: Trajectory) -> _Stamp:
+        """Write the entry's ``meta.json`` into ``target``; its stamp."""
         target.mkdir(parents=True, exist_ok=False)
-        meta: dict[str, Any] = {
+        meta = {
             "question": entry.question.to_dict(),
             "created_at": entry.created_at,
+            "trajectory": _written_trajectory(trajectory, entry.question),
         }
-        written = None if trajectory is None else _written_trajectory(trajectory, entry.question)
-        # Segments that the reader renders from that trajectory are not written.
-        if written is None or not _renders({**meta, "trajectory": written}, entry.structured):
-            meta["segments"] = [
-                {"phase": seg.phase.value, "header": seg.header, "body": seg.body}
-                for seg in entry.structured.segments
-            ]
-        if written is not None:
-            meta["trajectory"] = written
         meta_path = target / "meta.json"
         meta_path.write_text(
             json.dumps(meta, ensure_ascii=False, separators=(",", ":")) + "\n", encoding="utf-8"
         )
-        (target / _FULL_FILE).write_text(entry.structured.full_document, encoding="utf-8")
         return _stamp_of(os.stat(meta_path))
 
     # -- the index ------------------------------------------------------------
@@ -812,16 +821,6 @@ class _IndexedTrajectory(StructuredTrajectory):
             raise StorageError(f"cannot read memory entry at {self.entry_dir}: {exc}") from exc
 
 
-def _renders(meta: dict[str, Any], structured: StructuredTrajectory) -> bool:
-    """Whether ``_segments`` gives exactly these segments for a ``meta.json``
-    that holds none; False when its trajectory cannot be read back or
-    rendered (an unclassified step, a step out of place)."""
-    try:
-        return _segments(meta) == structured.segments
-    except _CORRUPT_ENTRY_ERRORS:
-        return False
-
-
 def _rendered(step: Step) -> str:
     """The observation that a step's invocations rebuild."""
     return render_observation(
@@ -830,8 +829,8 @@ def _rendered(step: Step) -> str:
 
 
 # A stored step's and invocation's fields, each with the value that
-# ``from_dict`` gives it when it is absent.
-_STEP_DEFAULTS = (("thought", ""), ("action_code", ""), ("invocations", []), ("phase", None))
+# ``from_dict`` gives it when it is absent. A stored step always has a phase.
+_STEP_DEFAULTS = (("thought", ""), ("action_code", ""), ("invocations", []))
 _INVOCATION_DEFAULTS = (("args", {}), ("output", ""), ("succeeded", True))
 
 
@@ -846,17 +845,19 @@ def _leave_out(data: dict[str, Any], filled: Sequence[tuple[str, Any]]) -> None:
 def _written_trajectory(trajectory: Trajectory, question: Question) -> dict[str, Any]:
     """The trajectory as ``meta.json`` stores it: ``to_dict`` less every field
     that ``_stored_trajectory`` rebuilds exactly. Left out are the ids when
-    they are the question's, a step's ``index`` when it is the step's
-    position, its ``observation`` when its invocations rebuild it, and any
-    other step or invocation field that holds its ``from_dict`` default."""
+    they are the question's, each step's ``index`` (``persist`` has checked
+    that it is the step's position), its ``observation`` when its
+    invocations rebuild it, and any other step or invocation field that
+    holds its ``from_dict`` default."""
     raw = trajectory.to_dict()
     _leave_out(raw, (("question_id", question.id), ("database_id", question.database_id)))
-    for position, (step, data) in enumerate(zip(trajectory.steps, raw["steps"])):
+    for step, data in zip(trajectory.steps, raw["steps"]):
+        del data["index"]
         if step.observation == _rendered(step):
             del data["observation"]
         for invocation in data["invocations"]:
             _leave_out(invocation, _INVOCATION_DEFAULTS)
-        _leave_out(data, (("index", position), *_STEP_DEFAULTS))
+        _leave_out(data, _STEP_DEFAULTS)
     return raw
 
 

@@ -5,9 +5,10 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+from typing import Sequence
 
 from trajmem.model import Phase, Question, Step, ToolInvocation, Trajectory, append_step
-from trajmem.store import MemoryEntry, StructuredTrajectory
+from trajmem.store import MemoryEntry, structure_trajectory
 
 
 def invocation(name: str, **args: object) -> ToolInvocation:
@@ -68,15 +69,18 @@ def memory_entry(
     question_id: str,
     database_id: str,
     text: str,
-    structured: StructuredTrajectory | None = None,
+    steps: Sequence[Step] = (),
     created_at: str = "2026-01-01T00:00:00+00:00",
 ) -> MemoryEntry:
+    """An entry for a synthetic question, with the segments that
+    ``trajectory(steps, question_id, database_id)`` renders; ``persist`` it
+    with that trajectory."""
     question = Question(
         id=question_id, text=text, database_id=database_id, synthetic=True
     )
     return MemoryEntry(
         question=question,
-        structured=structured or StructuredTrajectory(segments=[]),
+        structured=structure_trajectory(trajectory(list(steps), question_id, database_id)),
         created_at=created_at,
     )
 

@@ -145,7 +145,7 @@ def test_acceptance_retrieval_oracle_equivalence(tmp_path):
     # Bind the on-disk path: select_trajectory over a persisted store.
     store = MemoryStore(tmp_path / "store")
     for i, text in enumerate(_VOCABULARY[:6]):
-        store.persist(memory_entry(f"q{i:02d}", "A", text))
+        store.persist(memory_entry(f"q{i:02d}", "A", text), trajectory([], f"q{i:02d}", "A"))
     question = Question(id="probe", text=_VOCABULARY[2], database_id="A")
     selected = select_trajectory(question, store)
     expected = brute_force_select(question, store.load_entries("A"), PROVIDER)
@@ -465,7 +465,7 @@ def test_acceptance_store_round_trip_and_atomicity(tmp_path, monkeypatch):
 
     monkeypatch.setattr(MemoryStore, "_materialize", exploding)
     with pytest.raises(Exception):
-        store.persist(crash_entry)
+        store.persist(crash_entry, trajectory_)
     monkeypatch.undo()
 
     partial_visible = (store_root / "flights" / "crashy").exists()

@@ -593,3 +593,54 @@ def test_mine_json_reports_what_the_load_did(pipeline_dirs, tmp_path, capsys):
     assert out.read_bytes() == manifest.read_bytes()
     assert main(["mine", "--store", str(store), "--out", str(out), "--tau", "0.5"]) == 0
     assert "skipped 1 corrupt stored entry(s)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("index", ["kept", "deleted"])
+def test_show_prints_the_document_of_each_stored_entry(pipeline_dirs, capsysbinary, index):
+    ws, store, _ = pipeline_dirs
+    if index == "deleted":
+        for line_file in store.glob("*/.index.jsonl"):
+            line_file.unlink()
+    loaded = MemoryStore(store)
+    entries = [e for db in loaded.database_ids() for e in loaded.load_entries(db)]
+    assert len(entries) == 4 and all(e.structured.segments for e in entries)
+    for entry in entries:
+        capsysbinary.readouterr()
+        args = ["--store", str(store), "--db", entry.database_id, "--id", entry.question.id]
+        assert main(["show", *args]) == 0
+        captured = capsysbinary.readouterr()
+        assert captured.out == entry.structured.full_document.encode("utf-8")
+        assert captured.err == b""
+        assert main(["--json", "show", *args]) == 0
+        payload = json.loads(capsysbinary.readouterr().out)
+        assert payload == {"entry": str(entry.path), "document": entry.structured.full_document}
+    assert sorted({p.name for p in store.glob("*/*/*")}) == ["meta.json"]
+
+
+@pytest.mark.parametrize(
+    ("db", "question_id", "damage", "problem"),
+    [
+        ("flights", "syn-flights-999", None, "no readable memory entry"),
+        ("nowhere", "syn-flights-001", None, "no readable memory entry"),
+        ("flights", "..", None, "no readable memory entry"),
+        ("flights", "syn-flights-001", "not json", "no readable memory entry"),
+        *(("flights", "syn-flights-001", damage, "no readable memory entry")
+          for damage in UNRENDERABLE),
+        ("..", "syn-flights-001", None, "unsafe database id"),
+    ],
+)
+def test_show_of_an_unknown_or_corrupt_entry_exits_2(
+    pipeline_dirs, capsys, db, question_id, damage, problem
+):
+    ws, store, _ = pipeline_dirs
+    entry_dir = store / "flights" / "syn-flights-001"
+    if damage == "not json":
+        (entry_dir / "meta.json").write_text("{broken", encoding="utf-8")
+    elif damage is not None:
+        # The index still takes the entry; its segments fail when read.
+        break_segments(entry_dir, damage)
+        restamp_index_line(entry_dir)
+    capsys.readouterr()
+    assert main(["show", "--store", str(store), "--db", db, "--id", question_id]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and problem in captured.err

@@ -28,6 +28,8 @@ from trajmem.store import MemoryStore
 from trajmem.synthesis import synthesize_memory
 from trajmem.tools import Workspace
 
+from helpers import trajectory
+
 
 @pytest.fixture()
 def workspace(tmp_path):
@@ -584,7 +586,8 @@ def test_a_stored_question_with_a_field_a_questions_file_rejects_is_skipped(
     store = MemoryStore(tmp_path / "store")
     for qid in ("q1", "q2"):
         question = Question(id=qid, text=f"question {qid}", database_id="flights")
-        store.persist(store_module.MemoryEntry(question, store_module.StructuredTrajectory([])))
+        entry = store_module.MemoryEntry(question, store_module.StructuredTrajectory([]))
+        store.persist(entry, trajectory([], qid, "flights"))
     meta_path = tmp_path / "store" / "flights" / "q2" / "meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
     meta["question"].update(fields)

@@ -152,11 +152,11 @@ def _entry(created_at: str = "", question_id: str = "q001"):
     return MemoryEntry(question=question, structured=structured, created_at=created_at)
 
 
-def test_persist_writes_two_files(tmp_path):
+def test_persist_writes_one_file(tmp_path):
     store = MemoryStore(tmp_path / "store")
     path = store.persist(_entry(), trajectory=_classified_fixture())
     assert path == tmp_path / "store" / "sqlite_fixture" / "q001"
-    assert sorted(p.name for p in path.iterdir()) == ["full.md", "meta.json"]
+    assert sorted(p.name for p in path.iterdir()) == ["meta.json"]
     assert sorted(json.loads((path / "meta.json").read_text())) == [
         "created_at",
         "question",
@@ -164,53 +164,32 @@ def test_persist_writes_two_files(tmp_path):
     ]
 
 
-def _unclassified_fixture():
-    unclassified = _classified_fixture()
-    for step_ in unclassified.steps:
-        step_.phase = None
-    return unclassified
+# Ways to leave step 1 of a trajectory unfit for its reader to rebuild.
+_UNREBUILDABLE = {
+    "step out of place": lambda step_: dataclasses.replace(step_, index=2),
+    "index a bool": lambda step_: dataclasses.replace(step_, index=True),
+    "no phase": lambda step_: dataclasses.replace(step_, phase=None),
+    "phase not a Phase": lambda step_: dataclasses.replace(step_, phase="execution"),
+}
 
 
-def _misplaced_fixture():
-    # A step out of place renders, but Trajectory.from_dict rejects it.
-    return Trajectory(
-        "q001", "sqlite_fixture", [Step(index=1, thought="look", phase=Phase.EXPLORATION)]
-    )
-
-
-_HAND_WRITTEN = StructuredTrajectory(
-    [store_module.StructuredSegment(Phase.EXPLORATION, "hand-written", "a body of its own")]
-)
-
-
-@pytest.mark.parametrize(
-    ("stored", "structured"),
-    [
-        (None, None),
-        (_classified_fixture, lambda _: _HAND_WRITTEN),
-        (_unclassified_fixture, None),
-        (_misplaced_fixture, structure_trajectory),
-    ],
-    ids=["no trajectory", "structured differs", "unclassified trajectory", "step out of place"],
-)
-def test_segments_the_trajectory_does_not_render_are_written(tmp_path, stored, structured):
-    stored = None if stored is None else stored()
-    entry = _entry()
-    if structured is not None:
-        entry = MemoryEntry(entry.question, structured(stored), entry.created_at)
-    path = MemoryStore(tmp_path / "store").persist(entry, trajectory=stored)
-    meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
-    assert meta["segments"] == [
-        {"phase": seg.phase.value, "header": seg.header, "body": seg.body}
-        for seg in entry.structured.segments
-    ]
-    assert (path / "full.md").read_text(encoding="utf-8") == entry.structured.full_document
-    reader = MemoryStore(tmp_path / "store")
-    (from_index,) = reader.load_entries("sqlite_fixture")
-    assert reader.read_segments(from_index)
-    (tmp_path / "store" / "sqlite_fixture" / ".index.jsonl").unlink()
-    (parsed,) = MemoryStore(tmp_path / "store").load_entries("sqlite_fixture")
-    assert from_index == parsed == entry
+@pytest.mark.parametrize("damage", sorted(_UNREBUILDABLE))
+def test_persist_refuses_a_trajectory_its_reader_cannot_rebuild(tmp_path, damage):
+    store = MemoryStore(tmp_path / "store")
+    stored = _entry(created_at="2026-01-01T00:00:00+00:00")
+    path = store.persist(stored, _classified_fixture())
+    database_dir = path.parent
+    before = {p.name: p.read_bytes() for p in path.iterdir()}
+    index = (database_dir / ".index.jsonl").read_bytes()
+    refused = _classified_fixture()
+    refused.steps[1] = _UNREBUILDABLE[damage](refused.steps[1])
+    for question_id in ("q001", "q002"):  # over the stored version, and as a new entry
+        with pytest.raises(StorageError, match="step 1"):
+            store.persist(_entry(question_id=question_id), refused)
+    assert {p.name: p.read_bytes() for p in path.iterdir()} == before
+    assert sorted(p.name for p in database_dir.iterdir()) == [".index.jsonl", "q001"]
+    assert (database_dir / ".index.jsonl").read_bytes() == index
+    assert MemoryStore(tmp_path / "store").load_entries("sqlite_fixture") == [stored]
 
 
 def test_persist_load_round_trip_is_byte_identical(tmp_path):
@@ -231,9 +210,9 @@ def test_persist_load_round_trip_is_byte_identical(tmp_path):
 
 def test_full_document_is_ordered_concatenation_of_phase_segments(tmp_path):
     store = MemoryStore(tmp_path / "store")
-    path = store.persist(_entry())
-    entry = store.load_entries("sqlite_fixture")[0]
-    full = (path / "full.md").read_text()
+    store.persist(_entry(), _classified_fixture())
+    entry = MemoryStore(tmp_path / "store").load_entries("sqlite_fixture")[0]
+    full = structure_trajectory(_classified_fixture()).full_document
     exploration, execution, validation = (
         store.load_phase_segment(entry, phase)
         for phase in (Phase.EXPLORATION, Phase.EXECUTION, Phase.VALIDATION)
@@ -253,18 +232,18 @@ def test_load_phase_segment_round_trips_through_persist(tmp_path):
     assert {phase: store.load_phase_segment(loaded, phase) for phase in phases} == before
 
 
-def test_older_layout_loads_and_is_rewritten_as_two_files(tmp_path):
+def test_older_layout_loads_and_is_rewritten_as_one_file(tmp_path):
     store = MemoryStore(tmp_path / "store")
     path = store.persist(_entry(), trajectory=_classified_fixture())
     meta = json.loads((path / "meta.json").read_text())
     meta["step_count"] = 4
     (path / "meta.json").write_text(json.dumps(meta))
-    for name in ("exploration.md", "execution.md", "validation.md"):
+    for name in ("full.md", "exploration.md", "execution.md", "validation.md"):
         (path / name).write_text("stale copy")
     loaded = store.load_entries("sqlite_fixture")[0]
     assert store.load_phase_segment(loaded, Phase.EXPLORATION).startswith("## [exploration]")
     store.persist(loaded, trajectory=store.load_trajectories("sqlite_fixture")[0])
-    assert sorted(p.name for p in path.iterdir()) == ["full.md", "meta.json"]
+    assert sorted(p.name for p in path.iterdir()) == ["meta.json"]
 
 
 def test_load_entries_empty_store(tmp_path):
@@ -277,7 +256,7 @@ def test_load_entries_sorted_and_skips_corrupt(tmp_path, caplog):
     for qid in ("q003", "q001", "q002"):
         question = Question(id=qid, text=f"question {qid}", database_id="db1")
         entry = MemoryEntry(question=question, structured=StructuredTrajectory(segments=[]))
-        store.persist(entry)
+        store.persist(entry, trajectory([], qid, "db1"))
     (tmp_path / "store" / "db1" / "q002" / "meta.json").write_text("{broken")
     with caplog.at_level(logging.WARNING):
         entries = store.load_entries("db1")
@@ -320,7 +299,7 @@ def test_loaders_skip_and_log_corrupt_entry(tmp_path, caplog, bad_meta):
 @pytest.mark.parametrize("database_id", ["..", ".", "a/b", "", "-x", "db1\n"])
 def test_loaders_reject_an_unsafe_database_id(tmp_path, database_id):
     store = MemoryStore(tmp_path / "store")
-    store.persist(_entry())
+    store.persist(_entry(), _classified_fixture())
     for load in (store.load_entries, store.load_trajectories):
         with pytest.raises(StorageError, match="unsafe database id"):
             load(database_id)
@@ -364,7 +343,7 @@ def test_loaded_trajectories_share_equal_texts_and_stay_independent(tmp_path):
 
 def test_database_ids_lists_only_names_that_are_ids(tmp_path):
     store = MemoryStore(tmp_path / "store")
-    store.persist(_entry())
+    store.persist(_entry(), _classified_fixture())
     for name in ("not an id", "-x", ".hidden"):
         (tmp_path / "store" / name).mkdir()
     (tmp_path / "store" / "file").write_text("")
@@ -374,9 +353,9 @@ def test_database_ids_lists_only_names_that_are_ids(tmp_path):
 def test_duplicate_question_id_overwrites(tmp_path):
     store = MemoryStore(tmp_path / "store")
     first = _entry(created_at="2026-01-01T00:00:00+00:00")
-    store.persist(first)
+    store.persist(first, _classified_fixture())
     second = _entry(created_at="2026-02-02T00:00:00+00:00")
-    store.persist(second)
+    store.persist(second, _classified_fixture())
     entries = store.load_entries("sqlite_fixture")
     assert len(entries) == 1
     assert entries[0].created_at == "2026-02-02T00:00:00+00:00"
@@ -385,12 +364,13 @@ def test_duplicate_question_id_overwrites(tmp_path):
 def test_load_phase_segment_contents(tmp_path):
     store = MemoryStore(tmp_path / "store")
     entry = _entry()
-    path = store.persist(entry)
+    store.persist(entry, _classified_fixture())
     exploration = [seg for seg in entry.structured.segments if seg.phase == Phase.EXPLORATION]
     assert store.load_phase_segment(entry, Phase.EXPLORATION) == "".join(
         segment_text(seg) for seg in exploration
     )
-    assert store.load_phase_segment(entry) == (path / "full.md").read_text()
+    (loaded,) = MemoryStore(tmp_path / "store").load_entries("sqlite_fixture")
+    assert store.load_phase_segment(entry) == store.load_phase_segment(loaded)
 
 
 def test_load_phase_segment_absent_phase_is_empty(tmp_path):
@@ -404,7 +384,7 @@ def test_load_phase_segment_absent_phase_is_empty(tmp_path):
     )
     question = _question()
     entry = MemoryEntry(question=question, structured=structure_trajectory(t))
-    store.persist(entry)
+    store.persist(entry, t)
     assert store.load_phase_segment(entry, Phase.VALIDATION) == ""
 
 
@@ -413,7 +393,7 @@ def test_persist_rejects_unsafe_question_id(tmp_path, bad_id):
     store = MemoryStore(tmp_path / "store")
     entry = _entry(question_id=bad_id)
     with pytest.raises(StorageError):
-        store.persist(entry)
+        store.persist(entry, _classified_fixture())
     assert not list(tmp_path.rglob("*escaped*"))
 
 
@@ -428,7 +408,7 @@ def test_crash_before_rename_leaves_no_visible_entry(tmp_path, monkeypatch):
 
     monkeypatch.setattr(MemoryStore, "_materialize", exploding)
     with pytest.raises(Exception):
-        store.persist(entry)
+        store.persist(entry, _classified_fixture())
     assert not (tmp_path / "store" / "sqlite_fixture" / "q001").exists()
     assert store.load_entries("sqlite_fixture") == []
 
@@ -437,7 +417,14 @@ def test_crash_before_rename_leaves_no_visible_entry(tmp_path, monkeypatch):
 
 
 def _persist_text(store: MemoryStore, question_id: str, text: str, database_id: str = "db1"):
-    return store.persist(memory_entry(question_id, database_id, text))
+    steps = _text_steps(text)
+    entry = memory_entry(question_id, database_id, text, steps)
+    return store.persist(entry, trajectory(steps, question_id, database_id))
+
+
+def _text_steps(text: str) -> list[Step]:
+    """One classified step whose thought is ``text``."""
+    return [step(0, thought=text, phase=Phase.EXPLORATION)]
 
 
 def _selected(store: MemoryStore, text: str) -> str | None:
@@ -591,9 +578,18 @@ def test_loaded_entries_are_the_stores_own_and_read_only(tmp_path):
     assert (loaded.question, loaded.structured, loaded.created_at, loaded.path) == before
     # persist leaves the entry it is given as it was, path included.
     fresh = memory_entry("q003", "db1", "third question")
-    assert store.persist(fresh) == tmp_path / "store" / "db1" / "q003"
+    fresh_path = store.persist(fresh, trajectory([], "q003", "db1"))
+    assert fresh_path == tmp_path / "store" / "db1" / "q003"
     assert fresh.path is None
-    assert store.persist(loaded) == loaded.path == before[3]
+    stored = store.load_trajectories("db1")[0]
+    assert store.persist(loaded, stored) == loaded.path == before[3]
+
+
+def _written_segments(meta: dict) -> list[dict]:
+    """The segments of an entry as writers before the trajectory alone put
+    them in its meta.json."""
+    return [{"phase": seg.phase.value, "header": seg.header, "body": seg.body}
+            for seg in store_module._segments(meta)]
 
 
 def test_older_embedding_key_is_ignored(tmp_path):
@@ -611,7 +607,8 @@ def test_older_embedding_key_is_ignored(tmp_path):
             "question": meta["question"],
             "database_id": "db1",
             "embedding": HashingEmbedder(256).embed(text),
-            **{key: meta[key] for key in ("created_at", "segments")},
+            "created_at": meta["created_at"],
+            "segments": _written_segments(meta),
         }
         (path / "meta.json").write_text(json.dumps(meta, indent=2))
     for query in texts + ["airports per country", "products", "delay", "north orders"]:
@@ -652,7 +649,7 @@ def test_a_persist_removes_only_the_version_it_moved_aside(tmp_path, monkeypatch
     store = MemoryStore(tmp_path / "store")
     store.persist(_entry(), trajectory=_classified_fixture())
     assert removed == []
-    store.persist(_entry(created_at="2026-01-01T00:00:00+00:00"))
+    store.persist(_entry(created_at="2026-01-01T00:00:00+00:00"), _classified_fixture())
     assert [name.startswith(".old-q001-") for name in removed] == [True]
     database_dir = tmp_path / "store" / "sqlite_fixture"
     assert sorted(p.name for p in database_dir.iterdir()) == [".index.jsonl", "q001"]
@@ -1242,10 +1239,7 @@ def test_index_equivalence_under_writes_damage_and_deletion(operations, query):
             if name in ("persist", "delete"):
                 corrupt.discard(entry_dir.name)
             if name == "persist":
-                entry = memory_entry(f"q{number:03d}", "db1", text, StructuredTrajectory(
-                    segments=[store_module.StructuredSegment(Phase.EXPLORATION, text, text)]
-                ))
-                writer.persist(entry)
+                _persist_text(writer, entry_dir.name, text)
             elif name == "corrupt" and entry_dir.is_dir():
                 (entry_dir / "meta.json").write_text('{"question": 5}')
                 corrupt.add(entry_dir.name)
@@ -1270,16 +1264,9 @@ def test_segments_of_an_entry_rewritten_since_its_load_are_not_read(tmp_path):
     _persist_all(tmp_path)
     reader = MemoryStore(tmp_path / "store")
     stale = reader.load_entries("db1")[1]
-    rewritten = memory_entry(
-        "q001",
-        "db1",
-        _TEXTS[1],
-        StructuredTrajectory(
-            segments=[store_module.StructuredSegment(Phase.EXPLORATION, "new", "new body")]
-        ),
-        created_at="2026-02-02T00:00:00+00:00",
-    )
-    MemoryStore(tmp_path / "store").persist(rewritten)
+    steps = _text_steps("new")
+    rewritten = memory_entry("q001", "db1", _TEXTS[1], steps, "2026-02-02T00:00:00+00:00")
+    MemoryStore(tmp_path / "store").persist(rewritten, trajectory(steps, "q001", "db1"))
     # Same question, so only the stamp tells the versions apart: the stale
     # entry's created_at must not be joined to the new version's segments.
     with pytest.raises(StorageError):
@@ -1301,7 +1288,7 @@ def _rewrite_in_the_older_format(root: Path) -> None:
         meta_path = root / "db1" / line["question"]["id"] / "meta.json"
         meta = json.loads(meta_path.read_text())
         meta = {"question": meta["question"], "database_id": "db1",
-                **{key: meta[key] for key in ("created_at", "segments")}}
+                "created_at": meta["created_at"], "segments": _written_segments(meta)}
         meta_path.write_text(json.dumps(meta, ensure_ascii=False) + "\n")
         meta_stat = os.stat(meta_path)
         line = {"question": line["question"], "database_id": "db1",
@@ -1337,7 +1324,7 @@ def test_a_store_in_the_older_format_loads_as_the_same_store(tmp_path):
     # The next write is in the current format; store.json is left as it was.
     path = _persist_text(older_warm, "q004", "orders per month in the north")
     assert sorted(json.loads((path / "meta.json").read_text())) == [
-        "created_at", "question", "segments"
+        "created_at", "question", "trajectory"
     ]
     last = json.loads((tmp_path / "older" / "db1" / ".index.jsonl").read_text().splitlines()[-1])
     assert sorted(last) == ["counts", "created_at", "dimension", "question", "stamp"]
@@ -1396,8 +1383,9 @@ def test_a_stored_trajectory_loads_back_equal_and_rewrites_byte_identical(stored
         assert loaded == stored
         (loaded_entry,) = first.load_entries("sqlite_fixture")
         again = second.persist(loaded_entry, trajectory=loaded)
-        for name in ("meta.json", "full.md"):
-            assert (again / name).read_bytes() == (path / name).read_bytes()
+        assert {p.name: p.read_bytes() for p in again.iterdir()} == {
+            p.name: p.read_bytes() for p in path.iterdir()
+        }
 
 
 _OLDER_ENTRY = Path(__file__).parent / "data" / "older_entry"
@@ -1425,12 +1413,62 @@ def test_an_entry_written_with_every_observation_loads_unchanged(tmp_path):
 
     newer_store = MemoryStore(tmp_path / "newer")
     path = newer_store.persist(entry, trajectory=stored)
-    assert (path / "full.md").read_bytes() == (_OLDER_ENTRY / "full.md").read_bytes()
+    (rendered,) = MemoryStore(tmp_path / "newer").load_entries("flights")
+    full = (_OLDER_ENTRY / "full.md").read_bytes()
+    assert newer_store.load_phase_segment(rendered).encode("utf-8") == full
     newer = (path / "meta.json").read_text(encoding="utf-8")
     assert len(newer) < len(older)
     assert all("observation" not in data for data in json.loads(newer)["trajectory"]["steps"])
     assert MemoryStore(tmp_path / "newer").load_entries("flights") == [entry]
     assert MemoryStore(tmp_path / "newer").load_trajectories("flights") == [stored]
+
+
+# One synthesized entry as each earlier writer stored it (meta.json, full.md
+# and its index line), and what that writer's own reader loaded from it.
+_EARLIER_WRITERS = ["observations_left_out", "segments_left_out", "defaults_left_out"]
+
+
+@pytest.mark.parametrize("index", ["kept", "deleted"])
+@pytest.mark.parametrize("written_by", _EARLIER_WRITERS)
+def test_an_entry_of_each_earlier_writer_loads_as_its_writer_loaded_it(tmp_path, written_by, index):
+    data = Path(__file__).parent / "data" / written_by
+    expected = json.loads((data / "loaded.json").read_text(encoding="utf-8"))
+    database_dir = tmp_path / "store" / "flights"
+    entry_dir = database_dir / expected["question"]["id"]
+    entry_dir.mkdir(parents=True)
+    for name in ("meta.json", "full.md"):
+        shutil.copy(data / name, entry_dir)
+    if index == "kept":
+        shutil.copy(data / "index.jsonl", database_dir / ".index.jsonl")
+        restamp_index_line(entry_dir)
+    store = MemoryStore(tmp_path / "store")
+    (entry,) = store.load_entries("flights")
+    assert store.counts.indexed == (index == "kept")
+    assert (entry.question, entry.created_at) == (
+        Question.from_dict(expected["question"]), expected["created_at"]
+    )
+    assert [
+        {"phase": seg.phase.value, "header": seg.header, "body": seg.body}
+        for seg in entry.structured.segments
+    ] == expected["segments"]
+    assert store.load_phase_segment(entry).encode("utf-8") == (data / "full.md").read_bytes()
+    assert store.load_trajectories("flights") == [Trajectory.from_dict(expected["trajectory"])]
+    assert store.counts.corrupt == 0
+
+
+def test_an_unread_entry_persisted_again_reads_its_segments_from_the_new_version(tmp_path):
+    _persist_all(tmp_path)
+    store = MemoryStore(tmp_path / "store")
+    entry = store.load_entries("db1")[1]
+    assert not entry.structured.loaded
+    store.persist(entry, store.load_trajectories("db1")[1])
+    (kept,) = [e for e in store.load_entries("db1") if e.question.id == "q001"]
+    assert not kept.structured.loaded
+    assert store.read_segments(kept)
+    rendered = memory_entry("q001", "db1", _TEXTS[1], _text_steps(_TEXTS[1])).structured
+    assert kept.structured == rendered
+    # The given entry's segments were never read from the version it replaced.
+    assert not store.read_segments(entry)
 
 
 _LONG_TEXT = "é" * (store_module.DEFAULT_OBSERVATION_LIMIT + 3)
@@ -1475,10 +1513,9 @@ def test_segments_left_out_of_meta_json_load_back_from_the_trajectory(stored):
         (parsed,) = parsing.load_entries("sqlite_fixture")
         (fresh,) = MemoryStore(root).load_entries("sqlite_fixture")
         assert (indexed.counts.indexed, parsing.counts.indexed) == (1, 0)
-        full = (path / "full.md").read_bytes().decode("utf-8")
         for loaded in (from_index, parsed, fresh):
             assert loaded.structured == expected
-            assert loaded.structured.full_document == full
+            assert parsing.load_phase_segment(loaded) == expected.full_document
         (trajectory_,) = MemoryStore(root).load_trajectories("sqlite_fixture")
         again = MemoryStore(Path(tmp) / "again").persist(fresh, trajectory=trajectory_)
         assert (again / "meta.json").read_bytes() == meta
@@ -1522,19 +1559,22 @@ def test_a_trajectory_leaves_out_what_its_reader_fills_in_and_loads_back(stored)
     in_place = all(step_.index == i for i, step_ in enumerate(stored.steps))
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "store"
+        if not in_place:
+            # A step out of place would load as corrupt, so nothing is written.
+            with pytest.raises(StorageError, match="not its position"):
+                MemoryStore(root).persist(entry, trajectory=stored)
+            assert not root.exists()
+            return
         path = MemoryStore(root).persist(entry, trajectory=stored)
         written = json.loads((path / "meta.json").read_text(encoding="utf-8"))["trajectory"]
         assert ("question_id" in written) == (stored.question_id != "q001")
         assert ("database_id" in written) == (stored.database_id != "sqlite_fixture")
-        for i, (data, step_) in enumerate(zip(written["steps"], stored.steps, strict=True)):
-            assert ("index" in data) == (step_.index != i)
+        for data, step_ in zip(written["steps"], stored.steps, strict=True):
+            assert "index" not in data
             assert ("invocations" in data) == bool(step_.invocations)
             assert [("succeeded" in inv, "args" in inv) for inv in data.get("invocations", [])] \
                 == [(not inv.succeeded, bool(inv.args)) for inv in step_.invocations]
-        # A step out of place loads as corrupt, as it did when every field was written.
-        assert MemoryStore(root).load_trajectories("sqlite_fixture") == (
-            [stored] if in_place else []
-        )
+        assert MemoryStore(root).load_trajectories("sqlite_fixture") == [stored]
         indexed = MemoryStore(root)
         (from_index,) = indexed.load_entries("sqlite_fixture")
         assert indexed.read_segments(from_index)

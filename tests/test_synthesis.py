@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from trajmem import cli
 from trajmem.errors import BudgetError, SynthesisError
 from trajmem.fixtures import build_fixture_workspace
 from trajmem.harness import EpisodeConfig
@@ -256,8 +257,10 @@ FIXTURE_FULL_MD_SHA256 = {
 }
 
 
-def test_synthesized_fixture_memory_is_pinned(tmp_path, fixture_workspace):
-    """Questions, headers, full.md and composite names of the fixture synthesis."""
+def test_synthesized_fixture_memory_is_pinned(tmp_path, fixture_workspace, capsysbinary):
+    """Questions, headers, the document ``trajmem show`` prints (the bytes
+    that stores once wrote as ``full.md``) and composite names of the
+    fixture synthesis."""
     store = MemoryStore(tmp_path / "store")
     for database_id, expected_texts in FIXTURE_QUESTIONS_AT_7.items():
         schema = (fixture_workspace.db_dir(database_id) / "schema.sql").read_text(encoding="utf-8")
@@ -270,7 +273,11 @@ def test_synthesized_fixture_memory_is_pinned(tmp_path, fixture_workspace):
             (Phase.EXPLORATION, "Read the external knowledge file."),
             (Phase.EXECUTION, "Attempt an aggregate query for the question."),
         ]
-        digest = hashlib.sha256((first.path / "full.md").read_bytes()).hexdigest()
+        capsysbinary.readouterr()
+        shown = cli.main(["show", "--store", str(store.root), "--db", database_id,
+                          "--id", first.question.id])
+        assert shown == 0
+        digest = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
         assert digest == FIXTURE_FULL_MD_SHA256[database_id]
     corpus = [t for db in store.database_ids() for t in store.load_trajectories(db)]
     assert [c.name for c in mine_composites(corpus, MinerConfig())] == ["get_ext_then_get_ddl"]
