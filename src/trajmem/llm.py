@@ -1,16 +1,19 @@
 """Minimal JSON chat-endpoint client behind ``HttpPolicy`` (``--policy http:``).
 
-``requests`` is imported on first use, by a ``ChatEndpoint`` built without
-an injected ``post`` or when a failure has to be classified, so importing
-the package, and so every CLI command that takes no ``--policy http:``,
-loads no HTTP stack.
+It posts through the standard library's ``urllib.request``, imported on the
+first ``complete``, so importing the package, and so every CLI command that
+takes no ``--policy http:``, loads no HTTP stack. Like every ``urlopen``
+caller it honours the ``HTTP(S)_PROXY`` and ``NO_PROXY`` environment
+variables and verifies HTTPS certificates.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from typing import Any, Callable
+from urllib.parse import urlsplit
 
 from .errors import EndpointError
 
@@ -22,10 +25,12 @@ _BACKOFF_CAP_S = 8.0
 class ChatEndpoint:
     """POSTs chat messages to a JSON endpoint and extracts the reply text.
 
-    The auth token is read from the environment variable named by
-    ``auth_env`` and sent as a bearer header when present. A transient
-    failure is retried up to ``retries`` times after a capped exponential
-    backoff. ``post`` and ``sleep`` are injectable for tests.
+    The URL must be ``http`` or ``https`` and name a host. The auth token is
+    read from the environment variable named by ``auth_env`` and sent as a
+    bearer header when present. ``timeout`` bounds each socket operation,
+    not the whole call. A transient failure (no connection, a timeout, a 5xx
+    status) is retried up to ``retries`` times after a capped exponential
+    backoff; ``sleep`` is injectable for tests.
     """
 
     def __init__(
@@ -35,22 +40,22 @@ class ChatEndpoint:
         auth_env: str = "TRAJMEM_API_KEY",
         timeout: float = 30.0,
         retries: int = 2,
-        post: Callable[..., Any] | None = None,
         sleep: Callable[[float], None] | None = None,
     ) -> None:
+        parts = urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise EndpointError(f"chat endpoint URL is not http(s) with a host: {url!r}")
         self.url = url
         self.model = model
         self.auth_env = auth_env
         self.timeout = timeout
         self.retries = retries
-        if post is None:
-            import requests
-
-            post = requests.post
-        self._post = post
         self._sleep = sleep or time.sleep
 
     def complete(self, prompt: str, system: str | None = None) -> str:
+        from urllib.error import HTTPError
+        from urllib.request import Request, urlopen
+
         messages = []
         if system:
             messages.append({"role": "system", "content": system})
@@ -60,32 +65,23 @@ class ChatEndpoint:
         token = os.environ.get(self.auth_env)
         if token:
             headers["Authorization"] = f"Bearer {token}"
+        request = Request(self.url, json.dumps(payload).encode("utf-8"), headers)
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
             if attempt:
                 self._sleep(min(_BACKOFF_CAP_S, _BACKOFF_BASE_S * 2 ** (attempt - 1)))
             try:
-                response = self._post(
-                    self.url, json=payload, headers=headers, timeout=self.timeout
-                )
-                response.raise_for_status()
-                return _extract_text(response.json())
-            except Exception as exc:  # noqa: BLE001 - only transient failures retried
-                if not _transient(exc):
-                    raise EndpointError(f"chat endpoint {self.url} failed: {exc}") from exc
+                with urlopen(request, timeout=self.timeout) as response:
+                    return _extract_text(json.loads(response.read()))
+            except OSError as exc:  # refused, reset, timed out, or an HTTP error status
+                if isinstance(exc, HTTPError):
+                    exc.close()
+                    if exc.code < 500:
+                        raise EndpointError(f"chat endpoint {self.url} failed: {exc}") from exc
                 last_error = exc
+            except Exception as exc:  # noqa: BLE001 - not JSON, no text, or a bug
+                raise EndpointError(f"chat endpoint {self.url} failed: {exc}") from exc
         raise EndpointError(f"chat endpoint {self.url} failed: {last_error}")
-
-
-def _transient(exc: Exception) -> bool:
-    """Connection failures, timeouts and 5xx responses; a retry may succeed."""
-    import requests
-
-    if isinstance(exc, requests.HTTPError):
-        return exc.response is not None and exc.response.status_code >= 500
-    if isinstance(exc, requests.RequestException):
-        return isinstance(exc, (requests.ConnectionError, requests.Timeout))
-    return isinstance(exc, OSError)
 
 
 def _extract_text(data: Any) -> str:

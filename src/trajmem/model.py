@@ -97,6 +97,15 @@ def render_observation(outputs: Iterable[tuple[str, str]]) -> str:
     return "\n\n".join(f"### {name}\n{output}" for name, output in outputs)
 
 
+# The value that ``ToolInvocation.from_dict`` and ``Step.from_dict`` give
+# each optional field absent from their JSON object; a store may leave out a
+# field that holds it. Read-only: ``from_dict`` copies the containers.
+INVOCATION_DEFAULTS: dict[str, Any] = {"args": {}, "output": "", "succeeded": True}
+STEP_DEFAULTS: dict[str, Any] = {
+    "thought": "", "action_code": "", "invocations": [], "observation": ""
+}
+
+
 @dataclass(slots=True)
 class ToolInvocation:
     """One concrete tool call with its arguments and observed output."""
@@ -118,14 +127,15 @@ class ToolInvocation:
     def from_dict(cls, data: dict[str, Any]) -> "ToolInvocation":
         """An invocation from its JSON object; ``StructuralError`` names a
         field of the wrong type."""
-        args = data.get("args", {})
+        data = {**INVOCATION_DEFAULTS, **data}
+        args = data["args"]
         if type(args) is not dict or not all(type(value) is str for value in args.values()):
             raise StructuralError(f"args are not an object of strings: {args!r}")
         invocation = cls(
             tool_name=data["tool_name"],
             args=dict(args),
-            output=data.get("output", ""),
-            succeeded=data.get("succeeded", True),
+            output=data["output"],
+            succeeded=data["succeeded"],
         )
         check_types(invocation, _INVOCATION_TYPES)
         return invocation
@@ -156,13 +166,14 @@ class Step:
     def from_dict(cls, data: dict[str, Any]) -> "Step":
         """A step from its JSON object; ``StructuralError`` names a field of
         the wrong type (an ``index`` must be an int, not a bool)."""
+        data = {**STEP_DEFAULTS, **data}
         phase = data.get("phase")
         step = cls(
             index=data["index"],
-            thought=data.get("thought", ""),
-            action_code=data.get("action_code", ""),
-            invocations=[ToolInvocation.from_dict(d) for d in data.get("invocations", [])],
-            observation=data.get("observation", ""),
+            thought=data["thought"],
+            action_code=data["action_code"],
+            invocations=[ToolInvocation.from_dict(d) for d in data["invocations"]],
+            observation=data["observation"],
             phase=Phase.parse(phase) if phase else None,
         )
         check_types(step, _STEP_TYPES)

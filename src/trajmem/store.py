@@ -77,12 +77,21 @@ from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 from operator import lt, mul
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Callable, Mapping, Sequence, TypeVar
 
 from .classifier import Segment, segment_trajectory
 from .embedding import DEFAULT_DIMENSION, HashingEmbedder
 from .errors import StorageError, TrajmemError
-from .model import ID_PATTERN, Phase, Question, Step, Trajectory, render_observation
+from .model import (
+    ID_PATTERN,
+    INVOCATION_DEFAULTS,
+    STEP_DEFAULTS,
+    Phase,
+    Question,
+    Step,
+    Trajectory,
+    render_observation,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -596,7 +605,8 @@ class MemoryStore:
         False when the file changed since it was indexed, does not parse, or
         holds no segments and a trajectory that cannot render them. The
         entry is then dropped from the cache, so the next
-        ``load_entries`` parses it in full.
+        ``load_entries`` parses it in full; a newer version that ``persist``
+        cached in its place stays.
         """
         if entry.structured.loaded:
             return True
@@ -608,7 +618,9 @@ class MemoryStore:
         except StorageError as exc:
             logger.warning("%s", exc)
         with self._entries_lock:
-            self._entries.get(entry.database_id, {}).pop(entry.path.name, None)
+            cached = self._entries.get(entry.database_id, {})
+            if cached.get(entry.path.name, (None, None))[1] is entry:
+                del cached[entry.path.name]
         return False
 
     def load_trajectories(self, database_id: str) -> list[Trajectory]:
@@ -828,16 +840,15 @@ def _rendered(step: Step) -> str:
     )
 
 
-# A stored step's and invocation's fields, each with the value that
-# ``from_dict`` gives it when it is absent. A stored step always has a phase.
-_STEP_DEFAULTS = (("thought", ""), ("action_code", ""), ("invocations", []))
-_INVOCATION_DEFAULTS = (("args", {}), ("output", ""), ("succeeded", True))
+# The fields left out of a stored step when they hold their ``from_dict``
+# default; a step's observation has its own rule (``_rendered``).
+_STEP_DEFAULTS = {k: v for k, v in STEP_DEFAULTS.items() if k != "observation"}
 
 
-def _leave_out(data: dict[str, Any], filled: Sequence[tuple[str, Any]]) -> None:
+def _leave_out(data: dict[str, Any], filled: Mapping[str, Any]) -> None:
     """Delete each field of ``data`` that holds exactly the value its reader
     fills in: an equal value of the same type."""
-    for key, value in filled:
+    for key, value in filled.items():
         if type(data[key]) is type(value) and data[key] == value:
             del data[key]
 
@@ -850,13 +861,13 @@ def _written_trajectory(trajectory: Trajectory, question: Question) -> dict[str,
     invocations rebuild it, and any other step or invocation field that
     holds its ``from_dict`` default."""
     raw = trajectory.to_dict()
-    _leave_out(raw, (("question_id", question.id), ("database_id", question.database_id)))
+    _leave_out(raw, {"question_id": question.id, "database_id": question.database_id})
     for step, data in zip(trajectory.steps, raw["steps"]):
         del data["index"]
         if step.observation == _rendered(step):
             del data["observation"]
         for invocation in data["invocations"]:
-            _leave_out(invocation, _INVOCATION_DEFAULTS)
+            _leave_out(invocation, INVOCATION_DEFAULTS)
         _leave_out(data, _STEP_DEFAULTS)
     return raw
 

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+import socket
+import threading
+from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Iterator, Sequence
 
 from trajmem.model import Phase, Question, Step, ToolInvocation, Trajectory, append_step
 from trajmem.store import MemoryEntry, structure_trajectory
@@ -115,3 +119,62 @@ def break_segments(entry_dir: Path, damage: str) -> None:
     assert "segments" not in meta
     _UNRENDERABLE[damage](meta)
     (entry_dir / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+
+
+class _LoopbackServer(ThreadingHTTPServer):
+    # Join each handler thread on close, so none outlives its test.
+    daemon_threads = False
+
+
+@contextmanager
+def chat_server(*replies: Any) -> Iterator[tuple[str, list[dict[str, Any]]]]:
+    """Serve chat POSTs on 127.0.0.1 while the block runs; yield its URL and
+    the list of POSTs it received, each as its headers and JSON body.
+
+    The POSTs get the replies in turn, cycling: a ``(status, body)`` pair,
+    or ``(status, body, headers)``, where a body that is not bytes is sent as
+    JSON; or ``None`` to answer nothing until the block exits."""
+    posts: list[dict[str, Any]] = []
+    stop = threading.Event()
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self) -> None:
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            posts.append({"headers": dict(self.headers), "json": body})
+            reply = replies[(len(posts) - 1) % len(replies)]
+            if reply is None:
+                stop.wait()
+                return
+            status, payload, *headers = reply
+            if not isinstance(payload, bytes):
+                payload = json.dumps(payload).encode("utf-8")
+            self.send_response(status)
+            for name, value in {"Content-Type": "application/json", **dict(*headers)}.items():
+                self.send_header(name, value)
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, format: str, *args: Any) -> None:
+            pass
+
+    server = _LoopbackServer(("127.0.0.1", 0), Handler)
+    # A short poll interval, so that shutdown returns at once.
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,))
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/chat", posts
+    finally:
+        stop.set()
+        server.shutdown()
+        thread.join()
+        server.server_close()
+
+
+def refused_url() -> str:
+    """A loopback URL whose port was free a moment ago, so connecting to it
+    is refused."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    return f"http://127.0.0.1:{port}/chat"

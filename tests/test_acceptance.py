@@ -279,10 +279,6 @@ def _forbid_network(monkeypatch):
         raise AssertionError("network access attempted during desk-scale run")
 
     monkeypatch.setattr(socket, "create_connection", refuse)
-    import requests
-
-    monkeypatch.setattr(requests, "post", refuse)
-    monkeypatch.setattr(requests, "get", refuse)
 
 
 def _run_pipeline(base: Path) -> dict:

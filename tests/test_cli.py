@@ -10,7 +10,7 @@ from trajmem.errors import TrajmemError
 from trajmem.model import Phase, count_tokens
 from trajmem.store import MemoryStore
 
-from helpers import UNRENDERABLE, break_segments, restamp_index_line
+from helpers import UNRENDERABLE, break_segments, chat_server, restamp_index_line
 
 
 @pytest.fixture()
@@ -234,6 +234,55 @@ def test_unknown_policy_spec_exits_nonzero(pipeline_dirs, tmp_path, capsys):
     code = _run(ws, store, manifest, tmp_path / "runs", "--policy", "carrier-pigeon")
     assert code == 2
     assert "unknown policy spec" in capsys.readouterr().err
+
+
+def test_an_http_policy_without_a_host_exits_2_before_any_episode(tmp_path, capsys):
+    assert _run_without_memory(tmp_path, "--policy", "http:///chat") == 2
+    assert "not http(s) with a host" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def _records(run):
+    """A run's records by file name, latency aside."""
+    found = {}
+    for path in sorted((run / "records").glob("*.json")):
+        record = json.loads(path.read_text())
+        record.pop("wall_time_ms")
+        found[path.name] = record
+    return found
+
+
+def test_an_http_policy_run_posts_to_the_endpoint_and_replays_without_it(
+    tmp_path, monkeypatch
+):
+    ws = tmp_path / "ws"
+    assert main(["fixtures", "--out", str(ws)]) == 0
+    config = tmp_path / "conf"
+    config.write_text("chat_model = m1\nchat_auth_env = TRAJMEM_TEST_TOKEN\n")
+    monkeypatch.setenv("TRAJMEM_TEST_TOKEN", "tok")
+    script = tmp_path / "recorded.json"
+
+    def run(out, policy, *flags):
+        return main(["--config", str(config), "run", "--questions", str(ws / "questions.jsonl"),
+                     "--workspace", str(ws), "--out", str(tmp_path / out), "--no-memory",
+                     "--policy", policy, *flags])
+
+    action = 'Thought: probe\nAction:\nsql_execute(query="SELECT 1")'
+    with chat_server(
+        (200, {"choices": [{"message": {"content": action}}]}),
+        (200, {"choices": [{"message": {"content": "Final Answer: 42"}}]}),
+    ) as (url, posts):
+        assert run("live", url) == 0
+        assert run("recorded", url, "--record", str(script)) == 0
+    questions = len((ws / "questions.jsonl").read_text().splitlines())
+    live = _records(tmp_path / "live")
+    assert len(live) == questions
+    assert all((r["steps"], r["answer_rows"]) == (2, [[1]]) for r in live.values())
+    assert len(posts) == 2 * 2 * questions
+    assert {post["json"]["model"] for post in posts} == {"m1"}
+    assert {post["headers"]["Authorization"] for post in posts} == {"Bearer tok"}
+    assert run("replayed", f"replay:{script}") == 0
+    assert _records(tmp_path / "replayed") == _records(tmp_path / "recorded") == live
 
 
 def test_run_json_output(pipeline_dirs, tmp_path, capsys):

@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from trajmem.errors import StateError
-from trajmem.llm import ChatEndpoint
 from trajmem.model import Question, Step, ToolSpec
 from trajmem.policies import (
     BOOTSTRAP_COMPOSITE,
@@ -187,25 +186,18 @@ def test_explorer_policy_flow():
 # -- http policy --------------------------------------------------------------------
 
 
-class _FakeResponse:
-    def __init__(self, text):
-        self._text = text
+class _Endpoint:
+    """Stands in for a ``ChatEndpoint`` that always replies ``reply``."""
 
-    def raise_for_status(self):
-        return None
+    def __init__(self, reply):
+        self.reply = reply
 
-    def json(self):
-        return {"choices": [{"message": {"content": self._text}}]}
-
-
-def _endpoint(reply):
-    return ChatEndpoint(
-        "http://fake", post=lambda url, json=None, headers=None, timeout=None: _FakeResponse(reply)
-    )
+    def complete(self, prompt, system=None):
+        return self.reply
 
 
 def test_http_policy_parses_thought_action():
-    policy = HttpPolicy(_endpoint('Thought: probe first\nAction:\nsql_execute(query="SELECT 1")'))
+    policy = HttpPolicy(_Endpoint('Thought: probe first\nAction:\nsql_execute(query="SELECT 1")'))
     decision = policy.next_action(Transcript(question=QUESTION), BASE_TOOLS)
     assert decision.final_answer is None
     assert decision.thought == "probe first"
@@ -213,11 +205,11 @@ def test_http_policy_parses_thought_action():
 
 
 def test_http_policy_parses_final_answer():
-    policy = HttpPolicy(_endpoint("Final Answer: 42 rows"))
+    policy = HttpPolicy(_Endpoint("Final Answer: 42 rows"))
     decision = policy.next_action(Transcript(question=QUESTION), BASE_TOOLS)
     assert decision.final_answer == "42 rows"
 
 
 def test_http_policy_refines_sql():
-    policy = HttpPolicy(_endpoint("SELECT fixed FROM t"))
+    policy = HttpPolicy(_Endpoint("SELECT fixed FROM t"))
     assert policy.refine_sql("SELECT broken FROM t", "err") == "SELECT fixed FROM t"

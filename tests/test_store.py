@@ -1471,6 +1471,18 @@ def test_an_unread_entry_persisted_again_reads_its_segments_from_the_new_version
     assert not store.read_segments(entry)
 
 
+def test_a_failed_read_of_a_stale_entry_keeps_the_newer_version_cached(tmp_path):
+    _persist_all(tmp_path)
+    store = MemoryStore(tmp_path / "store")
+    stale = store.load_entries("db1")[1]
+    store.persist(stale, store.load_trajectories("db1")[1])
+    assert not store.read_segments(stale)
+    parsed = store.counts.parsed
+    (kept,) = [e for e in store.load_entries("db1") if e.question.id == "q001"]
+    assert kept is not stale
+    assert store.counts.parsed == parsed
+
+
 _LONG_TEXT = "é" * (store_module.DEFAULT_OBSERVATION_LIMIT + 3)
 
 
