@@ -2,9 +2,11 @@
 
 It posts through the standard library's ``urllib.request``, imported on the
 first ``complete``, so importing the package, and so every CLI command that
-takes no ``--policy http:``, loads no HTTP stack. Like every ``urlopen``
-caller it honours the ``HTTP(S)_PROXY`` and ``NO_PROXY`` environment
-variables and verifies HTTPS certificates.
+takes no ``--policy http:``, loads no HTTP stack. Like ``urlopen`` it honours
+the ``HTTP(S)_PROXY`` and ``NO_PROXY`` environment variables and verifies
+HTTPS certificates against the system store (``SSL_CERT_FILE`` names another
+CA bundle). Unlike ``urlopen`` it follows no redirect: a 3xx reply is an
+``EndpointError``, so the bearer token is sent only to the configured URL.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ class ChatEndpoint:
     The URL must be ``http`` or ``https`` and name a host. The auth token is
     read from the environment variable named by ``auth_env`` and sent as a
     bearer header when present. ``timeout`` bounds each socket operation,
-    not the whole call. A transient failure (no connection, a timeout, a 5xx
-    status) is retried up to ``retries`` times after a capped exponential
+    not the whole call. A transient failure (no connection, a dropped or
+    garbled reply, a timeout, a 5xx status) is retried up to ``retries`` times after a capped exponential
     backoff; ``sleep`` is injectable for tests.
     """
 
@@ -53,12 +55,15 @@ class ChatEndpoint:
         self._sleep = sleep or time.sleep
 
     def complete(self, prompt: str, system: str | None = None) -> str:
+        from http.client import HTTPException
         from urllib.error import HTTPError
-        from urllib.request import Request, urlopen
+        from urllib.request import HTTPRedirectHandler, Request, build_opener
 
-        messages = []
-        if system:
-            messages.append({"role": "system", "content": system})
+        class RefuseRedirects(HTTPRedirectHandler):
+            def redirect_request(self, *args: Any) -> None:  # so a 3xx is an HTTPError
+                return None
+
+        messages = [{"role": "system", "content": system}] if system else []
         messages.append({"role": "user", "content": prompt})
         payload = {"model": self.model, "messages": messages}
         headers = {"Content-Type": "application/json"}
@@ -71,9 +76,10 @@ class ChatEndpoint:
             if attempt:
                 self._sleep(min(_BACKOFF_CAP_S, _BACKOFF_BASE_S * 2 ** (attempt - 1)))
             try:
-                with urlopen(request, timeout=self.timeout) as response:
+                with build_opener(RefuseRedirects).open(request, timeout=self.timeout) as response:
                     return _extract_text(json.loads(response.read()))
-            except OSError as exc:  # refused, reset, timed out, or an HTTP error status
+            # Refused, reset, timed out, a garbled reply, or an HTTP error status.
+            except (OSError, HTTPException) as exc:
                 if isinstance(exc, HTTPError):
                     exc.close()
                     if exc.code < 500:

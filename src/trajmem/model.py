@@ -127,15 +127,14 @@ class ToolInvocation:
     def from_dict(cls, data: dict[str, Any]) -> "ToolInvocation":
         """An invocation from its JSON object; ``StructuralError`` names a
         field of the wrong type."""
-        data = {**INVOCATION_DEFAULTS, **data}
-        args = data["args"]
+        args = data.get("args", INVOCATION_DEFAULTS["args"])
         if type(args) is not dict or not all(type(value) is str for value in args.values()):
             raise StructuralError(f"args are not an object of strings: {args!r}")
         invocation = cls(
             tool_name=data["tool_name"],
             args=dict(args),
-            output=data["output"],
-            succeeded=data["succeeded"],
+            output=data.get("output", INVOCATION_DEFAULTS["output"]),
+            succeeded=data.get("succeeded", INVOCATION_DEFAULTS["succeeded"]),
         )
         check_types(invocation, _INVOCATION_TYPES)
         return invocation
@@ -166,14 +165,16 @@ class Step:
     def from_dict(cls, data: dict[str, Any]) -> "Step":
         """A step from its JSON object; ``StructuralError`` names a field of
         the wrong type (an ``index`` must be an int, not a bool)."""
-        data = {**STEP_DEFAULTS, **data}
         phase = data.get("phase")
         step = cls(
             index=data["index"],
-            thought=data["thought"],
-            action_code=data["action_code"],
-            invocations=[ToolInvocation.from_dict(d) for d in data["invocations"]],
-            observation=data["observation"],
+            thought=data.get("thought", STEP_DEFAULTS["thought"]),
+            action_code=data.get("action_code", STEP_DEFAULTS["action_code"]),
+            invocations=[
+                ToolInvocation.from_dict(d)
+                for d in data.get("invocations", STEP_DEFAULTS["invocations"])
+            ],
+            observation=data.get("observation", STEP_DEFAULTS["observation"]),
             phase=Phase.parse(phase) if phase else None,
         )
         check_types(step, _STEP_TYPES)

@@ -128,22 +128,32 @@ class _LoopbackServer(ThreadingHTTPServer):
 
 @contextmanager
 def chat_server(*replies: Any) -> Iterator[tuple[str, list[dict[str, Any]]]]:
-    """Serve chat POSTs on 127.0.0.1 while the block runs; yield its URL and
-    the list of POSTs it received, each as its headers and JSON body.
+    """Serve chat POSTs (and any GET) on 127.0.0.1 while the block runs;
+    yield its URL and the list of calls it received, each as its method,
+    headers and JSON body (``None`` when it has none).
 
-    The POSTs get the replies in turn, cycling: a ``(status, body)`` pair,
-    or ``(status, body, headers)``, where a body that is not bytes is sent as
-    JSON; or ``None`` to answer nothing until the block exits."""
+    The calls get the replies in turn, cycling: a ``(status, body)``
+    pair, or ``(status, body, headers)``, where a body that is not bytes is
+    sent as JSON; bytes, written as the whole response; or ``None`` to answer
+    nothing until the block exits."""
     posts: list[dict[str, Any]] = []
     stop = threading.Event()
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self) -> None:
-            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-            posts.append({"headers": dict(self.headers), "json": body})
+            body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            posts.append({
+                "method": self.command,
+                "headers": dict(self.headers),
+                "json": json.loads(body) if body else None,
+            })
             reply = replies[(len(posts) - 1) % len(replies)]
             if reply is None:
                 stop.wait()
+                return
+            if isinstance(reply, bytes):
+                self.wfile.write(reply)
+                self.close_connection = True
                 return
             status, payload, *headers = reply
             if not isinstance(payload, bytes):
@@ -154,6 +164,8 @@ def chat_server(*replies: Any) -> Iterator[tuple[str, list[dict[str, Any]]]]:
             self.send_header("Content-Length", str(len(payload)))
             self.end_headers()
             self.wfile.write(payload)
+
+        do_GET = do_POST
 
         def log_message(self, format: str, *args: Any) -> None:
             pass

@@ -76,6 +76,17 @@ def test_chat_endpoint_retries_transient_failures(reply):
     assert attempts == len(posts) == 3
 
 
+@pytest.mark.parametrize(
+    "reply",
+    [b"garbage\r\n\r\n", b"HTTP/1.1 abc Broken\r\n\r\n", b""],
+    ids=["no-status-line", "bad-status-code", "closed-without-reply"],
+)
+def test_chat_endpoint_retries_a_garbled_or_dropped_reply(reply):
+    with chat_server(reply) as (url, posts):
+        attempts, _ = _failed_attempts(url)
+    assert attempts == len(posts) == 3
+
+
 def test_chat_endpoint_retries_a_refused_connection_then_raises():
     assert _failed_attempts(refused_url())[0] == 3
 
@@ -92,14 +103,13 @@ def test_chat_endpoint_recovers_after_server_error():
         (400, {"error": "bad"}),
         (401, {"error": "unauthorized"}),
         (404, b"not found"),
-        (307, b"", {"Location": "/elsewhere"}),
         (200, {"weird": True}),
         (200, {"choices": ["not an object"]}),
         (200, b"<html>not json</html>"),
         (200, b"\xff\xfe"),
     ],
     ids=[
-        "http-400", "http-401", "http-404", "redirect-307", "no-text", "bad-choice",
+        "http-400", "http-401", "http-404", "no-text", "bad-choice",
         "not-json", "not-utf8",
     ],
 )
@@ -113,8 +123,18 @@ def test_chat_endpoint_does_not_retry_an_unexpected_error(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("bug in transport")
 
-    monkeypatch.setattr(urllib.request, "urlopen", broken)
+    monkeypatch.setattr(urllib.request.OpenerDirector, "open", broken)
     assert _failed_attempts("http://127.0.0.1/chat")[0] == 1
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_chat_endpoint_follows_no_redirect(monkeypatch, status):
+    monkeypatch.setenv("TRAJMEM_API_KEY", "secret-token")
+    with chat_server((200, {"content": "elsewhere"})) as (elsewhere, followed):
+        with chat_server((status, b"", {"Location": elsewhere})) as (url, posts):
+            attempts, _ = _failed_attempts(url)
+    assert attempts == len(posts) == 1
+    assert followed == []
 
 
 @pytest.mark.parametrize(
