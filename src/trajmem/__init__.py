@@ -36,10 +36,8 @@ from .harness import (
 )
 from .metrics import (
     RunRecord,
-    StageComposition,
     execution_accuracy,
     report,
-    stage_composition,
 )
 from .mining import (
     MinedComposite,

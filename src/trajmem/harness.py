@@ -22,7 +22,17 @@ from .classifier import classify_trajectory
 from .errors import ConfigurationError
 from .metrics import RunRecord, execution_accuracy
 from .mining import MinedComposite, build_composite_tool, load_manifest
-from .model import Phase, Question, Step, ToolParam, ToolSpec, Trajectory, append_step
+from .model import (
+    Fields,
+    Phase,
+    Question,
+    Step,
+    ToolParam,
+    ToolSpec,
+    Trajectory,
+    append_step,
+    read_fields,
+)
 from .policies import Policy, QuestionScript, ScriptedPolicy, Transcript
 from .retrieval import select_trajectory
 from .store import MemoryEntry, MemoryStore
@@ -209,6 +219,13 @@ def run_episode(
 # -- batched runs -------------------------------------------------------------------
 
 
+# A questions-file line's fields besides its question's.
+_LINE_FIELDS: Fields = {
+    "gold_csv": (None, (str, type(None)), "a string or null"),
+    "script": (None, (dict, type(None)), "an object or null"),
+}
+
+
 @dataclass
 class QuestionRecord:
     """One line of a questions file: the question plus optional script and gold."""
@@ -238,11 +255,7 @@ def load_questions_file(path: str | Path) -> list[QuestionRecord]:
             if question.id in seen:
                 raise ConfigurationError(f"duplicate question id {question.id!r}")
             seen.add(question.id)
-            gold_csv, script = data.get("gold_csv"), data.get("script")
-            if gold_csv is not None and not isinstance(gold_csv, str):
-                raise ConfigurationError(f"gold_csv is not a string: {gold_csv!r}")
-            if script is not None and not isinstance(script, dict):
-                raise ConfigurationError(f"script is not an object: {script!r}")
+            gold_csv, script = read_fields(data, _LINE_FIELDS, ConfigurationError)
             record = QuestionRecord(
                 question, QuestionScript.from_dict(script) if script else None, gold_csv
             )

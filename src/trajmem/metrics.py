@@ -1,35 +1,34 @@
-"""Run records, execution accuracy, stage composition, and the report table."""
+"""Run records, execution accuracy, and the report table."""
 
 from __future__ import annotations
 
 import functools
 import json
 import math
-import statistics
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
 from .errors import ConfigurationError, StructuralError
-from .model import Phase, Trajectory, check_types
+from .model import REQUIRED, Fields, Trajectory, holding, read_fields
 
 _REL_TOL = 1e-6
 _ABS_TOL = 1e-9
 _MAX_COLUMN_ORDERS = 40_320  # 8!: whole column orders tried before EX scores False
 
 
-# The exact types each field of a run record read back may hold.
-_RECORD_TYPES = (
-    ("question_id", (str,)),
-    ("database_id", (str,)),
-    ("steps", (int,)),
-    ("input_tokens", (int,)),
-    ("output_tokens", (int,)),
-    ("wall_time_ms", (int,)),
-    ("answer_rows", (list, type(None))),
-    ("correct", (bool, type(None))),
-)
+_RECORD_FIELDS: Fields = {
+    "question_id": (REQUIRED, (str,), "a string"),
+    "database_id": (REQUIRED, (str,), "a string"),
+    "steps": (REQUIRED, (int,), "an int"),
+    "input_tokens": (REQUIRED, (int,), "an int"),
+    "output_tokens": (REQUIRED, (int,), "an int"),
+    "wall_time_ms": (REQUIRED, (int,), "an int"),
+    "phase_counts": ({}, holding(dict, int), "an object of ints"),
+    "answer_rows": (None, (list, type(None)), "a list or null"),
+    "correct": (None, (bool, type(None)), "a bool or null"),
+}
 
 
 @dataclass
@@ -60,28 +59,13 @@ class RunRecord:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "RunRecord":
-        """A record from its JSON object; ``StructuralError`` names a field of
-        the wrong type (a count must be an int, not a bool or a string, and
-        ``correct`` a bool or null, as the string "false" would count as a
-        correct answer)."""
-        phase_counts = data.get("phase_counts", {})
-        if type(phase_counts) is not dict or not all(
-            type(count) is int for count in phase_counts.values()
-        ):
-            raise StructuralError(f"phase_counts are not an object of ints: {phase_counts!r}")
-        record = cls(
-            question_id=data["question_id"],
-            database_id=data["database_id"],
-            steps=data["steps"],
-            input_tokens=data["input_tokens"],
-            output_tokens=data["output_tokens"],
-            wall_time_ms=data["wall_time_ms"],
-            phase_counts=dict(phase_counts),
-            answer_rows=data.get("answer_rows"),
-            correct=data.get("correct"),
-        )
-        check_types(record, _RECORD_TYPES)
+    def from_dict(cls, data: Any) -> "RunRecord":
+        """A record from its JSON object; ``StructuralError`` names a field
+        that is missing or of the wrong type (a count must be an int, not a
+        bool or a string, and ``correct`` a bool or null, as the string
+        "false" would count as a correct answer)."""
+        record = cls(*read_fields(data, _RECORD_FIELDS, StructuralError))
+        record.phase_counts = dict(record.phase_counts)
         return record
 
     @classmethod
@@ -126,7 +110,7 @@ def load_run_records(run_dir: str | Path) -> list[RunRecord]:
     for path in sorted(records_dir.glob("*.json")):
         try:
             records.append(RunRecord.from_dict(json.loads(path.read_text(encoding="utf-8"))))
-        except (ValueError, LookupError, TypeError, AttributeError, StructuralError) as exc:
+        except (ValueError, StructuralError) as exc:
             raise ConfigurationError(f"run record {path} is malformed: {exc!r}") from exc
     return records
 
@@ -293,38 +277,6 @@ def _column_orders(
             placed[placed.index(column)], placed[j] = None, column
             if _augment(order[j], lambda item, index: index > j and fit(item, index), placed):
                 yield from _column_orders(fit, placed, j + 1)
-
-
-# -- stage composition -----------------------------------------------------------
-
-
-@dataclass
-class StageComposition:
-    """Per-run phase step counts and per-phase medians across runs."""
-
-    per_run: dict[str, dict[str, int]]
-    medians: dict[str, float]
-
-
-def stage_composition(records: Sequence[RunRecord]) -> StageComposition:
-    if not records:
-        return StageComposition(per_run={}, medians={})
-    per_run: dict[str, dict[str, int]] = {}
-    for record in records:
-        counts = {phase.value: record.phase_counts.get(phase.value, 0) for phase in Phase}
-        if sum(counts.values()) != record.steps:
-            raise StructuralError(
-                f"phase counts for {record.question_id!r} sum to "
-                f"{sum(counts.values())}, not {record.steps}"
-            )
-        per_run[record.question_id] = counts
-    medians = {
-        phase.value: float(
-            statistics.median(counts[phase.value] for counts in per_run.values())
-        )
-        for phase in Phase
-    }
-    return StageComposition(per_run=per_run, medians=medians)
 
 
 # -- report ----------------------------------------------------------------------

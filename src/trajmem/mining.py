@@ -17,7 +17,17 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .errors import ConfigurationError, StateError, ToolError
-from .model import Phase, ToolParam, ToolSpec, Trajectory, render_observation
+from .model import (
+    REQUIRED,
+    Fields,
+    Phase,
+    ToolParam,
+    ToolSpec,
+    Trajectory,
+    holding,
+    read_fields,
+    render_observation,
+)
 from .tools import EpisodeContext, Tool, ToolRegistry
 
 
@@ -190,11 +200,13 @@ def export_manifest(composites: Sequence[MinedComposite], path: str | Path) -> P
     return target
 
 
-# A manifest composite's fields, each with the JSON type it must have; the
-# tools are checked apart. A bool is not taken for a number.
-_MANIFEST_FIELDS = {
-    "name": str, "description": str, "phase": str, "support_count": int,
-    "support_ratio": (int, float),
+_COMPOSITE_FIELDS: Fields = {
+    "name": (REQUIRED, (str,), "a string"),
+    "description": ("", (str,), "a string"),
+    "tools": (REQUIRED, holding(list, str), "a list of tool names"),
+    "phase": (REQUIRED, (str,), "a phase name"),
+    "support_count": (REQUIRED, (int,), "an int"),
+    "support_ratio": (REQUIRED, (int, float), "a number"),
 }
 
 
@@ -207,38 +219,23 @@ def load_manifest(path: str | Path) -> list[MinedComposite]:
     unknown phase or lists fewer than two tools. ``description`` may be left
     out.
     """
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    raw_composites = data.get("composites", []) if isinstance(data, dict) else None
-    if not isinstance(raw_composites, list):
-        raise ConfigurationError(
-            f"manifest {path} is not a JSON object with a list of composites"
-        )
+    (raw_composites,) = read_fields(
+        json.loads(Path(path).read_text(encoding="utf-8")),
+        {"composites": ([], (list,), "a list")},
+        lambda message: ConfigurationError(f"manifest {path}: {message}"),
+    )
     composites = []
     for position, raw in enumerate(raw_composites):
         where = f"manifest {path}, composite {position}"
-        if not isinstance(raw, dict):
-            raise ConfigurationError(f"{where} is not a JSON object")
-        raw = {"description": "", **raw}
-        for key, kind in _MANIFEST_FIELDS.items():
-            if isinstance(raw.get(key), bool) or not isinstance(raw.get(key), kind):
-                raise ConfigurationError(f"{where}: {key!r} is missing or of the wrong type")
-        tools = raw.get("tools")
-        if not (
-            isinstance(tools, list) and len(tools) >= 2 and all(isinstance(t, str) for t in tools)
-        ):
-            raise ConfigurationError(f"{where}: 'tools' is not a list of two or more tool names")
+        name, description, tools, phase, support_count, support_ratio = read_fields(
+            raw, _COMPOSITE_FIELDS, lambda message: ConfigurationError(f"{where}: {message}")
+        )
         try:
-            phase = Phase.parse(raw["phase"])
+            sequence = ToolSequence(tools=tuple(tools), phase=Phase.parse(phase))
         except ValueError as exc:
             raise ConfigurationError(f"{where}: {exc}") from None
         composites.append(
-            MinedComposite(
-                sequence=ToolSequence(tools=tuple(tools), phase=phase),
-                support_count=raw["support_count"],
-                support_ratio=float(raw["support_ratio"]),
-                name=raw["name"],
-                description=raw["description"],
-            )
+            MinedComposite(sequence, support_count, float(support_ratio), name, description)
         )
     return composites
 

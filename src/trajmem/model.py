@@ -4,6 +4,10 @@ A trajectory is the full ordered record of one agent episode: per step a
 thought, the emitted action code, the tool invocations parsed from it, and
 the resulting observation. Token counters are maintained on append so that
 episode cost can be reported without a model-specific tokenizer.
+
+``read_fields`` is the one checker of JSON objects read from outside the
+program (stored trajectories, questions-file lines, scripts, replay files,
+manifests and run records): each reader gives it a table of its fields.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, Mapping
 
 from .errors import ConfigurationError, StructuralError
 
@@ -64,30 +68,43 @@ class ToolSpec:
             raise StructuralError(f"duplicate parameter names in tool spec {self.name!r}")
 
 
-# The exact types each field of a stored invocation, step and trajectory may
-# hold, so a bool is no int and the JSON string "false" is no bool.
-_INVOCATION_TYPES = (("tool_name", (str,)), ("output", (str,)), ("succeeded", (bool,)))
-_STEP_TYPES = (
-    ("index", (int,)), ("thought", (str,)), ("action_code", (str,)), ("observation", (str,))
-)
-_TRAJECTORY_TYPES = (
-    ("question_id", (str,)),
-    ("database_id", (str,)),
-    ("final_answer", (str, type(None))),
-    ("input_tokens", (int,)),
-    ("output_tokens", (int,)),
-    ("wall_time_ms", (int,)),
-)
+# A field table maps each field name of a JSON object to its default
+# (``REQUIRED`` when it must be given), then the exact types its value may
+# have (so a bool is no int and the string "false" no bool) or a function
+# that checks it, then what the value must be, as an error names it.
+REQUIRED: Any = object()
+Fields = Mapping[str, tuple[Any, tuple[type, ...] | Callable[[Any], bool], str]]
 
 
-def check_types(value: Any, types: tuple[tuple[str, tuple[type, ...]], ...]) -> None:
-    """Raise ``StructuralError`` naming the first field of ``value`` whose
-    type is not exactly one of its types."""
-    for name, kinds in types:
-        field_value = getattr(value, name)
-        if type(field_value) not in kinds:
-            expected = " or ".join(kind.__name__ for kind in kinds)
-            raise StructuralError(f"{name} is not {expected}: {field_value!r}")
+def read_fields(data: Any, fields: Fields, error: Callable[[str], Exception]) -> list[Any]:
+    """The value of each field of ``fields`` in the JSON object ``data``, in
+    table order, an absent field's being its default (shared: copy a
+    container before changing it). Raises ``error(message)`` naming the
+    first field that is missing or wrong, or saying that ``data`` is not a
+    JSON object."""
+    if type(data) is not dict:
+        raise error(f"not a JSON object: {data!r}")
+    values = []
+    for name, (default, valid, expected) in fields.items():
+        value = data.get(name, default)
+        if value is REQUIRED:
+            raise error(f"{name} is missing")
+        if (type(value) not in valid) if type(valid) is tuple else not valid(value):
+            raise error(f"{name} is not {expected}: {value!r}")
+        values.append(value)
+    return values
+
+
+def holding(container: type, kind: type) -> Callable[[Any], bool]:
+    """A field check: the value is exactly a ``container``, ``list`` or
+    ``dict``, whose items (a dict's values) are each exactly a ``kind``."""
+    if container is dict:
+        return lambda value: type(value) is dict and all(type(v) is kind for v in value.values())
+    return lambda value: type(value) is list and all(type(v) is kind for v in value)
+
+
+def _is_id(value: Any) -> bool:
+    return type(value) is str and ID_PATTERN.fullmatch(value) is not None
 
 
 def render_observation(outputs: Iterable[tuple[str, str]]) -> str:
@@ -97,13 +114,26 @@ def render_observation(outputs: Iterable[tuple[str, str]]) -> str:
     return "\n\n".join(f"### {name}\n{output}" for name, output in outputs)
 
 
+_INVOCATION_FIELDS: Fields = {
+    "tool_name": (REQUIRED, (str,), "a string"),
+    "args": ({}, holding(dict, str), "an object of strings"),
+    "output": ("", (str,), "a string"),
+    "succeeded": (True, (bool,), "a bool"),
+}
+_STEP_FIELDS: Fields = {
+    "index": (REQUIRED, (int,), "an int"),
+    "thought": ("", (str,), "a string"),
+    "action_code": ("", (str,), "a string"),
+    "invocations": ([], (list,), "a list"),
+    "observation": ("", (str,), "a string"),
+    "phase": (None, (str, type(None)), "a phase name or null"),
+}
 # The value that ``ToolInvocation.from_dict`` and ``Step.from_dict`` give
 # each optional field absent from their JSON object; a store may leave out a
-# field that holds it. Read-only: ``from_dict`` copies the containers.
-INVOCATION_DEFAULTS: dict[str, Any] = {"args": {}, "output": "", "succeeded": True}
-STEP_DEFAULTS: dict[str, Any] = {
-    "thought": "", "action_code": "", "invocations": [], "observation": ""
-}
+# field that holds it. A stored step always has a phase. Read-only:
+# ``from_dict`` copies the containers.
+INVOCATION_DEFAULTS = {k: v[0] for k, v in _INVOCATION_FIELDS.items() if k != "tool_name"}
+STEP_DEFAULTS = {k: v[0] for k, v in _STEP_FIELDS.items() if k not in ("index", "phase")}
 
 
 @dataclass(slots=True)
@@ -124,20 +154,11 @@ class ToolInvocation:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ToolInvocation":
+    def from_dict(cls, data: Any) -> "ToolInvocation":
         """An invocation from its JSON object; ``StructuralError`` names a
-        field of the wrong type."""
-        args = data.get("args", INVOCATION_DEFAULTS["args"])
-        if type(args) is not dict or not all(type(value) is str for value in args.values()):
-            raise StructuralError(f"args are not an object of strings: {args!r}")
-        invocation = cls(
-            tool_name=data["tool_name"],
-            args=dict(args),
-            output=data.get("output", INVOCATION_DEFAULTS["output"]),
-            succeeded=data.get("succeeded", INVOCATION_DEFAULTS["succeeded"]),
-        )
-        check_types(invocation, _INVOCATION_TYPES)
-        return invocation
+        field that is missing or of the wrong type."""
+        tool_name, args, output, succeeded = read_fields(data, _INVOCATION_FIELDS, StructuralError)
+        return cls(tool_name, dict(args), output, succeeded)
 
 
 @dataclass(slots=True)
@@ -162,23 +183,29 @@ class Step:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Step":
-        """A step from its JSON object; ``StructuralError`` names a field of
-        the wrong type (an ``index`` must be an int, not a bool)."""
-        phase = data.get("phase")
-        step = cls(
-            index=data["index"],
-            thought=data.get("thought", STEP_DEFAULTS["thought"]),
-            action_code=data.get("action_code", STEP_DEFAULTS["action_code"]),
-            invocations=[
-                ToolInvocation.from_dict(d)
-                for d in data.get("invocations", STEP_DEFAULTS["invocations"])
-            ],
-            observation=data.get("observation", STEP_DEFAULTS["observation"]),
-            phase=Phase.parse(phase) if phase else None,
+    def from_dict(cls, data: Any) -> "Step":
+        """A step from its JSON object; ``StructuralError`` names a field that
+        is missing or of the wrong type (an ``index`` must be an int, not a
+        bool), and an unknown phase raises ``ValueError``."""
+        index, thought, action_code, invocations, observation, phase = read_fields(
+            data, _STEP_FIELDS, StructuralError
         )
-        check_types(step, _STEP_TYPES)
-        return step
+        return cls(
+            index,
+            thought,
+            action_code,
+            [ToolInvocation.from_dict(d) for d in invocations],
+            observation,
+            Phase.parse(phase) if phase else None,
+        )
+
+
+_QUESTION_FIELDS: Fields = {
+    "id": (REQUIRED, _is_id, "a safe question id"),
+    "text": (REQUIRED, (str,), "a string"),
+    "database_id": (REQUIRED, _is_id, "a safe database id"),
+    "synthetic": (False, (bool,), "a bool"),
+}
 
 
 @dataclass
@@ -205,20 +232,18 @@ class Question:
         (they name files and directories), ``text`` must be a string and a
         given ``synthetic`` a bool; otherwise ``ConfigurationError`` names
         the field."""
-        try:
-            qid, text, database_id = data["id"], data["text"], data["database_id"]
-        except (LookupError, TypeError):
-            raise ConfigurationError("not an object with id, text and database_id") from None
-        synthetic = data.get("synthetic", False)
-        if not (isinstance(qid, str) and ID_PATTERN.fullmatch(qid)):
-            raise ConfigurationError(f"unsafe question id {qid!r}")
-        if not (isinstance(database_id, str) and ID_PATTERN.fullmatch(database_id)):
-            raise ConfigurationError(f"unsafe database id {database_id!r}")
-        if not isinstance(text, str):
-            raise ConfigurationError(f"text is not a string: {text!r}")
-        if not isinstance(synthetic, bool):
-            raise ConfigurationError(f"synthetic is not a bool: {synthetic!r}")
-        return cls(qid, text, database_id, synthetic)
+        return cls(*read_fields(data, _QUESTION_FIELDS, ConfigurationError))
+
+
+_TRAJECTORY_FIELDS: Fields = {
+    "question_id": (REQUIRED, (str,), "a string"),
+    "database_id": (REQUIRED, (str,), "a string"),
+    "steps": ([], (list,), "a list"),
+    "final_answer": (None, (str, type(None)), "a string or null"),
+    "input_tokens": (0, (int,), "an int"),
+    "output_tokens": (0, (int,), "an int"),
+    "wall_time_ms": (0, (int,), "an int"),
+}
 
 
 @dataclass
@@ -245,26 +270,17 @@ class Trajectory:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Trajectory":
+    def from_dict(cls, data: Any) -> "Trajectory":
         """A trajectory from its JSON object; ``StructuralError`` names a
-        field of the wrong type (a count must be an int, not a bool) or a
-        step out of place."""
-        steps = [Step.from_dict(d) for d in data.get("steps", [])]
-        for position, step in enumerate(steps):
+        field that is missing or of the wrong type (a count must be an int,
+        not a bool) or a step out of place."""
+        trajectory = cls(*read_fields(data, _TRAJECTORY_FIELDS, StructuralError))
+        trajectory.steps = [Step.from_dict(d) for d in trajectory.steps]
+        for position, step in enumerate(trajectory.steps):
             if step.index != position:
                 raise StructuralError(
                     f"step index {step.index} does not match position {position}"
                 )
-        trajectory = cls(
-            question_id=data["question_id"],
-            database_id=data["database_id"],
-            steps=steps,
-            final_answer=data.get("final_answer"),
-            input_tokens=data.get("input_tokens", 0),
-            output_tokens=data.get("output_tokens", 0),
-            wall_time_ms=data.get("wall_time_ms", 0),
-        )
-        check_types(trajectory, _TRAJECTORY_TYPES)
         return trajectory
 
     def to_json(self) -> str:

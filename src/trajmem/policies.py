@@ -21,13 +21,19 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .errors import ConfigurationError, StateError
 from .llm import ChatEndpoint
-from .model import Question, Step, ToolSpec
+from .model import Fields, Question, Step, ToolSpec, holding, read_fields
 
 BOOTSTRAP_COMPOSITE = "get_ext_then_get_ddl"
+
+_DECISION_FIELDS: Fields = {
+    "thought": ("", (str,), "a string"),
+    "action_code": ("", (str,), "a string"),
+    "final_answer": (None, (str, type(None)), "a string or null"),
+}
 
 
 @dataclass
@@ -44,12 +50,10 @@ class PolicyDecision:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "PolicyDecision":
-        return cls(
-            thought=data.get("thought", ""),
-            action_code=data.get("action_code", ""),
-            final_answer=data.get("final_answer"),
-        )
+    def from_dict(cls, data: Any) -> "PolicyDecision":
+        """A decision from its JSON object; a mistyped field raises
+        ``ConfigurationError`` naming it."""
+        return cls(*read_fields(data, _DECISION_FIELDS, ConfigurationError))
 
 
 @dataclass
@@ -89,6 +93,12 @@ def transcript_fingerprint(transcript: Transcript) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+_REPLAY_FIELDS: Fields = {
+    "fingerprints": ({}, (dict,), "an object of decisions"),
+    "refinements": ({}, holding(dict, str), "an object of strings"),
+}
+
+
 class ReplayPolicy(Policy):
     """Plays back decisions recorded against transcript fingerprints."""
 
@@ -108,24 +118,17 @@ class ReplayPolicy(Policy):
         ``thought`` and ``action_code`` are strings and whose
         ``final_answer`` is a string or null) and whose ``refinements`` map
         queries to strings."""
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise ConfigurationError(f"replay script {path} does not hold a JSON object")
-        fingerprints = data.get("fingerprints", {})
-        refinements = data.get("refinements", {})
-        if not (isinstance(fingerprints, dict) and all(map(_is_decision, fingerprints.values()))):
-            raise ConfigurationError(f"replay script {path}: a fingerprint maps to no decision")
-        if not (
-            isinstance(refinements, dict) and all(isinstance(f, str) for f in refinements.values())
-        ):
-            raise ConfigurationError(f"replay script {path}: a refinement is not a string")
-        return cls(
-            {
-                fingerprint: PolicyDecision.from_dict(decision)
-                for fingerprint, decision in fingerprints.items()
-            },
-            refinements=refinements,
+        def error(message: str) -> ConfigurationError:
+            return ConfigurationError(f"replay script {path}: {message}")
+
+        fingerprints, refinements = read_fields(
+            json.loads(Path(path).read_text(encoding="utf-8")), _REPLAY_FIELDS, error
         )
+        try:
+            mapping = {key: PolicyDecision.from_dict(raw) for key, raw in fingerprints.items()}
+        except ConfigurationError as exc:
+            raise error(f"a fingerprint maps to no decision: {exc}") from None
+        return cls(mapping, refinements=refinements)
 
     def next_action(
         self, transcript: Transcript, tools: Sequence[ToolSpec]
@@ -138,15 +141,6 @@ class ReplayPolicy(Policy):
 
     def refine_sql(self, query: str, feedback: str) -> str | None:
         return self.refinements.get(query)
-
-
-def _is_decision(raw: Any) -> bool:
-    return (
-        isinstance(raw, dict)
-        and isinstance(raw.get("thought", ""), str)
-        and isinstance(raw.get("action_code", ""), str)
-        and isinstance(raw.get("final_answer"), (str, type(None)))
-    )
 
 
 class RecordingPolicy(Policy):
@@ -183,6 +177,19 @@ class RecordingPolicy(Policy):
         )
 
 
+_SCRIPT_FIELDS: Fields = {
+    "probes": ([], holding(list, str), "a list of strings"),
+    "main_sql": ("", (str,), "a string"),
+    "answer": ("done", (str,), "a string"),
+    "check": (False, (bool,), "a bool"),
+    "refine": ({}, holding(dict, str), "an object of strings"),
+    "memory_mode": (
+        "condensed", lambda mode: mode in ("condensed", "skip_exploration"),
+        "condensed or skip_exploration",
+    ),
+}
+
+
 @dataclass
 class QuestionScript:
     """Deterministic playbook for one question.
@@ -210,47 +217,13 @@ class QuestionScript:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "QuestionScript":
+    def from_dict(cls, data: Any) -> "QuestionScript":
         """A script from its JSON object; a mistyped field raises
         ``ConfigurationError`` naming it."""
-        return cls(
-            probes=list(_script_field(data, "probes", [], "a list of strings", _is_str_list)),
-            main_sql=_script_field(data, "main_sql", "", "a string", _is_str),
-            answer=_script_field(data, "answer", "done", "a string", _is_str),
-            check=_script_field(data, "check", False, "a bool", lambda v: isinstance(v, bool)),
-            refine=dict(
-                _script_field(data, "refine", {}, "an object of strings", _is_str_object)
-            ),
-            memory_mode=_script_field(
-                data, "memory_mode", "condensed", "condensed or skip_exploration",
-                lambda v: v in ("condensed", "skip_exploration"),
-            ),
+        probes, main_sql, answer, check, refine, memory_mode = read_fields(
+            data, _SCRIPT_FIELDS, lambda message: ConfigurationError(f"script field {message}")
         )
-
-
-def _is_str(value: object) -> bool:
-    return isinstance(value, str)
-
-
-def _is_str_list(value: object) -> bool:
-    return isinstance(value, list) and all(map(_is_str, value))
-
-
-def _is_str_object(value: object) -> bool:
-    return isinstance(value, dict) and all(map(_is_str, value.values()))
-
-
-def _script_field(
-    data: Mapping[str, Any],
-    name: str,
-    default: Any,
-    expected: str,
-    valid: Callable[[object], bool],
-) -> Any:
-    value = data.get(name, default)
-    if not valid(value):
-        raise ConfigurationError(f"script field {name} is not {expected}: {value!r}")
-    return value
+        return cls(list(probes), main_sql, answer, check, dict(refine), memory_mode)
 
 
 def _sql_call(query: str) -> str:

@@ -21,7 +21,7 @@ from trajmem.backend import SqliteBackend, execute_sql_with_refinement
 from trajmem.classifier import classify_trajectory
 from trajmem.fixtures import build_fixture_workspace
 from trajmem.harness import EpisodeConfig, load_questions_file, run_suite
-from trajmem.metrics import report_dict, stage_composition
+from trajmem.metrics import report_dict
 from trajmem.mining import MinerConfig, export_manifest, mine_composites
 from trajmem.model import Phase, Question
 from trajmem.retrieval import (
@@ -374,12 +374,17 @@ def test_acceptance_desk_scale_step_reductions(pipeline, monkeypatch):
     )
 
 
+def _median_exploration_steps(records):
+    """The median of the runs' exploration step counts; every step of a run
+    has a phase."""
+    assert all(sum(r.phase_counts.values()) == r.steps for r in records)
+    return statistics.median(r.phase_counts.get(Phase.EXPLORATION.value, 0) for r in records)
+
+
 def test_acceptance_desk_scale_exploration_shift(pipeline):
     runs = pipeline["runs"]
-    with_memory = stage_composition(runs["full"]).medians[Phase.EXPLORATION.value]
-    without_memory = stage_composition(runs["no_memory"]).medians[
-        Phase.EXPLORATION.value
-    ]
+    with_memory = _median_exploration_steps(runs["full"])
+    without_memory = _median_exploration_steps(runs["no_memory"])
     check(
         "exploration composition shift",
         with_memory < without_memory,

@@ -118,6 +118,26 @@ def test_classify_command_json(pipeline_dirs, tmp_path, capsys):
     assert "execution" in payload["phases"]
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param('{"question_id": "q", "database_id": "d", "steps": [1]}', id="int-step"),
+        pytest.param("[1]", id="top-level-list"),
+        pytest.param('{"database_id": "d"}', id="no-question-id"),
+        pytest.param('{"question_id": "q", "database_id": "d", "steps": "ab"}', id="string-steps"),
+        pytest.param('{"question_id": "q", "database_id": "d", "steps": [{"index": 0, "phase": 5}]}',
+                     id="int-phase"),
+        pytest.param("null", id="null"),
+    ],
+)
+def test_classify_of_a_file_that_holds_no_trajectory_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "t.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["classify", "--trajectory", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+
+
 def test_retrieve_command_prints_path(pipeline_dirs, capsys):
     ws, store, _ = pipeline_dirs
     capsys.readouterr()

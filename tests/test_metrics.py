@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 import trajmem.metrics as metrics_module
 from trajmem.classifier import classify_trajectory
-from trajmem.errors import StructuralError
 from trajmem.metrics import (
     RunRecord,
     execution_accuracy,
     report,
     report_dict,
-    stage_composition,
 )
 
 from helpers import step, trajectory
@@ -280,38 +278,6 @@ def _record(qid, phases, steps=None, **kwargs):
         correct=kwargs.pop("correct", None),
     )
     return RunRecord(**defaults)
-
-
-def test_stage_composition_counts():
-    record = _record("q1", ["exploration", "exploration", "execution", "validation"])
-    composition = stage_composition([record])
-    assert composition.per_run["q1"] == {
-        "exploration": 2,
-        "execution": 1,
-        "validation": 1,
-    }
-
-
-def test_stage_composition_medians_across_runs():
-    records = [
-        _record("q1", ["exploration", "execution"]),
-        _record("q2", ["exploration", "exploration", "exploration", "execution"]),
-    ]
-    composition = stage_composition(records)
-    assert composition.medians["exploration"] == 2.0
-    assert composition.medians["execution"] == 1.0
-    assert composition.medians["validation"] == 0.0
-
-
-def test_stage_composition_empty():
-    composition = stage_composition([])
-    assert composition.per_run == {} and composition.medians == {}
-
-
-def test_stage_composition_rejects_mismatched_counts():
-    bad = _record("q1", ["exploration"], steps=5)
-    with pytest.raises(StructuralError):
-        stage_composition([bad])
 
 
 def test_run_record_from_trajectory_counts_match():

@@ -3,17 +3,23 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trajmem.errors import StructuralError
+from trajmem.errors import StructuralError, TrajmemError
+from trajmem.metrics import RunRecord
 from trajmem.model import (
     Phase,
+    Question,
     Step,
+    ToolInvocation,
     ToolParam,
     ToolSpec,
     Trajectory,
     append_step,
     count_tokens,
 )
+from trajmem.policies import PolicyDecision, QuestionScript
 
 from helpers import step, trajectory
 
@@ -162,3 +168,37 @@ def test_deserialization_keeps_a_null_final_answer_and_absent_counts():
     restored = Trajectory.from_dict(data)
     assert restored.final_answer is None
     assert (restored.input_tokens, restored.output_tokens, restored.wall_time_ms) == (0, 0, 0)
+
+
+# Every field name of the objects read below, so drawn objects often hold
+# the fields their reader looks for, at any depth.
+_FIELD_NAMES = [
+    "id", "text", "database_id", "synthetic", "question_id", "steps", "final_answer",
+    "input_tokens", "output_tokens", "wall_time_ms", "index", "thought", "action_code",
+    "invocations", "observation", "phase", "tool_name", "args", "output", "succeeded",
+    "phase_counts", "answer_rows", "correct", "probes", "main_sql", "answer", "check",
+    "refine", "memory_mode",
+]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.sampled_from(["", "q1", "flights", "exploration", "condensed", "done"])
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(_FIELD_NAMES) | st.text(max_size=3), children, max_size=6),
+    max_leaves=16,
+)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [Question.from_dict, ToolInvocation.from_dict, Step.from_dict, Trajectory.from_dict,
+     RunRecord.from_dict, QuestionScript.from_dict, PolicyDecision.from_dict],
+    ids=lambda read: read.__qualname__,
+)
+@settings(max_examples=150, deadline=None)
+@given(data=_JSON_VALUES)
+def test_a_reader_of_any_json_value_returns_or_raises_a_checked_error(read, data):
+    try:
+        read(data)
+    except (TrajmemError, ValueError):
+        pass
