@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -347,6 +346,8 @@ def run_suite(
 
     pairs: list[tuple[RunRecord, EpisodeResult]]
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # a serial run never loads it
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             pairs = list(pool.map(_one, records))
     else:

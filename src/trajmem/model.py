@@ -208,7 +208,7 @@ _QUESTION_FIELDS: Fields = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class Question:
     """A natural-language question tied to one database."""
 
@@ -246,7 +246,7 @@ _TRAJECTORY_FIELDS: Fields = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class Trajectory:
     """Ordered step record of one episode, with token accounting."""
 

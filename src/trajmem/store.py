@@ -51,7 +51,8 @@ a ``MemoryEntry`` is read-only. ``_read_meta`` is the one reader of
 each call and keeps nothing. Each trajectory of a database repeats its
 knowledge file and DDL, as observations and as invocation outputs, so the
 trajectories one call returns share equal texts: one object per distinct
-thought, action, observation, tool name and output, not one per entry.
+thought, action, observation, tool name, argument key, argument value and
+output, not one per entry.
 
 The store owns a stored question's trigram counts. ``entry_counts`` gives
 the counts that persist, a heal and retrieval use: it hashes the text once
@@ -70,7 +71,6 @@ import re
 import shutil
 import sys
 import threading
-import uuid
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -376,7 +376,7 @@ class MemoryStore:
                     f"{index!r} and phase {phase!r}, not its position and a known phase"
                 )
         final = self.entry_dir(entry.database_id, entry.question.id)
-        token = f"{entry.question.id}-{uuid.uuid4().hex[:8]}"
+        token = f"{entry.question.id}-{os.urandom(4).hex()}"
         tmp = final.parent / f".tmp-{token}"
         try:
             stamp = self._materialize(tmp, entry, trajectory)
@@ -509,7 +509,7 @@ class MemoryStore:
         )
         if 2 * len(live) > size:
             return
-        tmp = database_dir / f".tmp-index-{uuid.uuid4().hex[:8]}"
+        tmp = database_dir / f".tmp-index-{os.urandom(4).hex()}"
         try:
             tmp.write_bytes(live)
             tmp.replace(database_dir / _INDEX_FILE)
@@ -548,7 +548,7 @@ class MemoryStore:
         with self._entries_lock:
             known = self._entries.get(database_id)
             first = known is None
-            indexed = self._read_index(database_id) if first else {}
+            indexed = self._read_index(database_id, lambda line, raw: line) if first else {}
             current: dict[str, tuple[_Stamp | None, MemoryEntry | None]] = {}
             heal: list[bytes] = []
             for entry_dir in self._entry_dirs(database_id):
@@ -558,8 +558,7 @@ class MemoryStore:
                 stamp = _stamp(entry_dir.path + "/meta.json")
                 cached = None if first else known.get(name)
                 if cached is None or cached[0] != stamp:
-                    line, _ = indexed.get(name, (None, b""))
-                    entry = self._from_index(entry_dir.path, stamp, line)
+                    entry = self._from_index(entry_dir.path, stamp, indexed.get(name))
                     if entry is None:
                         entry = self._parse(entry_dir.path, _parse_entry)
                         if first and entry is not None and stamp is not None:
@@ -576,9 +575,11 @@ class MemoryStore:
     ) -> MemoryEntry | None:
         """The entry an index line describes, when the entry's ``meta.json``
         still has the line's stamp; None when it does not, or the line is
-        damaged."""
+        damaged. The entry keeps ``stamp``, the object the cache keeps beside
+        it, not a copy read from the line."""
         if line is None or stamp is None or line.get("stamp") != list(stamp):
             return None
+        line["stamp"] = stamp
         try:
             entry = _parse_entry(entry_dir, line)
         except _CORRUPT_ENTRY_ERRORS:
@@ -628,10 +629,11 @@ class MemoryStore:
         read afresh on every call, in question-id order; corrupt ones skipped.
         An id that ``ID_PATTERN`` does not match raises ``StorageError``.
 
-        Equal texts are one object across the returned trajectories: each
-        trajectory of a database repeats its knowledge file and DDL, so
-        without sharing the corpus would hold them once per entry. Steps and
-        invocations are still the caller's own; rebinding a field of one
+        Equal texts, argument keys and values among them, are one object
+        across the returned trajectories: each trajectory of a database
+        repeats its knowledge file and DDL, so without sharing the corpus
+        would hold them once per entry. Steps, invocations and each
+        invocation's ``args`` dict are still the caller's own; changing one
         changes no other trajectory."""
         _check_id("database", database_id)
         texts: dict[str, str] = {}
@@ -770,7 +772,8 @@ def _parse_entry(entry_dir: str, meta: dict[str, Any]) -> MemoryEntry:
     reads them: those it holds, or else those its trajectory renders. An
     index line is taken in one step: the entry is built with its counts,
     decoded and checked, as its ``counts_memo``, and its segments are left
-    to be read from ``meta.json`` when first asked for.
+    to be read from ``meta.json`` when first asked for. A line's stamp that
+    is already a tuple is kept as it is (``tuple`` returns a tuple unchanged).
     """
     question = Question.from_dict(meta["question"])
     if "counts" not in meta:
@@ -875,8 +878,10 @@ def _written_trajectory(trajectory: Trajectory, question: Question) -> dict[str,
 def _stored_trajectory(
     entry_dir: str | Path | None, meta: dict[str, Any], texts: dict[str, str]
 ) -> Trajectory | None:
-    """The entry's stored trajectory, its step and invocation texts rebound
-    to the equal ones already in ``texts`` (those that are new are added).
+    """The entry's stored trajectory, its step and invocation texts and its
+    argument keys and values rebound to the equal ones already in ``texts``
+    (those that are new are added); each invocation gets an ``args`` dict
+    of its own.
 
     What the writer left out is filled in: the ids from the entry's
     question, a step's index from its position, a step's observation from
@@ -904,4 +909,5 @@ def _stored_trajectory(
         for invocation in step.invocations:
             invocation.tool_name = share(invocation.tool_name, invocation.tool_name)
             invocation.output = share(invocation.output, invocation.output)
+            invocation.args = {share(k, k): share(v, v) for k, v in invocation.args.items()}
     return trajectory

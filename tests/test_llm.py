@@ -174,13 +174,27 @@ print(json.dumps([built, text, [name for name in HTTP if name in sys.modules]]))
 """
 
 
-def test_the_http_client_is_imported_only_for_an_endpoint_that_posts_through_it():
+def _probe(code: str, *args: str) -> str:
+    """What ``code`` prints, run by a new interpreter that imports this checkout."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+
+
+def test_the_http_client_is_imported_only_for_an_endpoint_that_posts_through_it():
     with chat_server((200, {"content": "ok"})) as (url, posts):
-        probe = subprocess.run(
-            [sys.executable, "-c", _IMPORT_PROBE, url],
-            env=env, capture_output=True, text=True, timeout=60, check=True,
-        )
-    assert json.loads(probe.stdout) == [[], "ok", ["urllib.request", "http.client", "ssl"]]
+        printed = _probe(_IMPORT_PROBE, url)
+    assert json.loads(printed) == [[], "ok", ["urllib.request", "http.client", "ssl"]]
     assert len(posts) == 1
+
+
+def test_importing_the_package_loads_no_thread_pool_and_no_uuid():
+    # Only run_suite(workers > 1) starts a thread pool, and it imports its own.
+    printed = _probe(
+        "import json, sys, trajmem, trajmem.cli; "
+        "print(json.dumps([m for m in ('concurrent.futures', 'uuid') if m in sys.modules]))"
+    )
+    assert json.loads(printed) == []

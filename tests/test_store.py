@@ -315,6 +315,7 @@ def test_loaded_trajectories_share_equal_texts_and_stay_independent(tmp_path):
             structured=structure_trajectory(_classified_fixture()),
         )
         persisted.append(dataclasses.replace(_classified_fixture(), question_id=qid))
+        persisted[-1].steps[2].invocations[0].args = {"query": "SELECT a FROM t", "limit": "5"}
         store.persist(entry, trajectory=persisted[-1])
     corrupt = tmp_path / "store" / "sqlite_fixture" / "q002"
     corrupt.mkdir()
@@ -328,11 +329,20 @@ def test_loaded_trajectories_share_equal_texts_and_stay_independent(tmp_path):
         assert one.thought is other.thought and one.action_code is other.action_code
         for a, b in zip(one.invocations, other.invocations, strict=True):
             assert a.output is b.output and a.tool_name is b.tool_name
+            assert a.args is not b.args
+            for (key, value), (other_key, other_value) in zip(
+                a.args.items(), b.args.items(), strict=True
+            ):
+                assert key is other_key and value is other_value
+    assert first.steps[2].invocations[0].args == {"query": "SELECT a FROM t", "limit": "5"}
 
     first.steps[1].observation = "changed"
     first.steps[1].invocations[0].output = "changed"
+    first.steps[2].invocations[0].args["query"] = "changed"
+    first.steps[2].invocations[0].args["added"] = "changed"
     assert second == persisted[1]
 
+    assert not hasattr(second, "__dict__")
     assert not hasattr(Step(index=0), "__dict__")
     assert not hasattr(ToolInvocation(tool_name="t"), "__dict__")
     moved = dataclasses.replace(second.steps[0], index=5)
@@ -1125,6 +1135,27 @@ def test_an_indexed_entry_equals_its_twin_parsed_from_meta_json(tmp_path):
         assert not entry.structured.loaded
         assert entry.structured.segments == twin.structured.segments
         assert entry == twin
+
+
+def test_an_indexed_entry_holds_its_cached_stamp_and_a_question_without_a_dict(tmp_path):
+    _persist_all(tmp_path)
+    store = MemoryStore(tmp_path / "store")
+    entries = store.load_entries("db1")
+    assert store.counts.indexed == 4
+    for entry in entries:
+        stamp, cached = store._entries["db1"][entry.question.id]
+        assert cached is entry and entry.structured.stamp is stamp
+    assert [e.structured.segments for e in entries] == [
+        e.structured.segments for e in MemoryStore(tmp_path / "store").load_entries("db1")
+    ]
+
+    question = entries[0].question
+    assert not hasattr(question, "__dict__")
+    moved = dataclasses.replace(question, id="q009")
+    assert (moved.id, moved.text, moved.database_id) == ("q009", question.text, "db1")
+    assert copy.deepcopy(question) == question
+    assert pickle.loads(pickle.dumps(question)) == question
+    assert Question.from_dict(question.to_dict()) == question
 
 
 def test_an_indexed_entry_path_is_built_once_per_entry(tmp_path):
