@@ -50,8 +50,6 @@ def _config_value(args: argparse.Namespace, key: str, default: object) -> object
     config = getattr(args, "_config_values", {})
     if key in config:
         raw = config[key]
-        if isinstance(default, bool):
-            return raw.lower() in ("1", "true", "yes", "on")
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):

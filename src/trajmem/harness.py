@@ -136,10 +136,6 @@ def memory_prefix(store: MemoryStore, entry: MemoryEntry) -> str:
     return store.load_phase_segment(entry, Phase.EXPLORATION)
 
 
-def _final_answer_code(answer: str) -> str:
-    return f"final_answer({answer!r})"
-
-
 def run_episode(
     question: Question,
     workspace: Workspace,
@@ -181,28 +177,25 @@ def run_episode(
         answer: str | None = None
         for _ in range(config.max_planner_steps):
             decision = policy.next_action(transcript, specs)
-            if decision.final_answer is not None:
-                answer = decision.final_answer
-                append_step(
-                    trajectory,
-                    Step(
-                        index=len(trajectory.steps),
-                        thought=decision.thought,
-                        action_code=_final_answer_code(answer),
-                    ),
-                )
-                break
-            invocations, observation = execute_action(registry, ctx, decision.action_code)
+            answer = decision.final_answer
+            if answer is None:
+                action_code = decision.action_code
+                invocations, observation = execute_action(registry, ctx, action_code)
+            else:
+                action_code = f"final_answer({answer!r})"
+                invocations, observation = [], ""
             append_step(
                 trajectory,
                 Step(
                     index=len(trajectory.steps),
                     thought=decision.thought,
-                    action_code=decision.action_code,
+                    action_code=action_code,
                     invocations=invocations,
                     observation=observation,
                 ),
             )
+            if answer is not None:
+                break
         trajectory.final_answer = answer
         classified = classify_trajectory(trajectory)
         classified.wall_time_ms = int((time.monotonic() - start) * 1000)

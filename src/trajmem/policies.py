@@ -4,8 +4,13 @@ A policy maps the transcript so far plus the visible tool specs to either a
 (thought, action code) pair or a final answer. Shipped implementations:
 
 * ScriptedPolicy: per-question playbooks, fully deterministic; used by the
-  bundled fixture suite. It adapts to a memory prefix (skipping exploration)
-  and to composite tools visible in the registry.
+  bundled fixture suite. A playbook is an opening plus a closing. The
+  opening is fetch, one step per probe and a plan without a memory prefix;
+  with one, it is the fetch alone under ``condensed`` and the plan alone
+  under ``skip_exploration``. The fetch is the bootstrap composite when the
+  registry shows it, else ``get_ext`` then ``get_ddl``. The closing is the
+  main query, a reasoning-only check when the script asks for it, then
+  validate, save and report.
 * ReplayPolicy / RecordingPolicy: a script file mapping transcript
   fingerprints to actions, for exact replays.
 * ExplorerPolicy: the restricted offline agent that turns synthetic
@@ -192,12 +197,8 @@ _SCRIPT_FIELDS: Fields = {
 
 @dataclass
 class QuestionScript:
-    """Deterministic playbook for one question.
-
-    ``memory_mode`` controls behaviour when a memory prefix is present:
-    "condensed" keeps a quick schema fetch and drops probes and planning;
-    "skip_exploration" drops all exploration steps but keeps the plan step.
-    """
+    """Deterministic playbook for one question; ``memory_mode`` picks the
+    opening under a memory prefix, as the module docstring sets out."""
 
     probes: list[str] = field(default_factory=list)
     main_sql: str = ""
@@ -230,101 +231,63 @@ def _sql_call(query: str) -> str:
     return f"sql_execute(query={query!r})"
 
 
+def _get_ext(db: str) -> PolicyDecision:
+    return PolicyDecision("Read the external knowledge file.", f"get_ext(database={db!r})")
+
+
+def _get_ddl(db: str) -> PolicyDecision:
+    return PolicyDecision("Fetch the schema definition.", f"get_ddl(database={db!r})")
+
+
+# Shared by every playbook; nothing mutates a decision.
+_CHECK = PolicyDecision("Check that the result looks plausible before validating.")
+_VALIDATE = PolicyDecision("Validate the result by re-running the final query.", "validate_result()")
+_SAVE = PolicyDecision("Save the answer rows.", "save_result()")
+
+
 class ScriptedPolicy(Policy):
     """Replays per-question playbooks, branching on memory and composites."""
 
     def __init__(self, scripts: Mapping[str, QuestionScript]) -> None:
         self.scripts = dict(scripts)
 
-    def _decisions(
+    def next_action(
         self, transcript: Transcript, tools: Sequence[ToolSpec]
-    ) -> list[PolicyDecision]:
+    ) -> PolicyDecision:
         question = transcript.question
         script = self.scripts.get(question.id)
         if script is None:
             raise StateError(f"no script for question {question.id!r}")
-        names = {tool.name for tool in tools}
         db = question.database_id
-        has_memory = bool(transcript.context_prefix)
-
-        decisions: list[PolicyDecision] = []
-
-        def schema_fetch() -> list[PolicyDecision]:
-            if BOOTSTRAP_COMPOSITE in names:
-                return [
-                    PolicyDecision(
-                        thought="Load the knowledge file and schema in one step.",
-                        action_code=f"{BOOTSTRAP_COMPOSITE}(database={db!r})",
-                    )
-                ]
-            return [
+        if BOOTSTRAP_COMPOSITE in {tool.name for tool in tools}:
+            fetch = [
                 PolicyDecision(
-                    thought="Read the external knowledge file.",
-                    action_code=f"get_ext(database={db!r})",
-                ),
-                PolicyDecision(
-                    thought="Fetch the schema definition.",
-                    action_code=f"get_ddl(database={db!r})",
-                ),
+                    "Load the knowledge file and schema in one step.",
+                    f"{BOOTSTRAP_COMPOSITE}(database={db!r})",
+                )
             ]
-
-        plan_needed = True
-        if has_memory and script.memory_mode == "skip_exploration":
-            pass
-        elif has_memory:
-            decisions.extend(schema_fetch())
-            plan_needed = False
         else:
-            decisions.extend(schema_fetch())
-            for probe in script.probes:
-                decisions.append(
-                    PolicyDecision(
-                        thought="Probe a few rows to understand the data.",
-                        action_code=_sql_call(probe),
-                    )
-                )
-        if plan_needed:
-            decisions.append(
-                PolicyDecision(
-                    thought=f"Plan: translate the question into one query on {db}.",
-                    action_code="",
-                )
-            )
-        decisions.append(
-            PolicyDecision(
-                thought="Run the main query.", action_code=_sql_call(script.main_sql)
-            )
+            fetch = [_get_ext(db), _get_ddl(db)]
+        plan = [PolicyDecision(f"Plan: translate the question into one query on {db}.")]
+        if not transcript.context_prefix:
+            probes = [
+                PolicyDecision("Probe a few rows to understand the data.", _sql_call(probe))
+                for probe in script.probes
+            ]
+            opening = fetch + probes + plan
+        elif script.memory_mode == "skip_exploration":
+            opening = plan
+        else:
+            opening = fetch
+        closing = (
+            [PolicyDecision("Run the main query.", _sql_call(script.main_sql))]
+            + [_CHECK] * script.check
+            + [_VALIDATE, _SAVE, PolicyDecision("Report the answer.", final_answer=script.answer)]
         )
-        if script.check:
-            decisions.append(
-                PolicyDecision(
-                    thought="Check that the result looks plausible before validating.",
-                    action_code="",
-                )
-            )
-        decisions.append(
-            PolicyDecision(
-                thought="Validate the result by re-running the final query.",
-                action_code="validate_result()",
-            )
-        )
-        decisions.append(
-            PolicyDecision(
-                thought="Save the answer rows.", action_code="save_result()"
-            )
-        )
-        decisions.append(
-            PolicyDecision(thought="Report the answer.", final_answer=script.answer)
-        )
-        return decisions
-
-    def next_action(
-        self, transcript: Transcript, tools: Sequence[ToolSpec]
-    ) -> PolicyDecision:
-        decisions = self._decisions(transcript, tools)
+        playbook = opening + closing
         position = len(transcript.steps)
-        if position < len(decisions):
-            return decisions[position]
+        if position < len(playbook):
+            return playbook[position]
         return PolicyDecision(thought="Script exhausted.", final_answer="(no answer)")
 
     def refine_sql(self, query: str, feedback: str) -> str | None:
@@ -354,15 +317,9 @@ class ExplorerPolicy(Policy):
         db = transcript.question.database_id
         position = len(transcript.steps)
         if position == 0:
-            return PolicyDecision(
-                thought="Read the external knowledge file.",
-                action_code=f"get_ext(database={db!r})",
-            )
+            return _get_ext(db)
         if position == 1:
-            return PolicyDecision(
-                thought="Fetch the schema definition.",
-                action_code=f"get_ddl(database={db!r})",
-            )
+            return _get_ddl(db)
         ddl = transcript.steps[1].observation
         tables = _CREATE_TABLE.findall(ddl)[:_PROBED_TABLES]
         probe_index = position - 2

@@ -2,10 +2,12 @@
 
 A global question budget is spread over databases coverage-first (one per
 database), with the remainder allocated by largest-remainder rounding over
-the workload distribution. Question texts come from fixed templates filled
-with the schema's tables and first columns. Each question is then explored
-by a restricted offline agent and the resulting trajectory is classified,
-structured and persisted.
+the workload distribution. Weights built from counts (a workload file, or
+one per database) are exact fractions, so equal remainders tie exactly and
+go to the smaller database id. Question texts come from fixed templates
+filled with the schema's tables and first columns. Each question is then
+explored by a restricted offline agent and the resulting trajectory is
+classified, structured and persisted.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import re
 from dataclasses import dataclass
 from math import floor
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import BudgetError, SynthesisError
 from .harness import EpisodeConfig, build_explorer_registry, run_episode
@@ -24,6 +26,9 @@ from .policies import ExplorerPolicy, Policy
 from .retrieval import HashingEmbedder
 from .store import MemoryEntry, MemoryStore, structure_trajectory
 from .tools import Workspace
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 logger = logging.getLogger(__name__)
 
@@ -34,7 +39,7 @@ _WEIGHT_TOLERANCE = 1e-9
 class QueryDistribution:
     """Normalized database weights derived from a workload."""
 
-    weights: Mapping[str, float]
+    weights: Mapping[str, float | Fraction]
 
     def __post_init__(self) -> None:
         if any(weight < 0 for weight in self.weights.values()):
@@ -45,12 +50,10 @@ class QueryDistribution:
 
     @classmethod
     def _from_counts(cls, counts: Mapping[str, int]) -> "QueryDistribution":
+        from fractions import Fraction  # here, so a run that builds none never loads it
+
         total = sum(counts.values())
-        weights = {db: count / total for db, count in counts.items()}
-        # Absorb rounding drift into the lexicographically last database.
-        last = max(weights)
-        weights[last] = 1.0 - sum(w for db, w in weights.items() if db != last)
-        return cls(weights=weights)
+        return cls(weights={db: Fraction(count, total) for db, count in counts.items()})
 
     @classmethod
     def uniform(cls, databases: Sequence[str]) -> "QueryDistribution":

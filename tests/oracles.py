@@ -2,8 +2,9 @@
 
 These deliberately restate the definitions with different code paths than
 the modules they verify: explicit window enumeration and per-candidate
-containment scans for mining, a dense float embedding, and an explicit
-filter-then-scan argmax over exact fractions for retrieval.
+containment scans for mining, a dense float embedding, an explicit
+filter-then-scan argmax over exact fractions for retrieval, and a playbook
+spelled out step kind by step kind for the scripted policy.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Collection, Sequence
 from trajmem.metrics import _cells_equal
 from trajmem.mining import ToolSequence
 from trajmem.model import Phase, Question, Trajectory
+from trajmem.policies import QuestionScript
 from trajmem.retrieval import HashingEmbedder
 from trajmem.store import (
     MemoryEntry,
@@ -220,3 +222,85 @@ def brute_force_execution_accuracy(
         for columns in permutations(range(width))
         for paired in permutations(predicted)
     )
+
+
+def reference_playbook(
+    script: QuestionScript, database_id: str, has_prefix: bool, bootstrap_visible: bool
+) -> list[tuple[str, str, str | None]]:
+    """The scripted policy's (thought, action code, final answer) at each
+    position, spelled out step kind by step kind.
+
+    Without a memory prefix: fetch, one probe per script probe, plan. With
+    one under ``condensed``: fetch alone; under ``skip_exploration``: plan
+    alone. Then the main query, a check when asked for, validate, save and
+    report. The fetch is the bootstrap composite when the registry shows
+    it, else the knowledge file and then the schema."""
+    if not has_prefix:
+        kinds = ["fetch"] + ["probe"] * len(script.probes) + ["plan"]
+    elif script.memory_mode == "skip_exploration":
+        kinds = ["plan"]
+    else:
+        kinds = ["fetch"]
+    kinds += ["main"] + (["check"] if script.check else []) + ["validate", "save", "report"]
+
+    db = repr(database_id)
+    playbook: list[tuple[str, str, str | None]] = []
+    probes = iter(script.probes)
+    for kind in kinds:
+        if kind == "fetch" and bootstrap_visible:
+            playbook.append(
+                (
+                    "Load the knowledge file and schema in one step.",
+                    "get_ext_then_get_ddl(database=" + db + ")",
+                    None,
+                )
+            )
+        elif kind == "fetch":
+            playbook += [
+                ("Read the external knowledge file.", "get_ext(database=" + db + ")", None),
+                ("Fetch the schema definition.", "get_ddl(database=" + db + ")", None),
+            ]
+        elif kind == "probe":
+            playbook.append(
+                (
+                    "Probe a few rows to understand the data.",
+                    "sql_execute(query=" + repr(next(probes)) + ")",
+                    None,
+                )
+            )
+        elif kind == "plan":
+            playbook.append(
+                ("Plan: translate the question into one query on " + database_id + ".", "", None)
+            )
+        elif kind == "main":
+            playbook.append(
+                ("Run the main query.", "sql_execute(query=" + repr(script.main_sql) + ")", None)
+            )
+        elif kind == "check":
+            playbook.append(
+                ("Check that the result looks plausible before validating.", "", None)
+            )
+        elif kind == "validate":
+            playbook.append(
+                ("Validate the result by re-running the final query.", "validate_result()", None)
+            )
+        elif kind == "save":
+            playbook.append(("Save the answer rows.", "save_result()", None))
+        else:
+            playbook.append(("Report the answer.", "", script.answer))
+    return playbook
+
+
+def reference_allocate(counts: dict[str, int], n: int) -> dict[str, int]:
+    """Largest-remainder allocation in integers: one question per database,
+    then each database's quota (n - databases) * count / total split into
+    its whole part and a remainder numerator over total; leftover seats go
+    to the largest numerators, ties to the smaller database id."""
+    total = sum(counts.values())
+    spare = n - len(counts)
+    allocation = {db: 1 + spare * count // total for db, count in counts.items()}
+    leftover = n - sum(allocation.values())
+    by_remainder = sorted(counts, key=lambda db: (-(spare * counts[db] % total), db))
+    for db in by_remainder[:leftover]:
+        allocation[db] += 1
+    return allocation

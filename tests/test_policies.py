@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import reference_playbook
 from trajmem.errors import StateError
-from trajmem.model import Question, Step, ToolSpec
+from trajmem.mining import ToolSequence, name_composite
+from trajmem.model import Phase, Question, Step, ToolSpec
 from trajmem.policies import (
     BOOTSTRAP_COMPOSITE,
     ExplorerPolicy,
@@ -117,6 +119,46 @@ def test_scripted_policy_unknown_question_raises():
         ScriptedPolicy({}).next_action(Transcript(question=QUESTION), BASE_TOOLS)
 
 
+@pytest.mark.parametrize("bootstrap_visible", [False, True])
+@pytest.mark.parametrize("prefix", ["", "## [exploration] prior work"])
+@pytest.mark.parametrize("memory_mode", ["condensed", "skip_exploration"])
+@pytest.mark.parametrize("check", [False, True])
+@pytest.mark.parametrize("probes", [0, 1, 2])
+def test_scripted_policy_matches_reference_playbook(
+    probes, check, memory_mode, prefix, bootstrap_visible
+):
+    script = QuestionScript(
+        probes=["SELECT * FROM flights LIMIT 5", "SELECT 'it''s' AS s"][:probes],
+        main_sql="SELECT COUNT(*) AS n FROM flights",
+        answer="36 flights",
+        check=check,
+        memory_mode=memory_mode,
+    )
+    policy = ScriptedPolicy({"f1": script})
+    tools = COMPOSITE_TOOLS if bootstrap_visible else BASE_TOOLS
+    expected = reference_playbook(script, "flights", bool(prefix), bootstrap_visible)
+    expected.append(("Script exhausted.", "", "(no answer)"))
+    for position, wanted in enumerate(expected):
+        steps = [Step(index=index) for index in range(position)]
+        transcript = Transcript(question=QUESTION, context_prefix=prefix, steps=steps)
+        decision = policy.next_action(transcript, tools)
+        assert (decision.thought, decision.action_code, decision.final_answer) == wanted, position
+
+
+def test_scripted_policy_opens_with_the_fetch_under_a_mode_built_in_code():
+    # QuestionScript(...) does not check memory_mode; any value other than
+    # skip_exploration plays as condensed.
+    script = QuestionScript(main_sql="SELECT 1", memory_mode="skip-exploration")
+    transcript = Transcript(question=QUESTION, context_prefix="## [exploration] prior work")
+    decision = ScriptedPolicy({"f1": script}).next_action(transcript, BASE_TOOLS)
+    assert decision.action_code == "get_ext(database='flights')"
+
+
+def test_bootstrap_composite_is_the_mined_name_of_the_exploration_fetch():
+    fetch = ToolSequence(("get_ext", "get_ddl"), Phase.EXPLORATION)
+    assert name_composite(fetch)[0] == BOOTSTRAP_COMPOSITE
+
+
 def test_question_script_round_trip():
     restored = QuestionScript.from_dict(SCRIPT.to_dict())
     assert restored == SCRIPT
@@ -174,6 +216,18 @@ def test_explorer_policy_flow():
                 observation=observations.get(index, "ok"),
             )
         )
+    assert [d.to_dict() for d in decisions[:2]] == [
+        {
+            "thought": "Read the external knowledge file.",
+            "action_code": "get_ext(database='flights')",
+            "final_answer": None,
+        },
+        {
+            "thought": "Fetch the schema definition.",
+            "action_code": "get_ddl(database='flights')",
+            "final_answer": None,
+        },
+    ]
     codes = [d.action_code for d in decisions]
     assert "get_ext" in codes[0]
     assert "get_ddl" in codes[1]

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from oracles import reference_allocate
 from trajmem import cli
 from trajmem.errors import BudgetError, SynthesisError
 from trajmem.fixtures import build_fixture_workspace
@@ -84,6 +85,23 @@ def test_allocate_remainder_ties_break_by_database_id():
     dist = QueryDistribution(weights={"a": 0.5, "b": 0.5})
     # One extra seat; equal remainders 0.5 -> goes to "a".
     assert allocate(["b", "a"], dist, 5) == {"a": 3, "b": 2}
+
+
+def test_allocate_breaks_exact_ties_from_counts_by_database_id():
+    # One seat beyond the floors and three exact thirds: it goes to "a".
+    dist = QueryDistribution.uniform(["a", "b", "c"])
+    assert allocate(["a", "b", "c"], dist, 4) == {"a": 2, "b": 1, "c": 1}
+
+
+def test_allocate_from_workload_counts_matches_integer_reference():
+    rng = random.Random(41)
+    for _ in range(2000):
+        databases = [f"db{i}" for i in range(rng.randint(1, 8))]
+        counts = {db: rng.randint(1, 12) for db in databases}
+        lines = [f"q {db}" for db, count in counts.items() for _ in range(count)]
+        n = rng.randint(len(databases), 60)
+        dist = QueryDistribution.from_workload_lines(lines)
+        assert allocate(databases, dist, n) == reference_allocate(counts, n), (counts, n)
 
 
 def test_allocate_properties_on_random_inputs():
