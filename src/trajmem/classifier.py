@@ -7,15 +7,22 @@ of the preceding step (the first step defaults to exploration).
 
 A ``RuleTable`` compiles each pattern once, when it is built (a pattern that
 does not compile is rejected then), and classifies with those compiled
-patterns, so classifying a step compiles nothing.
+patterns, so classifying a step compiles nothing. Each table also keeps a
+memo from classification text to its first matching rule (``None`` when no
+rule matches), bounded at ``_CLASSIFY_MEMO_SIZE`` texts and least
+recently used first out. The memo pays because a run repeats its action
+texts: the scripted and explorer policies send the same few dozen texts
+episode after episode. A text seen once, as a live model's new SQL is, pays
+the full pattern scan plus one memo insert.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import StateError, StructuralError
 from .model import Phase, Step, Trajectory
@@ -34,6 +41,13 @@ class ClassifierRule:
         return re.compile(self.pattern)
 
 
+# Distinct classification texts whose first matching rule each table keeps;
+# the bound of the parse memo in ``tools``, which sees the same texts. It is
+# its own constant because ``tools`` imports the store, which imports this
+# module.
+_CLASSIFY_MEMO_SIZE = 256
+
+
 @dataclass(frozen=True)
 class RuleTable:
     """Priority-ordered rules, each pattern compiled once, plus the default
@@ -41,7 +55,8 @@ class RuleTable:
 
     rules: tuple[ClassifierRule, ...]
     default: Phase = Phase.EXECUTION
-    _compiled: tuple[tuple[re.Pattern[str], ClassifierRule], ...] = field(
+    # The first rule whose pattern matches a classification text, or None.
+    _first_rule: Callable[[str], ClassifierRule | None] = field(
         init=False, repr=False, compare=False
     )
 
@@ -58,8 +73,17 @@ class RuleTable:
                 compiled.append((rule.compiled(), rule))
             except re.error as exc:
                 raise StructuralError(f"rule {rule.id!r} pattern does not compile: {exc}")
+        # A closure over the compiled rules alone, so the memo keeps no
+        # reference to the table and no answer is shared between tables.
+        @functools.lru_cache(maxsize=_CLASSIFY_MEMO_SIZE)
+        def first_rule(text: str) -> ClassifierRule | None:
+            for pattern, rule in compiled:
+                if pattern.search(text):
+                    return rule
+            return None
+
         object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "_compiled", tuple(compiled))
+        object.__setattr__(self, "_first_rule", first_rule)
 
 
 # Reconstruction of the intent rules: V-rules for validation/saving tools,
@@ -96,17 +120,9 @@ def classification_text(step: Step) -> str:
     return f"{step.action_code}\n{names}" if names else step.action_code
 
 
-def _first_matching_rule(step: Step, table: RuleTable) -> ClassifierRule | None:
-    text = classification_text(step)
-    for pattern, rule in table._compiled:
-        if pattern.search(text):
-            return rule
-    return None
-
-
 def classify_step(step: Step, table: RuleTable = DEFAULT_RULE_TABLE) -> Phase:
     """Phase of the lowest-priority matching rule, or the table default."""
-    rule = _first_matching_rule(step, table)
+    rule = table._first_rule(classification_text(step))
     return rule.target if rule is not None else table.default
 
 
@@ -122,7 +138,7 @@ def classify_trajectory(
     classified: list[Step] = []
     previous: Phase | None = None
     for step in trajectory.steps:
-        rule = _first_matching_rule(step, table)
+        rule = table._first_rule(classification_text(step))
         if rule is not None:
             phase = rule.target
         elif step.invocations:

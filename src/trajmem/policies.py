@@ -246,14 +246,37 @@ _SAVE = PolicyDecision("Save the answer rows.", "save_result()")
 
 
 class ScriptedPolicy(Policy):
-    """Replays per-question playbooks, branching on memory and composites."""
+    """Replays per-question playbooks, branching on memory and composites.
+
+    The playbook of the episode in progress is built at its first step and
+    kept in one slot with the transcript and tool list it was built for; a
+    step of any other episode, such as one run in another worker thread,
+    builds its own. So a script changed between episodes plays from the next
+    episode on.
+    """
 
     def __init__(self, scripts: Mapping[str, QuestionScript]) -> None:
         self.scripts = dict(scripts)
+        # (transcript, tools, playbook), read and replaced as one value.
+        self._episode: tuple[
+            Transcript | None, Sequence[ToolSpec] | None, list[PolicyDecision]
+        ] = (None, None, [])
 
     def next_action(
         self, transcript: Transcript, tools: Sequence[ToolSpec]
     ) -> PolicyDecision:
+        held, held_tools, playbook = self._episode
+        if held is not transcript or held_tools is not tools:
+            playbook = self._playbook(transcript, tools)
+            self._episode = (transcript, tools, playbook)
+        position = len(transcript.steps)
+        if position < len(playbook):
+            return playbook[position]
+        return PolicyDecision(thought="Script exhausted.", final_answer="(no answer)")
+
+    def _playbook(
+        self, transcript: Transcript, tools: Sequence[ToolSpec]
+    ) -> list[PolicyDecision]:
         question = transcript.question
         script = self.scripts.get(question.id)
         if script is None:
@@ -284,11 +307,7 @@ class ScriptedPolicy(Policy):
             + [_CHECK] * script.check
             + [_VALIDATE, _SAVE, PolicyDecision("Report the answer.", final_answer=script.answer)]
         )
-        playbook = opening + closing
-        position = len(transcript.steps)
-        if position < len(playbook):
-            return playbook[position]
-        return PolicyDecision(thought="Script exhausted.", final_answer="(no answer)")
+        return opening + closing
 
     def refine_sql(self, query: str, feedback: str) -> str | None:
         for script in self.scripts.values():

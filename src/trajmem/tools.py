@@ -3,6 +3,23 @@
 Action code is restricted call syntax: each top-level ``tool_name(arg=value)``
 statement in a step's action code becomes one tool invocation. Values must be
 literals; anything else is treated as reasoning-only text.
+
+Each step runs through three bounded memos here, so that an episode pays once
+per distinct text and per file version:
+
+* the parse memo: action text -> parsed calls, ``_PARSE_MEMO_SIZE`` texts,
+  least recently used first out. A call whose arguments are all immutable
+  scalars is handed out as a shallow copy, any other as a deep copy;
+* ``Workspace.db_dir``: database id -> its directory, one entry per id that
+  matched ``ID_PATTERN`` (an id that does not match raises on every call);
+* ``Workspace.knowledge``: database id -> the text of its ``knowledge.md``,
+  one entry per database with such a file, kept while the file's stamp
+  (inode, mtime, ctime and size, as the memory store checks its entries)
+  stays the same.
+
+The parse memo, and the classifier's memo of the same bound, pay because a
+run repeats its action texts; a live model's new SQL misses them and saves
+only the path, knowledge and copy costs.
 """
 
 from __future__ import annotations
@@ -11,6 +28,9 @@ import ast
 import copy
 import csv
 import functools
+import os
+import stat
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -20,6 +40,7 @@ from .errors import ConfigurationError, ToolError, WorkspaceSecurityError
 from .model import (
     ID_PATTERN, Question, ToolInvocation, ToolParam, ToolSpec, render_observation
 )
+from .store import _Stamp, _stamp_of
 
 
 _DDL_QUERY = (
@@ -39,6 +60,8 @@ class Workspace:
         self.root = Path(root).resolve()
         if not self.root.is_dir():
             raise ConfigurationError(f"workspace root is not a directory: {self.root}")
+        self._db_dirs: dict[str, Path] = {}
+        self._knowledge: dict[str, tuple[_Stamp, str]] = {}
 
     def resolve(self, relative: str) -> Path:
         candidate = (self.root / relative).resolve()
@@ -49,7 +72,10 @@ class Workspace:
     def db_dir(self, database_id: str) -> Path:
         if not ID_PATTERN.fullmatch(database_id):
             raise WorkspaceSecurityError(f"not a workspace database id: {database_id!r}")
-        return self.root / "dbs" / database_id
+        path = self._db_dirs.get(database_id)
+        if path is None:
+            path = self._db_dirs[database_id] = self.root / "dbs" / database_id
+        return path
 
     def db_path(self, database_id: str) -> Path:
         return self.db_dir(database_id) / f"{database_id}.sqlite"
@@ -95,10 +121,22 @@ class Workspace:
         return "\n\n".join(f"{sql};" for (sql,) in rows if sql)
 
     def knowledge(self, database_id: str) -> str:
+        """The text of the database's ``knowledge.md``, read again only when
+        the file's stamp has changed, or a notice when there is no such file."""
         path = self.db_dir(database_id) / "knowledge.md"
-        if not path.is_file():
+        try:
+            status = os.stat(path)
+        except OSError:
+            status = None
+        if status is None or not stat.S_ISREG(status.st_mode):
             return f"(no external knowledge file for database {database_id!r})"
-        return path.read_text(encoding="utf-8")
+        stamp = _stamp_of(status)
+        held = self._knowledge.get(database_id)
+        if held is not None and held[0] == stamp:
+            return held[1]
+        text = path.read_text(encoding="utf-8")
+        self._knowledge[database_id] = (stamp, text)
+        return text
 
 
 @dataclass
@@ -319,16 +357,27 @@ _PARSE_MEMO_SIZE = 256
 # process, so they are never memoized: parse_action_code catches them.
 _UNPARSABLE = (ValueError, TypeError, SyntaxError)
 
+# Argument values that no caller can change, so a shallow copy of the
+# arguments is as good as a deep one.
+_IMMUTABLE = (str, bytes, int, float, complex, bool, type(None))
+
+# ast.parse is not safe to run in several threads at once: under CPython 3.11
+# it can raise SystemError ("AST constructor recursion depth mismatch"). Only
+# a memo miss parses, so a hit takes no lock.
+_PARSE_LOCK = threading.Lock()
+
 
 @functools.lru_cache(maxsize=_PARSE_MEMO_SIZE)
-def _parse_calls(code: str) -> tuple[tuple[str, dict[str, Any]], ...]:
-    """The calls of ``parse_action_code``; the dicts are the memo's own and
-    are never handed out."""
+def _parse_calls(code: str) -> tuple[tuple[str, dict[str, Any], bool], ...]:
+    """The calls of ``parse_action_code``, each with whether all its argument
+    values are ``_IMMUTABLE``; the dicts are the memo's own and are never
+    handed out."""
     try:
-        tree = ast.parse(code)
+        with _PARSE_LOCK:
+            tree = ast.parse(code)
     except _UNPARSABLE:
         return ()
-    calls: list[tuple[str, dict[str, Any]]] = []
+    calls: list[tuple[str, dict[str, Any], bool]] = []
     for node in tree.body:
         if not isinstance(node, ast.Expr) or not isinstance(node.value, ast.Call):
             continue
@@ -348,7 +397,8 @@ def _parse_calls(code: str) -> tuple[tuple[str, dict[str, Any]], ...]:
                 valid = False
                 break
         if valid:
-            calls.append((call.func.id, args))
+            immutable = all(isinstance(value, _IMMUTABLE) for value in args.values())
+            calls.append((call.func.id, args, immutable))
     return tuple(calls)
 
 
@@ -360,13 +410,17 @@ def parse_action_code(code: str) -> list[tuple[str, dict[str, Any]]]:
     invocations; so are calls with a literal that fails to evaluate, such as
     an unhashable dict key, and text too deep or too large for the parser.
     Each distinct text is parsed once, in a memo bounded by
-    ``_PARSE_MEMO_SIZE``; every call returns fresh copies of the arguments.
+    ``_PARSE_MEMO_SIZE``; every call returns fresh copies of the arguments,
+    shallow when every value is an immutable scalar and deep otherwise.
     """
     try:
         calls = _parse_calls(code)
     except (MemoryError, RecursionError):
         return []
-    return [(name, copy.deepcopy(args)) for name, args in calls]
+    return [
+        (name, dict(args) if immutable else copy.deepcopy(args))
+        for name, args, immutable in calls
+    ]
 
 
 def execute_action(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trajmem.classifier as classifier_module
 from trajmem.classifier import (
     DEFAULT_RULE_TABLE,
     ClassifierRule,
@@ -252,6 +253,15 @@ def test_parse_rule_lines_rejects_malformed():
         parse_rule_lines(["10 exploration"])
 
 
+def test_each_table_keeps_a_bounded_memo_of_its_own():
+    table = parse_rule_lines(["10 e get_", "20 x sql"])
+    assert table._first_rule.cache_info().maxsize == classifier_module._CLASSIFY_MEMO_SIZE
+    for number in range(classifier_module._CLASSIFY_MEMO_SIZE + 10):
+        assert classify_step(step(0, action=f"sql {number}"), table) is Phase.EXECUTION
+    assert table._first_rule.cache_info().currsize == classifier_module._CLASSIFY_MEMO_SIZE
+    assert DEFAULT_RULE_TABLE._first_rule is not table._first_rule
+
+
 def test_parse_rule_lines_rejects_a_pattern_that_does_not_compile():
     with pytest.raises(StructuralError, match="does not compile"):
         parse_rule_lines(["10 x sql_execute", "20 e (unclosed"])
@@ -304,26 +314,45 @@ def _reference_rule(s, table):
     return None
 
 
+_NEXT_PHASE = {Phase.EXPLORATION: Phase.EXECUTION, Phase.EXECUTION: Phase.VALIDATION,
+               Phase.VALIDATION: Phase.EXPLORATION}
+
+
+def _rotated(table):
+    """The same patterns in the same order, every phase moved on by one, so
+    each text has another answer than under ``table``."""
+    return RuleTable(
+        rules=tuple(dataclasses.replace(r, target=_NEXT_PHASE[r.target]) for r in table.rules),
+        default=_NEXT_PHASE[table.default],
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(_rule_tables(), st.lists(_steps(), max_size=8))
 def test_classification_equals_searching_each_pattern_in_priority_order(table, steps):
+    # Each table classifies every text twice, around a table that holds the
+    # same patterns with other phases, so an answer kept for a text is
+    # neither lost nor seen by another table.
+    tables = (table, _rotated(table), table)
     for s in steps:
-        rule = _reference_rule(s, table)
-        assert classify_step(s, table) is (rule.target if rule else table.default)
+        for each in tables:
+            rule = _reference_rule(s, each)
+            assert classify_step(s, each) is (rule.target if rule else each.default)
 
     t = trajectory([dataclasses.replace(s, index=i) for i, s in enumerate(steps)])
     t.final_answer, t.wall_time_ms = "answer", 7
-    expected, previous = [], None
-    for s in t.steps:
-        rule = _reference_rule(s, table)
-        if rule is not None:
-            phase = rule.target
-        elif s.invocations:
-            phase = table.default
-        else:
-            phase = previous or Phase.EXPLORATION
-        expected.append(dataclasses.replace(s, phase=phase))
-        previous = phase
-    classified = classify_trajectory(t, table)
-    assert classified == dataclasses.replace(t, steps=expected)
+    for each in tables:
+        expected, previous = [], None
+        for s in t.steps:
+            rule = _reference_rule(s, each)
+            if rule is not None:
+                phase = rule.target
+            elif s.invocations:
+                phase = each.default
+            else:
+                phase = previous or Phase.EXPLORATION
+            expected.append(dataclasses.replace(s, phase=phase))
+            previous = phase
+        classified = classify_trajectory(t, each)
+        assert classified == dataclasses.replace(t, steps=expected)
     assert all(s.phase is None for s in t.steps)

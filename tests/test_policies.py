@@ -145,6 +145,51 @@ def test_scripted_policy_matches_reference_playbook(
         assert (decision.thought, decision.action_code, decision.final_answer) == wanted, position
 
 
+def test_scripted_policy_builds_each_episode_playbook_once(monkeypatch):
+    built = []
+    build = ScriptedPolicy._playbook
+
+    def counted(self, transcript, tools):
+        built.append(transcript)
+        return build(self, transcript, tools)
+
+    monkeypatch.setattr(ScriptedPolicy, "_playbook", counted)
+    policy = ScriptedPolicy({"f1": SCRIPT})
+    assert len(_drive(policy, BASE_TOOLS)) == 9
+    assert len(built) == 1
+    # A script changed between episodes plays from the next episode on.
+    policy.scripts["f1"] = QuestionScript(main_sql="SELECT 2", answer="two")
+    decisions = _drive(policy, BASE_TOOLS)
+    assert len(built) == 2
+    assert decisions[3].action_code == "sql_execute(query='SELECT 2')"
+    assert decisions[-1].final_answer == "two"
+    # One transcript shown another tool list plays that list's playbook.
+    transcript = Transcript(question=QUESTION)
+    assert policy.next_action(transcript, BASE_TOOLS).action_code == "get_ext(database='flights')"
+    assert BOOTSTRAP_COMPOSITE in policy.next_action(transcript, COMPOSITE_TOOLS).action_code
+
+
+def test_scripted_policy_steps_of_interleaved_episodes_follow_their_own_playbooks():
+    # As two worker threads sharing one policy may call it.
+    other = Question(id="r1", text="How many orders?", database_id="retail")
+    policy = ScriptedPolicy({"f1": SCRIPT, "r1": QuestionScript(main_sql="SELECT 3")})
+    episodes = [
+        (Transcript(question=QUESTION, context_prefix="memory", steps=[]), COMPOSITE_TOOLS),
+        (Transcript(question=other, steps=[]), BASE_TOOLS),
+    ]
+    decisions = {0: [], 1: []}
+    for _ in range(5):
+        for number, (transcript, tools) in enumerate(episodes):
+            decision = policy.next_action(transcript, tools)
+            decisions[number].append(decision)
+            transcript.steps.append(Step(index=len(transcript.steps)))
+    assert decisions[0] == _drive(ScriptedPolicy({"f1": SCRIPT}), COMPOSITE_TOOLS, "memory")
+    assert [d.action_code for d in decisions[1]] == [
+        "get_ext(database='retail')", "get_ddl(database='retail')", "",
+        "sql_execute(query='SELECT 3')", "validate_result()",
+    ]
+
+
 def test_scripted_policy_opens_with_the_fetch_under_a_mode_built_in_code():
     # QuestionScript(...) does not check memory_mode; any value other than
     # skip_exploration plays as condensed.

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import os
 import sqlite3
 import sys
 import threading
@@ -100,6 +102,22 @@ def test_two_parses_of_one_text_are_equal_and_share_no_container():
         assert first_args is not second_args
 
 
+def test_a_call_of_immutable_scalars_gets_a_fresh_shallow_copy_each_time():
+    code = "f(s='x', b=b'y', i=1, r=2.5, c=3j, t=True, n=None)"
+    (_, held, immutable), = tools_module._parse_calls(code)
+    assert immutable
+    handed = [args for _ in range(3) for (_, args) in parse_action_code(code)]
+    assert all(args == held for args in handed)
+    assert len({id(args) for args in handed + [held]}) == 4
+    handed[0]["s"] = "changed"
+    handed[1]["extra"] = True
+    assert parse_action_code(code) == [("f", held)]
+    assert held["s"] == "x" and "extra" not in held
+    # One container among the values: the whole call is deep-copied.
+    (_, _, immutable), = tools_module._parse_calls("f(s='x', l=[1])")
+    assert not immutable
+
+
 def test_mutating_a_parse_leaves_the_next_parse_unchanged():
     code = "f(a=[1, [2]], d={'k': [3]}, s={4}, t=(5, [6]), n='x')"
     expected = [("f", {"a": [1, [2]], "d": {"k": [3]}, "s": {4}, "t": (5, [6]), "n": "x"})]
@@ -112,6 +130,31 @@ def test_mutating_a_parse_leaves_the_next_parse_unchanged():
     args["n"] = "changed"
     args["extra"] = True
     assert parse_action_code(code) == expected
+
+
+def _run_threads(work, count):
+    """Run ``work(offset)`` in ``count`` threads that switch as often as the
+    interpreter allows; return the exceptions they raised."""
+    raised = []
+
+    def recorded(offset):
+        try:
+            work(offset)
+        except BaseException as exc:  # noqa: BLE001 - the test reports it
+            raised.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=recorded, args=(offset,)) for offset in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return raised
 
 
 def test_threads_sharing_the_parse_memo_never_see_each_others_mutations():
@@ -131,18 +174,35 @@ def test_threads_sharing_the_parse_memo_never_see_each_others_mutations():
             args["d"]["k"].add(-1)
             args["n"] = -1
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(offset,)) for offset in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
+    assert _run_threads(work, 8) == []
     assert mismatches == []
+
+
+class _Finalized:
+    def __del__(self):
+        pass
+
+
+def test_threads_parsing_new_texts_at_once_all_get_their_calls():
+    # Each text misses the memo, so threads parse at the same time; the
+    # garbage cycles make the collector run finalizers, and so switch
+    # threads, while a parse builds its tree.
+    def work(offset):
+        for n in range(600):
+            nested = "[" * 20 + str(n) + "]" * 20
+            code = (f"deep(a={nested}, b=[{offset}, [{n}]], d={{'k': {{{n}}}}})\n"
+                    f"other(x=({n}, ({offset},)))")
+            assert [name for name, _ in parse_action_code(code)] == ["deep", "other"]
+            for _ in range(5):
+                cycle = [_Finalized()]
+                cycle.append(cycle)
+
+    thresholds = gc.get_threshold()
+    gc.set_threshold(50, 2, 2)
+    try:
+        assert _run_threads(work, 8) == []
+    finally:
+        gc.set_threshold(*thresholds)
 
 
 @pytest.mark.parametrize("error", [MemoryError, RecursionError])
@@ -185,7 +245,8 @@ def test_path_escape_raises_security_error(workspace):
         workspace.read_file("../outside.txt")
     with pytest.raises(WorkspaceSecurityError):
         workspace.resolve("/etc/passwd/../passwd")
-    for database_id in ("../../sec", "..", "/etc", "a/b", ""):
+    # Twice: an id that does not match is never kept.
+    for database_id in ("../../sec", "..", "/etc", "a/b", "") * 2:
         with pytest.raises(WorkspaceSecurityError):
             workspace.db_dir(database_id)
 
@@ -233,6 +294,41 @@ def test_get_ext_missing_knowledge_gives_notice(tmp_path):
     (root / "dbs" / "flights" / "knowledge.md").unlink()
     workspace = Workspace(root)
     assert "no external knowledge file" in workspace.knowledge("flights")
+
+
+def test_knowledge_is_read_again_when_the_file_stamp_changes(workspace, monkeypatch):
+    path = workspace.db_dir("flights") / "knowledge.md"
+    first = workspace.knowledge("flights")
+    with monkeypatch.context() as patched:
+        patched.setattr(type(path), "read_text", lambda *args, **kwargs: pytest.fail("read"))
+        assert workspace.knowledge("flights") == first
+
+    # An in-place edit that keeps the size and sets the mtime back; past one
+    # tick of a coarse file-system clock, so the status-change time moves.
+    before = os.stat(path)
+    time.sleep(0.05)
+    edited = first.replace("delay", "DELAY")
+    assert edited != first
+    path.write_text(edited, encoding="utf-8")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_ino, after.st_mtime_ns, after.st_size) == (
+        before.st_ino, before.st_mtime_ns, before.st_size
+    )
+    assert workspace.knowledge("flights") == edited
+
+    # Replaced by another file of the same size and mtime.
+    other = path.with_name("other.md")
+    other.write_text(first, encoding="utf-8")
+    os.utime(other, ns=(after.st_atime_ns, after.st_mtime_ns))
+    os.replace(other, path)
+    assert workspace.knowledge("flights") == first
+
+    path.unlink()
+    notice = "(no external knowledge file for database 'flights')"
+    assert workspace.knowledge("flights") == notice
+    path.mkdir()
+    assert workspace.knowledge("flights") == notice
 
 
 @pytest.fixture()
