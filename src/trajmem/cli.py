@@ -196,8 +196,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         workspace,
         args.out,
         config,
-        store_root=args.store if not args.no_memory else None,
-        manifest_path=args.manifest if not args.no_composites else None,
+        store_root=args.store,
+        manifest_path=args.manifest,
         policy=policy,
         workers=args.workers,
     )

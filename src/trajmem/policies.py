@@ -5,11 +5,10 @@ A policy maps the transcript so far plus the visible tool specs to either a
 
 * ScriptedPolicy: per-question playbooks, fully deterministic; used by the
   bundled fixture suite. A playbook is an opening plus a closing. The
-  opening is fetch, one step per probe and a plan without a memory prefix;
-  with one, it is the fetch alone under ``condensed`` and the plan alone
-  under ``skip_exploration``. The fetch is the bootstrap composite when the
-  registry shows it, else ``get_ext`` then ``get_ddl``. The closing is the
-  main query, a reasoning-only check when the script asks for it, then
+  opening is fetch, one step per probe and a plan without a memory prefix,
+  and the fetch alone with one. The fetch is the bootstrap composite when
+  the registry shows it, else ``get_ext`` then ``get_ddl``. The closing is
+  the main query, a reasoning-only check when the script asks for it, then
   validate, save and report.
 * ReplayPolicy / RecordingPolicy: a script file mapping transcript
   fingerprints to actions, for exact replays.
@@ -188,24 +187,21 @@ _SCRIPT_FIELDS: Fields = {
     "answer": ("done", (str,), "a string"),
     "check": (False, (bool,), "a bool"),
     "refine": ({}, holding(dict, str), "an object of strings"),
-    "memory_mode": (
-        "condensed", lambda mode: mode in ("condensed", "skip_exploration"),
-        "condensed or skip_exploration",
-    ),
 }
 
 
 @dataclass
 class QuestionScript:
-    """Deterministic playbook for one question; ``memory_mode`` picks the
-    opening under a memory prefix, as the module docstring sets out."""
+    """Deterministic playbook for one question, played as the module
+    docstring sets out; no field picks the opening. ``from_dict`` ignores
+    keys outside the field table, such as the opening mode that older
+    questions files name."""
 
     probes: list[str] = field(default_factory=list)
     main_sql: str = ""
     answer: str = "done"
     check: bool = False
     refine: dict[str, str] = field(default_factory=dict)
-    memory_mode: str = "condensed"
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -214,17 +210,16 @@ class QuestionScript:
             "answer": self.answer,
             "check": self.check,
             "refine": dict(self.refine),
-            "memory_mode": self.memory_mode,
         }
 
     @classmethod
     def from_dict(cls, data: Any) -> "QuestionScript":
         """A script from its JSON object; a mistyped field raises
         ``ConfigurationError`` naming it."""
-        probes, main_sql, answer, check, refine, memory_mode = read_fields(
+        probes, main_sql, answer, check, refine = read_fields(
             data, _SCRIPT_FIELDS, lambda message: ConfigurationError(f"script field {message}")
         )
-        return cls(list(probes), main_sql, answer, check, dict(refine), memory_mode)
+        return cls(list(probes), main_sql, answer, check, dict(refine))
 
 
 def _sql_call(query: str) -> str:
@@ -291,17 +286,12 @@ class ScriptedPolicy(Policy):
             ]
         else:
             fetch = [_get_ext(db), _get_ddl(db)]
-        plan = [PolicyDecision(f"Plan: translate the question into one query on {db}.")]
+        opening = fetch
         if not transcript.context_prefix:
-            probes = [
+            opening += [
                 PolicyDecision("Probe a few rows to understand the data.", _sql_call(probe))
                 for probe in script.probes
-            ]
-            opening = fetch + probes + plan
-        elif script.memory_mode == "skip_exploration":
-            opening = plan
-        else:
-            opening = fetch
+            ] + [PolicyDecision(f"Plan: translate the question into one query on {db}.")]
         closing = (
             [PolicyDecision("Run the main query.", _sql_call(script.main_sql))]
             + [_CHECK] * script.check
@@ -317,9 +307,21 @@ class ScriptedPolicy(Policy):
         return None
 
 
-_CREATE_TABLE = re.compile(r"CREATE TABLE (\w+)", re.IGNORECASE)
-_FIRST_COLUMN = re.compile(r"CREATE TABLE \w+\s*\(\s*(\w+)", re.IGNORECASE)
+_CREATE_TABLE = re.compile(r"CREATE TABLE (\w+)\s*\(", re.IGNORECASE)
+# Whitespace and comments, never given back, then the first name.
+_FIRST_COLUMN = re.compile(r"(?:\s|--[^\n]*|/\*.*?\*/)*+(\w+)", re.DOTALL)
 _PROBED_TABLES = 2
+
+
+def schema_tables(ddl: str) -> list[tuple[str, str]]:
+    """Each ``CREATE TABLE`` of a schema text in order, with its first
+    column: the first name after the parenthesis, comments skipped, or
+    ``rowid`` when none follows."""
+    tables = []
+    for table in _CREATE_TABLE.finditer(ddl):
+        column = _FIRST_COLUMN.match(ddl, table.end())
+        tables.append((table.group(1), column.group(1) if column else "rowid"))
+    return tables
 
 
 class ExplorerPolicy(Policy):
@@ -339,21 +341,18 @@ class ExplorerPolicy(Policy):
             return _get_ext(db)
         if position == 1:
             return _get_ddl(db)
-        ddl = transcript.steps[1].observation
-        tables = _CREATE_TABLE.findall(ddl)[:_PROBED_TABLES]
+        tables = schema_tables(transcript.steps[1].observation)[:_PROBED_TABLES]
         probe_index = position - 2
         if probe_index < len(tables):
-            table = tables[probe_index]
+            table = tables[probe_index][0]
             return PolicyDecision(
                 thought=f"Probe a few rows of {table}.",
                 action_code=_sql_call(f"SELECT * FROM {table} LIMIT 5"),
             )
         if probe_index == len(tables) and tables:
-            first_table = tables[0]
-            match = _FIRST_COLUMN.search(ddl)
-            column = match.group(1) if match else "rowid"
+            table, column = tables[0]
             attempt = (
-                f"SELECT {column}, COUNT(*) AS n FROM {first_table} "
+                f"SELECT {column}, COUNT(*) AS n FROM {table} "
                 f"GROUP BY {column} ORDER BY n DESC"
             )
             return PolicyDecision(

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 from .errors import BudgetError, SynthesisError
 from .harness import EpisodeConfig, build_explorer_registry, run_episode
 from .model import Question
-from .policies import ExplorerPolicy, Policy
+from .policies import ExplorerPolicy, Policy, schema_tables
 from .retrieval import HashingEmbedder
 from .store import MemoryEntry, MemoryStore, structure_trajectory
 from .tools import Workspace
@@ -126,16 +126,11 @@ _TEMPLATES = (
     "What are the distinct values of {column} in {table}?",
     "Which {column} appears most often in {table}?",
 )
-_TABLE = re.compile(r"CREATE TABLE (\w+)\s*\(([^;]*?)\)", re.IGNORECASE | re.DOTALL)
-_COLUMN = re.compile(r"^\s*(\w+)\s+\w+", re.MULTILINE)
 
 
 def _template_questions(schema: str) -> list[str]:
     """Every template filled with every table and its first column, in order."""
-    slots = []
-    for table, body in _TABLE.findall(schema):
-        match = _COLUMN.search(body)
-        slots.append((table, match.group(1) if match else "rowid"))
+    slots = schema_tables(schema)
     return [
         template.format(table=table, column=column)
         for template in _TEMPLATES

@@ -84,7 +84,9 @@ class Workspace:
         dbs = self.root / "dbs"
         if not dbs.is_dir():
             return []
-        return sorted(p.name for p in dbs.iterdir() if p.is_dir())
+        return sorted(
+            p.name for p in dbs.iterdir() if p.is_dir() and ID_PATTERN.fullmatch(p.name)
+        )
 
     def list_directory(self, relative: str = ".") -> str:
         target = self.resolve(relative)

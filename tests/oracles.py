@@ -231,16 +231,13 @@ def reference_playbook(
     position, spelled out step kind by step kind.
 
     Without a memory prefix: fetch, one probe per script probe, plan. With
-    one under ``condensed``: fetch alone; under ``skip_exploration``: plan
-    alone. Then the main query, a check when asked for, validate, save and
-    report. The fetch is the bootstrap composite when the registry shows
-    it, else the knowledge file and then the schema."""
-    if not has_prefix:
-        kinds = ["fetch"] + ["probe"] * len(script.probes) + ["plan"]
-    elif script.memory_mode == "skip_exploration":
-        kinds = ["plan"]
-    else:
+    one: fetch alone. Then the main query, a check when asked for, validate,
+    save and report. The fetch is the bootstrap composite when the registry
+    shows it, else the knowledge file and then the schema."""
+    if has_prefix:
         kinds = ["fetch"]
+    else:
+        kinds = ["fetch"] + ["probe"] * len(script.probes) + ["plan"]
     kinds += ["main"] + (["check"] if script.check else []) + ["validate", "save", "report"]
 
     db = repr(database_id)

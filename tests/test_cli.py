@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+import trajmem.harness as harness
 from trajmem.cli import main, read_config
 from trajmem.errors import TrajmemError
 from trajmem.model import Phase, count_tokens
@@ -581,6 +582,58 @@ def test_a_well_formed_manifest_runs(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"version": 1, "composites": [_GOOD_COMPOSITE]}))
     assert _run_without_memory(tmp_path, "--manifest", str(path)) == 0
+
+
+def test_switched_off_memory_and_composites_open_no_store_and_no_manifest(tmp_path):
+    # Given as they are: run_suite alone leaves them unread when switched off.
+    store, manifest = tmp_path / "store", tmp_path / "m.json"
+    manifest.write_text("not a manifest")
+    flags = ("--store", str(store), "--manifest", str(manifest), "--no-composites")
+    assert _run_without_memory(tmp_path, *flags) == 0
+    assert not store.exists()
+
+
+@pytest.mark.parametrize("switch", ["--no-memory", "--no-composites"])
+def test_each_switch_alone_leaves_its_own_path_unread(pipeline_dirs, tmp_path, switch):
+    ws, store, manifest = pipeline_dirs
+    if switch == "--no-memory":
+        # The store shortens a run that reads it, and leaves this one as no store does.
+        assert _run(ws, store, manifest, tmp_path / "read") == 0
+        assert _run(ws, store, manifest, tmp_path / "unread", switch) == 0
+        assert _run(ws, tmp_path / "none", manifest, tmp_path / "bare", switch) == 0
+    else:
+        garbage = tmp_path / "garbage.json"
+        garbage.write_text("not a manifest")
+        assert _run(ws, store, garbage, tmp_path / "read") == 2
+        assert _run(ws, store, garbage, tmp_path / "unread", switch) == 0
+        assert _run(ws, store, manifest, tmp_path / "bare", switch) == 0
+    assert _records(tmp_path / "unread") == _records(tmp_path / "bare")
+    if switch == "--no-memory":
+        assert _records(tmp_path / "read") != _records(tmp_path / "unread")
+
+
+def _steps_of_readme_run(tmp_path, label, *flags):
+    """Total steps of the fixture questions run over the README store
+    (``synth --budget 12``) and its mined manifest."""
+    ws, store, manifest = tmp_path / "ws", tmp_path / "store", tmp_path / "manifest.json"
+    if not ws.exists():
+        assert main(["fixtures", "--out", str(ws)]) == 0
+        assert main(["synth", "--workspace", str(ws), "--workload", str(ws / "workload.txt"),
+                     "--budget", "12", "--store", str(store)]) == 0
+        assert main(["mine", "--store", str(store), "--tau", "0.5", "--max-size", "4",
+                     "--out", str(manifest)]) == 0
+    assert _run(ws, store, manifest, tmp_path / label, *flags) == 0
+    records = (tmp_path / label / "records").glob("*.json")
+    return sum(json.loads(path.read_text(encoding="utf-8"))["steps"] for path in records)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10: the scripted policy asks only "
+                   "whether a memory prefix exists, so any text saves the steps real "
+                   "memory saves")
+def test_a_filler_memory_prefix_saves_no_step_against_memory_off(tmp_path, monkeypatch):
+    without_memory = _steps_of_readme_run(tmp_path, "nomem", "--no-memory")
+    monkeypatch.setattr(harness, "memory_prefix", lambda store, entry: "x")
+    assert _steps_of_readme_run(tmp_path, "filler") >= without_memory
 
 
 @pytest.mark.parametrize(

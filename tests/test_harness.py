@@ -20,8 +20,10 @@ from trajmem.harness import (
 )
 import trajmem.harness as harness_module
 from trajmem.mining import MinedComposite, ToolSequence, export_manifest, load_manifest
-from trajmem.model import Phase, Question
-from trajmem.policies import Policy, PolicyDecision, QuestionScript, ScriptedPolicy
+from trajmem.model import Phase, Question, Step
+from trajmem.policies import (
+    Policy, PolicyDecision, QuestionScript, ScriptedPolicy, Transcript
+)
 from trajmem.retrieval import select_trajectory
 import trajmem.store as store_module
 from trajmem.store import MemoryStore
@@ -53,7 +55,6 @@ UNIT_SCRIPT = QuestionScript(
     probes=["SELECT * FROM flights LIMIT 5"],
     main_sql="SELECT COUNT(*) AS n FROM flights",
     answer="36 flights in total",
-    memory_mode="skip_exploration",
 )
 
 UNIT_QUESTION = Question(id="f1", text="How many flights are recorded in total?",
@@ -75,7 +76,7 @@ def test_scripted_episode_base_path(workspace):
     assert result.trajectory.final_answer == result.answer
 
 
-def test_memory_prefix_skips_three_exploration_steps(workspace, memory):
+def test_memory_prefix_skips_the_probes_and_the_plan(workspace, memory):
     policy = ScriptedPolicy({"f1": UNIT_SCRIPT})
     result = run_episode(
         UNIT_QUESTION,
@@ -84,7 +85,7 @@ def test_memory_prefix_skips_three_exploration_steps(workspace, memory):
         policy,
         memory_store=memory,
     )
-    assert len(result.trajectory.steps) == 5  # 8 minus ext, ddl, probe
+    assert len(result.trajectory.steps) == 6  # 8 minus probe and plan
     assert result.answer == "36 flights in total"
 
 
@@ -551,10 +552,6 @@ _MISTYPED_FIELDS = [
     {"script": {"probes": ["SELECT 1", 2]}},
     {"script": {"main_sql": 5}},
     {"script": {"answer": None}},
-    {"script": {"memory_mode": ["condensed"]}},
-    {"script": {"memory_mode": "skip-exploration"}},
-    {"script": {"memory_mode": "bogus"}},
-    {"script": {"memory_mode": ""}},
     {"script": {"check": "false"}},
     {"script": {"check": 1}},
     {"script": {"refine": []}},
@@ -571,6 +568,40 @@ def test_questions_file_rejects_mistyped_fields(tmp_path, fields):
         handle.write(json.dumps(line) + "\n")
     with pytest.raises(ConfigurationError, match=r"questions\.jsonl line 2: " + next(iter(fields))):
         load_questions_file(path)
+
+
+def test_fixture_questions_file_names_the_five_script_fields(workspace):
+    path = workspace.root / "questions.jsonl"
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    records = load_questions_file(path)
+    assert len(lines) == len(records) == 12
+    for line, record in zip(lines, records):
+        assert list(line["script"]) == ["probes", "main_sql", "answer", "check", "refine"]
+        assert record.script.to_dict() == line["script"]
+
+
+@pytest.mark.parametrize(
+    "mode", ["condensed", "skip_exploration", "skip-exploration", "bogus", "", ["condensed"]]
+)
+def test_a_memory_mode_in_a_script_is_ignored(tmp_path, mode):
+    # Older questions files name a memory_mode; any value loads and plays
+    # the one opening, the fetch alone under a memory prefix.
+    path = tmp_path / "questions.jsonl"
+    script = {"main_sql": "SELECT 1", "memory_mode": mode}
+    line = {"id": "f1", "text": "question", "database_id": "flights", "script": script}
+    path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    (record,) = load_questions_file(path)
+    assert record.script == QuestionScript(main_sql="SELECT 1")
+    policy = harness_module.scripted_policy_from_records([record])
+    transcript = Transcript(question=record.question, context_prefix="## [exploration]")
+    codes = []
+    for index in range(3):
+        codes.append(policy.next_action(transcript, []).action_code)
+        transcript.steps.append(Step(index=index))
+    assert codes == [
+        "get_ext(database='flights')", "get_ddl(database='flights')",
+        "sql_execute(query='SELECT 1')",
+    ]
 
 
 @pytest.mark.parametrize("index", ["kept", "deleted"])

@@ -177,11 +177,11 @@ _FIELD_NAMES = [
     "input_tokens", "output_tokens", "wall_time_ms", "index", "thought", "action_code",
     "invocations", "observation", "phase", "tool_name", "args", "output", "succeeded",
     "phase_counts", "answer_rows", "correct", "probes", "main_sql", "answer", "check",
-    "refine", "memory_mode",
+    "refine",
 ]
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
-    | st.sampled_from(["", "q1", "flights", "exploration", "condensed", "done"])
+    | st.sampled_from(["", "q1", "flights", "exploration", "done"])
     | st.text(max_size=4),
     lambda children: st.lists(children, max_size=3)
     | st.dictionaries(st.sampled_from(_FIELD_NAMES) | st.text(max_size=3), children, max_size=6),

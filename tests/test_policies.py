@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from oracles import reference_playbook
@@ -16,6 +18,7 @@ from trajmem.policies import (
     ReplayPolicy,
     ScriptedPolicy,
     Transcript,
+    schema_tables,
     transcript_fingerprint,
 )
 
@@ -82,21 +85,6 @@ def test_scripted_policy_condensed_memory_flow():
     assert "sql_execute" in decisions[1].action_code
 
 
-def test_scripted_policy_skip_exploration_memory_flow():
-    script = QuestionScript(
-        probes=["SELECT * FROM flights LIMIT 5"],
-        main_sql="SELECT COUNT(*) AS n FROM flights",
-        answer="done",
-        memory_mode="skip_exploration",
-    )
-    policy = ScriptedPolicy({"f1": script})
-    base = _drive(policy, BASE_TOOLS)
-    with_memory = _drive(policy, BASE_TOOLS, prefix="## [exploration] prior work")
-    assert len(base) == 8  # ext, ddl, probe, plan, main, validate, save, answer
-    assert len(with_memory) == 5  # plan, main, validate, save, answer
-    assert with_memory[0].action_code == ""  # plan step survives
-
-
 def test_scripted_policy_check_step_adds_reasoning():
     script = QuestionScript(probes=[], main_sql="SELECT 1", answer="x", check=True)
     decisions = _drive(ScriptedPolicy({"f1": script}), BASE_TOOLS)
@@ -121,18 +109,14 @@ def test_scripted_policy_unknown_question_raises():
 
 @pytest.mark.parametrize("bootstrap_visible", [False, True])
 @pytest.mark.parametrize("prefix", ["", "## [exploration] prior work"])
-@pytest.mark.parametrize("memory_mode", ["condensed", "skip_exploration"])
 @pytest.mark.parametrize("check", [False, True])
 @pytest.mark.parametrize("probes", [0, 1, 2])
-def test_scripted_policy_matches_reference_playbook(
-    probes, check, memory_mode, prefix, bootstrap_visible
-):
+def test_scripted_policy_matches_reference_playbook(probes, check, prefix, bootstrap_visible):
     script = QuestionScript(
         probes=["SELECT * FROM flights LIMIT 5", "SELECT 'it''s' AS s"][:probes],
         main_sql="SELECT COUNT(*) AS n FROM flights",
         answer="36 flights",
         check=check,
-        memory_mode=memory_mode,
     )
     policy = ScriptedPolicy({"f1": script})
     tools = COMPOSITE_TOOLS if bootstrap_visible else BASE_TOOLS
@@ -190,15 +174,6 @@ def test_scripted_policy_steps_of_interleaved_episodes_follow_their_own_playbook
     ]
 
 
-def test_scripted_policy_opens_with_the_fetch_under_a_mode_built_in_code():
-    # QuestionScript(...) does not check memory_mode; any value other than
-    # skip_exploration plays as condensed.
-    script = QuestionScript(main_sql="SELECT 1", memory_mode="skip-exploration")
-    transcript = Transcript(question=QUESTION, context_prefix="## [exploration] prior work")
-    decision = ScriptedPolicy({"f1": script}).next_action(transcript, BASE_TOOLS)
-    assert decision.action_code == "get_ext(database='flights')"
-
-
 def test_bootstrap_composite_is_the_mined_name_of_the_exploration_fetch():
     fetch = ToolSequence(("get_ext", "get_ddl"), Phase.EXPLORATION)
     assert name_composite(fetch)[0] == BOOTSTRAP_COMPOSITE
@@ -207,6 +182,14 @@ def test_bootstrap_composite_is_the_mined_name_of_the_exploration_fetch():
 def test_question_script_round_trip():
     restored = QuestionScript.from_dict(SCRIPT.to_dict())
     assert restored == SCRIPT
+
+
+def test_question_script_has_no_field_that_picks_the_opening():
+    names = [f.name for f in dataclasses.fields(QuestionScript)]
+    assert names == ["probes", "main_sql", "answer", "check", "refine"]
+    assert list(SCRIPT.to_dict()) == names
+    with pytest.raises(TypeError):
+        QuestionScript(main_sql="SELECT 1", memory_mode="condensed")
 
 
 # -- fingerprints and replay ------------------------------------------------------
@@ -280,6 +263,58 @@ def test_explorer_policy_flow():
     assert "SELECT * FROM flights LIMIT 5" in codes[3]
     assert "GROUP BY" in codes[4]
     assert decisions[5].final_answer is not None
+
+
+@pytest.mark.parametrize(
+    "ddl, expected",
+    [
+        ("CREATE TABLE t (a, b)", [("t", "a")]),
+        ("CREATE TABLE t (\n    a INTEGER PRIMARY KEY,\n    b TEXT\n);", [("t", "a")]),
+        ("CREATE TABLE t (\n  -- the key\n  a INTEGER\n);", [("t", "a")]),
+        ("CREATE TABLE t (/* the key;\n */ a INTEGER)", [("t", "a")]),
+        ("create table t(a)", [("t", "a")]),
+        # No plain name follows: no word of the comment is taken for one.
+        ('CREATE TABLE t (\n  -- the key\n  "a b" INTEGER\n);', [("t", "rowid")]),
+        ("CREATE TABLE t", []),
+        ("CREATE TABLE s (x);\n\nCREATE TABLE t (\n  y TEXT\n);", [("s", "x"), ("t", "y")]),
+    ],
+    ids=["untyped", "typed", "line-comment", "block-comment", "lower-case", "quoted",
+         "no-columns", "two-tables"],
+)
+def test_schema_tables_reads_each_table_and_its_first_column(ddl, expected):
+    assert schema_tables(ddl) == expected
+
+
+def _explorer_attempt(ddl):
+    """The explorer's aggregate query after it read ``ddl`` and probed."""
+    steps = [Step(index=0), Step(index=1, observation=ddl)]
+    transcript = Transcript(question=QUESTION, steps=steps)
+    policy = ExplorerPolicy()
+    while True:
+        decision = policy.next_action(transcript, BASE_TOOLS)
+        if "GROUP BY" in decision.action_code:
+            return decision.action_code
+        assert decision.final_answer is None
+        steps.append(Step(index=len(steps)))
+
+
+@pytest.mark.parametrize(
+    "ddl, column",
+    [
+        ("CREATE TABLE t (a, b)", "a"),
+        ("CREATE TABLE t (\n  -- the key\n  a INTEGER,\n  b TEXT\n);", "a"),
+        ("CREATE TABLE t (\n    a INTEGER PRIMARY KEY,\n    b TEXT\n);", "a"),
+        ("CREATE TABLE t (/* the key;\n */ a INTEGER, b TEXT)", "a"),
+        ("create table t(a, b)", "a"),
+        ('CREATE TABLE t (\n  "a b" INTEGER\n);', "rowid"),
+    ],
+    ids=["untyped", "comment", "typed", "block-comment", "lower-case", "quoted"],
+)
+def test_explorer_aggregates_the_first_column_the_templates_read(ddl, column):
+    assert _explorer_attempt(ddl) == (
+        f"sql_execute(query='SELECT {column}, COUNT(*) AS n FROM t GROUP BY {column} "
+        "ORDER BY n DESC')"
+    )
 
 
 # -- http policy --------------------------------------------------------------------

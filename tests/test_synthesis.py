@@ -163,6 +163,33 @@ def test_constant_generator_gets_uniqueness_suffixes():
     assert texts[6] == "How many rows are in flights? (3)"
 
 
+def test_synth_without_a_workload_skips_a_directory_that_is_no_database_id(tmp_path):
+    ws = build_fixture_workspace(tmp_path / "ws")
+    (ws / "dbs" / ".cache").mkdir()
+    store = tmp_path / "store"
+    assert cli.main(["synth", "--workspace", str(ws), "--budget", "4", "--store", str(store)]) == 0
+    assert MemoryStore(store).database_ids() == ["flights", "retail"]
+
+
+@pytest.mark.parametrize(
+    "schema, column",
+    [
+        ("CREATE TABLE t (a, b)", "a"),
+        ("CREATE TABLE t (\n  -- the key\n  a INTEGER,\n  b TEXT\n);", "a"),
+        ("CREATE TABLE t (\n    a INTEGER PRIMARY KEY,\n    b TEXT\n);", "a"),
+        ("CREATE TABLE t (/* the key;\n */ a INTEGER, b TEXT)", "a"),
+        ("create table t(a, b)", "a"),
+        ('CREATE TABLE t (\n  "a b" INTEGER\n);', "rowid"),
+    ],
+    ids=["untyped", "comment", "typed", "block-comment", "lower-case", "quoted"],
+)
+def test_templates_read_the_first_column_the_explorer_reads(schema, column):
+    texts = [q.text for q in generate_questions("db", schema, [], 2)]
+    assert texts == [
+        "How many rows are in t?", f"What is the count of each distinct {column} in t?"
+    ]
+
+
 def test_failing_generator_raises_synthesis_error_naming_database():
     with pytest.raises(SynthesisError) as excinfo:
         generate_questions("flights", "", [], 1)

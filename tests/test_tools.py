@@ -251,6 +251,13 @@ def test_path_escape_raises_security_error(workspace):
             workspace.db_dir(database_id)
 
 
+def test_database_ids_lists_only_names_that_are_ids(workspace):
+    for name in (".cache", "not an id", "-x"):
+        (workspace.root / "dbs" / name).mkdir()
+    (workspace.root / "dbs" / "file").write_text("")
+    assert workspace.database_ids() == ["flights", "retail"]
+
+
 def test_get_ddl_contains_every_table(workspace):
     ddl = workspace.ddl("flights")
     for table in ("airports", "carriers", "flights"):
