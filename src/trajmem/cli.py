@@ -25,7 +25,7 @@ from .policies import HttpPolicy, Policy, RecordingPolicy, ReplayPolicy
 from .mining import MinerConfig, export_manifest, mine_composites
 from .model import Question, Trajectory, count_tokens
 from .retrieval import select_trajectory
-from .store import MemoryStore
+from .store import MemoryStore, existing_store
 from .synthesis import QueryDistribution, allocate, generate_questions, synthesize_memory
 from .tools import Workspace
 
@@ -244,7 +244,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
-    store = MemoryStore(args.store)
+    store = existing_store(args.store)
     question = Question(id="query", text=args.question, database_id=args.db)
     entry = select_trajectory(question, store)
     # Entries taken from the index, meta.json files parsed, entries skipped as corrupt.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -34,7 +34,7 @@ from .model import (
 )
 from .policies import Policy, QuestionScript, ScriptedPolicy, Transcript
 from .retrieval import select_trajectory
-from .store import MemoryEntry, MemoryStore
+from .store import MemoryEntry, MemoryStore, existing_store
 from .tools import (
     EpisodeContext,
     Tool,
@@ -284,7 +284,6 @@ def scripted_policy_from_records(records: Sequence[QuestionRecord]) -> ScriptedP
 class SuiteResult:
     records: list[RunRecord]
     out_dir: Path
-    results: dict[str, EpisodeResult] = field(default_factory=dict)
 
 
 def run_suite(
@@ -297,7 +296,12 @@ def run_suite(
     policy: Policy | None = None,
     workers: int = 1,
 ) -> SuiteResult:
-    """Run every question and write one RunRecord and trajectory JSON each."""
+    """Run every question and write one RunRecord and trajectory JSON each.
+    With memory on, ``store_root`` must be a directory (see
+    ``existing_store``); nothing is written otherwise."""
+    memory_store = (
+        existing_store(store_root) if config.memory_enabled and store_root is not None else None
+    )
     out = Path(out_dir)
     (out / "records").mkdir(parents=True, exist_ok=True)
     (out / "trajectories").mkdir(parents=True, exist_ok=True)
@@ -306,9 +310,6 @@ def run_suite(
     if policy is None:
         policy = scripted_policy_from_records(records)
 
-    memory_store = (
-        MemoryStore(store_root) if config.memory_enabled and store_root is not None else None
-    )
     composites = (
         load_manifest(manifest_path)
         if config.composites_enabled and manifest_path is not None
@@ -349,7 +350,6 @@ def run_suite(
     suite = SuiteResult(records=[], out_dir=out)
     for record, (run_record, result) in zip(records, pairs):
         suite.records.append(run_record)
-        suite.results[record.question.id] = result
         (out / "records" / f"{record.question.id}.json").write_text(
             json.dumps(run_record.to_dict(), indent=2, ensure_ascii=False) + "\n",
             encoding="utf-8",

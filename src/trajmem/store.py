@@ -36,8 +36,10 @@ first load of that database, parsing each line on its own. An entry whose
 ``meta.json`` still has its line's stamp is built from the line in one
 step, with no file opened: the line's integer counts, decoded and checked,
 are the ones retrieval scores exactly, its directory is kept as a string
-until its ``path`` is read, and its segments are read (or rendered) from
-``meta.json`` only when first needed. Every other entry, and one whose line
+until its ``path`` is read, and it keeps the stamp it was compared with.
+Such an entry reads its own segments: the ``MemoryEntry`` reads (or
+renders) them from ``meta.json`` the first time they are asked for, and
+only from a file that still has its stamp. Every other entry, and one whose line
 holds damaged counts (a line in the older list format among them), is
 parsed from ``meta.json`` in full, and that first load appends a current
 line for it, so the next store takes it from the index. The store keeps what it read,
@@ -158,30 +160,13 @@ class StructuredSegment:
     body: str
 
 
+@dataclass(frozen=True, slots=True)
 class StructuredTrajectory:
-    """Phase-segmented markdown rendering of a trajectory."""
+    """Phase-segmented markdown rendering of a trajectory: a plain value,
+    built with its segments. A stored entry whose segments are not read
+    yet holds none (see ``MemoryEntry``)."""
 
-    __slots__ = ("_segments",)
-
-    def __init__(self, segments: list[StructuredSegment]) -> None:
-        self._segments = segments
-
-    @property
-    def segments(self) -> list[StructuredSegment]:
-        return self._segments
-
-    @property
-    def loaded(self) -> bool:
-        return self._segments is not None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StructuredTrajectory):
-            return NotImplemented
-        return self.segments == other.segments
-
-    def __repr__(self) -> str:
-        shown = self._segments if self.loaded else "<unread>"
-        return f"StructuredTrajectory(segments={shown!r})"
+    segments: list[StructuredSegment]
 
     @property
     def full_document(self) -> str:
@@ -236,26 +221,34 @@ class MemoryEntry:
     a string, it becomes a ``Path`` when first read. ``counts_memo`` holds
     the question's trigram counts by (text, dimension), as ``entry_counts``
     returns them; entries of one question may share it, since each value
-    depends only on its key. It is never written to disk. Two entries are
-    equal when their questions, structured trajectories and ``created_at``
-    are.
+    depends only on its key. It is never written to disk.
+
+    An entry reads its own segments. Built with ``structured`` of ``None``
+    (not read yet), it reads them from the ``meta.json`` in ``path`` the
+    first time ``structured`` is asked for, as ``_segments`` reads them, and
+    keeps them. It reads only a file that still has ``stamp`` (the stamp of
+    the version the entry describes) and still holds the entry's question;
+    otherwise ``structured`` raises ``StorageError``. Two entries are equal
+    when their questions, structured trajectories and ``created_at`` are.
     """
 
-    __slots__ = ("_question", "_structured", "_created_at", "_path", "counts_memo")
+    __slots__ = ("_question", "_structured", "_created_at", "_path", "counts_memo", "_stamp")
 
     def __init__(
         self,
         question: Question,
-        structured: StructuredTrajectory,
+        structured: StructuredTrajectory | None,
         created_at: str = "",
         path: str | Path | None = None,
         counts_memo: dict[tuple[str, int], EntryCounts] | None = None,
+        stamp: _Stamp | None = None,
     ) -> None:
         self._question = question
         self._structured = structured
         self._created_at = created_at or _now()
         self._path = path
         self.counts_memo = {} if counts_memo is None else counts_memo
+        self._stamp = stamp
 
     @property
     def question(self) -> Question:
@@ -263,6 +256,14 @@ class MemoryEntry:
 
     @property
     def structured(self) -> StructuredTrajectory:
+        if self._structured is None:
+            try:
+                meta = _read_meta(self._path, self._stamp)
+                if Question.from_dict(meta["question"]) != self._question:
+                    raise ValueError("meta.json does not hold the entry's question")
+                self._structured = StructuredTrajectory(_segments(meta))
+            except _CORRUPT_ENTRY_ERRORS as exc:
+                raise StorageError(f"cannot read memory entry at {self._path}: {exc}") from exc
         return self._structured
 
     @property
@@ -290,8 +291,9 @@ class MemoryEntry:
     __hash__ = None  # type: ignore[assignment]  # compared by value; Question is unhashable
 
     def __repr__(self) -> str:
+        # Segments not read yet show as None; a repr reads no file.
         return (
-            f"MemoryEntry(question={self.question!r}, structured={self.structured!r}, "
+            f"MemoryEntry(question={self.question!r}, structured={self._structured!r}, "
             f"created_at={self.created_at!r}, path={self.path!r})"
         )
 
@@ -362,9 +364,10 @@ class MemoryStore:
         When the new version cannot be moved into place, the old one is put
         back. The entry is then indexed and, if the store has loaded its
         database, kept in this store's cache as a new entry with that
-        directory, which shares the given one's question, ``counts_memo``
-        and structured trajectory; segments not yet read from an older
-        version are read from the one written.
+        directory and the stamp of the version written, which shares the
+        given one's question, ``counts_memo`` and structured trajectory;
+        segments not yet read from an older version are read from the one
+        written.
         """
         _check_id("database", entry.database_id)
         _check_id("question", entry.question.id)
@@ -403,14 +406,12 @@ class MemoryStore:
             raise
         counts = _encode_counts(entry_counts(entry, self.dimension))
         self._append_index(entry.database_id, self._index_line(entry, stamp, counts))
-        structured = entry.structured
-        if not structured.loaded:
-            # Segments not yet read are read from the version just written.
-            structured = _IndexedTrajectory(str(final), stamp, entry.question)
         with self._entries_lock:
             if entry.database_id in self._entries:
+                # Segments not yet read are read from the version just written.
                 stored = MemoryEntry(
-                    entry.question, structured, entry.created_at, final, entry.counts_memo
+                    entry.question, entry._structured, entry.created_at, final,
+                    entry.counts_memo, stamp,
                 )
                 self._entries[entry.database_id][final.name] = (stamp, stored)
         return final
@@ -469,14 +470,12 @@ class MemoryStore:
         return True
 
     def _read_index(
-        self,
-        database_id: str,
-        keep: Callable[[dict[str, Any], bytes], _T] = lambda line, raw: (line, raw),
+        self, database_id: str, keep: Callable[[dict[str, Any], bytes], _T]
     ) -> dict[str, _T]:
         """Entry directory name -> ``keep(line, its bytes without the line
         break)`` for the last well-formed line of that entry in the
         database's index, read in one call; torn or garbage lines are
-        skipped. By default ``keep`` keeps both."""
+        skipped."""
         try:
             with open(self.root / database_id / _INDEX_FILE, "rb") as handle:
                 data = handle.read()
@@ -573,19 +572,25 @@ class MemoryStore:
     def _from_index(
         self, entry_dir: str, stamp: _Stamp | None, line: dict[str, Any] | None
     ) -> MemoryEntry | None:
-        """The entry an index line describes, when the entry's ``meta.json``
-        still has the line's stamp; None when it does not, or the line is
-        damaged. The entry keeps ``stamp``, the object the cache keeps beside
-        it, not a copy read from the line."""
+        """The entry an index line describes, built from the line alone when
+        the entry's ``meta.json`` still has the line's stamp: its question,
+        ``created_at``, decoded and checked counts as its ``counts_memo``, and
+        ``stamp``, the tuple the cache keeps beside it. Its segments are read
+        when first asked for. None when the stamp differs or the line is
+        damaged."""
         if line is None or stamp is None or line.get("stamp") != list(stamp):
             return None
-        line["stamp"] = stamp
         try:
-            entry = _parse_entry(entry_dir, line)
+            question = Question.from_dict(line["question"])
+            dimension = line["dimension"]
+            counts = _decode_counts(line["counts"], dimension)
         except _CORRUPT_ENTRY_ERRORS:
             return None
         self.counts.indexed += 1
-        return entry
+        return MemoryEntry(
+            question, None, line.get("created_at", ""), entry_dir,
+            {(question.text, dimension): counts}, stamp,
+        )
 
     def _heal_line(
         self, database_id: str, name: str, entry: MemoryEntry, stamp: _Stamp
@@ -600,29 +605,29 @@ class MemoryStore:
         return [self._index_line(entry, stamp, counts)] if counts else []
 
     def read_segments(self, entry: MemoryEntry) -> bool:
-        """Make sure an entry's segments are in memory, reading them from its
-        ``meta.json`` if the entry came from the index.
+        """Make sure an entry's segments are in memory: an entry not read yet
+        reads them from its ``meta.json`` (see ``MemoryEntry``).
 
-        False when the file changed since it was indexed, does not parse, or
+        False when the file changed since the entry's stamp, does not parse, or
         holds no segments and a trajectory that cannot render them. The
         entry is then dropped from the cache, so the next
         ``load_entries`` parses it in full; a newer version that ``persist``
         cached in its place stays.
         """
-        if entry.structured.loaded:
-            return True
+        # Under the lock, so threads sharing the store read each file once.
         with self._entries_lock:
+            if entry._structured is not None:
+                return True
             self.counts.parsed += 1
-        try:
-            entry.structured.segments
-            return True
-        except StorageError as exc:
-            logger.warning("%s", exc)
-        with self._entries_lock:
+            try:
+                entry.structured
+                return True
+            except StorageError as exc:
+                logger.warning("%s", exc)
             cached = self._entries.get(entry.database_id, {})
             if cached.get(entry.path.name, (None, None))[1] is entry:
                 del cached[entry.path.name]
-        return False
+            return False
 
     def load_trajectories(self, database_id: str) -> list[Trajectory]:
         """Raw classified trajectories stored alongside entries (for mining),
@@ -666,6 +671,16 @@ class MemoryStore:
             self.counts.corrupt += 1
             logger.warning("skipping corrupt memory entry at %s: %s", entry_dir, exc)
             return None
+
+
+def existing_store(root: str | Path) -> MemoryStore:
+    """A store to read entries from: ``root`` must be a directory. A path
+    that is none holds no entry, so reading it would run as with memory
+    off; it raises ``StorageError`` naming the path instead."""
+    store = MemoryStore(root)
+    if not store.root.is_dir():
+        raise StorageError(f"memory store {str(root)!r} is not a directory")
+    return store
 
 
 def _check_id(label: str, value: str) -> None:
@@ -765,27 +780,13 @@ def _read_meta(entry_dir: str | Path, stamp: _Stamp | None = None) -> dict[str, 
 
 
 def _parse_entry(entry_dir: str, meta: dict[str, Any]) -> MemoryEntry:
-    """The entry that a ``meta.json`` or an index line describes, in the
-    directory ``entry_dir``; an index line is the one with ``counts``.
-
-    A ``meta.json`` gives the entry its segments at once, as ``_segments``
-    reads them: those it holds, or else those its trajectory renders. An
-    index line is taken in one step: the entry is built with its counts,
-    decoded and checked, as its ``counts_memo``, and its segments are left
-    to be read from ``meta.json`` when first asked for. A line's stamp that
-    is already a tuple is kept as it is (``tuple`` returns a tuple unchanged).
-    """
-    question = Question.from_dict(meta["question"])
-    if "counts" not in meta:
-        return MemoryEntry(
-            question, StructuredTrajectory(_segments(meta)), meta.get("created_at", ""), entry_dir
-        )
+    """The entry that a ``meta.json`` describes, in the directory
+    ``entry_dir``, with its segments as ``_segments`` reads them."""
     return MemoryEntry(
-        question,
-        _IndexedTrajectory(entry_dir, tuple(meta["stamp"]), question),
+        Question.from_dict(meta["question"]),
+        StructuredTrajectory(_segments(meta)),
         meta.get("created_at", ""),
         entry_dir,
-        {(question.text, meta["dimension"]): _decode_counts(meta["counts"], meta["dimension"])},
     )
 
 
@@ -804,36 +805,6 @@ def _segments(meta: dict[str, Any]) -> list[StructuredSegment]:
     if trajectory is None:
         raise ValueError("meta.json holds neither segments nor a trajectory")
     return structure_trajectory(trajectory).segments
-
-
-class _IndexedTrajectory(StructuredTrajectory):
-    """The structured trajectory of an entry taken from its index line. Its
-    segments are read from the entry's ``meta.json``, as ``_segments`` reads
-    them, the first time they are asked for, and only from a file that
-    still has the line's stamp and holds the line's question."""
-
-    __slots__ = ("entry_dir", "stamp", "question")
-
-    def __init__(self, entry_dir: str, stamp: tuple, question: Question) -> None:
-        self._segments = None
-        self.entry_dir = entry_dir
-        self.stamp = stamp
-        self.question = question
-
-    @property
-    def segments(self) -> list[StructuredSegment]:
-        if self._segments is None:
-            self._segments = self._read()
-        return self._segments
-
-    def _read(self) -> list[StructuredSegment]:
-        try:
-            meta = _read_meta(self.entry_dir, self.stamp)
-            if Question.from_dict(meta["question"]) != self.question:
-                raise ValueError("meta.json does not match its index line")
-            return _segments(meta)
-        except _CORRUPT_ENTRY_ERRORS as exc:
-            raise StorageError(f"cannot read memory entry at {self.entry_dir}: {exc}") from exc
 
 
 def _rendered(step: Step) -> str:

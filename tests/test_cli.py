@@ -159,6 +159,7 @@ def test_retrieve_command_prints_path(pipeline_dirs, capsys):
 
 
 def test_retrieve_command_handles_empty_store(tmp_path, capsys):
+    (tmp_path / "empty").mkdir()
     code = main(
         [
             "retrieve",
@@ -172,6 +173,31 @@ def test_retrieve_command_handles_empty_store(tmp_path, capsys):
     )
     assert code == 0
     assert "no stored entry" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_a_store_path_that_is_no_directory_exits_2_naming_it(pipeline_dirs, tmp_path, capsys,
+                                                             kind):
+    ws, _, manifest = pipeline_dirs
+    store = tmp_path / "nosuch"
+    if kind == "file":
+        store.write_text("not a store\n")
+    capsys.readouterr()
+    # Read as a store, it would find no entry: memory off, with no word said.
+    assert _run(ws, store, manifest, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(store) in err
+    assert not (tmp_path / "out").exists()
+    assert main(["retrieve", "--question", "How many rows are in flights?",
+                 "--db", "flights", "--store", str(store)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(store) in captured.err
+    # Memory switched off leaves the path unread; synth makes a new store.
+    assert _run(ws, store, manifest, tmp_path / "off", "--no-memory") == 0
+    if kind == "missing":
+        assert main(["synth", "--workspace", str(ws), "--workload", str(ws / "workload.txt"),
+                     "--budget", "2", "--store", str(store)]) == 0
+        assert _run(ws, store, manifest, tmp_path / "made") == 0
 
 
 def test_report_missing_runs_dir_exits_nonzero(tmp_path, capsys):
@@ -463,6 +489,7 @@ def test_retrieve_reports_the_tokens_of_the_prefix_an_episode_injects(pipeline_d
     ) == 0
     assert f"prefix tokens: {count_tokens(prefix)}" in capsys.readouterr().out
 
+    (store.parent / "empty").mkdir()
     empty = _retrieve_json(store.parent / "empty", question, capsys)
     assert (empty["entry"], empty["prefix_tokens"]) == (None, 0)
 

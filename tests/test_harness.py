@@ -20,7 +20,7 @@ from trajmem.harness import (
 )
 import trajmem.harness as harness_module
 from trajmem.mining import MinedComposite, ToolSequence, export_manifest, load_manifest
-from trajmem.model import Phase, Question, Step
+from trajmem.model import Phase, Question, Step, Trajectory
 from trajmem.policies import (
     Policy, PolicyDecision, QuestionScript, ScriptedPolicy, Transcript
 )
@@ -377,12 +377,12 @@ def test_run_suite_parallel_matches_serial_with_memory(workspace, tmp_path, monk
     ]
     synthesize_memory(questions, workspace, store)
     parsed = []
-    original = store_module._parse_entry
+    original = store_module._read_meta
     monkeypatch.setattr(
         store_module,
-        "_parse_entry",
-        lambda entry_dir, meta: parsed.append(os.path.basename(entry_dir))
-        or original(entry_dir, meta),
+        "_read_meta",
+        lambda entry_dir, stamp=None: parsed.append(os.path.basename(entry_dir))
+        or original(entry_dir, stamp),
     )
     records = load_questions_file(workspace.root / "questions.jsonl")
     config = _config(memory_enabled=True)
@@ -392,7 +392,7 @@ def test_run_suite_parallel_matches_serial_with_memory(workspace, tmp_path, monk
     parallel = run_suite(
         records, workspace, tmp_path / "parallel", config, store_root=store.root, workers=4
     )
-    # Four threads share one store, which parses each entry once.
+    # Four threads share one store, which reads each meta.json once.
     assert sorted(parsed) == sorted(q.id for q in questions)
     strip = lambda rs: [{**r.to_dict(), "wall_time_ms": 0} for r in rs]
     assert strip(serial.records) == strip(parallel.records)
@@ -479,7 +479,9 @@ def test_run_suite_refinement_question_succeeds(workspace, tmp_path):
     ]
     suite = run_suite(records, workspace, tmp_path / "runs", _config())
     assert suite.records[0].correct is True
-    trajectory = suite.results["f6"].trajectory
+    # The refinement trail can be read back from what the run wrote.
+    written = (suite.out_dir / "trajectories" / "f6.json").read_text(encoding="utf-8")
+    trajectory = Trajectory.from_json(written)
     main_steps = [
         s for s in trajectory.steps
         for inv in s.invocations

@@ -442,6 +442,20 @@ def _selected(store: MemoryStore, text: str) -> str | None:
     return None if entry is None else entry.question.id
 
 
+def _meta_reads(monkeypatch) -> list[tuple[str, tuple | None]]:
+    """From now on, each ``meta.json`` read: (entry directory name, the stamp
+    the reader asked the file to have)."""
+    reads = []
+    original = store_module._read_meta
+
+    def counting(entry_dir, stamp=None):
+        reads.append((os.path.basename(entry_dir), stamp))
+        return original(entry_dir, stamp)
+
+    monkeypatch.setattr(store_module, "_read_meta", counting)
+    return reads
+
+
 def test_writes_through_a_second_store_are_seen_by_the_first(tmp_path):
     reader = MemoryStore(tmp_path / "store")
     writer = MemoryStore(tmp_path / "store")
@@ -510,59 +524,67 @@ def test_each_meta_json_is_parsed_once_per_store(tmp_path, monkeypatch):
     writer = MemoryStore(tmp_path / "store")
     for i in range(6):
         _persist_text(writer, f"q{i:03d}", f"question number {i} about flights")
-    parsed = []
-    original = store_module._parse_entry
-
-    def counting(entry_dir, meta):
-        parsed.append(os.path.basename(entry_dir))
-        return original(entry_dir, meta)
-
-    monkeypatch.setattr(store_module, "_parse_entry", counting)
+    reads = _meta_reads(monkeypatch)
     store = MemoryStore(tmp_path / "store")
     for i in range(20):
-        _selected(store, f"question {i % 6} about flights")
-    assert sorted(parsed) == [f"q{i:03d}" for i in range(6)]
+        assert _selected(store, f"question {i % 6} about flights") == f"q{i % 6:03d}"
+    # Each winner, taken from the index, reads its meta.json once.
+    assert sorted(name for name, _ in reads) == [f"q{i:03d}" for i in range(6)]
 
     _persist_text(writer, "q003", "a rewritten question")
     _persist_text(writer, "q006", "a new question")
     for _ in range(5):
         store.load_entries("db1")
-    assert sorted(parsed[6:]) == ["q003", "q006"]
+    assert sorted(name for name, _ in reads[6:]) == ["q003", "q006"]
 
 
 def test_threads_sharing_a_store_parse_each_entry_once(tmp_path, monkeypatch):
     writer = MemoryStore(tmp_path / "store")
     for i in range(100):
         _persist_text(writer, f"q{i:03d}", f"question number {i}")
-    parsed = []
-    original = store_module._parse_entry
-    monkeypatch.setattr(
-        store_module,
-        "_parse_entry",
-        lambda entry_dir, meta: parsed.append(entry_dir) or original(entry_dir, meta),
-    )
+    ids = [f"q{i:03d}" for i in range(100)]
+    reads = _meta_reads(monkeypatch)
+
+    def in_threads(work) -> list:
+        results = []
+        start = threading.Barrier(8, timeout=60)
+
+        def run():
+            start.wait()
+            results.append(work())
+
+        threads = [threading.Thread(target=run) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 8
+        return results
+
+    # With no index, the first load parses every meta.json, each once.
+    _index(tmp_path).unlink()
     store = MemoryStore(tmp_path / "store")
-    results = []
-    start = threading.Barrier(8, timeout=60)
+    results = in_threads(lambda: store.load_entries("db1"))
+    assert sorted(name for name, _ in reads) == ids
+    assert all([e.question.id for e in r] == ids for r in results)
 
-    def load():
-        start.wait()
-        results.append(store.load_entries("db1"))
+    # From the index that load wrote, each entry reads its segments once.
+    reads.clear()
+    store = MemoryStore(tmp_path / "store")
 
-    threads = [threading.Thread(target=load) for _ in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert len(parsed) == len(set(parsed)) == 100
-    assert len(results) == 8
-    assert all([e.question.id for e in r] == [f"q{i:03d}" for i in range(100)] for r in results)
+    def load_and_read():
+        entries = store.load_entries("db1")
+        return all(store.read_segments(entry) for entry in entries)
+
+    assert in_threads(load_and_read) == [True] * 8
+    assert sorted(name for name, _ in reads) == ids
+    assert store.counts == store_module.LoadCounts(indexed=100, parsed=100)
 
 
 def test_loaded_entries_are_the_stores_own_and_read_only(tmp_path):
@@ -799,7 +821,10 @@ def test_cold_selection_parses_only_the_winner(tmp_path, monkeypatch):
     assert opened == [str(tmp_path / "store" / "db1" / "q001" / "meta.json")]
     assert store.counts == store_module.LoadCounts(indexed=4, parsed=1, corrupt=0)
     entry = store.load_entries("db1")[1]
-    assert entry.structured.loaded and entry.path == tmp_path / "store" / "db1" / "q001"
+    assert entry.path == tmp_path / "store" / "db1" / "q001"
+    # The winner keeps the segments it read.
+    assert entry.structured.segments and store.read_segments(entry)
+    assert len(opened) == 1 and store.counts.parsed == 1
 
 
 def test_indexed_vectors_equal_the_embedded_ones_bit_for_bit(tmp_path):
@@ -936,7 +961,7 @@ def test_index_reader_skips_each_garbage_line_alone(tmp_path):
     lines = [b"[1", b"2]", b"3," + valid[0], valid[4], valid[2], b"\x00garbage", valid[1],
              valid[4], valid[3][:40]]
     index.write_bytes(b"\n".join(lines))
-    read = MemoryStore(tmp_path / "store")._read_index("db1")
+    read = MemoryStore(tmp_path / "store")._read_index("db1", lambda line, raw: (line, raw))
     assert read == _read_per_line(index)
     assert {name: raw for name, (_, raw) in read.items()} == {"q001": valid[4], "q002": valid[2]}
     store = MemoryStore(tmp_path / "store")
@@ -976,7 +1001,7 @@ def test_index_reader_equals_a_line_by_line_reader(pieces, cut, torn):
         if torn and data:
             data = data[: len(data) - 1 - cut % len(data)]
         index.write_bytes(data)
-        read = MemoryStore(Path(tmp) / "store")._read_index("db1")
+        read = MemoryStore(Path(tmp) / "store")._read_index("db1", lambda line, raw: (line, raw))
         assert read == _read_per_line(index)
         # Each id keeps its last well-formed line; of q001's two, only the
         # current one (the last written) still matches its meta.json.
@@ -1113,12 +1138,13 @@ def test_a_heal_that_writes_the_whole_index_does_not_compact_it(tmp_path, monkey
     assert compactions == []
 
 
-def test_an_indexed_entry_equals_its_twin_parsed_from_meta_json(tmp_path):
+def test_an_indexed_entry_equals_its_twin_parsed_from_meta_json(tmp_path, monkeypatch):
     _persist_all(tmp_path)
     database_dir = tmp_path / "store" / "db1"
     store = MemoryStore(tmp_path / "store")
     entries = store.load_entries("db1")
     assert store.counts.indexed == 4
+    reads = _meta_reads(monkeypatch)
     for entry in entries:
         entry_dir = database_dir / entry.question.id
         twin = store_module._parse_entry(
@@ -1132,19 +1158,29 @@ def test_an_indexed_entry_equals_its_twin_parsed_from_meta_json(tmp_path):
         assert (list(buckets), list(counts), norm) == (
             sorted(hashed), [hashed[b] for b in sorted(hashed)], sum(c * c for c in hashed.values())
         )
-        assert not entry.structured.loaded
+        # Built from its index line, the entry reads its meta.json only for
+        # its segments, and then once.
+        assert reads == []
         assert entry.structured.segments == twin.structured.segments
         assert entry == twin
+        assert [name for name, _ in reads] == [entry.question.id]
+        reads.clear()
 
 
-def test_an_indexed_entry_holds_its_cached_stamp_and_a_question_without_a_dict(tmp_path):
+def test_an_indexed_entry_holds_its_cached_stamp_and_a_question_without_a_dict(
+    tmp_path, monkeypatch
+):
     _persist_all(tmp_path)
     store = MemoryStore(tmp_path / "store")
     entries = store.load_entries("db1")
     assert store.counts.indexed == 4
+    reads = _meta_reads(monkeypatch)
     for entry in entries:
         stamp, cached = store._entries["db1"][entry.question.id]
-        assert cached is entry and entry.structured.stamp is stamp
+        assert cached is entry and store.read_segments(entry)
+        # Its segments are read from the version with the stamp the cache
+        # keeps, the same tuple, not a copy read from the index line.
+        assert reads[-1][0] == entry.question.id and reads[-1][1] is stamp
     assert [e.structured.segments for e in entries] == [
         e.structured.segments for e in MemoryStore(tmp_path / "store").load_entries("db1")
     ]
@@ -1487,15 +1523,21 @@ def test_an_entry_of_each_earlier_writer_loads_as_its_writer_loaded_it(tmp_path,
     assert store.counts.corrupt == 0
 
 
-def test_an_unread_entry_persisted_again_reads_its_segments_from_the_new_version(tmp_path):
+def test_an_unread_entry_persisted_again_reads_its_segments_from_the_new_version(
+    tmp_path, monkeypatch
+):
     _persist_all(tmp_path)
     store = MemoryStore(tmp_path / "store")
     entry = store.load_entries("db1")[1]
-    assert not entry.structured.loaded
-    store.persist(entry, store.load_trajectories("db1")[1])
+    stored = store.load_trajectories("db1")[1]
+    reads = _meta_reads(monkeypatch)
+    store.persist(entry, stored)
     (kept,) = [e for e in store.load_entries("db1") if e.question.id == "q001"]
-    assert not kept.structured.loaded
+    new_stamp = store._entries["db1"]["q001"][0]
+    # Neither the given entry's segments nor the kept one's were read yet.
+    assert reads == []
     assert store.read_segments(kept)
+    assert reads == [("q001", new_stamp)]
     rendered = memory_entry("q001", "db1", _TEXTS[1], _text_steps(_TEXTS[1])).structured
     assert kept.structured == rendered
     # The given entry's segments were never read from the version it replaced.
