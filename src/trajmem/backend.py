@@ -10,11 +10,22 @@ as rows are fetched in batches of ``_FETCH_ROWS``), raises rather than being
 cut, so a runaway query fails like any other broken one. A string or blob
 past ``QUERY_MAX_VALUE_BYTES`` fails the query too, and a rendered cell is
 cut at ``_RENDERED_CELL_CHARS``.
+
+A backend is one read-only session on its database file. Its authorizer
+denies ``ATTACH`` and notes whether every action of every statement it has
+prepared was a read (``SQLITE_SELECT``, ``SQLITE_READ``, ``SQLITE_FUNCTION``
+or ``SQLITE_RECURSIVE``). Such a session, outside a transaction and on an
+unchanged file, holds nothing a fresh connection would not show, so
+``tools.Workspace`` keeps it for the next episode; any other action (a
+``TEMP`` table, view or trigger, a ``PRAGMA``, ``BEGIN``, ``SAVEPOINT``, a
+denied ``ATTACH``) makes it one to close.
 """
 
 from __future__ import annotations
 
+import os
 import sqlite3
+import stat
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +33,7 @@ from typing import Callable
 from urllib.parse import quote
 
 from .errors import ConfigurationError
+from .store import _Stamp, _stamp_of
 
 Refiner = Callable[[str, str], "str | None"]
 
@@ -48,28 +60,63 @@ class QueryResult:
     rows: list[tuple]
 
 
-def _deny_attach(action: int, *_: object) -> int:
-    return sqlite3.SQLITE_DENY if action == sqlite3.SQLITE_ATTACH else sqlite3.SQLITE_OK
+# Authorizer actions that leave a connection as a fresh one would be.
+_READ_ACTIONS = frozenset(
+    (sqlite3.SQLITE_SELECT, sqlite3.SQLITE_READ, sqlite3.SQLITE_FUNCTION,
+     sqlite3.SQLITE_RECURSIVE)
+)
+
+
+def file_stamp(path: Path) -> _Stamp | None:
+    """The stamp of a regular file, or None when there is none at ``path``."""
+    try:
+        status = os.stat(path)
+    except OSError:
+        return None
+    return _stamp_of(status) if stat.S_ISREG(status.st_mode) else None
 
 
 class SqliteBackend:
-    """Thin wrapper over one SQLite database file."""
+    """One read-only session on a SQLite database file.
+
+    ``stamp`` is the file's stamp taken before the connection opened, and
+    ``only_read`` stays true while every statement prepared on it only read
+    (see the module docstring). The connection may be used from any thread,
+    by one holder at a time.
+    """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        if not self.path.is_file():
+        stamp = file_stamp(self.path)
+        if stamp is None:
             raise ConfigurationError(f"database file not found: {self.path}")
+        self.stamp = stamp
+        self.only_read = True
         self._deadline = 0.0
         # Read-only, and no ATTACH (which also covers VACUUM INTO): agent SQL
         # can neither change the database nor create a file.
         uri = f"file:{quote(str(self.path))}?mode=ro"
-        self._conn = sqlite3.connect(uri, uri=True)
-        self._conn.set_authorizer(_deny_attach)
+        self._conn = sqlite3.connect(uri, uri=True, check_same_thread=False)
+        self._conn.set_authorizer(self._authorize)
         self._conn.setlimit(sqlite3.SQLITE_LIMIT_LENGTH, QUERY_MAX_VALUE_BYTES)
         # A true return interrupts the running statement, which then raises
         # sqlite3.OperationalError("interrupted").
         self._conn.set_progress_handler(
             lambda: time.monotonic() > self._deadline, _PROGRESS_INTERVAL
+        )
+
+    def _authorize(self, action: int, *_: object) -> int:
+        if action not in _READ_ACTIONS:
+            self.only_read = False
+        return sqlite3.SQLITE_DENY if action == sqlite3.SQLITE_ATTACH else sqlite3.SQLITE_OK
+
+    def reusable(self) -> bool:
+        """Whether the next episode may take this session: it only read, is
+        in no transaction, and its file still has the stamp it opened with."""
+        return (
+            self.only_read
+            and not self._conn.in_transaction
+            and file_stamp(self.path) == self.stamp
         )
 
     def execute(self, query: str) -> QueryResult:

@@ -87,18 +87,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
     counts = allocate(databases, distribution, args.budget)
     total_entries = 0
     per_db: dict[str, int] = {}
-    for database_id in databases:
-        schema_file = workspace.db_dir(database_id) / "schema.sql"
-        schema = (
-            schema_file.read_text(encoding="utf-8")
-            if schema_file.is_file()
-            else workspace.ddl(database_id)
-        )
-        existing = [entry.question for entry in store.load_entries(database_id)]
-        questions = generate_questions(database_id, schema, existing, counts[database_id])
-        entries = synthesize_memory(questions, workspace, store)
-        per_db[database_id] = len(entries)
-        total_entries += len(entries)
+    with workspace:
+        for database_id in databases:
+            schema_file = workspace.db_dir(database_id) / "schema.sql"
+            schema = (
+                schema_file.read_text(encoding="utf-8")
+                if schema_file.is_file()
+                else workspace.ddl(database_id)
+            )
+            existing = [entry.question for entry in store.load_entries(database_id)]
+            questions = generate_questions(database_id, schema, existing, counts[database_id])
+            entries = synthesize_memory(questions, workspace, store)
+            per_db[database_id] = len(entries)
+            total_entries += len(entries)
     payload = {"allocation": counts, "persisted": per_db, "total": total_entries}
     text = "\n".join(
         [f"allocated {counts[db]} question(s) to {db}, persisted {per_db[db]}" for db in databases]
@@ -177,6 +178,9 @@ def _build_policy(args: argparse.Namespace, records) -> Policy | None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if not args.no_memory and args.store is None:
+        # run_suite would run such a suite with memory off, saying nothing.
+        raise TrajmemError("memory is on but no --store was given; pass --store or --no-memory")
     workspace = Workspace(args.workspace)
     records = load_questions_file(args.questions)
     max_steps = (
@@ -191,16 +195,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         composites_enabled=not args.no_composites,
     )
     policy = _build_policy(args, records)
-    suite = run_suite(
-        records,
-        workspace,
-        args.out,
-        config,
-        store_root=args.store,
-        manifest_path=args.manifest,
-        policy=policy,
-        workers=args.workers,
-    )
+    with workspace:
+        suite = run_suite(
+            records,
+            workspace,
+            args.out,
+            config,
+            store_root=args.store,
+            manifest_path=args.manifest,
+            policy=policy,
+            workers=args.workers,
+        )
     if args.record and isinstance(policy, RecordingPolicy):
         policy.save(args.record)
     correct = sum(1 for r in suite.records if r.correct)

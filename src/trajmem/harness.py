@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .backend import SqliteBackend
 from .classifier import classify_trajectory
 from .errors import ConfigurationError
 from .metrics import RunRecord, execution_accuracy
@@ -149,10 +148,14 @@ def run_episode(
     """Run one planner episode and return the classified, timed trajectory.
 
     A given ``registry`` replaces the planner's; tool state lives on the context.
+    The episode runs on a read-only session of the workspace
+    (``Workspace.session``): an idle one whose database file is unchanged,
+    or a new one. It hands the session back at its end, and the workspace
+    keeps it for a later episode only while ``SqliteBackend.reusable``
+    holds: every statement only read, no open transaction, the same file.
     """
     start = time.monotonic()
-    backend = SqliteBackend(workspace.db_path(question.database_id))
-    try:
+    with workspace.session(question.database_id) as backend:
         ctx = EpisodeContext(
             workspace=workspace,
             database_id=question.database_id,
@@ -204,8 +207,6 @@ def run_episode(
             answer=answer,
             answer_rows=ctx.saved_rows if ctx.saved_rows is not None else ctx.last_rows,
         )
-    finally:
-        backend.close()
 
 
 # -- batched runs -------------------------------------------------------------------

@@ -20,7 +20,6 @@ A policy maps the transcript so far plus the visible tool specs to either a
 from __future__ import annotations
 
 import abc
-import hashlib
 import json
 import re
 from dataclasses import dataclass, field
@@ -84,6 +83,8 @@ class Policy(abc.ABC):
 
 def transcript_fingerprint(transcript: Transcript) -> str:
     """Stable digest of a transcript for script-file replay."""
+    import hashlib  # loads OpenSSL; only replay files need it
+
     payload = {
         "question": transcript.question.text,
         "database": transcript.question.database_id,

@@ -20,27 +20,34 @@ per distinct text and per file version:
 The parse memo, and the classifier's memo of the same bound, pay because a
 run repeats its action texts; a live model's new SQL misses them and saves
 only the path, knowledge and copy costs.
+
+Beside the memos, a ``Workspace`` keeps a list of idle read-only sessions
+per database file (``Workspace.session``). An episode takes one or opens
+one, and hands it back at its end; it is kept only while it has only read,
+is in no transaction and its file keeps the stamp it opened with (see the
+``backend`` module), so the next episode skips the connect, the schema read
+and the preparing of SQL it has run before.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
 import copy
 import csv
 import functools
-import os
-import stat
 import threading
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
-from .backend import SqliteBackend, execute_sql_with_refinement, render_result
+from .backend import SqliteBackend, execute_sql_with_refinement, file_stamp, render_result
 from .errors import ConfigurationError, ToolError, WorkspaceSecurityError
 from .model import (
     ID_PATTERN, Question, ToolInvocation, ToolParam, ToolSpec, render_observation
 )
-from .store import _Stamp, _stamp_of
+from .store import _Stamp
 
 
 _DDL_QUERY = (
@@ -49,11 +56,58 @@ _DDL_QUERY = (
 )
 
 
+class _Sessions:
+    """Idle read-only sessions, a list per database file, shared by threads.
+
+    A session taken off a list has one holder. It goes back on its list only
+    when ``SqliteBackend.reusable`` holds and the sessions are not closed;
+    otherwise it is closed. A session whose file's stamp changed while it
+    was idle is closed when it would be taken.
+    """
+
+    def __init__(self) -> None:
+        self._idle: dict[Path, list[SqliteBackend]] = {}
+        self._lock = threading.Lock()
+        self._closed = False
+
+    def take(self, path: Path) -> SqliteBackend:
+        stamp = file_stamp(path)
+        with self._lock:
+            idle = self._idle.get(path, [])
+            stale = [backend for backend in idle if backend.stamp != stamp]
+            fresh = self._idle[path] = [backend for backend in idle if backend.stamp == stamp]
+            taken = fresh.pop() if fresh else None
+        for backend in stale:
+            backend.close()
+        return taken if taken is not None else SqliteBackend(path)
+
+    def give_back(self, backend: SqliteBackend) -> None:
+        if backend.reusable():
+            with self._lock:
+                if not self._closed:
+                    self._idle.setdefault(backend.path, []).append(backend)
+                    return
+        backend.close()
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            idle = [backend for backends in self._idle.values() for backend in backends]
+            self._idle.clear()
+        for backend in idle:
+            backend.close()
+
+
 class Workspace:
     """Rooted file-system view: databases, knowledge files, and outputs.
 
     All relative paths resolve under the root, and database ids must match
     ID_PATTERN; escapes raise WorkspaceSecurityError.
+
+    A workspace keeps the read-only sessions its episodes hand back (see
+    ``session``) until ``close``, the end of a ``with`` block, or its
+    collection closes them. Once closed, it still serves episodes, each on
+    a session of its own that is closed when the episode ends.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -62,6 +116,29 @@ class Workspace:
             raise ConfigurationError(f"workspace root is not a directory: {self.root}")
         self._db_dirs: dict[str, Path] = {}
         self._knowledge: dict[str, tuple[_Stamp, str]] = {}
+        self._sessions = _Sessions()
+        self._finalizer = weakref.finalize(self, self._sessions.close)
+
+    def close(self) -> None:
+        """Close the idle sessions; sessions handed back later are closed too."""
+        self._finalizer()
+
+    def __enter__(self) -> "Workspace":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    @contextlib.contextmanager
+    def session(self, database_id: str) -> Iterator[SqliteBackend]:
+        """A read-only session on the database, idle or new, handed back at
+        the end of the block; raises ConfigurationError when the database
+        file is missing."""
+        backend = self._sessions.take(self.db_path(database_id))
+        try:
+            yield backend
+        finally:
+            self._sessions.give_back(backend)
 
     def resolve(self, relative: str) -> Path:
         candidate = (self.root / relative).resolve()
@@ -107,10 +184,10 @@ class Workspace:
         """All table definitions of the main schema in canonical (name) order.
 
         The schema is read through ``backend`` when it is open on this
-        database, so the query has the episode's time limit and row cap, and
-        otherwise through a read-only backend opened for the call alone. TEMP
-        tables and views, which an agent can make on a read-only connection,
-        are not part of the main schema and never show.
+        database, and otherwise through a ``session`` of that database; the
+        query has the time limit and row cap of agent SQL. TEMP tables and
+        views, which an agent can make on a read-only connection, are not
+        part of the main schema and never show.
         """
         path = self.db_path(database_id)
         if not path.is_file():
@@ -118,7 +195,7 @@ class Workspace:
         if backend is not None and backend.path == path:
             rows = backend.execute(_DDL_QUERY).rows
         else:
-            with SqliteBackend(path) as own:
+            with self.session(database_id) as own:
                 rows = own.execute(_DDL_QUERY).rows
         return "\n\n".join(f"{sql};" for (sql,) in rows if sql)
 
@@ -126,13 +203,9 @@ class Workspace:
         """The text of the database's ``knowledge.md``, read again only when
         the file's stamp has changed, or a notice when there is no such file."""
         path = self.db_dir(database_id) / "knowledge.md"
-        try:
-            status = os.stat(path)
-        except OSError:
-            status = None
-        if status is None or not stat.S_ISREG(status.st_mode):
+        stamp = file_stamp(path)
+        if stamp is None:
             return f"(no external knowledge file for database {database_id!r})"
-        stamp = _stamp_of(status)
         held = self._knowledge.get(database_id)
         if held is not None and held[0] == stamp:
             return held[1]

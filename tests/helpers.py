@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import socket
+import sqlite3
 import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -190,3 +191,16 @@ def refused_url() -> str:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
     return f"http://127.0.0.1:{port}/chat"
+
+
+def still_open(opened: list[tuple[str, sqlite3.Connection]]) -> list[str]:
+    """The database argument of each connection in ``opened`` not yet closed."""
+    return [database for database, conn in opened if not _is_closed(conn)]
+
+
+def _is_closed(conn: sqlite3.Connection) -> bool:
+    try:
+        conn.total_changes
+    except sqlite3.ProgrammingError:
+        return True
+    return False

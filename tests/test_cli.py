@@ -200,6 +200,19 @@ def test_a_store_path_that_is_no_directory_exits_2_naming_it(pipeline_dirs, tmp_
         assert _run(ws, store, manifest, tmp_path / "made") == 0
 
 
+def test_a_memory_on_run_without_a_store_exits_2_naming_both_ways_out(pipeline_dirs, tmp_path,
+                                                                     capsys):
+    ws, _, manifest = pipeline_dirs
+    capsys.readouterr()
+    code = main(["run", "--questions", str(ws / "questions.jsonl"), "--workspace", str(ws),
+                 "--manifest", str(manifest), "--out", str(tmp_path / "out")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    assert "--store" in captured.err and "--no-memory" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_missing_runs_dir_exits_nonzero(tmp_path, capsys):
     assert main(["report", "--runs", str(tmp_path / "nothing")]) == 2
 

@@ -1,11 +1,10 @@
-"""Every SQLite connection the package opens is closed by the call that opened
-it, and an episode reaches its database through one read-only connection."""
+"""An episode reaches its database through at most one read-only connection,
+which the workspace keeps for the next episode, and every connection the
+package opens is closed by the time its workspace is."""
 
 from __future__ import annotations
 
-import sqlite3
-
-import pytest
+import gc
 
 from trajmem.fixtures import build_fixture_workspace
 from trajmem.harness import EpisodeConfig, run_episode
@@ -16,35 +15,15 @@ from trajmem.store import MemoryStore
 from trajmem.synthesis import synthesize_memory
 from trajmem.tools import Workspace
 
-
-@pytest.fixture()
-def opened(monkeypatch):
-    """Each connection ``sqlite3.connect`` opens, with its database argument."""
-    connections: list[tuple[str, sqlite3.Connection]] = []
-    original = sqlite3.connect
-
-    def connect(database, *args, **kwargs):
-        conn = original(database, *args, **kwargs)
-        connections.append((str(database), conn))
-        return conn
-
-    monkeypatch.setattr(sqlite3, "connect", connect)
-    yield connections
-    for _, conn in connections:
-        conn.close()
+from helpers import still_open
 
 
-def _is_closed(conn: sqlite3.Connection) -> bool:
-    try:
-        conn.total_changes
-    except sqlite3.ProgrammingError:
-        return True
-    return False
-
-
-def test_every_connection_is_closed_and_an_episode_opens_one_read_only(opened, tmp_path):
+def test_an_episode_opens_at_most_one_read_only_connection_and_close_leaves_none_open(
+    opened, tmp_path
+):
     workspace = Workspace(build_fixture_workspace(tmp_path / "ws"))
     assert opened, "building the fixtures opens the databases it writes"
+    assert still_open(opened) == []
 
     composite = MinedComposite(
         sequence=ToolSequence(tools=("get_ext", "get_ddl"), phase=Phase.EXPLORATION),
@@ -59,29 +38,61 @@ def test_every_connection_is_closed_and_an_episode_opens_one_read_only(opened, t
         answer="36 flights in total",
     )
     question = Question(id="f1", text="How many flights are there?", database_id="flights")
+
+    def episode():
+        return run_episode(
+            question,
+            workspace,
+            EpisodeConfig(memory_enabled=False, composites_enabled=True),
+            ScriptedPolicy({"f1": script}),
+            composites=[composite],
+        )
+
     before = len(opened)
-    result = run_episode(
-        question,
-        workspace,
-        EpisodeConfig(memory_enabled=False, composites_enabled=True),
-        ScriptedPolicy({"f1": script}),
-        composites=[composite],
-    )
+    result = episode()
     tools = {inv.tool_name for step in result.trajectory.steps for inv in step.invocations}
     assert "get_ext_then_get_ddl" in tools
-    episode = opened[before:]
-    assert len(episode) == 1
-    assert episode[0][0].startswith("file:") and episode[0][0].endswith("?mode=ro")
+    first = opened[before:]
+    assert len(first) == 1
+    assert first[0][0].startswith("file:") and first[0][0].endswith("?mode=ro")
 
+    # A clean episode, synthesis and get_ddl take the session the first left.
+    before = len(opened)
+    episode()
     synthetic = Question(id="syn-1", text="How many rows are in flights?",
                          database_id="flights", synthetic=True)
-    before = len(opened)
     synthesize_memory([synthetic], workspace, MemoryStore(tmp_path / "store"))
-    assert [database.endswith("?mode=ro") for database, _ in opened[before:]] == [True]
+    assert "CREATE TABLE flights" in workspace.ddl("flights")
+    assert opened[before:] == []
 
-    before = len(opened)
+    # Another database gets a read-only session of its own, kept as well.
+    assert "CREATE TABLE products" in workspace.ddl("retail")
     assert "CREATE TABLE products" in workspace.ddl("retail")
     assert [database.endswith("?mode=ro") for database, _ in opened[before:]] == [True]
 
-    still_open = [database for database, conn in opened if not _is_closed(conn)]
-    assert still_open == []
+    workspace.close()
+    workspace.close()
+    assert still_open(opened) == []
+    # A closed workspace still runs episodes, on sessions it closes at their end.
+    before = len(opened)
+    episode()
+    assert len(opened) - before == 1
+    assert still_open(opened) == []
+
+
+def test_a_workspace_closes_its_sessions_at_the_end_of_a_with_block_or_when_collected(
+    opened, tmp_path
+):
+    root = build_fixture_workspace(tmp_path / "ws")
+    with Workspace(root) as workspace:
+        workspace.ddl("flights")
+        assert len(still_open(opened)) == 1
+    assert still_open(opened) == []
+
+    workspace = Workspace(root)
+    workspace.ddl("flights")
+    assert len(still_open(opened)) == 1
+    del workspace
+    gc.collect()
+    assert still_open(opened) == []
+

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import gc
 import os
 import sqlite3
@@ -519,16 +520,17 @@ def test_sql_execute_cannot_change_the_workspace(ctx, workspace, tmp_path, state
     assert invocations[0].succeeded is False
     assert not outside.exists()
     assert workspace.db_path("flights").read_bytes() == db_before
-    with sqlite3.connect(str(workspace.db_path("flights"))) as conn:
+    with contextlib.closing(sqlite3.connect(str(workspace.db_path("flights")))) as conn:
         assert conn.execute("SELECT COUNT(*) FROM carriers").fetchone()[0] > 0
 
 
 def test_backend_opens_a_path_with_uri_characters(tmp_path):
     path = tmp_path / "a?b #%20" / "x.sqlite"
     path.parent.mkdir()
-    with sqlite3.connect(str(path)) as conn:
+    with contextlib.closing(sqlite3.connect(str(path))) as conn:
         conn.execute("CREATE TABLE t (a INT)")
         conn.execute("INSERT INTO t VALUES (1)")
+        conn.commit()
     with SqliteBackend(path) as backend:
         assert backend.execute("SELECT a FROM t").rows == [(1,)]
 
