@@ -233,8 +233,9 @@ def load_questions_file(path: str | Path) -> list[QuestionRecord]:
 
     Each line is a question that ``Question.from_dict`` checks, with an
     optional gold_csv string and script object whose fields
-    ``QuestionScript.from_dict`` checks; question ids must be unique. An
-    error names the line.
+    ``QuestionScript.from_dict`` checks; question ids must be unique. A line
+    that is not JSON, or is nested too deeply to parse, is an error too.
+    Each error is a ConfigurationError that names the file and the line.
     """
     records: list[QuestionRecord] = []
     seen: set[str] = set()
@@ -252,7 +253,7 @@ def load_questions_file(path: str | Path) -> list[QuestionRecord]:
             record = QuestionRecord(
                 question, QuestionScript.from_dict(script) if script else None, gold_csv
             )
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigurationError(f"{path} line {lineno}: not JSON: {exc}") from None
         except ConfigurationError as exc:
             raise ConfigurationError(f"{path} line {lineno}: {exc}") from None
@@ -297,9 +298,10 @@ def run_suite(
     policy: Policy | None = None,
     workers: int = 1,
 ) -> SuiteResult:
-    """Run every question and write one RunRecord and trajectory JSON each.
-    With memory on, ``store_root`` must be a directory (see
-    ``existing_store``); nothing is written otherwise."""
+    """Run every question, writing its RunRecord and trajectory JSON as its
+    episode ends, so a run an exception stops keeps the files of every
+    episode that ended. With memory on, ``store_root`` must be a directory
+    (see ``existing_store``); nothing is written otherwise."""
     memory_store = (
         existing_store(store_root) if config.memory_enabled and store_root is not None else None
     )
@@ -322,7 +324,7 @@ def run_suite(
         config, policy, memory_store=memory_store, composites=composites
     )
 
-    def _one(record: QuestionRecord) -> tuple[RunRecord, EpisodeResult]:
+    def _one(record: QuestionRecord) -> RunRecord:
         result = run_episode(
             record.question,
             workspace,
@@ -337,20 +339,6 @@ def run_suite(
             gold = load_gold_rows(workspace, record.gold_csv)
             correct = execution_accuracy(result.answer_rows, gold)
         run_record = RunRecord.from_trajectory(result.trajectory, result.answer_rows, correct)
-        return run_record, result
-
-    pairs: list[tuple[RunRecord, EpisodeResult]]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor  # a serial run never loads it
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(_one, records))
-    else:
-        pairs = [_one(record) for record in records]
-
-    suite = SuiteResult(records=[], out_dir=out)
-    for record, (run_record, result) in zip(records, pairs):
-        suite.records.append(run_record)
         (out / "records" / f"{record.question.id}.json").write_text(
             json.dumps(run_record.to_dict(), indent=2, ensure_ascii=False) + "\n",
             encoding="utf-8",
@@ -358,4 +346,12 @@ def run_suite(
         (out / "trajectories" / f"{record.question.id}.json").write_text(
             result.trajectory.to_json(), encoding="utf-8"
         )
-    return suite
+        return run_record
+
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # a serial run never loads it
+
+        # On an exception the pool still lets the episodes it started end.
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return SuiteResult(list(pool.map(_one, records)), out)
+    return SuiteResult([_one(record) for record in records], out)

@@ -102,7 +102,8 @@ def _json_cell(cell: Any) -> Any:
 
 def load_run_records(run_dir: str | Path) -> list[RunRecord]:
     """The records under ``run_dir/records``, in file-name order;
-    ``ConfigurationError`` names a file that holds no well-formed record."""
+    ``ConfigurationError`` names a file that holds no well-formed record,
+    JSON nested too deeply to parse among them."""
     records_dir = Path(run_dir) / "records"
     if not records_dir.is_dir():
         return []
@@ -110,7 +111,7 @@ def load_run_records(run_dir: str | Path) -> list[RunRecord]:
     for path in sorted(records_dir.glob("*.json")):
         try:
             records.append(RunRecord.from_dict(json.loads(path.read_text(encoding="utf-8"))))
-        except (ValueError, StructuralError) as exc:
+        except (ValueError, RecursionError, StructuralError) as exc:
             raise ConfigurationError(f"run record {path} is malformed: {exc!r}") from exc
     return records
 

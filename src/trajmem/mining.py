@@ -213,14 +213,18 @@ _COMPOSITE_FIELDS: Fields = {
 def load_manifest(path: str | Path) -> list[MinedComposite]:
     """The composites a manifest file lists.
 
-    Raises ConfigurationError, naming the file, when it is not a JSON object
-    whose ``composites`` is a list, and naming the composite's position and
-    field when a composite lacks a field, gives one the wrong type, names an
-    unknown phase or lists fewer than two tools. ``description`` may be left
-    out.
+    Raises ConfigurationError, naming the file, when it is not JSON (or is
+    nested too deeply to parse) or not a JSON object whose ``composites`` is
+    a list, and naming the composite's position and field when a composite
+    lacks a field, gives one the wrong type, names an unknown phase or lists
+    fewer than two tools. ``description`` may be left out.
     """
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ConfigurationError(f"manifest {path}: not JSON: {exc}") from None
     (raw_composites,) = read_fields(
-        json.loads(Path(path).read_text(encoding="utf-8")),
+        data,
         {"composites": ([], (list,), "a list")},
         lambda message: ConfigurationError(f"manifest {path}: {message}"),
     )

@@ -288,7 +288,14 @@ class Trajectory:
 
     @classmethod
     def from_json(cls, text: str) -> "Trajectory":
-        return cls.from_dict(json.loads(text))
+        """A trajectory from its JSON text; ``ValueError`` for text that is
+        not JSON or is nested too deeply to parse, and ``from_dict``'s
+        ``StructuralError`` for JSON that holds no trajectory."""
+        try:
+            data = json.loads(text)
+        except RecursionError as exc:
+            raise ValueError(f"not JSON: {exc}") from None
+        return cls.from_dict(data)
 
 
 def append_step(trajectory: Trajectory, step: Step) -> Trajectory:

@@ -118,17 +118,20 @@ class ReplayPolicy(Policy):
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplayPolicy":
         """The policy a script file holds, as ``RecordingPolicy.save`` writes
-        it. Raises ConfigurationError, naming the file, when it is not a JSON
-        object whose ``fingerprints`` map to decisions (objects whose
+        it. Raises ConfigurationError, naming the file, when it is not JSON
+        (or is nested too deeply to parse) or not a JSON object whose
+        ``fingerprints`` map to decisions (objects whose
         ``thought`` and ``action_code`` are strings and whose
         ``final_answer`` is a string or null) and whose ``refinements`` map
         queries to strings."""
         def error(message: str) -> ConfigurationError:
             return ConfigurationError(f"replay script {path}: {message}")
 
-        fingerprints, refinements = read_fields(
-            json.loads(Path(path).read_text(encoding="utf-8")), _REPLAY_FIELDS, error
-        )
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise error(f"not JSON: {exc}") from None
+        fingerprints, refinements = read_fields(data, _REPLAY_FIELDS, error)
         try:
             mapping = {key: PolicyDecision.from_dict(raw) for key, raw in fingerprints.items()}
         except ConfigurationError as exc:

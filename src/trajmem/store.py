@@ -103,9 +103,10 @@ _HEADER_MAX_CHARS = 120
 _INDEX_FILE = ".index.jsonl"
 # The index is first checked for dead lines once it reaches this size.
 _COMPACT_FROM = 4096
-# What an unreadable, damaged or hand-edited entry raises while it is parsed.
+# What an unreadable, damaged or hand-edited entry raises while it is parsed;
+# RecursionError is JSON nested too deeply for the parser.
 _CORRUPT_ENTRY_ERRORS = (
-    OSError, ValueError, LookupError, TypeError, AttributeError, TrajmemError
+    OSError, ValueError, LookupError, TypeError, AttributeError, RecursionError, TrajmemError
 )
 _T = TypeVar("_T")
 # Index counts are unsigned 16-bit numbers, written big-endian whatever the
@@ -474,8 +475,8 @@ class MemoryStore:
     ) -> dict[str, _T]:
         """Entry directory name -> ``keep(line, its bytes without the line
         break)`` for the last well-formed line of that entry in the
-        database's index, read in one call; torn or garbage lines are
-        skipped."""
+        database's index, read in one call; torn or garbage lines, and lines
+        nested too deeply to parse, are skipped."""
         try:
             with open(self.root / database_id / _INDEX_FILE, "rb") as handle:
                 data = handle.read()
@@ -489,7 +490,7 @@ class MemoryStore:
                 line = json.loads(raw)
                 name = line["question"]["id"]
                 lines[name] = keep(line, raw)
-            except (ValueError, LookupError, TypeError):
+            except (ValueError, LookupError, TypeError, RecursionError):
                 continue
         return lines
 

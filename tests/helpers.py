@@ -15,6 +15,9 @@ from typing import Any, Iterator, Sequence
 from trajmem.model import Phase, Question, Step, ToolInvocation, Trajectory, append_step
 from trajmem.store import MemoryEntry, structure_trajectory
 
+# JSON nested past the parser's recursion limit on every supported Python.
+DEEP_JSON = "[" * 200_000
+
 
 def invocation(name: str, **args: object) -> ToolInvocation:
     return ToolInvocation(
@@ -135,20 +138,26 @@ def chat_server(*replies: Any) -> Iterator[tuple[str, list[dict[str, Any]]]]:
 
     The calls get the replies in turn, cycling: a ``(status, body)``
     pair, or ``(status, body, headers)``, where a body that is not bytes is
-    sent as JSON; bytes, written as the whole response; or ``None`` to answer
-    nothing until the block exits."""
+    sent as JSON; bytes, written as the whole response; ``None`` to answer
+    nothing until the block exits; or a function of the call's JSON body
+    that returns one of these."""
     posts: list[dict[str, Any]] = []
     stop = threading.Event()
+    counting = threading.Lock()  # one reply per call, when calls arrive at once
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self) -> None:
             body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
-            posts.append({
+            post = {
                 "method": self.command,
                 "headers": dict(self.headers),
                 "json": json.loads(body) if body else None,
-            })
-            reply = replies[(len(posts) - 1) % len(replies)]
+            }
+            with counting:
+                posts.append(post)
+                reply = replies[(len(posts) - 1) % len(replies)]
+            if callable(reply):
+                reply = reply(post["json"])
             if reply is None:
                 stop.wait()
                 return

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 
 import pytest
@@ -11,7 +12,7 @@ from trajmem.errors import TrajmemError
 from trajmem.model import Phase, count_tokens
 from trajmem.store import MemoryStore
 
-from helpers import UNRENDERABLE, break_segments, chat_server, restamp_index_line
+from helpers import DEEP_JSON, UNRENDERABLE, break_segments, chat_server, restamp_index_line
 
 
 @pytest.fixture()
@@ -129,6 +130,7 @@ def test_classify_command_json(pipeline_dirs, tmp_path, capsys):
         pytest.param('{"question_id": "q", "database_id": "d", "steps": [{"index": 0, "phase": 5}]}',
                      id="int-phase"),
         pytest.param("null", id="null"),
+        pytest.param(DEEP_JSON, id="nested-too-deeply"),
     ],
 )
 def test_classify_of_a_file_that_holds_no_trajectory_exits_2(tmp_path, capsys, text):
@@ -343,6 +345,49 @@ def test_an_http_policy_run_posts_to_the_endpoint_and_replays_without_it(
     assert {post["headers"]["Authorization"] for post in posts} == {"Bearer tok"}
     assert run("replayed", f"replay:{script}") == 0
     assert _records(tmp_path / "replayed") == _records(tmp_path / "recorded") == live
+
+
+def _chat_reply(body):
+    """A probe as an episode's first reply and its answer as the second,
+    whichever episode the call comes from."""
+    if "Observation:" in body["messages"][-1]["content"]:
+        content = "Final Answer: 42"
+    else:
+        content = 'Thought: probe\nAction:\nsql_execute(query="SELECT 1")'
+    return 200, {"choices": [{"message": {"content": content}}]}
+
+
+def _latency_aside(path):
+    return re.sub(rb'"wall_time_ms": \d+', b'"wall_time_ms": 0', path.read_bytes())
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_run_stopped_by_a_failed_episode_keeps_the_files_of_every_episode_that_ended(
+    tmp_path, capsys, workers
+):
+    ws = tmp_path / "ws"
+    assert main(["fixtures", "--out", str(ws)]) == 0
+
+    def run(out, url):
+        return main(["run", "--questions", str(ws / "questions.jsonl"), "--workspace", str(ws),
+                     "--out", str(tmp_path / out), "--no-memory", "--policy", url,
+                     "--workers", workers])
+
+    with chat_server(_chat_reply) as (url, _):
+        assert run("clean", url) == 0
+    # Two calls an episode: eleven episodes end before the one call that fails.
+    with chat_server(*[_chat_reply] * 22, (400, {"error": "bad request"})) as (url, posts):
+        assert run("stopped", url) == 2
+    assert "HTTP Error 400" in capsys.readouterr().err
+    assert len(posts) in (23, 24)  # with two workers, the other episode may end after it
+    kept = {}
+    for kind in ("records", "trajectories"):
+        kept[kind] = sorted(path.name for path in (tmp_path / "stopped" / kind).iterdir())
+        for name in kept[kind]:
+            stopped, clean = (_latency_aside(tmp_path / side / kind / name)
+                              for side in ("stopped", "clean"))
+            assert stopped == clean, f"{kind}/{name}"
+    assert len(kept["records"]) == 11 and kept["records"] == kept["trajectories"]
 
 
 def test_run_json_output(pipeline_dirs, tmp_path, capsys):
@@ -580,6 +625,17 @@ def _composite(**changes):
     return {key: value for key, value in composite.items() if value is not None}
 
 
+# Texts that are not JSON, or not JSON the parser can read; written as they are.
+_NOT_JSON = [
+    pytest.param("{'composites': []}", id="not-json"),
+    pytest.param(DEEP_JSON, id="nested-too-deeply"),
+]
+
+
+def _json_text(value):
+    return value if isinstance(value, str) else json.dumps(value)
+
+
 def _run_without_memory(tmp_path, *flags):
     """Exit code of a memory-off run of the fixture questions."""
     ws = tmp_path / "ws"
@@ -608,11 +664,12 @@ def _run_without_memory(tmp_path, *flags):
         pytest.param({"composites": [_composite(description=["x"])]}, id="list-description"),
         pytest.param({"composites": [_GOOD_COMPOSITE, _composite(tools=["get_ext"])]},
                      id="one-tool"),
+        *_NOT_JSON,
     ],
 )
 def test_a_malformed_manifest_exits_2_naming_the_file(tmp_path, capsys, manifest):
     path = tmp_path / "m.json"
-    path.write_text(json.dumps(manifest))
+    path.write_text(_json_text(manifest))
     assert _run_without_memory(tmp_path, "--manifest", str(path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(path) in err
@@ -684,11 +741,12 @@ def test_a_filler_memory_prefix_saves_no_step_against_memory_off(tmp_path, monke
         pytest.param({"fingerprints": {"abc": 3}}, id="decision-int"),
         pytest.param({"fingerprints": {"abc": {"thought": 3}}}, id="thought-int"),
         pytest.param({"fingerprints": {}, "refinements": {"select 1": 1}}, id="refinement-int"),
+        *_NOT_JSON,
     ],
 )
 def test_a_malformed_replay_script_exits_2_naming_the_file(tmp_path, capsys, script):
     path = tmp_path / "rp.json"
-    path.write_text(json.dumps(script))
+    path.write_text(_json_text(script))
     assert _run_without_memory(tmp_path, "--policy", f"replay:{path}") == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(path) in err
@@ -716,6 +774,7 @@ _RECORD = {"question_id": "f1", "database_id": "flights", "steps": 3, "input_tok
         pytest.param({**_RECORD, "phase_counts": {"exploration": "1"}}, id="string-phase-count"),
         pytest.param({**_RECORD, "phase_counts": {"exploration": True}}, id="bool-phase-count"),
         pytest.param({**_RECORD, "answer_rows": "1"}, id="string-answer-rows"),
+        *_NOT_JSON,
     ],
 )
 def test_a_malformed_run_record_exits_2_naming_the_file(tmp_path, capsys, record):
@@ -723,7 +782,7 @@ def test_a_malformed_run_record_exits_2_naming_the_file(tmp_path, capsys, record
     records.mkdir(parents=True)
     (records / "f0.json").write_text(json.dumps(_RECORD))
     path = records / "f1.json"
-    path.write_text(json.dumps(record))
+    path.write_text(_json_text(record))
     assert main(["report", "--runs", str(tmp_path / "runs")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(path) in err

@@ -30,7 +30,7 @@ from trajmem.store import MemoryStore
 from trajmem.synthesis import synthesize_memory
 from trajmem.tools import Workspace
 
-from helpers import trajectory
+from helpers import DEEP_JSON, trajectory
 
 
 @pytest.fixture()
@@ -529,6 +529,7 @@ def test_questions_file_rejects_unsafe_database_ids(tmp_path, bad_db):
         '{"text": "question", "database_id": "flights"}',
         '{"id": "f2", "text": "question"}',
         '{"id": "f2", ',
+        pytest.param(DEEP_JSON, id="nested-too-deeply"),
     ],
 )
 def test_questions_file_rejects_malformed_lines(tmp_path, line):

@@ -35,6 +35,7 @@ from trajmem.store import (
 )
 
 from helpers import (
+    DEEP_JSON,
     UNRENDERABLE,
     break_segments,
     memory_entry,
@@ -280,6 +281,7 @@ def test_load_entries_sorted_and_skips_corrupt(tmp_path, caplog):
         '{"trajectory": {"question_id": 7, "database_id": "sqlite_fixture", "steps": [],'
         ' "final_answer": 3, "input_tokens": true, "output_tokens": "12",'
         ' "wall_time_ms": 1.9}}',
+        pytest.param(DEEP_JSON, id="nested-too-deeply"),
     ],
 )
 def test_loaders_skip_and_log_corrupt_entry(tmp_path, caplog, bad_meta):
@@ -1012,7 +1014,10 @@ def test_index_reader_equals_a_line_by_line_reader(pieces, cut, torn):
         assert store.counts.indexed == sum(raw in current for _, raw in read.values())
 
 
-@pytest.mark.parametrize("tail", [b'{"question":{"id":"q0', b"\x00\xffgarbage\n", b"[1, 2]\n"])
+@pytest.mark.parametrize("tail", [
+    b'{"question":{"id":"q0', b"\x00\xffgarbage\n", b"[1, 2]\n",
+    pytest.param(DEEP_JSON.encode() + b"\n", id="nested-too-deeply"),
+])
 def test_torn_or_garbage_last_line_is_skipped(tmp_path, tail):
     _persist_all(tmp_path)
     index = _index(tmp_path)
